@@ -5,9 +5,7 @@ and Leggett-Garg comparisons."""
 from .channels import (
     KrausChannel,
     amplitude_damping_channel,
-    apply_channel,
     channels_equal,
-    compose,
     dephase,
     dephasing_channel,
     depolarizing_channel,

@@ -67,14 +67,6 @@ class KrausChannel:
         return f"KrausChannel({len(self.kraus_ops)} ops, {self.in_dim}->{self.out_dim})"
 
 
-def apply_channel(ch: KrausChannel, m) -> np.ndarray:
-    return ch(m)
-
-
-def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    return outer.compose(inner)
-
-
 def channels_equal(a: KrausChannel, b: KrausChannel, atol: float = 1e-9) -> bool:
     """Action equality (Kraus lists are gauge dependent, so compare Jamiolkowski forms)."""
     if (a.in_dim, a.out_dim) != (b.in_dim, b.out_dim):

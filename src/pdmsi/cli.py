@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -30,6 +30,7 @@ from .exceptions import PdmsiError
 from .leggett_garg import LgScenario, lg_evaluate, lg_vs_si
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
+    _matrix_to_pairs,
     check_bound,
     evaluate_witness,
     exact_correlators,
@@ -143,15 +144,15 @@ def parse_observable(obj, field: str = "q") -> np.ndarray:
 
 
 def load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        bundled = resources.files("pdmsi").joinpath("scenarios", os.path.basename(path))
-        if bundled.is_file():
-            text = bundled.read_text()
-        else:
-            raise ScenarioError("config", f"config file {path!r} not found")
-    else:
+    """Read a config file; a bare name that is not a file names a bundled scenario."""
+    bundled = resources.files("pdmsi").joinpath("scenarios", path)
+    if os.path.isfile(path):
         with open(path) as handle:
             text = handle.read()
+    elif not os.path.dirname(path) and bundled.is_file():
+        text = bundled.read_text()
+    else:
+        raise ScenarioError("config", f"config file {path!r} not found")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -188,14 +189,19 @@ def _state_and_channel(cfg) -> tuple[np.ndarray, KrausChannel]:
     return state, ch
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _parse_norm_order(cfg) -> float:
     p = cfg.get("p", 1.0)
-    if not isinstance(p, (int, float)) or p < 1:
-        raise ScenarioError("p", f"norm order must be a number >= 1, got {p!r}")
+    if not _is_number(p) or p < 1:
+        raise ScenarioError("p", f"norm order must be a finite number >= 1, got {p!r}")
     return float(p)
 
 
-def run_pdm(cfg: dict, seed: int | None, threads: int):
+def run_pdm(cfg: dict, seed: int | None):
     state, ch = _state_and_channel(cfg)
     p = _parse_norm_order(cfg)
     r = pdm_closed_form(state, ch)
@@ -203,7 +209,7 @@ def run_pdm(cfg: dict, seed: int | None, threads: int):
     out = {
         "kind": "pdm",
         "dims": list(r.dims),
-        "matrix": _complex_matrix(r.mat),
+        "matrix": _matrix_to_pairs(r.mat),
         "eigenvalues": [float(x) for x in r.eigenvalues()],
         "si": report.to_dict(),
     }
@@ -213,11 +219,7 @@ def run_pdm(cfg: dict, seed: int | None, threads: int):
     return {"pdm.json": dump_json(out)}, lines
 
 
-def _complex_matrix(m) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
-def run_witness(cfg: dict, seed: int | None, threads: int):
+def run_witness(cfg: dict, seed: int | None):
     state, ch = _state_and_channel(cfg)
     policy = cfg.get("policy", "negative_eigenspace")
     if policy not in ("negative_eigenspace", "most_negative"):
@@ -237,7 +239,7 @@ def run_witness(cfg: dict, seed: int | None, threads: int):
     return {"witness.json": dump_json(out)}, lines
 
 
-def run_classify(cfg: dict, seed: int | None, threads: int):
+def run_classify(cfg: dict, seed: int | None):
     dim = cfg.get("dim")
     ch = parse_channel(cfg["channel"], dim=dim)
     report = classify_channel(ch)
@@ -251,7 +253,7 @@ def run_classify(cfg: dict, seed: int | None, threads: int):
     return {"classify.json": dump_json(out)}, lines
 
 
-def run_lg(cfg: dict, seed: int | None, threads: int):
+def run_lg(cfg: dict, seed: int | None):
     if "states" in cfg and "state" in cfg:
         raise ScenarioError("states", "give either 'state' or 'states', not both")
     if "states" in cfg:
@@ -284,7 +286,7 @@ def run_lg(cfg: dict, seed: int | None, threads: int):
     return {"lg.json": dump_json(out)}, lines
 
 
-def run_simulate(cfg: dict, seed: int | None, threads: int):
+def run_simulate(cfg: dict, seed: int | None):
     state, ch = _state_and_channel(cfg)
     shots = cfg["shots"]
     if not isinstance(shots, int) or shots < 1:
@@ -308,7 +310,7 @@ def run_simulate(cfg: dict, seed: int | None, threads: int):
     return {"simulate.csv": table.to_csv(), "simulate.json": dump_json(meta)}, lines
 
 
-def run_sweep(cfg: dict, seed: int | None, threads: int):
+def run_sweep(cfg: dict, seed: int | None):
     state = parse_state(cfg["state"])
     name = cfg["channel"]
     parameter = cfg["parameter"]
@@ -321,45 +323,44 @@ def run_sweep(cfg: dict, seed: int | None, threads: int):
     if ("grid" in cfg) == ("values" in cfg):
         raise ScenarioError("grid", "sweep needs exactly one of 'grid' or 'values'")
     if "grid" in cfg:
-        grid = cfg["grid"]
+        field, grid = "grid", cfg["grid"]
         if not isinstance(grid, dict) or set(grid) != {"start", "stop", "num"}:
             raise ScenarioError("grid", "grid must be an object with exactly start, stop, num")
-        if not all(isinstance(grid[k], (int, float)) for k in ("start", "stop", "num")):
-            raise ScenarioError("grid", "start, stop, num must be numbers")
-        values = np.linspace(float(grid["start"]), float(grid["stop"]), int(grid["num"]))
+        if not (_is_number(grid["start"]) and _is_number(grid["stop"])):
+            raise ScenarioError("grid", "start and stop must be finite numbers")
+        num = grid["num"]
+        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+            raise ScenarioError("grid", f"num must be a positive integer, got {num!r}")
+        values = np.linspace(float(grid["start"]), float(grid["stop"]), num)
     else:
-        if not isinstance(cfg["values"], list) or not all(
-            isinstance(v, (int, float)) for v in cfg["values"]
-        ):
-            raise ScenarioError("values", "values must be a list of numbers")
-        values = [float(v) for v in cfg["values"]]
+        field, values = "values", cfg["values"]
+        if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
+            raise ScenarioError("values", "values must be a non-empty list of finite numbers")
     p = _parse_norm_order(cfg)
+    try:
+        points = [(float(v), builders[(name, parameter)](float(v))) for v in values]
+    except ValueError as exc:
+        raise ScenarioError(field, f"invalid {parameter}: {exc}") from exc
 
-    def point(v: float):
-        ch = builders[(name, parameter)](float(v))
-        r = pdm_closed_form(state, ch)
-        rep = si_measure(r, p)
-        bound = check_bound(state, ch)
-        return (float(v), rep.value, r.min_eigenvalue(), bound.bound_ok)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
     lines_csv = ["parameter,value,si_value,min_eigenvalue,bound_ok"]
-    for v, si, lo, ok in rows:
+    for v, ch in points:
+        r = pdm_closed_form(state, ch)
+        si = si_measure(r, p).value
+        ok = check_bound(state, ch).bound_ok
         lines_csv.append(
-            f"{parameter},{format(v, '.17g')},{format(si, '.17g')},{format(lo, '.17g')},{str(ok).lower()}"
+            f"{parameter},{format(v, '.17g')},{format(si, '.17g')},"
+            f"{format(r.min_eigenvalue(), '.17g')},{str(ok).lower()}"
         )
-    return {"sweep.csv": "\n".join(lines_csv) + "\n"}, [f"swept {len(rows)} points of {parameter}"]
+    return {"sweep.csv": "\n".join(lines_csv) + "\n"}, [f"swept {len(points)} points of {parameter}"]
 
 
-def run_verify_kind(cfg: dict, seed: int | None, threads: int):
+def run_verify_kind(cfg: dict, seed: int | None):
     suite = cfg.get("suite", "all")
-    scale = float(cfg.get("trials_scale", 1.0))
+    scale = cfg.get("trials_scale", 1.0)
+    if not _is_number(scale) or scale <= 0:
+        raise ScenarioError("trials_scale", f"trials_scale must be a finite number > 0, got {scale!r}")
     effective = seed if seed is not None else cfg.get("seed")
-    results = run_suites(suite, seed=effective, scale=scale)
+    results = run_suites(suite, seed=effective, scale=float(scale))
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -371,7 +372,8 @@ def run_verify_kind(cfg: dict, seed: int | None, threads: int):
         "kind": "verify",
         "suite": suite,
         "checks": [
-            {"suite": r.suite, "name": r.name, "passed": r.passed, "trials": r.trials, "detail": r.detail}
+            {"suite": r.suite, "name": r.name, "passed": bool(r.passed), "trials": r.trials,
+             "detail": r.detail}
             for r in results
         ],
     }
@@ -388,19 +390,24 @@ HANDLERS = {
 }
 
 
-def run_scenario(config_path: str, out_dir: str, seed: int | None = None, threads: int = 1) -> int:
+def _report(files: dict, lines: list, out_dir: str | None) -> None:
+    """Write ``files`` into ``out_dir`` (when given), then print ``lines``."""
+    if out_dir is not None:
+        for name, content in files.items():
+            write_atomic(os.path.join(out_dir, name), content)
+    for line in lines:
+        print(line)
+
+
+def run_scenario(config_path: str, out_dir: str, seed: int | None = None) -> int:
     cfg = load_config(config_path)
     kind = validate_config(cfg)
     if kind == "verify":
-        files, lines, all_passed = run_verify_kind(cfg, seed, threads)
+        files, lines, all_passed = run_verify_kind(cfg, seed)
     else:
-        files, lines = HANDLERS[kind](cfg, seed, threads)
+        files, lines = HANDLERS[kind](cfg, seed)
         all_passed = True
-    for name, content in files.items():
-        write_atomic(os.path.join(out_dir, name), content)
-    for line in lines:
-        print(line)
-    print(f"wrote {', '.join(sorted(files))} to {out_dir}")
+    _report(files, [*lines, f"wrote {', '.join(sorted(files))} to {out_dir}"], out_dir)
     return 0 if all_passed else 1
 
 
@@ -415,7 +422,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path or bundled scenario name")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run randomized property suites")
     p_verify.add_argument("suite", nargs="?", default="all", choices=["all", "pdm", "coherence", "lg"])
@@ -433,36 +439,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run_scenario(args.config, args.out, seed=args.seed, threads=args.threads)
+            return run_scenario(args.config, args.out, seed=args.seed)
         if args.command == "verify":
-            results = run_suites(args.suite, seed=args.seed, scale=args.trials_scale)
-            failures = 0
-            for res in results:
-                status = "PASS" if res.passed else "FAIL"
-                detail = f"  {res.detail}" if res.detail else ""
-                print(f"[{status}] {res.suite}: {res.name} ({res.trials} trials){detail}")
-                failures += not res.passed
-            print(f"{len(results) - failures}/{len(results)} checks passed")
-            return 0 if failures == 0 else 1
+            cfg = {"suite": args.suite, "trials_scale": args.trials_scale}
+            _, lines, all_passed = run_verify_kind(cfg, args.seed)
+            _report({}, lines, None)
+            return 0 if all_passed else 1
         if args.command == "classify":
-            files, lines = run_classify(
-                {"channel": args.channel, "dim": args.dim} if args.dim else {"channel": args.channel},
-                None, 1,
-            )
-            for line in lines:
-                print(line)
+            cfg = {"channel": args.channel, "dim": args.dim} if args.dim else {"channel": args.channel}
+            _report(*run_classify(cfg, None), None)
             return 0
         if args.command == "lg":
             cfg = load_config(args.config)
             kind = validate_config(cfg)
             if kind != "lg":
                 raise ScenarioError("kind", f"'pdmsi lg' needs a config of kind 'lg', got {kind!r}")
-            files, lines = run_lg(cfg, None, 1)
-            if args.out:
-                for name, content in files.items():
-                    write_atomic(os.path.join(args.out, name), content)
-            for line in lines:
-                print(line)
+            _report(*run_lg(cfg, None), args.out)
             return 0
     except ScenarioError as exc:
         print(f"config error at field '{exc.field}': {exc}", file=sys.stderr)

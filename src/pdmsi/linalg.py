@@ -14,7 +14,6 @@ import scipy.linalg
 from .exceptions import DimensionMismatch, NonHermitian
 
 HERMITICITY_ATOL = 1e-12
-RECONSTRUCTION_ATOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
 

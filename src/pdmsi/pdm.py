@@ -10,7 +10,6 @@ semidefinite witness observable whose two-time expectation goes negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +140,13 @@ def _pair_grid(basis1: ObservableBasis, basis2: ObservableBasis):
             yield a, b, kron(basis1.matrix(a), basis2.matrix(b))
 
 
+def _gram_solve(pairs, overlaps: np.ndarray) -> np.ndarray:
+    """Coefficients c_k with Tr[P_j sum_k c_k P_k] = overlaps_j over a Hermitian pair family."""
+    vecs = np.stack([mat.reshape(-1) for _, _, mat in pairs])
+    gram = np.real(vecs.conj() @ vecs.T)
+    return np.linalg.solve(gram, overlaps)
+
+
 def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
     if basis is None:
         return (ObservableBasis.default_for_dim(dims[0]), ObservableBasis.default_for_dim(dims[1]))
@@ -186,10 +192,7 @@ def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
         r /= d1 * d2
     else:
         pairs = list(_pair_grid(b1, b2))
-        vecs = np.stack([mat.reshape(-1) for _, _, mat in pairs])
-        gram = np.real(vecs.conj() @ vecs.T)
-        e = np.array([table.entries[(a, b)] for a, b, _ in pairs])
-        coeffs = np.linalg.solve(gram, e)
+        coeffs = _gram_solve(pairs, np.array([table.entries[(a, b)] for a, b, _ in pairs]))
         r = np.tensordot(coeffs, np.stack([mat for _, _, mat in pairs]), axes=1)
     r = (r + r.conj().T) / 2.0
     return Pdm(r, (d1, d2))
@@ -238,41 +241,18 @@ def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
     return float(res.fun), res.x[:n]
 
 
-def _subgradient_simplex(lam: np.ndarray, p: float, iters: int = 10_000,
-                         tol: float = 1e-7) -> tuple[float, np.ndarray]:
-    """Projected subgradient for min ||lam - q||_p over the simplex."""
-
-    def f(q):
-        return float(np.sum(np.abs(lam - q) ** p) ** (1.0 / p))
-
-    q = project_simplex(lam)
-    best_q, best_f = q.copy(), f(q)
-    stall = 0
-    for k in range(1, iters + 1):
-        diff = lam - q
-        norm = f(q)
-        if norm < 1e-15:
-            break
-        # (|d_i| / ||d||_p)^(p-1) <= 1, so large p cannot overflow.
-        grad = -np.sign(diff) * (np.abs(diff) / norm) ** (p - 1.0)
-        q = project_simplex(q - grad / math.sqrt(k))
-        fq = f(q)
-        if fq < best_f - tol:
-            best_f, best_q, stall = fq, q.copy(), 0
-        else:
-            stall += 1
-            if stall > 500:
-                break
-    return best_f, best_q
-
-
 def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
     """Degree of spatial incompatibility T_p(R) with the achieving density matrix.
 
-    ``method="auto"`` uses the trace-norm closed form 2*sum|negative eigs| at
-    p = 1 and the eigenbasis reduction otherwise; ``method="numeric"`` forces
-    the simplex optimization even at p = 1 (useful as a cross-check).
+    Unitary invariance of the Schatten norms (Mirsky) reduces the problem to
+    the spectrum: T_p(R) = min ||lam - q||_p over the probability simplex.
+    At p = 1 ``method="auto"`` (or ``"closed"``) uses the closed form
+    2*sum|negative eigs| and ``method="numeric"`` solves the LP instead, as an
+    independent cross-check.  For every p > 1 the KKT conditions make the
+    Euclidean simplex projection of lam the exact minimizer.
     """
+    if method not in ("auto", "closed", "numeric"):
+        raise ValueError(f"unknown method {method!r}; use 'auto', 'closed' or 'numeric'")
     if not (np.isreal(p) and np.isfinite(p) and p >= 1.0):
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
@@ -283,17 +263,15 @@ def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
         (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
     ]
 
-    if p == 1.0 and method in ("auto", "closed"):
+    if p == 1.0 and method == "numeric":
+        value, q = _t1_simplex_lp(lam)
+    elif p == 1.0:
         value = _t1_closed_form(lam)
         pos = np.clip(lam, 0.0, None)
         q = pos / np.sum(pos)
-    elif p == 2.0:
-        q = project_simplex(lam)
-        value = float(np.linalg.norm(lam - q))
-    elif p == 1.0:
-        value, q = _t1_simplex_lp(lam)
     else:
-        value, q = _subgradient_simplex(lam, p)
+        q = project_simplex(lam)
+        value = float(np.linalg.norm(lam - q, ord=p))
 
     if not negatives:
         value = 0.0
@@ -345,10 +323,7 @@ def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> dict:
             for a, b, pair in _pair_grid(b1, b2)
         }
     pairs = list(_pair_grid(b1, b2))
-    vecs = np.stack([m.reshape(-1) for _, _, m in pairs])
-    gram = np.real(vecs.conj() @ vecs.T)
-    e = np.array([float(np.trace(mat @ m).real) for _, _, m in pairs])
-    coeffs = np.linalg.solve(gram, e)
+    coeffs = _gram_solve(pairs, np.array([float(np.trace(mat @ m).real) for _, _, m in pairs]))
     return {(a, b): float(c) for (a, b, _), c in zip(pairs, coeffs)}
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
-from .observables import LightTouchObservable, ObservableBasis, PauliString
-from .pdm import CorrelatorTable
+from .observables import LightTouchObservable, PauliString
+from .pdm import CorrelatorTable, _resolve_bases
 
 GENERATOR_ID = "numpy-pcg64"
 DEAD_BRANCH_PROB = 1e-14
@@ -36,22 +36,11 @@ def projectors_for(obs) -> MeasurementProjectors:
     Single-spectrum observables (A = lam * I) always yield outcome +lam; their
     projector pair is (I, 0).
     """
-    if isinstance(obs, (PauliString, LightTouchObservable)):
-        mat = obs.matrix
-        lam = obs.lam
-        single = getattr(obs, "kind", "pm") == "single"
-    else:
-        mat = np.asarray(obs, dtype=complex)
-        w = np.linalg.eigvalsh(mat)
-        lam = float(np.max(np.abs(w)))
-        if lam <= 1e-12:
-            raise ValueError("observable must be nonzero")
-        if np.all(np.abs(w - lam) <= 1e-10):
-            single = True
-        elif np.all(np.minimum(np.abs(w - lam), np.abs(w + lam)) <= 1e-10):
-            single = False
-        else:
-            raise ValueError(f"observable spectrum {w} is not of +/-lambda form")
+    if not isinstance(obs, (PauliString, LightTouchObservable)):
+        obs = LightTouchObservable(obs, label="")
+    mat = obs.matrix
+    lam = obs.lam
+    single = getattr(obs, "kind", "pm") == "single"
     d = mat.shape[0]
     eye = np.eye(d, dtype=complex)
     if single:
@@ -155,13 +144,12 @@ def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:
 
 
 def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -> CorrelatorTable:
-    """Sampled correlator table over the full basis-pair grid."""
-    if isinstance(basis, ObservableBasis):
-        b1 = b2 = basis
-    elif isinstance(basis, str):
-        b1 = b2 = ObservableBasis.from_descriptor(basis)
-    else:
-        b1, b2 = basis
+    """Sampled correlator table over the full basis-pair grid.
+
+    ``basis`` is read as in ``exact_correlators``: None for the default basis
+    of each factor, a descriptor, one basis for both slots, or a pair.
+    """
+    b1, b2 = _resolve_bases(basis, (ch.in_dim, ch.out_dim))
     entries, shots = {}, {}
     for i, a in enumerate(b1.labels):
         for j, b in enumerate(b2.labels):

@@ -6,7 +6,6 @@ from pdmsi.channels import (
     KrausChannel,
     amplitude_damping_channel,
     channels_equal,
-    compose,
     dephase,
     dephasing_channel,
     depolarizing_channel,
@@ -136,28 +135,28 @@ class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(19)
         ch = prandom.channel(2, 2, env_dim=3, rng=rng)
-        assert channels_equal(compose(ch, identity_channel(2)), ch)
-        assert channels_equal(compose(identity_channel(2), ch), ch)
+        assert channels_equal(ch.compose(identity_channel(2)), ch)
+        assert channels_equal(identity_channel(2).compose(ch), ch)
 
     def test_dephasing_idempotent(self):
         delta = dephasing_channel(2)
-        assert channels_equal(compose(delta, delta), delta)
+        assert channels_equal(delta.compose(delta), delta)
 
     def test_order_matters_with_hadamard(self):
         delta = dephasing_channel(2)
         had = unitary_channel(HADAMARD)
         rho0 = projector(ket(0))
-        after_delta_h = compose(delta, had)(rho0)
-        after_h_delta = compose(had, delta)(rho0)
+        after_delta_h = delta.compose(had)(rho0)
+        after_h_delta = had.compose(delta)(rho0)
         assert np.allclose(after_delta_h, np.eye(2) / 2)
         assert np.allclose(after_h_delta, plus_state())
-        assert not channels_equal(compose(delta, had), compose(had, delta))
+        assert not channels_equal(delta.compose(had), had.compose(delta))
 
     def test_dimension_check(self):
         rng = np.random.default_rng(23)
         a = prandom.channel(3, 2, env_dim=2, rng=rng)
         with pytest.raises(DimensionMismatch):
-            compose(a, a)
+            a.compose(a)
 
 
 class TestBuiltins:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import pdmsi.pdm
 from pdmsi.cli import main
@@ -64,6 +65,12 @@ class TestRun:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_bundled_lookup_only_for_bare_names(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere" / "witness_identity.json")
+        assert main(["run", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+        assert "'config'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_state_matrix(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
             "version": 1, "kind": "pdm",
@@ -120,6 +127,32 @@ class TestRun:
         assert "channel" in capsys.readouterr().err
 
 
+SWEEP = {"version": 1, "kind": "sweep", "state": KET0, "channel": "amplitude_damping",
+         "parameter": "gamma", "values": [0.0, 0.5]}
+PDM = {"version": 1, "kind": "pdm", "state": KET0, "channel": "identity"}
+VERIFY = {"version": 1, "kind": "verify", "suite": "lg"}
+SWEEP_GRID = {k: v for k, v in SWEEP.items() if k != "values"}
+
+
+@pytest.mark.parametrize("payload, field", [
+    pytest.param({**PDM, "p": True}, "p", id="p-bool"),
+    pytest.param({**PDM, "p": float("inf")}, "p", id="p-inf"),
+    pytest.param({**PDM, "p": float("nan")}, "p", id="p-nan"),
+    pytest.param({**SWEEP, "p": float("inf")}, "p", id="sweep-p-inf"),
+    pytest.param({**SWEEP, "values": []}, "values", id="values-empty"),
+    pytest.param({**SWEEP, "values": [0.5, 2.0]}, "values", id="values-out-of-range"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": -1}}, "grid", id="grid-num-negative"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}, "grid", id="grid-num-fraction"),
+    pytest.param({**VERIFY, "trials_scale": "x"}, "trials_scale", id="trials-scale-string"),
+    pytest.param({**VERIFY, "trials_scale": 0}, "trials_scale", id="trials-scale-zero"),
+])
+def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_witness_outputs_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -173,17 +206,6 @@ class TestOtherKinds:
         assert len(lines) == 12
         assert all(line.endswith("true") for line in lines[1:])
 
-    def test_sweep_threads_match_serial(self, tmp_path):
-        cfg = write_config(tmp_path, "sweep.json", {
-            "version": 1, "kind": "sweep", "state": PLUS,
-            "channel": "depolarizing", "parameter": "p",
-            "values": [0.0, 0.3, 0.9],
-        })
-        main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
-        main(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "4"])
-        assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
-               (tmp_path / "b" / "sweep.csv").read_bytes()
-
     def test_classify_scenario_and_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cls.json", {
             "version": 1, "kind": "classify", "channel": "dephase",
@@ -232,3 +254,12 @@ class TestVerify:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         out = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert all(check["passed"] for check in out["checks"])
+
+    def test_verify_scenario_kind_all_suites(self, tmp_path):
+        cfg = write_config(tmp_path, "v.json", {
+            "version": 1, "kind": "verify", "suite": "all", "trials_scale": 0.01,
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert {check["suite"] for check in out["checks"]} == {"pdm", "coherence", "lg"}
+        assert all(check["passed"] is True for check in out["checks"])

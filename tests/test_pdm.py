@@ -1,5 +1,9 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmsi.random as prandom
 from pdmsi.channels import dephasing_channel, identity_channel, unitary_channel
@@ -12,6 +16,7 @@ from pdmsi.exceptions import (
 from pdmsi.linalg import kron, partial_trace, schatten_norm
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
+    NEGATIVITY_ATOL,
     CorrelatorTable,
     Pdm,
     check_bound,
@@ -214,6 +219,38 @@ class TestSiMeasure:
             with pytest.raises(InvalidP):
                 si_measure(r, p)
 
+    def test_unknown_method_rejected(self):
+        r = pdm_closed_form(projector(ket(0)), identity_channel(2))
+        for p in [1.0, 3.0]:
+            with pytest.raises(ValueError, match="bogus"):
+                si_measure(r, p, method="bogus")
+
+    @pytest.mark.parametrize("p", [1.3, 1.5, 3.0, 5.0, 10.0])
+    def test_general_p_matches_slsqp(self, p):
+        """Independent solve of min ||lam - q||_p over the simplex, started at uniform q."""
+        rng = np.random.default_rng(37)
+        for dims in [(2, 2), (3, 3), (2, 3)]:
+            for _ in range(10):
+                r = random_pdm(rng, dims)
+                lam = np.linalg.eigvalsh(r.mat)
+                n = len(lam)
+
+                def norm(q):
+                    return np.sum(np.abs(lam - q) ** p) ** (1.0 / p)
+
+                def grad(q):
+                    d = lam - q
+                    return -np.sign(d) * (np.abs(d) / norm(q)) ** (p - 1.0)
+
+                res = scipy.optimize.minimize(
+                    norm, np.full(n, 1.0 / n), jac=grad, method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                    constraints=[{"type": "eq", "fun": lambda q: np.sum(q) - 1.0,
+                                  "jac": lambda q: np.ones(n)}],
+                    options={"ftol": 1e-14, "maxiter": 1000},
+                )
+                assert res.success, res.message
+                assert abs(si_measure(r, p).value - res.fun) < 1e-6
+
 
 class TestWitness:
     def test_identity_example_witness(self):
@@ -387,3 +424,70 @@ class TestTpProperties:
                 si_measure(Pdm(ch(r.mat), (2, 2)), 1.0).value
                 <= si_measure(r, 1.0).value + 1e-9
             )
+
+
+DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)])
+ORDERS = st.sampled_from([1.0, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0])
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def hermitian_parts(draw, dims):
+    """Real and imaginary parts of an n x n matrix, n = d1 * d2, entries in [-1, 1]."""
+    n = dims[0] * dims[1]
+    return draw(hnp.arrays(np.float64, (2, n, n), elements=st.floats(-1.0, 1.0, width=64)))
+
+
+@st.composite
+def pdms(draw):
+    """Unit-trace Hermitian matrices, zero matrix (R = I/n) and repeated entries included."""
+    dims = draw(DIMS)
+    parts = draw(hermitian_parts(dims))
+    x = parts[0] + 1j * parts[1]
+    h = (x + x.conj().T) / 2.0
+    n = h.shape[0]
+    h = h - (np.trace(h).real - 1.0) / n * np.eye(n)
+    return Pdm(h, dims)
+
+
+@st.composite
+def density_pdms(draw):
+    dims = draw(DIMS)
+    parts = draw(hermitian_parts(dims))
+    x = parts[0] + 1j * parts[1]
+    rho = x @ x.conj().T + 1e-3 * np.eye(x.shape[0])
+    return Pdm(rho / np.trace(rho).real, dims)
+
+
+class TestTpHypothesis:
+    @PROPERTY_SETTINGS
+    @given(r=pdms(), p=ORDERS, seed=st.integers(0, 2**32 - 1))
+    def test_unitary_invariance(self, r, p, seed):
+        u = prandom.haar_unitary(r.mat.shape[0], np.random.default_rng(seed))
+        rotated = Pdm(u @ r.mat @ u.conj().T, r.dims)
+        assert abs(si_measure(rotated, p).value - si_measure(r, p).value) < 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(r=pdms())
+    def test_non_increasing_in_p(self, r):
+        values = [si_measure(r, p).value for p in (1.0, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0)]
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
+
+    @PROPERTY_SETTINGS
+    @given(r=pdms(), p=ORDERS)
+    def test_zero_exactly_on_density_matrices(self, r, p):
+        value = si_measure(r, p).value
+        assert (value == 0.0) == (r.min_eigenvalue() >= -NEGATIVITY_ATOL)
+
+    @PROPERTY_SETTINGS
+    @given(r=density_pdms(), p=ORDERS)
+    def test_density_matrix_gives_zero(self, r, p):
+        assert si_measure(r, p).value == 0.0
+
+    @PROPERTY_SETTINGS
+    @given(r=pdms(), p=ORDERS)
+    def test_minimizer_is_density_matrix_attaining_value(self, r, p):
+        rep = si_measure(r, p)
+        assert abs(np.trace(rep.minimizer).real - 1.0) < 1e-9
+        assert np.linalg.eigvalsh(rep.minimizer)[0] > -1e-9
+        assert abs(schatten_norm(r.mat - rep.minimizer, p) - rep.value) < 1e-9 * (1.0 + rep.value)
