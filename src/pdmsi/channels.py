@@ -43,12 +43,8 @@ class KrausChannel:
     def jamiolkowski(self) -> np.ndarray:
         """M = sum_ij |i><j| (x) channel(|j><i|); Hermitian with trace in_dim."""
         d, n = self.in_dim, self.out_dim
-        m = np.zeros((d * n, d * n), dtype=complex)
-        for k in self.kraus_ops:
-            for i in range(d):
-                for j in range(d):
-                    block = np.outer(k[:, j], k[:, i].conj())
-                    m[i * n : (i + 1) * n, j * n : (j + 1) * n] += block
+        k = np.array(self.kraus_ops)
+        m = np.einsum("kaj,kbi->iajb", k, k.conj()).reshape(d * n, d * n)
         return check_hermitian(m, atol=1e-9)
 
     def superoperator(self) -> np.ndarray:

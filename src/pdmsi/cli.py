@@ -41,7 +41,7 @@ from .pdm import (
 from .sampling import sample_table, table_metadata
 from .serialize import dump_json, write_atomic
 from .states import check_density_matrix
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 CONFIG_VERSION = 1
 
@@ -65,11 +65,11 @@ class ScenarioError(PdmsiError, ValueError):
 
 
 def _parse_entry(x, field: str) -> complex:
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
+    if isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x):
         return complex(x[0], x[1])
-    raise ScenarioError(field, f"matrix entries must be numbers or [re, im] pairs, got {x!r}")
+    raise ScenarioError(field, f"matrix entries must be finite numbers or [re, im] pairs, got {x!r}")
 
 
 def parse_matrix(obj, field: str) -> np.ndarray:
@@ -194,6 +194,19 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_int(x, low: int) -> bool:
+    """A JSON integer >= ``low``; booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _effective_seed(cfg, seed: int | None) -> int | None:
+    """The ``--seed`` override, else the config's ``seed``; a non-negative integer or None."""
+    effective = seed if seed is not None else cfg.get("seed")
+    if effective is not None and not _is_int(effective, 0):
+        raise ScenarioError("seed", f"seed must be a non-negative integer, got {effective!r}")
+    return effective
+
+
 def _parse_norm_order(cfg) -> float:
     p = cfg.get("p", 1.0)
     if not _is_number(p) or p < 1:
@@ -241,6 +254,8 @@ def run_witness(cfg: dict, seed: int | None):
 
 def run_classify(cfg: dict, seed: int | None):
     dim = cfg.get("dim")
+    if dim is not None and not _is_int(dim, 1):
+        raise ScenarioError("dim", f"dim must be a positive integer, got {dim!r}")
     ch = parse_channel(cfg["channel"], dim=dim)
     report = classify_channel(ch)
     out = {"kind": "classify", "report": report.to_dict()}
@@ -289,14 +304,18 @@ def run_lg(cfg: dict, seed: int | None):
 def run_simulate(cfg: dict, seed: int | None):
     state, ch = _state_and_channel(cfg)
     shots = cfg["shots"]
-    if not isinstance(shots, int) or shots < 1:
+    if not _is_int(shots, 1):
         raise ScenarioError("shots", "shots must be a positive integer")
-    cfg_seed = cfg.get("seed")
-    effective = seed if seed is not None else cfg_seed
+    effective = _effective_seed(cfg, seed)
     if effective is None:
         raise ScenarioError("seed", "simulate needs a seed (config field or --seed)")
     if "basis" in cfg:
-        basis1 = ObservableBasis.from_descriptor(cfg["basis"])
+        try:
+            basis1 = ObservableBasis.from_descriptor(cfg["basis"])
+        except (AttributeError, ValueError) as exc:
+            raise ScenarioError("basis", f"invalid basis descriptor {cfg['basis']!r}: {exc}") from exc
+        if basis1.dim != ch.in_dim:
+            raise ScenarioError("basis", f"basis dim {basis1.dim} != state dim {ch.in_dim}")
         basis2 = basis1 if ch.in_dim == ch.out_dim else ObservableBasis.default_for_dim(ch.out_dim)
     else:
         basis1 = ObservableBasis.default_for_dim(ch.in_dim)
@@ -329,7 +348,7 @@ def run_sweep(cfg: dict, seed: int | None):
         if not (_is_number(grid["start"]) and _is_number(grid["stop"])):
             raise ScenarioError("grid", "start and stop must be finite numbers")
         num = grid["num"]
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+        if not _is_int(num, 1):
             raise ScenarioError("grid", f"num must be a positive integer, got {num!r}")
         values = np.linspace(float(grid["start"]), float(grid["stop"]), num)
     else:
@@ -356,11 +375,12 @@ def run_sweep(cfg: dict, seed: int | None):
 
 def run_verify_kind(cfg: dict, seed: int | None):
     suite = cfg.get("suite", "all")
+    if suite != "all" and suite not in SUITES:
+        raise ScenarioError("suite", f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
     scale = cfg.get("trials_scale", 1.0)
     if not _is_number(scale) or scale <= 0:
         raise ScenarioError("trials_scale", f"trials_scale must be a finite number > 0, got {scale!r}")
-    effective = seed if seed is not None else cfg.get("seed")
-    results = run_suites(suite, seed=effective, scale=float(scale))
+    results = run_suites(suite, seed=_effective_seed(cfg, seed), scale=float(scale))
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -446,8 +466,7 @@ def main(argv=None) -> int:
             _report({}, lines, None)
             return 0 if all_passed else 1
         if args.command == "classify":
-            cfg = {"channel": args.channel, "dim": args.dim} if args.dim else {"channel": args.channel}
-            _report(*run_classify(cfg, None), None)
+            _report(*run_classify({"channel": args.channel, "dim": args.dim}, None), None)
             return 0
         if args.command == "lg":
             cfg = load_config(args.config)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionMismatch, NonHermitian
 
@@ -145,6 +144,8 @@ def project_simplex(v) -> np.ndarray:
 
 def superop_exp(generator, t: float) -> np.ndarray:
     """Matrix exponential exp(generator * t) of a superoperator matrix."""
+    import scipy.linalg
+
     g = as_complex_matrix(generator)
     return scipy.linalg.expm(g * float(t))
 

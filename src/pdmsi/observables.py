@@ -139,8 +139,26 @@ def light_touch_basis(d: int) -> list[LightTouchObservable]:
     return obs
 
 
+_SHARED_BASES: dict[str, "ObservableBasis"] = {}
+
+
+def _shared_basis(kind: str, n: int) -> "ObservableBasis":
+    """The one ObservableBasis per descriptor, built on first use."""
+    descriptor = f"{kind}:{n}"
+    if descriptor not in _SHARED_BASES:
+        family = pauli_basis(n) if kind == "pauli" else light_touch_basis(n)
+        _SHARED_BASES[descriptor] = ObservableBasis(family, descriptor)
+    return _SHARED_BASES[descriptor]
+
+
 class ObservableBasis:
-    """Labelled observable family for one time slot of a correlator table."""
+    """Labelled observable family for one time slot of a correlator table.
+
+    ``matrices`` stacks the observables as an ``(n, d, d)`` array in label
+    order and ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members);
+    both are built once and read-only.  The named constructors return one
+    shared instance per descriptor.
+    """
 
     def __init__(self, observables, descriptor: str):
         self.observables = list(observables)
@@ -151,16 +169,21 @@ class ObservableBasis:
         self._by_label = {o.label: o for o in self.observables}
         self.dim = int(self.observables[0].matrix.shape[0])
         for o in self.observables:
-            if o.matrix.shape[0] != self.dim:
+            if o.matrix.shape != (self.dim, self.dim):
                 raise DimensionMismatch("all observables in a basis must share one dimension")
+        self.matrices = np.array([o.matrix for o in self.observables], dtype=complex)
+        flat = self.matrices.reshape(len(self.observables), -1)
+        self.gram = np.real(flat.conj() @ flat.T)
+        self.matrices.flags.writeable = False
+        self.gram.flags.writeable = False
 
     @classmethod
     def pauli(cls, n: int) -> "ObservableBasis":
-        return cls(pauli_basis(n), f"pauli:{n}")
+        return _shared_basis("pauli", n)
 
     @classmethod
     def light_touch(cls, d: int) -> "ObservableBasis":
-        return cls(light_touch_basis(d), f"light_touch:{d}")
+        return _shared_basis("light_touch", d)
 
     @classmethod
     def from_descriptor(cls, descriptor: str) -> "ObservableBasis":
@@ -189,10 +212,6 @@ class ObservableBasis:
             if o.is_identity:
                 return o.label
         raise ValueError("basis has no identity observable")
-
-    @property
-    def is_orthogonal(self) -> bool:
-        return self.descriptor.startswith("pauli:")
 
     def __contains__(self, label: str) -> bool:
         return label in self._by_label

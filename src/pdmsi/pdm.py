@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .channels import KrausChannel, identity_channel
 from .exceptions import (
@@ -134,17 +133,49 @@ class CorrelatorTable:
         )
 
 
-def _pair_grid(basis1: ObservableBasis, basis2: ObservableBasis):
-    for a in basis1.labels:
-        for b in basis2.labels:
-            yield a, b, kron(basis1.matrix(a), basis2.matrix(b))
+def _overlaps(m, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
+    """Complex ``Tr[M (A_k (x) B_l)]`` for every label pair, as an ``(n1, n2)`` array.
+
+    The contractions ``iajb,kji->kab`` then ``kab,lba->kl`` over the
+    ``(d1, d2, d1, d2)`` view of ``M``, each as one matrix product; no
+    ``d1 d2 x d1 d2`` pair operator is ever built.
+    """
+    n1, n2, d1, d2 = len(basis1), len(basis2), basis1.dim, basis2.dim
+    t = np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2).transpose(2, 0, 1, 3)
+    partial = basis1.matrices.reshape(n1, d1 * d1) @ t.reshape(d1 * d1, d2 * d2)
+    return partial @ basis2.matrices.transpose(0, 2, 1).reshape(n2, d2 * d2).T
 
 
-def _gram_solve(pairs, overlaps: np.ndarray) -> np.ndarray:
-    """Coefficients c_k with Tr[P_j sum_k c_k P_k] = overlaps_j over a Hermitian pair family."""
-    vecs = np.stack([mat.reshape(-1) for _, _, mat in pairs])
-    gram = np.real(vecs.conj() @ vecs.T)
-    return np.linalg.solve(gram, overlaps)
+def _expand(coeffs: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
+    """``sum_kl C_kl A_k (x) B_l`` for an ``(n1, n2)`` coefficient array.
+
+    The contractions ``kl,lcd->kcd`` then ``kab,kcd->acbd``, each as one
+    matrix product.
+    """
+    n1, n2, d1, d2 = len(basis1), len(basis2), basis1.dim, basis2.dim
+    partial = coeffs @ basis2.matrices.reshape(n2, d2 * d2)
+    out = basis1.matrices.reshape(n1, d1 * d1).T @ partial
+    return out.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+def _factored_gram_solve(overlaps: np.ndarray, basis1: ObservableBasis,
+                         basis2: ObservableBasis) -> np.ndarray:
+    """Coefficients C with ``Tr[(A_k (x) B_l) sum C A (x) B] = overlaps_kl``.
+
+    The Gram matrix of the product family is ``G1 (x) G2``, so ``C`` is
+    ``G1^-1 O G2^-1``, solved per factor (``G = d I`` for Pauli strings).
+    """
+    left = np.linalg.solve(basis1.gram, overlaps)
+    return np.linalg.solve(basis2.gram, left.T).T
+
+
+def _by_label_pair(values: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> dict:
+    """``{(label1, label2): float}`` from a real ``(n1, n2)`` array."""
+    return {
+        (a, b): v
+        for a, row in zip(basis1.labels, values.tolist())
+        for b, v in zip(basis2.labels, row)
+    }
 
 
 def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
@@ -164,38 +195,31 @@ def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
     b1, b2 = _resolve_bases(basis, r.dims)
     if b1.dim != r.dims[0] or b2.dim != r.dims[1]:
         raise DimensionMismatch("basis dimensions do not match the PDM factors")
-    entries = {}
-    for a, b, mat in _pair_grid(b1, b2):
-        val = complex(np.trace(r.mat @ mat))
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"correlator ({a},{b}) has imaginary part {val.imag:.3e}")
-        entries[(a, b)] = val.real
-    return CorrelatorTable(b1, b2, entries)
+    values = _overlaps(r.mat, b1, b2)
+    bad = np.argwhere(np.abs(values.imag) > 1e-10)
+    if len(bad):
+        k, l = bad[0]
+        raise ValueError(
+            f"correlator ({b1.labels[k]},{b2.labels[l]}) has imaginary part {values[k, l].imag:.3e}"
+        )
+    return CorrelatorTable(b1, b2, _by_label_pair(values.real, b1, b2))
 
 
 def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
     """Reconstruct the PDM from a complete correlator table.
 
-    Orthogonal (Pauli) bases use the direct expansion
-    ``R = sum <{A,B}> A (x) B / (d1 d2)``; light-touch bases solve the Gram
-    system of the (generally non-orthogonal) pair family instead.
+    Solves ``Tr[R (A_k (x) B_l)] = <{A_k, B_l}>`` through the Kronecker
+    factors of the pair family's Gram matrix; for Pauli bases this is the
+    direct expansion ``R = sum <{A,B}> A (x) B / (d1 d2)``.
     """
     b1, b2 = table.basis1, table.basis2
     missing = table.missing_pairs()
     if missing:
         raise IncompleteTable(missing)
-    d1, d2 = b1.dim, b2.dim
-    if b1.is_orthogonal and b2.is_orthogonal:
-        r = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-        for a, b, mat in _pair_grid(b1, b2):
-            r += table.entries[(a, b)] * mat
-        r /= d1 * d2
-    else:
-        pairs = list(_pair_grid(b1, b2))
-        coeffs = _gram_solve(pairs, np.array([table.entries[(a, b)] for a, b, _ in pairs]))
-        r = np.tensordot(coeffs, np.stack([mat for _, _, mat in pairs]), axes=1)
+    values = np.array([[table.entries[(a, b)] for b in b2.labels] for a in b1.labels])
+    r = _expand(_factored_gram_solve(values, b1, b2), b1, b2)
     r = (r + r.conj().T) / 2.0
-    return Pdm(r, (d1, d2))
+    return Pdm(r, (b1.dim, b2.dim))
 
 
 @dataclass
@@ -227,6 +251,8 @@ def _t1_closed_form(lam: np.ndarray) -> float:
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
     """min ||lam - q||_1 over the simplex via an LP (independent of the closed form)."""
+    import scipy.optimize
+
     n = len(lam)
     c = np.concatenate([np.zeros(n), np.ones(n)])
     a_ub = np.block([[np.eye(n), -np.eye(n)], [-np.eye(n), -np.eye(n)]])
@@ -316,15 +342,7 @@ class Witness:
 
 
 def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> dict:
-    d1d2 = b1.dim * b2.dim
-    if b1.is_orthogonal and b2.is_orthogonal:
-        return {
-            (a, b): float(np.trace(mat @ pair).real) / d1d2
-            for a, b, pair in _pair_grid(b1, b2)
-        }
-    pairs = list(_pair_grid(b1, b2))
-    coeffs = _gram_solve(pairs, np.array([float(np.trace(mat @ m).real) for _, _, m in pairs]))
-    return {(a, b): float(c) for (a, b, _), c in zip(pairs, coeffs)}
+    return _by_label_pair(_factored_gram_solve(_overlaps(mat, b1, b2).real, b1, b2), b1, b2)
 
 
 def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None) -> Witness:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmsi.random as prandom
 from pdmsi.channels import (
@@ -101,6 +103,25 @@ class TestJamiolkowski:
                 expected = np.trace(ketbra(j, i)) * np.eye(2) / 2
                 assert np.allclose(ch(ketbra(j, i)), expected, atol=1e-12)
         assert np.allclose(ch.jamiolkowski(), np.eye(4) / 2, atol=1e-12)
+
+
+def loop_jamiolkowski(ch: KrausChannel) -> np.ndarray:
+    """Reference: the block sum over Kraus operators and basis pairs, one outer product each."""
+    d, n = ch.in_dim, ch.out_dim
+    m = np.zeros((d * n, d * n), dtype=complex)
+    for k in ch.kraus_ops:
+        for i in range(d):
+            for j in range(d):
+                m[i * n : (i + 1) * n, j * n : (j + 1) * n] += np.outer(k[:, j], k[:, i].conj())
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dims=st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 3), (3, 5), (1, 2)]),
+       env=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_jamiolkowski_matches_loop(dims, env, seed):
+    ch = prandom.channel(dims[0], dims[1], env_dim=env, rng=np.random.default_rng(seed))
+    assert np.max(np.abs(ch.jamiolkowski() - loop_jamiolkowski(ch))) <= 1e-14
 
 
 class TestSuperoperator:

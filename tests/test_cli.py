@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,25 +135,45 @@ SWEEP = {"version": 1, "kind": "sweep", "state": KET0, "channel": "amplitude_dam
 PDM = {"version": 1, "kind": "pdm", "state": KET0, "channel": "identity"}
 VERIFY = {"version": 1, "kind": "verify", "suite": "lg"}
 SWEEP_GRID = {k: v for k, v in SWEEP.items() if k != "values"}
+CLASSIFY = {"version": 1, "kind": "classify", "channel": "identity", "dim": "x"}
+SIMULATE = {"version": 1, "kind": "simulate", "state": KET0, "channel": "identity",
+            "shots": 10, "seed": 1}
 
 
-@pytest.mark.parametrize("payload, field", [
-    pytest.param({**PDM, "p": True}, "p", id="p-bool"),
-    pytest.param({**PDM, "p": float("inf")}, "p", id="p-inf"),
-    pytest.param({**PDM, "p": float("nan")}, "p", id="p-nan"),
-    pytest.param({**SWEEP, "p": float("inf")}, "p", id="sweep-p-inf"),
-    pytest.param({**SWEEP, "values": []}, "values", id="values-empty"),
-    pytest.param({**SWEEP, "values": [0.5, 2.0]}, "values", id="values-out-of-range"),
-    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": -1}}, "grid", id="grid-num-negative"),
-    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}, "grid", id="grid-num-fraction"),
-    pytest.param({**VERIFY, "trials_scale": "x"}, "trials_scale", id="trials-scale-string"),
-    pytest.param({**VERIFY, "trials_scale": 0}, "trials_scale", id="trials-scale-zero"),
+@pytest.mark.parametrize("payload, field, extra", [
+    pytest.param({**PDM, "p": True}, "p", [], id="p-bool"),
+    pytest.param({**PDM, "p": float("inf")}, "p", [], id="p-inf"),
+    pytest.param({**PDM, "p": float("nan")}, "p", [], id="p-nan"),
+    pytest.param({**SWEEP, "p": float("inf")}, "p", [], id="sweep-p-inf"),
+    pytest.param({**SWEEP, "values": []}, "values", [], id="values-empty"),
+    pytest.param({**SWEEP, "values": [0.5, 2.0]}, "values", [], id="values-out-of-range"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": -1}}, "grid", [], id="grid-num-negative"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}, "grid", [], id="grid-num-fraction"),
+    pytest.param({**VERIFY, "trials_scale": "x"}, "trials_scale", [], id="trials-scale-string"),
+    pytest.param({**VERIFY, "trials_scale": 0}, "trials_scale", [], id="trials-scale-zero"),
+    pytest.param(CLASSIFY, "dim", [], id="classify-dim-string"),
+    pytest.param({**CLASSIFY, "dim": True}, "dim", [], id="classify-dim-bool"),
+    pytest.param({**PDM, "state": [[True, 0], [0, False]]}, "state", [], id="state-bool-entries"),
+    pytest.param({**PDM, "state": [[float("nan"), 0], [0, 1]]}, "state", [], id="state-nan-entry"),
+    pytest.param({**PDM, "channel": {"kraus": [[[True, 0], [0, 1]]]}}, "channel", [],
+                 id="kraus-bool-entries"),
+    pytest.param({**SIMULATE, "seed": -1}, "seed", [], id="seed-negative"),
+    pytest.param(SIMULATE, "seed", ["--seed", "-1"], id="seed-override-negative"),
+    pytest.param({**VERIFY, "seed": -1}, "seed", [], id="verify-seed-negative"),
+    pytest.param({**SIMULATE, "basis": "foo:2"}, "basis", [], id="basis-unknown"),
+    pytest.param({**SIMULATE, "basis": "pauli:2"}, "basis", [], id="basis-dim-mismatch"),
+    pytest.param({**VERIFY, "suite": "nope"}, "suite", [], id="suite-unknown"),
 ])
-def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field):
+def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, extra):
     cfg = write_config(tmp_path, "cfg.json", payload)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_classify_subcommand_rejects_dim_zero(capsys):
+    assert main(["classify", "identity", "--dim", "0"]) == 2
+    assert "field 'dim'" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -263,3 +286,11 @@ class TestVerify:
         out = json.loads((tmp_path / "out" / "verify.json").read_text())
         assert {check["suite"] for check in out["checks"]} == {"pdm", "coherence", "lg"}
         assert all(check["passed"] is True for check in out["checks"])
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
+    code = "import sys, pdmsi.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

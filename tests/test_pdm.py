@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pdmsi.pdm import (
     NEGATIVITY_ATOL,
     CorrelatorTable,
     Pdm,
+    _pair_coefficients,
     check_bound,
     evaluate_witness,
     exact_correlators,
@@ -491,3 +494,70 @@ class TestTpHypothesis:
         assert abs(np.trace(rep.minimizer).real - 1.0) < 1e-9
         assert np.linalg.eigvalsh(rep.minimizer)[0] > -1e-9
         assert abs(schatten_norm(r.mat - rep.minimizer, p) - rep.value) < 1e-9 * (1.0 + rep.value)
+
+
+# Loop references for the stacked basis kernels: one kron per label pair.
+def loop_correlators(mat, b1, b2) -> np.ndarray:
+    out = np.empty((len(b1), len(b2)), dtype=complex)
+    for k, a in enumerate(b1.labels):
+        for l, b in enumerate(b2.labels):
+            out[k, l] = np.trace(mat @ kron(b1.matrix(a), b2.matrix(b)))
+    return out
+
+
+def loop_expand(coeffs: dict, b1, b2) -> np.ndarray:
+    return sum(c * kron(b1.matrix(a), b2.matrix(b)) for (a, b), c in coeffs.items())
+
+
+PAULI_PAIRS = [("pauli:1", "pauli:1"), ("pauli:2", "pauli:2"), ("pauli:1", "pauli:2")]
+BASIS_PAIRS = st.sampled_from(
+    PAULI_PAIRS
+    + [(f"light_touch:{d}", f"light_touch:{d}") for d in (2, 3, 4, 5, 6)]
+    + [("pauli:1", "light_touch:3"), ("light_touch:3", "pauli:1"),
+       ("light_touch:3", "light_touch:5")]
+)
+KERNEL_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def bases_and_matrix(pair, seed):
+    b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
+    mat = prandom.unit_trace_hermitian(b1.dim * b2.dim, np.random.default_rng(seed))
+    return b1, b2, mat
+
+
+class TestBasisKernels:
+    @KERNEL_SETTINGS
+    @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
+    def test_correlators_match_loop(self, pair, seed):
+        b1, b2, mat = bases_and_matrix(pair, seed)
+        table = exact_correlators(Pdm(mat, (b1.dim, b2.dim)), (b1, b2))
+        assert list(table.entries) == [(a, b) for a in b1.labels for b in b2.labels]
+        values = np.array(list(table.entries.values())).reshape(len(b1), len(b2))
+        assert np.max(np.abs(values - loop_correlators(mat, b1, b2))) <= 1e-12
+
+    @KERNEL_SETTINGS
+    @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
+    def test_reconstruction_recovers_pdm(self, pair, seed):
+        b1, b2, mat = bases_and_matrix(pair, seed)
+        r = pdm_from_correlators(exact_correlators(Pdm(mat, (b1.dim, b2.dim)), (b1, b2)))
+        assert r.dims == (b1.dim, b2.dim)
+        assert np.max(np.abs(r.mat - mat)) <= 1e-10
+
+    @KERNEL_SETTINGS
+    @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
+    def test_witness_coefficients_reexpand(self, pair, seed):
+        b1, b2, mat = bases_and_matrix(pair, seed)
+        coeffs = _pair_coefficients(mat, b1, b2)
+        assert list(coeffs) == [(a, b) for a in b1.labels for b in b2.labels]
+        assert np.max(np.abs(loop_expand(coeffs, b1, b2) - mat)) <= 1e-10
+
+    @KERNEL_SETTINGS
+    @given(pair=st.sampled_from(PAULI_PAIRS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_imaginary_correlator_names_pair(self, pair, seed, data):
+        b1, b2, mat = bases_and_matrix(pair, seed)
+        a = data.draw(st.sampled_from(b1.labels))
+        b = data.draw(st.sampled_from(b2.labels))
+        r = Pdm(mat, (b1.dim, b2.dim))
+        r.mat = mat + 1e-6j * kron(b1.matrix(a), b2.matrix(b))
+        with pytest.raises(ValueError, match=re.escape(f"correlator ({a},{b})")):
+            exact_correlators(r, (b1, b2))
