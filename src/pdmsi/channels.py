@@ -33,10 +33,11 @@ class KrausChannel:
         self.kraus_ops = tuple(ops)
 
     def __call__(self, m) -> np.ndarray:
+        """Apply the channel to one operator or to a stack of shape (..., in_dim, in_dim)."""
         m = np.asarray(m, dtype=complex)
-        if m.shape != (self.in_dim, self.in_dim):
+        if m.shape[-2:] != (self.in_dim, self.in_dim):
             raise DimensionMismatch(
-                f"channel expects a {self.in_dim}x{self.in_dim} operand, got {m.shape}"
+                f"channel expects {self.in_dim}x{self.in_dim} operands, got {m.shape}"
             )
         return sum(k @ m @ k.conj().T for k in self.kraus_ops)
 

@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from .exceptions import DimensionMismatch
+from .linalg import check_hermitian
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -61,7 +62,7 @@ class LightTouchObservable:
     """Hermitian observable whose spectrum is {lam} or {+lam, -lam}."""
 
     def __init__(self, matrix, label: str, atol: float = 1e-10):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = check_hermitian(matrix, atol=atol)
         w = np.linalg.eigvalsh(matrix)
         lam = float(np.max(np.abs(w)))
         if lam <= atol:

@@ -4,6 +4,15 @@ Each shot projects the input state onto a +/-lambda eigenspace of the first
 observable (Lueders update), sends the post-measurement state through the
 channel, projects again with the second observable, and records the product
 of the two outcomes.  Expectations converge to Tr[R (A (x) B)].
+
+The outcome probabilities of a whole basis pair come from one kernel over
+the stacked projectors; only the draws run per pair.  RNG contract: pair
+(i, j) of a table draws from ``default_rng(SeedSequence((seed, i, j)))``
+(``pair_seed``) and consumes ``shots`` uniforms for the first measurement,
+then ``shots`` for the second; shot k has outcome +lam at t1 when
+``u1[k] < P(+)`` and +lam at t2 when ``u2[k]`` is below the probability of
++lam given the first outcome.  Identical (inputs, seed) therefore give
+identical tables bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
 from .observables import LightTouchObservable, PauliString
 from .pdm import CorrelatorTable, _resolve_bases
+from .states import check_density_matrix
 
 GENERATOR_ID = "numpy-pcg64"
 DEAD_BRANCH_PROB = 1e-14
@@ -30,45 +40,97 @@ class MeasurementProjectors:
     lam: float
 
 
-def projectors_for(obs) -> MeasurementProjectors:
-    """Projector pair for a Pauli string, light-touch observable, or +/-lam Hermitian.
+def _observable(obs):
+    """A Pauli string or light-touch observable; a raw +/-lam Hermitian matrix is wrapped."""
+    if isinstance(obs, (PauliString, LightTouchObservable)):
+        return obs
+    return LightTouchObservable(obs, label="")
+
+
+def _projector_stack(matrices, observables) -> np.ndarray:
+    """``(n, 2, d, d)`` stack of each observable's (P+, P-) = ((I + A/lam)/2, (I - A/lam)/2).
 
     Single-spectrum observables (A = lam * I) always yield outcome +lam; their
     projector pair is (I, 0).
     """
-    if not isinstance(obs, (PauliString, LightTouchObservable)):
-        obs = LightTouchObservable(obs, label="")
-    mat = obs.matrix
-    lam = obs.lam
-    single = getattr(obs, "kind", "pm") == "single"
-    d = mat.shape[0]
-    eye = np.eye(d, dtype=complex)
-    if single:
-        return MeasurementProjectors(plus=eye, minus=np.zeros_like(eye), lam=lam)
-    plus = (eye + mat / lam) / 2.0
-    minus = (eye - mat / lam) / 2.0
-    return MeasurementProjectors(plus=plus, minus=minus, lam=lam)
+    lams = np.array([o.lam for o in observables])
+    single = np.array([getattr(o, "kind", "pm") == "single" for o in observables])
+    eye = np.eye(matrices.shape[-1], dtype=complex)
+    scaled = matrices / lams[:, None, None]
+    projs = np.stack([(eye + scaled) / 2.0, (eye - scaled) / 2.0], axis=1)
+    projs[single, 0] = eye
+    projs[single, 1] = 0.0
+    return projs
 
 
-def _branch(rho, projs: MeasurementProjectors):
-    """Outcome probabilities and Lueders post-states for one measurement.
+def projectors_for(obs) -> MeasurementProjectors:
+    """Projector pair for a Pauli string, light-touch observable, or +/-lam Hermitian."""
+    obs = _observable(obs)
+    (plus, minus), = _projector_stack(obs.matrix[None], [obs])
+    return MeasurementProjectors(plus=plus, minus=minus, lam=obs.lam)
 
-    Branches with probability below 1e-14 are flagged dead (never sampled)
-    and carry no post-state.
+
+def _outcome_probs(projs, states, live=True) -> np.ndarray:
+    """Clamped Re Tr[P rho] for every (P+, P-) of ``projs`` and every rho of ``states``.
+
+    ``projs`` is (n, 2, d, d) and ``states`` (..., d, d); the result is
+    (..., n, 2), clipped to [0, 1], with values below DEAD_BRANCH_PROB zeroed
+    (dead: never sampled).  Raises ValueError when a pair on a ``live`` state
+    (shape (...)) does not sum to 1 within 1e-9.
     """
-    out = []
-    for proj in (projs.plus, projs.minus):
-        p = float(np.trace(proj @ rho).real)
-        p = min(max(p, 0.0), 1.0)
-        if p < DEAD_BRANCH_PROB:
-            out.append((0.0, None))
-        else:
-            post = proj @ rho @ proj
-            out.append((p, post / np.trace(post).real))
-    total = out[0][0] + out[1][0]
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"branch probabilities sum to {total!r}")
-    return out
+    d = projs.shape[-1]
+    vec_t = projs.transpose(0, 1, 3, 2).reshape(-1, d * d)
+    probs = np.clip(np.real(states.reshape(-1, d * d) @ vec_t.T), 0.0, 1.0)
+    probs = probs.reshape(states.shape[:-2] + projs.shape[:2])
+    probs[probs < DEAD_BRANCH_PROB] = 0.0
+    total = probs[..., 0] + probs[..., 1]
+    bad = (np.abs(total - 1.0) > 1e-9) & np.expand_dims(live, -1)
+    if bad.any():
+        raise ValueError(f"branch probabilities sum to {float(total[bad][0])!r}")
+    return probs
+
+
+def _branch_probabilities(rho, ch: KrausChannel, projs1, projs2):
+    """Outcome probabilities of every (A_i at t1, B_j at t2) pair of two projector stacks.
+
+    Returns ``p`` of shape (n1,), the probability of +lam at t1 for A_i, and
+    ``q`` of shape (n1, 2, n2), the probability of +lam at t2 for B_j after
+    outcome s (0: +lam, 1: -lam) of A_i.  A first outcome within
+    DEAD_BRANCH_PROB of certainty is certain, and so is a second one; a dead
+    first branch has no post-state and q = 0.
+    """
+    rho = check_density_matrix(rho)
+    if rho.shape[0] != ch.in_dim:
+        raise DimensionMismatch("state dimension does not match channel input")
+    if projs1.shape[-1] != ch.in_dim or projs2.shape[-1] != ch.out_dim:
+        raise DimensionMismatch("observable dimensions do not match the channel")
+
+    first = _outcome_probs(projs1, rho)
+    p = first[:, 0].copy()
+    p[p >= 1.0 - DEAD_BRANCH_PROB] = 1.0
+    p[first[:, 1] >= 1.0 - DEAD_BRANCH_PROB] = 0.0
+
+    live = first > 0.0
+    post = projs1 @ rho @ projs1
+    norm = np.trace(post, axis1=-2, axis2=-1).real[..., None, None]
+    post = np.divide(post, norm, out=np.zeros_like(post), where=live[..., None, None])
+    q = _outcome_probs(projs2, ch(post), live)[..., 0]
+    q[q >= 1.0 - DEAD_BRANCH_PROB] = 1.0
+    return p, q
+
+
+def _draw(p: float, q_given, lam12: float, shots: int, seed):
+    """One pair's seeded shots: whether each outcome was +lam at t1 and at t2, and their products.
+
+    The mean of the products is ``products.sum() / shots``, which is how
+    ``np.mean`` computes it, bit for bit, without its per-call overhead.
+    """
+    if shots < 1:
+        raise ZeroShots("shots must be >= 1")
+    u = np.random.default_rng(seed).random(2 * shots)
+    first_plus = u[:shots] < p
+    second_plus = u[shots:] < np.where(first_plus, q_given[0], q_given[1])
+    return first_plus, second_plus, np.where(first_plus == second_plus, lam12, -lam12)
 
 
 @dataclass
@@ -86,55 +148,22 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
                     keep_outcomes: bool = False) -> TwoTimeSample:
     """Sample <product of outcomes> for (obs1 at t1, obs2 at t2).
 
-    Per shot, two uniform draws are consumed in order (first then second
-    measurement), so identical (inputs, seed) reproduce identical outcome
-    sequences bit for bit.
+    A one-by-one call of the table kernel: ``shots`` first-measurement draws,
+    then ``shots`` second-measurement draws, from ``default_rng(seed)``.
     """
-    if shots < 1:
-        raise ZeroShots("shots must be >= 1")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] != ch.in_dim:
-        raise DimensionMismatch("state dimension does not match channel input")
-    projs1 = projectors_for(obs1)
-    projs2 = projectors_for(obs2)
-    if projs1.plus.shape[0] != ch.in_dim or projs2.plus.shape[0] != ch.out_dim:
-        raise DimensionMismatch("observable dimensions do not match the channel")
-
-    (p_plus, post_plus), (p_minus, post_minus) = _branch(rho, projs1)
-    # Clamp deterministic first outcomes so dead branches can never fire.
-    if p_plus >= 1.0 - DEAD_BRANCH_PROB:
-        p_plus = 1.0
-    if p_minus >= 1.0 - DEAD_BRANCH_PROB:
-        p_plus = 0.0
-
-    def second_plus_prob(post):
-        if post is None:
-            return 0.0
-        (q_plus, _), _ = _branch(ch(post), projs2)
-        if q_plus >= 1.0 - DEAD_BRANCH_PROB:
-            return 1.0
-        return q_plus
-
-    q_given_plus = second_plus_prob(post_plus)
-    q_given_minus = second_plus_prob(post_minus)
-
-    rng = np.random.default_rng(seed)
-    u1 = rng.random(shots)
-    first_plus = u1 < p_plus
-    outcomes1 = np.where(first_plus, projs1.lam, -projs1.lam)
-    u2 = rng.random(shots)
-    q = np.where(first_plus, q_given_plus, q_given_minus)
-    outcomes2 = np.where(u2 < q, projs2.lam, -projs2.lam)
-
-    products = outcomes1 * outcomes2
-    mean = float(np.mean(products))
+    obs1, obs2 = _observable(obs1), _observable(obs2)
+    p, q = _branch_probabilities(
+        rho, ch, _projector_stack(obs1.matrix[None], [obs1]),
+        _projector_stack(obs2.matrix[None], [obs2]),
+    )
+    first_plus, second_plus, products = _draw(p[0], q[0, :, 0], obs1.lam * obs2.lam, shots, seed)
     stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     return TwoTimeSample(
-        mean=mean,
+        mean=float(products.sum() / shots),
         stderr=stderr,
         shots=shots,
-        outcomes1=outcomes1 if keep_outcomes else None,
-        outcomes2=outcomes2 if keep_outcomes else None,
+        outcomes1=np.where(first_plus, obs1.lam, -obs1.lam) if keep_outcomes else None,
+        outcomes2=np.where(second_plus, obs2.lam, -obs2.lam) if keep_outcomes else None,
     )
 
 
@@ -150,15 +179,16 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
     of each factor, a descriptor, one basis for both slots, or a pair.
     """
     b1, b2 = _resolve_bases(basis, (ch.in_dim, ch.out_dim))
+    p, q = _branch_probabilities(
+        rho, ch, _projector_stack(b1.matrices, b1.observables),
+        _projector_stack(b2.matrices, b2.observables),
+    )
     entries, shots = {}, {}
-    for i, a in enumerate(b1.labels):
-        for j, b in enumerate(b2.labels):
-            sample = sample_two_time(
-                rho, ch, b1.observable(a), b2.observable(b),
-                shots_per_pair, pair_seed(seed, i, j),
-            )
-            entries[(a, b)] = sample.mean
-            shots[(a, b)] = shots_per_pair
+    for i, a in enumerate(b1.observables):
+        for j, b in enumerate(b2.observables):
+            *_, products = _draw(p[i], q[i, :, j], a.lam * b.lam, shots_per_pair, pair_seed(seed, i, j))
+            entries[(a.label, b.label)] = float(products.sum() / shots_per_pair)
+            shots[(a.label, b.label)] = shots_per_pair
     return CorrelatorTable(b1, b2, entries, shots)
 
 

@@ -44,6 +44,17 @@ class TestKrausChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             identity_channel(2)(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            identity_channel(2)(np.ones(2))
+
+    def test_stack_matches_each_operand(self):
+        rng = np.random.default_rng(4)
+        ch = prandom.channel(3, 2, env_dim=2, rng=rng)
+        stack = rng.standard_normal((4, 2, 3, 3)) + 1j * rng.standard_normal((4, 2, 3, 3))
+        out = ch(stack)
+        assert out.shape == (4, 2, 2, 2)
+        for idx in np.ndindex(4, 2):
+            assert np.array_equal(out[idx], ch(stack[idx]))
 
     def test_dephasing_kills_off_diagonals(self):
         assert np.allclose(dephasing_channel(2)(ketbra(0, 1)), np.zeros((2, 2)))

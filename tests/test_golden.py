@@ -29,7 +29,8 @@ FLOAT_TOL = 1e-12
 EXACT_FILES = {"simulate.csv"}  # the RNG stream is part of the contract
 
 _RUN_CONFIGS = ["pdm_p1", "pdm_p2", "pdm_p3_d2d3", "witness", "classify", "lg",
-                "simulate", "sweep_values", "sweep_grid", "verify_lg"]
+                "simulate", "simulate_lt3", "simulate_d2d3", "sweep_values", "sweep_grid",
+                "verify_lg"]
 CASES = {
     "bundled_witness_identity": ["run", "--config", "witness_identity.json", "--out", "{out}"],
     "bundled_pdm_plus_dephase": ["run", "--config", "pdm_plus_dephase.json", "--out", "{out}"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdmsi.exceptions import NonHermitian
 from pdmsi.observables import (
     LightTouchObservable,
     ObservableBasis,
@@ -82,6 +83,11 @@ class TestLightTouch:
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ValueError):
             LightTouchObservable(np.diag([1.0, 2.0]), "bad")
+
+    def test_rejects_non_hermitian(self):
+        # eigvalsh reads one triangle only, so the spectrum test alone would pass this.
+        with pytest.raises(NonHermitian):
+            LightTouchObservable([[1, 5], [0, -1]], "N")
 
 
 class TestObservableBasis:

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmsi.random as prandom
 from pdmsi.channels import dephasing_channel, identity_channel
-from pdmsi.exceptions import DimensionMismatch, ZeroShots
+from pdmsi.exceptions import DimensionMismatch, NonHermitian, ZeroShots
 from pdmsi.linalg import kron
-from pdmsi.observables import ObservableBasis, pauli_basis
-from pdmsi.pdm import exact_correlators, pdm_closed_form, pdm_from_correlators
+from pdmsi.observables import LightTouchObservable, ObservableBasis, PauliString, pauli_basis
+from pdmsi.pdm import CorrelatorTable, exact_correlators, pdm_closed_form, pdm_from_correlators
 from pdmsi.sampling import (
-    _branch,
+    DEAD_BRANCH_PROB,
+    _branch_probabilities,
+    _projector_stack,
     pair_seed,
     projectors_for,
     sample_table,
@@ -17,6 +21,76 @@ from pdmsi.sampling import (
 from pdmsi.states import ket, maximally_mixed, plus_state, projector
 
 PAULI = {p.label: p for p in pauli_basis(1)}
+
+
+# Per-pair reference: the projector, branch and sampling code that the
+# stacked kernel replaced, kept here as its oracle.
+def loop_projectors(obs):
+    if not isinstance(obs, (PauliString, LightTouchObservable)):
+        obs = LightTouchObservable(obs, label="")
+    eye = np.eye(obs.matrix.shape[0], dtype=complex)
+    if getattr(obs, "kind", "pm") == "single":
+        return eye, np.zeros_like(eye), obs.lam
+    return (eye + obs.matrix / obs.lam) / 2.0, (eye - obs.matrix / obs.lam) / 2.0, obs.lam
+
+
+def loop_branch(rho, plus, minus):
+    out = []
+    for proj in (plus, minus):
+        p = min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
+        if p < DEAD_BRANCH_PROB:
+            out.append((0.0, None))
+        else:
+            post = proj @ rho @ proj
+            out.append((p, post / np.trace(post).real))
+    total = out[0][0] + out[1][0]
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"branch probabilities sum to {total!r}")
+    return out
+
+
+def loop_probabilities(rho, ch, projs1, projs2):
+    """(P(+ at t1), P(+ at t2 | +), P(+ at t2 | -)) of one pair, with the same clamps."""
+    (p_plus, post_plus), (p_minus, post_minus) = loop_branch(rho, *projs1[:2])
+    if p_plus >= 1.0 - DEAD_BRANCH_PROB:
+        p_plus = 1.0
+    if p_minus >= 1.0 - DEAD_BRANCH_PROB:
+        p_plus = 0.0
+
+    def second_plus_prob(post):
+        if post is None:
+            return 0.0
+        (q_plus, _), _ = loop_branch(ch(post), *projs2[:2])
+        return 1.0 if q_plus >= 1.0 - DEAD_BRANCH_PROB else q_plus
+
+    return p_plus, second_plus_prob(post_plus), second_plus_prob(post_minus)
+
+
+def loop_sample_two_time(rho, ch, obs1, obs2, shots, seed):
+    projs1, projs2 = loop_projectors(obs1), loop_projectors(obs2)
+    p_plus, q_given_plus, q_given_minus = loop_probabilities(rho, ch, projs1, projs2)
+    rng = np.random.default_rng(seed)
+    first_plus = rng.random(shots) < p_plus
+    outcomes1 = np.where(first_plus, projs1[2], -projs1[2])
+    q = np.where(first_plus, q_given_plus, q_given_minus)
+    outcomes2 = np.where(rng.random(shots) < q, projs2[2], -projs2[2])
+    products = outcomes1 * outcomes2
+    stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    return float(np.mean(products)), stderr, outcomes1, outcomes2
+
+
+def loop_sample_table(rho, ch, b1, b2, shots, seed) -> CorrelatorTable:
+    entries = {}
+    for i, a in enumerate(b1.labels):
+        for j, b in enumerate(b2.labels):
+            entries[(a, b)] = loop_sample_two_time(
+                rho, ch, b1.observable(a), b2.observable(b), shots, pair_seed(seed, i, j))[0]
+    return CorrelatorTable(b1, b2, entries, {key: shots for key in entries})
+
+
+def kernel(rho, ch, b1, b2):
+    return _branch_probabilities(rho, ch, _projector_stack(b1.matrices, b1.observables),
+                                 _projector_stack(b2.matrices, b2.observables))
 
 
 class TestProjectors:
@@ -34,6 +108,13 @@ class TestProjectors:
         projs = projectors_for(PAULI["I"])
         assert np.allclose(projs.plus, np.eye(2))
         assert np.allclose(projs.minus, np.zeros((2, 2)))
+
+    def test_single_spectrum_pair_is_exact(self):
+        # Within atol of lam * I counts as single-spectrum: the pair is exactly (I, 0).
+        projs = projectors_for(np.diag([2.0, 2.0 - 5e-11]))
+        assert projs.lam == 2.0
+        assert np.array_equal(projs.plus, np.eye(2))
+        assert np.array_equal(projs.minus, np.zeros((2, 2)))
 
     def test_two_qubit_string(self):
         xz = [p for p in pauli_basis(2) if p.label == "XZ"][0]
@@ -54,25 +135,45 @@ class TestProjectors:
         with pytest.raises(ValueError):
             projectors_for(np.diag([1.0, 2.0]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitian):
+            projectors_for(np.array([[1, 5], [0, -1]], dtype=complex))
+
     def test_branch_post_states_valid(self):
+        # A Lueders post-state of A_i lies in the eigenspace it was projected
+        # onto, so through the identity channel A_i repeats the outcome; a
+        # dead branch (I's minus branch) has q = 0.
+        basis = ObservableBasis.pauli(1)
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = prandom.density_matrix(2, rng)
-            projs = projectors_for(PAULI[rng.choice(["X", "Y", "Z"])])
-            for prob, post in _branch(rho, projs):
-                if post is None:
-                    assert prob == 0.0
-                    continue
-                assert abs(np.trace(post).real - 1.0) < 1e-10
-                assert np.linalg.eigvalsh(post)[0] > -1e-10
+            p, q = kernel(rho, identity_channel(2), basis, basis)
+            assert np.all((0.0 <= p) & (p <= 1.0))
+            assert np.all((0.0 <= q) & (q <= 1.0))
+            assert np.all(np.diagonal(q[:, 0, :]) == 1.0)
+            assert np.all(np.diagonal(q[:, 1, :]) == 0.0)
 
 
 class TestSampleTwoTime:
     def test_deterministic_branch(self):
+        basis = ObservableBasis.pauli(1)
+        p, q = kernel(projector(ket(0)), identity_channel(2), basis, basis)
+        z = basis.labels.index("Z")
+        assert p[z] == 1.0  # certain first outcome
+        assert q[z, 0, z] == 1.0  # certain second outcome
+        assert q[z, 1, z] == 0.0  # dead first branch
         out = sample_two_time(projector(ket(0)), identity_channel(2),
                               PAULI["Z"], PAULI["Z"], 1000, seed=0)
         assert out.mean == 1.0
         assert out.stderr == 0.0
+
+    def test_rejects_invalid_state(self):
+        # Without the check, clipping turns this into a plausible table (IZ = 1.0).
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            sample_two_time(bad, identity_channel(2), PAULI["I"], PAULI["Z"], 10, seed=0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            sample_table(bad, identity_channel(2), ObservableBasis.pauli(1), 10, seed=0)
 
     def test_xx_through_identity_is_deterministic(self):
         # X at t1 creates |+> or |->, the identity keeps it, X at t2 repeats it.
@@ -184,3 +285,97 @@ class TestSampleTable:
         recon = pdm_from_correlators(table)
         assert abs(np.trace(recon.mat).real - 1.0) < 1e-12
         assert np.linalg.norm(recon.mat - r.mat) < 0.2
+
+
+# (basis at t1, basis at t2): d1 != d2 and the single-spectrum members I and D0.
+KERNEL_PAIRS = [("pauli:1", "pauli:1"), ("pauli:2", "pauli:2"), ("pauli:1", "pauli:2"),
+                ("light_touch:3", "light_touch:3"), ("pauli:1", "light_touch:3"),
+                ("light_touch:3", "pauli:1"), ("light_touch:3", "light_touch:5")]
+KERNEL_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def sampling_cases(draw):
+    """(rho, channel, b1, b2) with basis states (certain first outcomes) and the identity
+    and dephasing channels (certain second outcomes) mixed in with random ones."""
+    b1, b2 = (ObservableBasis.from_descriptor(d) for d in draw(st.sampled_from(KERNEL_PAIRS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rho = projector(ket(draw(st.integers(0, b1.dim - 1)), b1.dim))
+    else:
+        rho = prandom.density_matrix(b1.dim, rng)
+    kinds = ["random"] + (["identity", "dephasing"] if b1.dim == b2.dim else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        ch = identity_channel(b1.dim)
+    elif kind == "dephasing":
+        ch = dephasing_channel(b1.dim)
+    else:
+        # The Stinespring isometry needs d2 * env_dim >= d1.
+        env_dim = draw(st.integers(-(-b1.dim // b2.dim), 3))
+        ch = prandom.channel(b1.dim, b2.dim, env_dim=env_dim, rng=rng)
+    return rho, ch, b1, b2
+
+
+class TestBranchKernel:
+    @KERNEL_SETTINGS
+    @given(case=sampling_cases())
+    def test_probabilities_match_loop(self, case):
+        rho, ch, b1, b2 = case
+        p, q = kernel(rho, ch, b1, b2)
+        assert p.shape == (len(b1),) and q.shape == (len(b1), 2, len(b2))
+        for i, a in enumerate(b1.observables):
+            for j, b in enumerate(b2.observables):
+                ref = loop_probabilities(rho, ch, loop_projectors(a), loop_projectors(b))
+                assert abs(p[i] - ref[0]) <= 1e-12
+                assert abs(q[i, 0, j] - ref[1]) <= 1e-12
+                assert abs(q[i, 1, j] - ref[2]) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_table_csv_matches_loop(self, case, seed):
+        rho, ch, b1, b2 = case
+        got = sample_table(rho, ch, (b1, b2), 64, seed).to_csv()
+        assert got == loop_sample_table(rho, ch, b1, b2, 64, seed).to_csv()
+
+    @KERNEL_SETTINGS
+    @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_two_time_matches_loop(self, case, seed, data):
+        rho, ch, b1, b2 = case
+        a = b1.observable(data.draw(st.sampled_from(b1.labels)))
+        b = b2.observable(data.draw(st.sampled_from(b2.labels)))
+        out = sample_two_time(rho, ch, a, b, 200, seed, keep_outcomes=True)
+        mean, stderr, outcomes1, outcomes2 = loop_sample_two_time(rho, ch, a, b, 200, seed)
+        assert (out.mean, out.stderr) == (mean, stderr)
+        assert np.array_equal(out.outcomes1, outcomes1)
+        assert np.array_equal(out.outcomes2, outcomes2)
+
+    def test_clamps_at_the_edges(self):
+        # On |0><0| with Z at t2: p- within DEAD_BRANCH_PROB of 1 makes p+ exactly 0
+        # even where p+ (1e-10, inside the 1e-9 sum slack) is live; p+ within it
+        # snaps to 1; a branch below it is dead, so its q is 0, not Z's 1.
+        rho = projector(ket(0))
+        ch = identity_channel(2)
+        second = _projector_stack(PAULI["Z"].matrix[None], [PAULI["Z"]])
+        tiny, dead, certain = (np.diag([x, 0.0]) for x in (1e-10, 1e-15, 1.0 - 1e-15))
+        cases = [((tiny, np.diag([1.0, 0.0])), (0.0, 1.0, 1.0)),
+                 ((certain, tiny), (1.0, 1.0, 1.0)),
+                 ((certain, dead), (1.0, 1.0, 0.0))]
+        for pair, want in cases:
+            p, q = _branch_probabilities(rho, ch, np.array([pair], dtype=complex), second)
+            assert (p[0], q[0, 0, 0], q[0, 1, 0]) == want
+            assert loop_probabilities(rho, ch, pair, second[0]) == want
+
+    def test_branch_sums_checked(self):
+        # Projector pairs that do not resolve the identity: the first pair sums
+        # to 2 on |0><0|, the second to 0.5 on every output state.
+        rho = projector(ket(0))
+        ch = identity_channel(2)
+        good = _projector_stack(PAULI["Z"].matrix[None], [PAULI["Z"]])
+        double = np.array([[np.diag([1.0, 0.0])] * 2], dtype=complex)
+        half = np.array([[np.eye(2) / 4.0] * 2], dtype=complex)
+        for projs1, projs2, total in ((double, good, 2.0), (good, half, 0.5)):
+            with pytest.raises(ValueError, match=f"sum to {total!r}"):
+                _branch_probabilities(rho, ch, projs1, projs2)
+            with pytest.raises(ValueError, match=f"sum to {total!r}"):
+                loop_probabilities(rho, ch, projs1[0], projs2[0])
