@@ -1,5 +1,10 @@
 """Scenario-driven command line: parse a JSON config, dispatch, emit reports.
 
+Every subcommand turns its arguments into a config, and every config takes
+one path: ``validate_config``, then the kind's handler, which reads and checks
+all of its fields before it computes anything, then the atomic writes, then
+the printed lines.
+
 Exit codes: 0 success, 2 config/validation error (with a field diagnostic),
 1 numerical or verification failure.
 """
@@ -27,7 +32,7 @@ from .channels import (
 )
 from .coherence import classify_channel
 from .exceptions import PdmsiError
-from .leggett_garg import LgScenario, lg_evaluate, lg_vs_si
+from .leggett_garg import LgScenario, check_dichotomic, lg_evaluate, lg_vs_si
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
     _matrix_to_pairs,
@@ -55,6 +60,14 @@ KIND_FIELDS = {
     "verify": (set(), {"suite", "seed", "trials_scale"}),
 }
 
+WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
+
+# Sweepable channel -> (its parameter, builder from (value, state dimension)).
+SWEEPS = {
+    "amplitude_damping": ("gamma", lambda v, d: amplitude_damping_channel(v)),
+    "depolarizing": ("p", depolarizing_channel),
+}
+
 
 class ScenarioError(PdmsiError, ValueError):
     """Config problem; carries the offending field for the diagnostic."""
@@ -62,6 +75,32 @@ class ScenarioError(PdmsiError, ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(message)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _int(x, field: str, low: int) -> int:
+    """A JSON integer >= ``low``; booleans and floats such as ``1.0`` are not integers here."""
+    if type(x) is not int or x < low:
+        raise ScenarioError(field, f"expected an integer >= {low}, got {x!r}")
+    return x
+
+
+def _number(x, field: str, low: float, strict: bool = False) -> float:
+    """A finite JSON number >= ``low``, or > ``low`` when ``strict``."""
+    if not _is_number(x) or x < low or (strict and x == low):
+        raise ScenarioError(field, f"expected a finite number {'>' if strict else '>='} {low:g}, got {x!r}")
+    return float(x)
+
+
+def _choice(x, field: str, choices) -> str:
+    """One of the strings in ``choices``."""
+    if not isinstance(x, str) or x not in choices:
+        raise ScenarioError(field, f"expected one of {', '.join(choices)}, got {x!r}")
+    return x
 
 
 def _parse_entry(x, field: str) -> complex:
@@ -135,12 +174,32 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
     raise ScenarioError(field, f"channel must be a string or dict, got {type(obj).__name__}")
 
 
-def parse_observable(obj, field: str = "q") -> np.ndarray:
+def _channel(obj, field: str, dim: int | None, square: bool = False) -> KrausChannel:
+    """A channel literal with input dimension ``dim`` (when given); ``square`` maps it to itself."""
+    ch = parse_channel(obj, field, dim=dim)
+    d_in = ch.in_dim if dim is None else dim
+    d_out = d_in if square else ch.out_dim
+    if (ch.in_dim, ch.out_dim) != (d_in, d_out):
+        raise ScenarioError(field, f"channel maps dimension {ch.in_dim} to {ch.out_dim}, "
+                                   f"expected {d_in} to {d_out}")
+    return ch
+
+
+def parse_observable(obj, dim: int, field: str = "q") -> np.ndarray:
+    """A +/-1 observable on dimension ``dim``: a Pauli name (qubits only) or a matrix."""
     if isinstance(obj, str):
-        if obj in PAULI_1Q:
-            return PAULI_1Q[obj]
-        raise ScenarioError(field, f"unknown observable name {obj!r}; use I/X/Y/Z or a matrix")
-    return parse_matrix(obj, field)
+        if obj not in PAULI_1Q:
+            raise ScenarioError(field, f"unknown observable name {obj!r}; use I/X/Y/Z or a matrix")
+        q = PAULI_1Q[obj]
+    else:
+        q = parse_matrix(obj, field)
+    if len(q) != dim:
+        raise ScenarioError(field, f"observable has dimension {len(q)}, the states {dim}; "
+                                   "the names I/X/Y/Z and the default Z are qubit observables")
+    try:
+        return check_dichotomic(q)
+    except ValueError as exc:
+        raise ScenarioError(field, f"not a +/-1 observable: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -165,8 +224,8 @@ def load_config(path: str) -> dict:
 def validate_config(cfg: dict) -> str:
     if "version" not in cfg:
         raise ScenarioError("version", "missing required field 'version'")
-    if cfg["version"] != CONFIG_VERSION:
-        raise ScenarioError("version", f"unsupported config version {cfg['version']!r}")
+    if type(cfg["version"]) is not int or cfg["version"] != CONFIG_VERSION:
+        raise ScenarioError("version", f"unsupported config version {cfg['version']!r}; use the integer 1")
     if "kind" not in cfg:
         raise ScenarioError("kind", "missing required field 'kind'")
     kind = cfg["kind"]
@@ -181,42 +240,13 @@ def validate_config(cfg: dict) -> str:
     return kind
 
 
-def _state_and_channel(cfg) -> tuple[np.ndarray, KrausChannel]:
+# Every handler reads and checks all its fields first, then computes, and
+# returns (files by name, printed lines, whether every check passed).
+
+def run_pdm(cfg: dict):
     state = parse_state(cfg["state"])
-    ch = parse_channel(cfg["channel"], dim=state.shape[0])
-    if ch.in_dim != state.shape[0]:
-        raise ScenarioError("channel", f"channel input dim {ch.in_dim} != state dim {state.shape[0]}")
-    return state, ch
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_int(x, low: int) -> bool:
-    """A JSON integer >= ``low``; booleans are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= low
-
-
-def _effective_seed(cfg, seed: int | None) -> int | None:
-    """The ``--seed`` override, else the config's ``seed``; a non-negative integer or None."""
-    effective = seed if seed is not None else cfg.get("seed")
-    if effective is not None and not _is_int(effective, 0):
-        raise ScenarioError("seed", f"seed must be a non-negative integer, got {effective!r}")
-    return effective
-
-
-def _parse_norm_order(cfg) -> float:
-    p = cfg.get("p", 1.0)
-    if not _is_number(p) or p < 1:
-        raise ScenarioError("p", f"norm order must be a finite number >= 1, got {p!r}")
-    return float(p)
-
-
-def run_pdm(cfg: dict, seed: int | None):
-    state, ch = _state_and_channel(cfg)
-    p = _parse_norm_order(cfg)
+    ch = _channel(cfg["channel"], "channel", len(state))
+    p = _number(cfg.get("p", 1.0), "p", 1)
     r = pdm_closed_form(state, ch)
     report = si_measure(r, p)
     out = {
@@ -229,14 +259,13 @@ def run_pdm(cfg: dict, seed: int | None):
     if ch.in_dim == ch.out_dim:
         out["bound"] = check_bound(state, ch).to_dict()
     lines = [f"T_{p:g} = {report.value:.12g}  (min eigenvalue {r.min_eigenvalue():.12g})"]
-    return {"pdm.json": dump_json(out)}, lines
+    return {"pdm.json": dump_json(out)}, lines, True
 
 
-def run_witness(cfg: dict, seed: int | None):
-    state, ch = _state_and_channel(cfg)
-    policy = cfg.get("policy", "negative_eigenspace")
-    if policy not in ("negative_eigenspace", "most_negative"):
-        raise ScenarioError("policy", f"unknown witness policy {policy!r}")
+def run_witness(cfg: dict):
+    state = parse_state(cfg["state"])
+    ch = _channel(cfg["channel"], "channel", len(state))
+    policy = _choice(cfg.get("policy", "negative_eigenspace"), "policy", WITNESS_POLICIES)
     r = pdm_closed_form(state, ch)
     w = synthesize_witness(r, policy=policy)
     table = exact_correlators(r, (w.basis1, w.basis2))
@@ -249,38 +278,41 @@ def run_witness(cfg: dict, seed: int | None):
         "witness": w.to_dict(),
     }
     lines = [f"<W>_t = {expectation:.12g}  (negativity {out['negativity']:.12g})"]
-    return {"witness.json": dump_json(out)}, lines
+    return {"witness.json": dump_json(out)}, lines, True
 
 
-def run_classify(cfg: dict, seed: int | None):
-    dim = cfg.get("dim")
-    if dim is not None and not _is_int(dim, 1):
-        raise ScenarioError("dim", f"dim must be a positive integer, got {dim!r}")
-    ch = parse_channel(cfg["channel"], dim=dim)
+def run_classify(cfg: dict):
+    dim = None if cfg.get("dim") is None else _int(cfg["dim"], "dim", 1)
+    ch = _channel(cfg["channel"], "channel", dim, square=True)
     report = classify_channel(ch)
     out = {"kind": "classify", "report": report.to_dict()}
+    holds = {"oi": report.is_oi, "ce": report.is_ce, "ci": report.is_ci,
+             "di": report.is_di, "ncgd": report.is_ncgd}
     lines = ["class  holds  residual"]
-    for name in ("oi", "ce", "ci", "di", "ncgd"):
-        holds = {"oi": report.is_oi, "ce": report.is_ce, "ci": report.is_ci,
-                 "di": report.is_di, "ncgd": report.is_ncgd}[name]
+    for name, ok in holds.items():
         note = f"   [{report.ncgd_mode}]" if name == "ncgd" else ""
-        lines.append(f"{name.upper():<6} {'yes' if holds else 'no':<6} {report.residuals[name]:.3e}{note}")
-    return {"classify.json": dump_json(out)}, lines
+        lines.append(f"{name.upper():<6} {'yes' if ok else 'no':<6} {report.residuals[name]:.3e}{note}")
+    return {"classify.json": dump_json(out)}, lines, True
 
 
-def run_lg(cfg: dict, seed: int | None):
+def run_lg(cfg: dict):
     if "states" in cfg and "state" in cfg:
         raise ScenarioError("states", "give either 'state' or 'states', not both")
     if "states" in cfg:
+        if not isinstance(cfg["states"], list) or not cfg["states"]:
+            raise ScenarioError("states", "states must be a non-empty list of density matrices")
         states = [parse_state(s, f"states[{i}]") for i, s in enumerate(cfg["states"])]
     elif "state" in cfg:
         states = [parse_state(cfg["state"])]
     else:
         raise ScenarioError("state", "lg scenario needs 'state' or 'states'")
-    d = states[0].shape[0]
-    ch = parse_channel(cfg["channel"], dim=d)
-    ch2 = parse_channel(cfg["channel2"], "channel2", dim=d) if "channel2" in cfg else ch
-    q = parse_observable(cfg.get("q", "Z"))
+    d = len(states[0])
+    for i, rho in enumerate(states):
+        if len(rho) != d:
+            raise ScenarioError(f"states[{i}]", f"state has dimension {len(rho)}, states[0] has {d}")
+    ch = _channel(cfg["channel"], "channel", d, square=True)
+    ch2 = _channel(cfg["channel2"], "channel2", d, square=True) if "channel2" in cfg else ch
+    q = parse_observable(cfg.get("q", "Z"), d)
     per_state = [lg_evaluate(LgScenario(rho, ch, ch2, q)) for rho in states]
     summary = lg_vs_si(ch, states, q_list=[q], ch23=ch2)
     out = {
@@ -298,47 +330,38 @@ def run_lg(cfg: dict, seed: int | None):
         f"   |   SI detected: {'yes' if summary.si_detected else 'no'}"
         f" (negativity = {summary.best_negativity:.6f})"
     )
-    return {"lg.json": dump_json(out)}, lines
+    return {"lg.json": dump_json(out)}, lines, True
 
 
-def run_simulate(cfg: dict, seed: int | None):
-    state, ch = _state_and_channel(cfg)
-    shots = cfg["shots"]
-    if not _is_int(shots, 1):
-        raise ScenarioError("shots", "shots must be a positive integer")
-    effective = _effective_seed(cfg, seed)
-    if effective is None:
+def run_simulate(cfg: dict):
+    state = parse_state(cfg["state"])
+    ch = _channel(cfg["channel"], "channel", len(state))
+    shots = _int(cfg["shots"], "shots", 1)
+    if cfg.get("seed") is None:
         raise ScenarioError("seed", "simulate needs a seed (config field or --seed)")
+    seed = _int(cfg["seed"], "seed", 0)
     if "basis" in cfg:
-        try:
-            basis1 = ObservableBasis.from_descriptor(cfg["basis"])
-        except (AttributeError, ValueError) as exc:
-            raise ScenarioError("basis", f"invalid basis descriptor {cfg['basis']!r}: {exc}") from exc
-        if basis1.dim != ch.in_dim:
-            raise ScenarioError("basis", f"basis dim {basis1.dim} != state dim {ch.in_dim}")
+        d = ch.in_dim
+        bases = [f"light_touch:{d}"] + [f"pauli:{k}" for k in range(1, d.bit_length()) if 2**k == d]
+        basis1 = ObservableBasis.from_descriptor(_choice(cfg["basis"], "basis", bases))
         basis2 = basis1 if ch.in_dim == ch.out_dim else ObservableBasis.default_for_dim(ch.out_dim)
     else:
         basis1 = ObservableBasis.default_for_dim(ch.in_dim)
         basis2 = ObservableBasis.default_for_dim(ch.out_dim)
     start = time.perf_counter()
-    table = sample_table(state, ch, (basis1, basis2), shots, int(effective))
+    table = sample_table(state, ch, (basis1, basis2), shots, seed)
     elapsed = time.perf_counter() - start
-    meta = table_metadata(int(effective), shots, [basis1.descriptor, basis2.descriptor])
+    meta = table_metadata(seed, shots, [basis1.descriptor, basis2.descriptor])
     meta["kind"] = "simulate"
     lines = [f"sampled {len(table.entries)} pairs x {shots} shots in {elapsed:.2f} s"]
-    return {"simulate.csv": table.to_csv(), "simulate.json": dump_json(meta)}, lines
+    return {"simulate.csv": table.to_csv(), "simulate.json": dump_json(meta)}, lines, True
 
 
-def run_sweep(cfg: dict, seed: int | None):
+def run_sweep(cfg: dict):
     state = parse_state(cfg["state"])
-    name = cfg["channel"]
-    parameter = cfg["parameter"]
-    builders = {
-        ("amplitude_damping", "gamma"): amplitude_damping_channel,
-        ("depolarizing", "p"): lambda v: depolarizing_channel(v, state.shape[0]),
-    }
-    if (name, parameter) not in builders:
-        raise ScenarioError("parameter", f"cannot sweep {parameter!r} of channel {name!r}")
+    name = _choice(cfg["channel"], "channel", SWEEPS)
+    parameter, build = SWEEPS[name]
+    _choice(cfg["parameter"], "parameter", [parameter])
     if ("grid" in cfg) == ("values" in cfg):
         raise ScenarioError("grid", "sweep needs exactly one of 'grid' or 'values'")
     if "grid" in cfg:
@@ -347,19 +370,19 @@ def run_sweep(cfg: dict, seed: int | None):
             raise ScenarioError("grid", "grid must be an object with exactly start, stop, num")
         if not (_is_number(grid["start"]) and _is_number(grid["stop"])):
             raise ScenarioError("grid", "start and stop must be finite numbers")
-        num = grid["num"]
-        if not _is_int(num, 1):
-            raise ScenarioError("grid", f"num must be a positive integer, got {num!r}")
-        values = np.linspace(float(grid["start"]), float(grid["stop"]), num)
+        values = np.linspace(float(grid["start"]), float(grid["stop"]), _int(grid["num"], "grid", 1))
     else:
         field, values = "values", cfg["values"]
         if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
             raise ScenarioError("values", "values must be a non-empty list of finite numbers")
-    p = _parse_norm_order(cfg)
+    p = _number(cfg.get("p", 1.0), "p", 1)
     try:
-        points = [(float(v), builders[(name, parameter)](float(v))) for v in values]
+        points = [(float(v), build(float(v), len(state))) for v in values]
     except ValueError as exc:
         raise ScenarioError(field, f"invalid {parameter}: {exc}") from exc
+    if points[0][1].in_dim != len(state):
+        raise ScenarioError("channel", f"{name} acts on dimension {points[0][1].in_dim}, "
+                                       f"the state has dimension {len(state)}")
 
     lines_csv = ["parameter,value,si_value,min_eigenvalue,bound_ok"]
     for v, ch in points:
@@ -370,17 +393,14 @@ def run_sweep(cfg: dict, seed: int | None):
             f"{parameter},{format(v, '.17g')},{format(si, '.17g')},"
             f"{format(r.min_eigenvalue(), '.17g')},{str(ok).lower()}"
         )
-    return {"sweep.csv": "\n".join(lines_csv) + "\n"}, [f"swept {len(points)} points of {parameter}"]
+    return {"sweep.csv": "\n".join(lines_csv) + "\n"}, [f"swept {len(points)} points of {parameter}"], True
 
 
-def run_verify_kind(cfg: dict, seed: int | None):
-    suite = cfg.get("suite", "all")
-    if suite != "all" and suite not in SUITES:
-        raise ScenarioError("suite", f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
-    scale = cfg.get("trials_scale", 1.0)
-    if not _is_number(scale) or scale <= 0:
-        raise ScenarioError("trials_scale", f"trials_scale must be a finite number > 0, got {scale!r}")
-    results = run_suites(suite, seed=_effective_seed(cfg, seed), scale=float(scale))
+def run_verify(cfg: dict):
+    suite = _choice(cfg.get("suite", "all"), "suite", ["all", *SUITES])
+    scale = _number(cfg.get("trials_scale", 1.0), "trials_scale", 0, strict=True)
+    seed = None if cfg.get("seed") is None else _int(cfg["seed"], "seed", 0)
+    results = run_suites(suite, seed=seed, scale=scale)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -407,28 +427,8 @@ HANDLERS = {
     "lg": run_lg,
     "simulate": run_simulate,
     "sweep": run_sweep,
+    "verify": run_verify,
 }
-
-
-def _report(files: dict, lines: list, out_dir: str | None) -> None:
-    """Write ``files`` into ``out_dir`` (when given), then print ``lines``."""
-    if out_dir is not None:
-        for name, content in files.items():
-            write_atomic(os.path.join(out_dir, name), content)
-    for line in lines:
-        print(line)
-
-
-def run_scenario(config_path: str, out_dir: str, seed: int | None = None) -> int:
-    cfg = load_config(config_path)
-    kind = validate_config(cfg)
-    if kind == "verify":
-        files, lines, all_passed = run_verify_kind(cfg, seed)
-    else:
-        files, lines = HANDLERS[kind](cfg, seed)
-        all_passed = True
-    _report(files, [*lines, f"wrote {', '.join(sorted(files))} to {out_dir}"], out_dir)
-    return 0 if all_passed else 1
 
 
 def main(argv=None) -> int:
@@ -457,31 +457,39 @@ def main(argv=None) -> int:
     p_lg.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    out_dir = getattr(args, "out", None)
     try:
-        if args.command == "run":
-            return run_scenario(args.config, args.out, seed=args.seed)
         if args.command == "verify":
-            cfg = {"suite": args.suite, "trials_scale": args.trials_scale}
-            _, lines, all_passed = run_verify_kind(cfg, args.seed)
-            _report({}, lines, None)
-            return 0 if all_passed else 1
-        if args.command == "classify":
-            _report(*run_classify({"channel": args.channel, "dim": args.dim}, None), None)
-            return 0
-        if args.command == "lg":
+            cfg = {"version": CONFIG_VERSION, "kind": "verify", "suite": args.suite,
+                   "trials_scale": args.trials_scale, "seed": args.seed}
+        elif args.command == "classify":
+            cfg = {"version": CONFIG_VERSION, "kind": "classify", "channel": args.channel, "dim": args.dim}
+        else:
             cfg = load_config(args.config)
-            kind = validate_config(cfg)
-            if kind != "lg":
-                raise ScenarioError("kind", f"'pdmsi lg' needs a config of kind 'lg', got {kind!r}")
-            _report(*run_lg(cfg, None), args.out)
-            return 0
+        kind = validate_config(cfg)
+        if args.command == "lg" and kind != "lg":
+            raise ScenarioError("kind", f"'pdmsi lg' needs a config of kind 'lg', got {kind!r}")
+        if args.command == "run" and args.seed is not None:
+            cfg["seed"] = args.seed  # kinds without a seed ignore the override
+        files, lines, passed = HANDLERS[kind](cfg)
+        if out_dir is not None:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ScenarioError("out", f"cannot create output directory {out_dir!r}: {exc}") from exc
+            for name, content in files.items():
+                write_atomic(os.path.join(out_dir, name), content)
+        if args.command == "run":
+            lines.append(f"wrote {', '.join(sorted(files))} to {out_dir}")
+        for line in lines:
+            print(line)
+        return 0 if passed else 1
     except ScenarioError as exc:
         print(f"config error at field '{exc.field}': {exc}", file=sys.stderr)
         return 2
     except (PdmsiError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

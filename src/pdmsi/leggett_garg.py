@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch
-from .linalg import kron
+from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
 from .pdm import Pdm, Witness, pdm_closed_form, si_measure, synthesize_witness
 from .sampling import sample_two_time
@@ -26,11 +26,7 @@ SI_DETECT_ATOL = 1e-9
 
 def check_dichotomic(q, atol: float = 1e-10) -> np.ndarray:
     """Validate a +/-1 observable: Hermitian with q^2 = I."""
-    q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise DimensionMismatch("observable must be a square matrix")
-    if float(np.max(np.abs(q - q.conj().T))) > atol:
-        raise ValueError("dichotomic observable must be Hermitian")
+    q = check_hermitian(q, atol)
     if float(np.max(np.abs(q @ q - np.eye(q.shape[0])))) > atol:
         raise ValueError("dichotomic observable must square to the identity")
     return q

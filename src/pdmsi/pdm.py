@@ -84,12 +84,6 @@ class CorrelatorTable:
             if l1 not in basis1 or l2 not in basis2:
                 raise KeyError(f"entry ({l1},{l2}) not in the declared bases")
 
-    @property
-    def basis(self) -> ObservableBasis:
-        if self.basis1 is not self.basis2 and self.basis1.descriptor != self.basis2.descriptor:
-            raise ValueError("table uses distinct bases; access basis1/basis2 directly")
-        return self.basis1
-
     def value(self, label1: str, label2: str) -> float:
         return self.entries[(label1, label2)]
 

@@ -138,6 +138,8 @@ SWEEP_GRID = {k: v for k, v in SWEEP.items() if k != "values"}
 CLASSIFY = {"version": 1, "kind": "classify", "channel": "identity", "dim": "x"}
 SIMULATE = {"version": 1, "kind": "simulate", "state": KET0, "channel": "identity",
             "shots": 10, "seed": 1}
+LG = {"version": 1, "kind": "lg", "channel": "identity", "states": [KET0]}
+QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("payload, field, extra", [
@@ -163,11 +165,54 @@ SIMULATE = {"version": 1, "kind": "simulate", "state": KET0, "channel": "identit
     pytest.param({**SIMULATE, "basis": "foo:2"}, "basis", [], id="basis-unknown"),
     pytest.param({**SIMULATE, "basis": "pauli:2"}, "basis", [], id="basis-dim-mismatch"),
     pytest.param({**VERIFY, "suite": "nope"}, "suite", [], id="suite-unknown"),
+    pytest.param({**LG, "states": []}, "states", [], id="lg-states-empty"),
+    pytest.param({**LG, "states": [KET0, QUTRIT]}, "states[1]", [], id="lg-states-mixed-dims"),
+    pytest.param({**LG, "q": [[1, 0], [0, 2]]}, "q", [], id="lg-q-not-dichotomic"),
+    pytest.param({**LG, "q": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}, "q", [], id="lg-q-dim-mismatch"),
+    pytest.param({**LG, "states": [QUTRIT], "channel": "identity(3)"}, "q", [], id="lg-default-q-qutrit"),
+    pytest.param({**LG, "channel2": "identity(3)"}, "channel2", [], id="lg-channel2-dim-mismatch"),
+    pytest.param({**SWEEP, "state": QUTRIT}, "channel", [], id="sweep-amplitude-damping-qutrit"),
+    pytest.param({**SWEEP, "channel": ["x"]}, "channel", [], id="sweep-channel-list"),
+    pytest.param({**VERIFY, "suite": ["pdm"]}, "suite", [], id="suite-list"),
+    pytest.param({**CLASSIFY, "channel": {"kraus": [[[1, 0]], [[0, 1]]]}, "dim": None}, "channel", [],
+                 id="classify-kraus-1x2"),
+    pytest.param({**CLASSIFY, "channel": "amplitude_damping(0.3)", "dim": 3}, "channel", [],
+                 id="classify-dim-disagrees"),
+    pytest.param({**PDM, "version": True}, "version", [], id="version-bool"),
+    pytest.param({**PDM, "version": 1.0}, "version", [], id="version-float"),
+    pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
+    pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json/sub"], id="out-below-a-file"),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, extra):
     cfg = write_config(tmp_path, "cfg.json", payload)
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, payload", [
+    pytest.param(["classify", "amplitude_damping(0.3)"],
+                 {"kind": "classify", "channel": "amplitude_damping(0.3)"}, id="classify"),
+    pytest.param(["classify", "identity", "--dim", "3"],
+                 {"kind": "classify", "channel": "identity", "dim": 3}, id="classify-dim"),
+    pytest.param(["lg", "--config", "{cfg}"], {**LG, "states": [KET0, PLUS], "channel": "dephase"}, id="lg"),
+    pytest.param(["verify", "lg", "--seed", "3", "--trials-scale", "0.02"],
+                 {"kind": "verify", "suite": "lg", "seed": 3, "trials_scale": 0.02}, id="verify"),
+])
+def test_subcommand_prints_what_run_prints(tmp_path, capsys, argv, payload):
+    cfg = write_config(tmp_path, "cfg.json", {"version": 1, **payload})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    *lines, wrote = capsys.readouterr().out.splitlines()
+    assert wrote.startswith("wrote ")
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_lg_subcommand_needs_an_lg_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", PDM)
+    assert main(["lg", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "field 'kind'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
