@@ -5,8 +5,6 @@ and Leggett-Garg comparisons."""
 from .channels import (
     KrausChannel,
     amplitude_damping_channel,
-    channels_equal,
-    dephase,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -45,15 +43,11 @@ from .leggett_garg import (
 )
 from .linalg import (
     EigenDecomposition,
-    anticommutator,
     eig_hermitian,
     kron,
-    partial_trace,
     project_simplex,
     pseudo_inverse,
-    schatten_norm,
     superop_exp,
-    trace_norm,
 )
 from .observables import (
     LightTouchObservable,
@@ -85,11 +79,9 @@ from .sampling import (
 )
 from .states import (
     check_density_matrix,
-    is_incoherent,
     ket,
     ketbra,
     maximally_mixed,
-    minus_state,
     plus_state,
     projector,
 )

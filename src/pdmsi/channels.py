@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .linalg import check_hermitian
+from .linalg import check_hermitian, kron
 from .states import ket
 
 TRACE_PRESERVING_ATOL = 1e-10
@@ -39,18 +39,15 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"channel expects {self.in_dim}x{self.in_dim} operands, got {m.shape}"
             )
-        return sum(k @ m @ k.conj().T for k in self.kraus_ops)
+        return _apply(np.array(self.kraus_ops), m)
 
     def jamiolkowski(self) -> np.ndarray:
         """M = sum_ij |i><j| (x) channel(|j><i|); Hermitian with trace in_dim."""
-        d, n = self.in_dim, self.out_dim
-        k = np.array(self.kraus_ops)
-        m = np.einsum("kaj,kbi->iajb", k, k.conj()).reshape(d * n, d * n)
-        return check_hermitian(m, atol=1e-9)
+        return check_hermitian(_jamiolkowski(np.array(self.kraus_ops)), atol=1e-9)
 
     def superoperator(self) -> np.ndarray:
         """Matrix acting on row-major vectorized operators: sum_l K_l (x) conj(K_l)."""
-        return sum(np.kron(k, k.conj()) for k in self.kraus_ops)
+        return _superoperator(np.array(self.kraus_ops))
 
     def compose(self, inner: "KrausChannel") -> "KrausChannel":
         """self after inner: (self . inner)(m) = self(inner(m))."""
@@ -64,17 +61,28 @@ class KrausChannel:
         return f"KrausChannel({len(self.kraus_ops)} ops, {self.in_dim}->{self.out_dim})"
 
 
-def channels_equal(a: KrausChannel, b: KrausChannel, atol: float = 1e-9) -> bool:
-    """Action equality (Kraus lists are gauge dependent, so compare Jamiolkowski forms)."""
-    if (a.in_dim, a.out_dim) != (b.in_dim, b.out_dim):
-        return False
-    return float(np.max(np.abs(a.jamiolkowski() - b.jamiolkowski()))) <= atol
+def _kraus_stack(chs) -> np.ndarray:
+    """``(N, K, out_dim, in_dim)`` Kraus operators of equally shaped channels, padded to
+    the largest count K with zero operators, which change neither channel nor trace."""
+    k = max(len(ch.kraus_ops) for ch in chs)
+    return np.array([ch.kraus_ops + (np.zeros_like(ch.kraus_ops[0]),) * (k - len(ch.kraus_ops)) for ch in chs])
 
 
-def dephase(m) -> np.ndarray:
-    """Delete all off-diagonal entries in the computational basis."""
-    m = np.asarray(m, dtype=complex)
-    return np.diag(np.diag(m))
+def _apply(kraus, m) -> np.ndarray:
+    """``sum_l K_l m K_l^dag`` for Kraus stacks ``(..., K, out, in)`` and operands ``(..., in, in)``."""
+    return np.sum(kraus @ np.expand_dims(m, -3) @ kraus.conj().swapaxes(-1, -2), axis=-3)
+
+
+def _jamiolkowski(kraus) -> np.ndarray:
+    """Jamiolkowski matrices of a Kraus stack ``(..., K, out_dim, in_dim)``."""
+    k = np.asarray(kraus, dtype=complex)
+    n, d = k.shape[-2:]
+    return np.einsum("...kaj,...kbi->...iajb", k, k.conj()).reshape(*k.shape[:-3], d * n, d * n)
+
+
+def _superoperator(kraus) -> np.ndarray:
+    """Superoperators ``sum_l K_l (x) conj(K_l)`` of a Kraus stack ``(..., K, out_dim, in_dim)``."""
+    return np.sum(kron(kraus, np.conj(kraus)), axis=-3)
 
 
 def identity_channel(d: int = 2) -> KrausChannel:

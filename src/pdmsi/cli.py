@@ -50,6 +50,10 @@ from .verify import SUITES, run_suites
 
 CONFIG_VERSION = 1
 
+# Size caps, checked before any allocation: a PDM build touches d^4 entries, a sweep one channel per point.
+MAX_DIM = 32
+MAX_GRID = 100_000
+
 KIND_FIELDS = {
     "pdm": ({"state", "channel"}, {"p"}),
     "witness": ({"state", "channel"}, {"policy"}),
@@ -82,10 +86,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _int(x, field: str, low: int) -> int:
-    """A JSON integer >= ``low``; booleans and floats such as ``1.0`` are not integers here."""
-    if type(x) is not int or x < low:
-        raise ScenarioError(field, f"expected an integer >= {low}, got {x!r}")
+def _int(x, field: str, low: int, high: int | None = None) -> int:
+    """A JSON integer in [``low``, ``high``]; booleans and floats such as ``1.0`` are not integers here."""
+    if type(x) is not int or x < low or (high is not None and x > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ScenarioError(field, f"expected an integer {bounds}, got {x!r}")
     return x
 
 
@@ -111,9 +116,16 @@ def _parse_entry(x, field: str) -> complex:
     raise ScenarioError(field, f"matrix entries must be finite numbers or [re, im] pairs, got {x!r}")
 
 
+def _check_dims(rows: list, field: str) -> None:
+    """Reject a matrix literal with more than MAX_DIM rows or columns before parsing its entries."""
+    if max(len(rows), *(len(row) for row in rows)) > MAX_DIM:
+        raise ScenarioError(field, f"matrix dimensions exceed the maximum {MAX_DIM}")
+
+
 def parse_matrix(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise ScenarioError(field, "expected a dense matrix as a list of rows")
+    _check_dims(obj, field)
     rows = [[_parse_entry(x, field) for x in row] for row in obj]
     if any(len(row) != len(rows) for row in rows):
         raise ScenarioError(field, f"matrix must be square, got row lengths {[len(r) for r in rows]}")
@@ -139,10 +151,9 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
             if not match:
                 raise ScenarioError(field, f"cannot parse channel literal {obj!r}")
             name, arg = match.group(1), match.group(2)
-            if name == "identity":
-                return identity_channel(int(arg) if arg else (dim or 2))
-            if name == "dephase":
-                return dephasing_channel(int(arg) if arg else (dim or 2))
+            if name in ("identity", "dephase"):
+                d = _int(int(arg), field, 1, MAX_DIM) if arg else (dim or 2)
+                return (identity_channel if name == "identity" else dephasing_channel)(d)
             if name == "amplitude_damping":
                 if arg is None:
                     raise ScenarioError(field, "amplitude_damping needs a gamma argument")
@@ -163,8 +174,9 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
                 raise ScenarioError(field, "'kraus' must be a non-empty list of matrices")
             mats = []
             for idx, op in enumerate(ops):
-                if not isinstance(op, list):
+                if not isinstance(op, list) or not op or not all(isinstance(row, list) for row in op):
                     raise ScenarioError(field, f"kraus[{idx}] is not a matrix")
+                _check_dims(op, field)
                 mats.append(np.array([[_parse_entry(x, field) for x in row] for row in op]))
             return KrausChannel(mats)
     except ScenarioError:
@@ -282,7 +294,7 @@ def run_witness(cfg: dict):
 
 
 def run_classify(cfg: dict):
-    dim = None if cfg.get("dim") is None else _int(cfg["dim"], "dim", 1)
+    dim = None if cfg.get("dim") is None else _int(cfg["dim"], "dim", 1, MAX_DIM)
     ch = _channel(cfg["channel"], "channel", dim, square=True)
     report = classify_channel(ch)
     out = {"kind": "classify", "report": report.to_dict()}
@@ -370,7 +382,7 @@ def run_sweep(cfg: dict):
             raise ScenarioError("grid", "grid must be an object with exactly start, stop, num")
         if not (_is_number(grid["start"]) and _is_number(grid["stop"])):
             raise ScenarioError("grid", "start and stop must be finite numbers")
-        values = np.linspace(float(grid["start"]), float(grid["stop"]), _int(grid["num"], "grid", 1))
+        values = np.linspace(float(grid["start"]), float(grid["stop"]), _int(grid["num"], "grid", 1, MAX_GRID))
     else:
         field, values = "values", cfg["values"]
         if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):

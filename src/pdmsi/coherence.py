@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, dephasing_superoperator
+from .channels import KrausChannel, _jamiolkowski, dephasing_superoperator
 from .exceptions import DimensionMismatch, NoAsymmetricColumn
 from .linalg import pseudo_inverse, superop_exp
 from .states import ketbra
@@ -50,14 +50,23 @@ class CoherenceClassReport:
         }
 
 
-def _max_unit_deviation(s_left: np.ndarray, s_right: np.ndarray) -> float:
-    """Max Frobenius distance of the two maps' outputs over all matrix units.
+def _max_unit_deviation(s_left: np.ndarray, s_right: np.ndarray) -> np.ndarray:
+    """Max Frobenius distance of two maps' outputs over all matrix units, per stacked pair.
 
     Superoperator columns are exactly the vectorized outputs on matrix units,
     so this is the max column 2-norm of the difference.
     """
-    diff = s_left - s_right
-    return float(np.max(np.linalg.norm(diff, axis=0))) if diff.size else 0.0
+    return np.max(np.linalg.norm(s_left - s_right, axis=-2), axis=-1)
+
+
+def _class_residuals(s: np.ndarray, delta: np.ndarray) -> dict:
+    """Residuals of the OI, CE, CI and DI identities for superoperators ``(..., d^2, d^2)``."""
+    return {
+        "oi": _max_unit_deviation(s, s @ delta),
+        "ce": _max_unit_deviation(s, delta @ s),
+        "ci": _max_unit_deviation(s @ delta, delta @ s @ delta),
+        "di": _max_unit_deviation(delta @ s, delta @ s @ delta),
+    }
 
 
 def _ncgd_residual(family, delta: np.ndarray) -> float:
@@ -66,7 +75,7 @@ def _ncgd_residual(family, delta: np.ndarray) -> float:
         for tau in NCGD_GRID:
             lhs = delta @ family(t) @ delta @ family(tau) @ delta
             rhs = delta @ family(t + tau) @ delta
-            worst = max(worst, _max_unit_deviation(lhs, rhs))
+            worst = max(worst, float(_max_unit_deviation(lhs, rhs)))
     return worst
 
 
@@ -83,18 +92,13 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None, atol: float = CLASS_ATOL
     s = ch.superoperator()
     delta = dephasing_superoperator(ch.in_dim)
 
-    residuals = {
-        "oi": _max_unit_deviation(s, s @ delta),
-        "ce": _max_unit_deviation(s, delta @ s),
-        "ci": _max_unit_deviation(s @ delta, delta @ s @ delta),
-        "di": _max_unit_deviation(delta @ s, delta @ s @ delta),
-    }
+    residuals = {name: float(r) for name, r in _class_residuals(s, delta).items()}
 
     if ncgd_probe is None:
         mode = "single-channel surrogate"
         lhs = delta @ s @ delta @ s @ delta
         rhs = delta @ s @ s @ delta
-        residuals["ncgd"] = _max_unit_deviation(lhs, rhs)
+        residuals["ncgd"] = float(_max_unit_deviation(lhs, rhs))
     else:
         if callable(ncgd_probe):
             mode = "family grid (not refuted is not a proof)"
@@ -133,23 +137,43 @@ class BlockDecomposition:
     blocks: dict
 
 
-def check_probability_vector(probs, atol: float = 1e-12) -> np.ndarray:
+def check_probability_vector(probs, d: int, atol: float = 1e-12) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or np.any(probs < -atol) or abs(probs.sum() - 1.0) > atol:
         raise ValueError("probs must be a probability vector")
+    if len(probs) != d:
+        raise DimensionMismatch("probability vector length must match channel input dim")
     return np.clip(probs, 0.0, None)
 
 
+def _blocks(probs, kraus) -> np.ndarray:
+    """R_ij = ((p_i + p_j)/2) ch(|j><i|) at ``[..., i, j, :, :]``, over stacks of
+    probabilities ``(..., d)`` and Kraus operators ``(..., K, n, d)``."""
+    d, n = probs.shape[-1], np.shape(kraus)[-2]
+    units = _jamiolkowski(kraus).reshape(*np.shape(kraus)[:-3], d, n, d, n).swapaxes(-3, -2)
+    return ((probs[..., :, None] + probs[..., None, :]) / 2.0)[..., None, None] * units
+
+
 def pdm_blocks(probs, ch: KrausChannel) -> BlockDecomposition:
-    probs = check_probability_vector(probs)
-    d = ch.in_dim
-    if len(probs) != d:
-        raise DimensionMismatch("probability vector length must match channel input dim")
-    blocks = {}
-    for i in range(d):
-        for j in range(d):
-            blocks[(i, j)] = ((probs[i] + probs[j]) / 2.0) * ch(ketbra(j, i, d))
-    return BlockDecomposition(probs=probs, blocks=blocks)
+    probs = check_probability_vector(probs, ch.in_dim)
+    blocks = _blocks(probs, np.array(ch.kraus_ops))
+    return BlockDecomposition(probs=probs, blocks={(i, j): blocks[i, j] for i in range(ch.in_dim)
+                                                   for j in range(ch.in_dim)})
+
+
+def _block_failures(probs, kraus, atol: float = CLASS_ATOL,
+                    rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Which block pairs (i, j), i != j, fail the support and the Schur test, as ``(..., d, d)``."""
+    r = _blocks(probs, kraus)
+    d = r.shape[-3]
+    diag = r[..., np.arange(d), np.arange(d), :, :]
+    a, c = diag[..., :, None, :, :], diag[..., None, :, :, :]
+    a_pinv = pseudo_inverse(diag, rank_tol=rank_tol)[..., :, None, :, :]
+    support = np.linalg.norm((np.eye(r.shape[-1]) - a @ a_pinv) @ r, axis=(-2, -1)) > atol
+    schur = c - r.conj().swapaxes(-1, -2) @ a_pinv @ r
+    schur = np.linalg.eigvalsh((schur + schur.conj().swapaxes(-1, -2)) / 2.0)[..., 0] < -atol
+    off_diagonal = ~np.eye(d, dtype=bool)
+    return support & off_diagonal, schur & off_diagonal
 
 
 @dataclass
@@ -173,24 +197,13 @@ def block_positivity_test(probs, ch: KrausChannel, atol: float = CLASS_ATOL,
     The PDM is positive semidefinite iff for every pair i != j the block
     R_ij lies in the support of R_ii and R_jj - R_ji R_ii^+ R_ij >= 0.
     """
-    dec = pdm_blocks(probs, ch)
-    d = ch.in_dim
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            a = dec.blocks[(i, i)]
-            b = dec.blocks[(i, j)]
-            c = dec.blocks[(j, j)]
-            a_pinv = pseudo_inverse(a, rank_tol=rank_tol)
-            support_defect = float(np.linalg.norm((np.eye(ch.out_dim) - a @ a_pinv) @ b))
-            if support_defect > atol:
-                return BlockPositivityResult(False, (i, j), "support")
-            schur = c - b.conj().T @ a_pinv @ b
-            schur = (schur + schur.conj().T) / 2.0
-            if float(np.linalg.eigvalsh(schur)[0]) < -atol:
-                return BlockPositivityResult(False, (i, j), "schur")
-    return BlockPositivityResult(True, None, None)
+    probs = check_probability_vector(probs, ch.in_dim)
+    support, schur = _block_failures(probs, np.array(ch.kraus_ops), atol, rank_tol)
+    failing = np.argwhere(support | schur)
+    if not len(failing):
+        return BlockPositivityResult(True, None, None)
+    i, j = (int(k) for k in failing[0])
+    return BlockPositivityResult(False, (i, j), "support" if support[i, j] else "schur")
 
 
 def check_stochastic_matrix(a, atol: float = 1e-12) -> np.ndarray:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _apply
 from .exceptions import DimensionMismatch
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
-from .pdm import Pdm, Witness, pdm_closed_form, si_measure, synthesize_witness
+from .pdm import Pdm, Witness, _closed_form, _si_values, synthesize_witness
 from .sampling import sample_two_time
 from .states import check_density_matrix
 
@@ -25,9 +25,9 @@ SI_DETECT_ATOL = 1e-9
 
 
 def check_dichotomic(q, atol: float = 1e-10) -> np.ndarray:
-    """Validate a +/-1 observable: Hermitian with q^2 = I."""
-    q = check_hermitian(q, atol)
-    if float(np.max(np.abs(q @ q - np.eye(q.shape[0])))) > atol:
+    """Validate a +/-1 observable, or each of a ``(..., d, d)`` stack: Hermitian with q^2 = I."""
+    q = check_hermitian(q, atol, stacked=True)
+    if float(np.max(np.abs(q @ q - np.eye(q.shape[-1])))) > atol:
         raise ValueError("dichotomic observable must square to the identity")
     return q
 
@@ -46,7 +46,7 @@ class LgScenario:
         if (self.ch12.in_dim, self.ch12.out_dim) != (d, d) or \
            (self.ch23.in_dim, self.ch23.out_dim) != (d, d):
             raise DimensionMismatch("LG legs must map the system dimension to itself")
-        if self.q.shape[0] != d:
+        if self.q.shape != (d, d):
             raise DimensionMismatch("observable dimension must match the state")
 
 
@@ -61,9 +61,19 @@ class LgResult:
         return {"c12": self.c12, "c23": self.c23, "c13": self.c13, "k": self.k}
 
 
-def _correlator(rho, ch: KrausChannel, q) -> float:
-    r = pdm_closed_form(rho, ch)
-    return float(np.trace(r.mat @ kron(q, q)).real)
+def _lg_correlators(rho, k12, k23, q) -> np.ndarray:
+    """Exact (C12, C23, C13) on the last axis, over states ``(..., d, d)`` and Kraus stacks ``(..., K, d, d)``.
+
+    Each is ``Tr[R (q (x) q)]`` of a closed-form PDM: the state through leg 1,
+    the unmeasured leg-1 output through leg 2, and the state through both legs
+    (whose Kraus operators are the products of one operator from each leg).
+    """
+    rho2 = _apply(k12, rho)
+    k13 = k23[..., :, None, :, :] @ k12[..., None, :, :, :]
+    k13 = k13.reshape(*k13.shape[:-4], -1, *k13.shape[-2:])
+    qq = kron(q, q)
+    return np.stack([np.einsum("...ij,ji->...", _closed_form(r, k), qq).real
+                     for r, k in ((rho, k12), (rho2, k23), (rho, k13))], axis=-1)
 
 
 def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None = None) -> LgResult:
@@ -73,15 +83,14 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
     through the same measure-evolve-measure procedure as the simulator.
     """
     rho, q = scenario.initial, scenario.q
-    rho2 = scenario.ch12(rho)
-    ch13 = scenario.ch23.compose(scenario.ch12)
     if shots is None:
-        c12 = _correlator(rho, scenario.ch12, q)
-        c23 = _correlator(rho2, scenario.ch23, q)
-        c13 = _correlator(rho, ch13, q)
+        c12, c23, c13 = _lg_correlators(rho, np.array(scenario.ch12.kraus_ops),
+                                        np.array(scenario.ch23.kraus_ops), q).tolist()
     else:
         if seed is None:
             raise ValueError("Monte Carlo LG evaluation needs a seed")
+        rho2 = scenario.ch12(rho)
+        ch13 = scenario.ch23.compose(scenario.ch12)
         c12 = sample_two_time(rho, scenario.ch12, q, q, shots, np.random.SeedSequence((seed, 12))).mean
         c23 = sample_two_time(rho2, scenario.ch23, q, q, shots, np.random.SeedSequence((seed, 23))).mean
         c13 = sample_two_time(rho, ch13, q, q, shots, np.random.SeedSequence((seed, 13))).mean
@@ -98,13 +107,13 @@ class SpatialBound:
 
 
 def lg_operator(q1, q2, q3) -> np.ndarray:
-    """B = q1 q2 I + I q2 q3 - q1 I q3 as a tripartite tensor operator."""
+    """B = q1 q2 I + I q2 q3 - q1 I q3 as a tripartite tensor operator (stacks broadcast)."""
     q1 = check_dichotomic(q1)
     q2 = check_dichotomic(q2)
     q3 = check_dichotomic(q3)
-    i1 = np.eye(q1.shape[0])
-    i2 = np.eye(q2.shape[0])
-    i3 = np.eye(q3.shape[0])
+    i1 = np.eye(q1.shape[-1])
+    i2 = np.eye(q2.shape[-1])
+    i3 = np.eye(q3.shape[-1])
     return kron(kron(q1, q2), i3) + kron(kron(i1, q2), q3) - kron(kron(q1, i2), q3)
 
 
@@ -145,33 +154,30 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("lg_vs_si needs equal input and output dimensions")
+    if not len(states):
+        raise ValueError("lg_vs_si needs at least one state")
     if q_list is None:
         if ch.in_dim != 2:
             raise ValueError("q_list has a default only for qubits; pass observables explicitly")
         q_list = [PAULI_1Q["Z"]]
     second = ch if ch23 is None else ch23
+    # Every (state, observable) pair passes the checks lg_evaluate applies.
+    scenarios = [[LgScenario(rho, ch, second, q) for rho in states] for q in q_list]
+    rhos = np.array([check_density_matrix(rho) for rho in states])
+    k12, k23 = np.array(ch.kraus_ops), np.array(second.kraus_ops)
+    c = np.array([_lg_correlators(rhos, k12, k23, row[0].q) for row in scenarios]).reshape(-1, 3)
+    max_k = float(np.max(c[:, 0] + c[:, 1] - c[:, 2], initial=-np.inf))
 
-    max_k = -np.inf
-    for rho in states:
-        for q in q_list:
-            res = lg_evaluate(LgScenario(initial=rho, ch12=ch, ch23=second, q=q))
-            max_k = max(max_k, res.k)
-
-    best_negativity = 0.0
-    best_pdm: Pdm | None = None
-    for rho in states:
-        r = pdm_closed_form(rho, ch)
-        value = si_measure(r, 1.0).value
-        if value > best_negativity:
-            best_negativity = value
-            best_pdm = r
-
+    pdms = _closed_form(rhos, k12)
+    values = _si_values(pdms)
+    best = int(np.argmax(values))
+    best_negativity = float(values[best])
     si_detected = best_negativity > SI_DETECT_ATOL
-    witness = synthesize_witness(best_pdm) if si_detected and best_pdm is not None else None
+    witness = synthesize_witness(Pdm(pdms[best], (ch.in_dim, ch.in_dim))) if si_detected else None
     return LgVsSi(
         lg_violated=bool(max_k > 1.0 + LG_SLACK),
         max_k=float(max_k),
         si_detected=bool(si_detected),
-        best_negativity=float(best_negativity),
+        best_negativity=best_negativity,
         witness=witness,
     )

@@ -14,16 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, identity_channel
+from .channels import KrausChannel, _jamiolkowski
 from .exceptions import (
     DimensionMismatch,
     IncompleteTable,
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from .linalg import anticommutator, check_hermitian, eig_hermitian, kron, project_simplex
+from .linalg import check_hermitian, eig_hermitian, kron, project_simplex
 from .observables import ObservableBasis
-from .states import check_density_matrix, ket
+from .states import check_density_matrix
 
 NEGATIVITY_ATOL = 1e-10
 
@@ -55,6 +55,14 @@ class Pdm:
         return f"Pdm(dims={self.dims}, min_eig={self.min_eigenvalue():.4g})"
 
 
+def _closed_form(rho, kraus) -> np.ndarray:
+    """(1/2){rho (x) I, M} over broadcast stacks of states ``(..., d_in, d_in)``
+    and Kraus operators ``(..., K, d_out, d_in)``, padded with zero operators."""
+    m = _jamiolkowski(kraus)
+    a = kron(rho, np.eye(np.shape(kraus)[-2]))
+    return 0.5 * (a @ m + m @ a)
+
+
 def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
     """PDM of a state evolving through a channel: (1/2){rho (x) I, M_channel}.
 
@@ -66,9 +74,7 @@ def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
         )
-    m = ch.jamiolkowski()
-    r = 0.5 * anticommutator(kron(rho, np.eye(ch.out_dim)), m)
-    return Pdm(r, (ch.in_dim, ch.out_dim))
+    return Pdm(_closed_form(rho, np.array(ch.kraus_ops)), (ch.in_dim, ch.out_dim))
 
 
 class CorrelatorTable:
@@ -128,20 +134,23 @@ class CorrelatorTable:
 
 
 def _overlaps(m, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
-    """Complex ``Tr[M (A_k (x) B_l)]`` for every label pair, as an ``(n1, n2)`` array.
+    """Complex ``Tr[M (A_k (x) B_l)]`` for every label pair, as ``(..., n1, n2)``.
 
     The contractions ``iajb,kji->kab`` then ``kab,lba->kl`` over the
-    ``(d1, d2, d1, d2)`` view of ``M``, each as one matrix product; no
-    ``d1 d2 x d1 d2`` pair operator is ever built.
+    ``(d1, d2, d1, d2)`` view of each ``M`` in a ``(..., d1 d2, d1 d2)``
+    stack, each as one matrix product; no ``d1 d2 x d1 d2`` pair operator is
+    ever built.
     """
     n1, n2, d1, d2 = len(basis1), len(basis2), basis1.dim, basis2.dim
-    t = np.asarray(m, dtype=complex).reshape(d1, d2, d1, d2).transpose(2, 0, 1, 3)
-    partial = basis1.matrices.reshape(n1, d1 * d1) @ t.reshape(d1 * d1, d2 * d2)
+    m = np.asarray(m, dtype=complex)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, d1, d2, d1, d2).transpose(*range(len(lead)), -2, -4, -3, -1)
+    partial = basis1.matrices.reshape(n1, d1 * d1) @ t.reshape(*lead, d1 * d1, d2 * d2)
     return partial @ basis2.matrices.transpose(0, 2, 1).reshape(n2, d2 * d2).T
 
 
 def _expand(coeffs: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
-    """``sum_kl C_kl A_k (x) B_l`` for an ``(n1, n2)`` coefficient array.
+    """``sum_kl C_kl A_k (x) B_l`` for ``(..., n1, n2)`` coefficient arrays.
 
     The contractions ``kl,lcd->kcd`` then ``kab,kcd->acbd``, each as one
     matrix product.
@@ -149,18 +158,19 @@ def _expand(coeffs: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis
     n1, n2, d1, d2 = len(basis1), len(basis2), basis1.dim, basis2.dim
     partial = coeffs @ basis2.matrices.reshape(n2, d2 * d2)
     out = basis1.matrices.reshape(n1, d1 * d1).T @ partial
-    return out.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+    out = out.reshape(*out.shape[:-2], d1, d1, d2, d2).swapaxes(-3, -2)
+    return out.reshape(*out.shape[:-4], d1 * d2, d1 * d2)
 
 
 def _factored_gram_solve(overlaps: np.ndarray, basis1: ObservableBasis,
                          basis2: ObservableBasis) -> np.ndarray:
-    """Coefficients C with ``Tr[(A_k (x) B_l) sum C A (x) B] = overlaps_kl``.
+    """Coefficients C with ``Tr[(A_k (x) B_l) sum C A (x) B] = overlaps_kl``, per ``(n1, n2)`` slice.
 
     The Gram matrix of the product family is ``G1 (x) G2``, so ``C`` is
     ``G1^-1 O G2^-1``, solved per factor (``G = d I`` for Pauli strings).
     """
     left = np.linalg.solve(basis1.gram, overlaps)
-    return np.linalg.solve(basis2.gram, left.T).T
+    return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _by_label_pair(values: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> dict:
@@ -239,8 +249,31 @@ def _matrix_to_pairs(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def _t1_closed_form(lam: np.ndarray) -> float:
-    return float(2.0 * np.sum(np.abs(lam[lam < -NEGATIVITY_ATOL])))
+def _t1_closed_form(lam: np.ndarray) -> np.ndarray:
+    """2 sum|negative eigs| for spectra ``(..., n)``."""
+    return 2.0 * np.sum(np.where(lam < -NEGATIVITY_ATOL, np.abs(lam), 0.0), axis=-1)
+
+
+def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """T_p and a minimizing q for ascending spectra ``(..., n)``: min ||lam - q||_p over the simplex.
+
+    At p = 1 this is 2 sum|negative eigs|, attained by the normalized positive
+    part of lam; for p > 1 the Euclidean simplex projection of lam is the
+    exact minimizer.  A spectrum with no eigenvalue below -NEGATIVITY_ATOL
+    gives exactly 0.
+    """
+    if p == 1.0:
+        value, q = _t1_closed_form(lam), np.clip(lam, 0.0, None)
+        q = q / np.sum(q, axis=-1, keepdims=True)
+    else:
+        q = project_simplex(lam)
+        value = np.linalg.norm(lam - q, ord=p, axis=-1)
+    return np.where((lam < -NEGATIVITY_ATOL).any(axis=-1), np.maximum(value, 0.0), 0.0), q
+
+
+def _si_values(mats, p: float = 1.0) -> np.ndarray:
+    """T_p of every matrix in a Hermitian stack ``(..., n, n)``."""
+    return _t_p(eig_hermitian(mats, atol=1e-9).eigenvalues, p)[0]
 
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -283,23 +316,12 @@ def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
         (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
     ]
 
-    if p == 1.0 and method == "numeric":
+    value, q = _t_p(lam, p)
+    if p == 1.0 and method == "numeric" and negatives:
         value, q = _t1_simplex_lp(lam)
-    elif p == 1.0:
-        value = _t1_closed_form(lam)
-        pos = np.clip(lam, 0.0, None)
-        q = pos / np.sum(pos)
-    else:
-        q = project_simplex(lam)
-        value = float(np.linalg.norm(lam - q, ord=p))
-
-    if not negatives:
-        value = 0.0
-        q = np.clip(lam, 0.0, None)
-        q = q / np.sum(q)
     minimizer = (v * q) @ v.conj().T
     minimizer = (minimizer + minimizer.conj().T) / 2.0
-    return SiReport(p=p, value=max(value, 0.0), minimizer=minimizer,
+    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer,
                     negative_eigenpairs=negatives)
 
 
@@ -385,18 +407,6 @@ def evaluate_witness(w: Witness, table: CorrelatorTable, coeff_atol: float = 1e-
     return float(sum(c * table.entries[k] for k, c in needed.items()))
 
 
-_BOUND_REFERENCE_CACHE: dict[int, float] = {}
-
-
-def _reference_t1(d: int) -> float:
-    """T_1 of the extremal PDM: pure basis state through the identity channel."""
-    if d not in _BOUND_REFERENCE_CACHE:
-        rho = np.outer(ket(0, d), ket(0, d).conj())
-        r = pdm_closed_form(rho, identity_channel(d))
-        _BOUND_REFERENCE_CACHE[d] = si_measure(r, 1.0).value
-    return _BOUND_REFERENCE_CACHE[d]
-
-
 @dataclass
 class BoundCheck:
     t1: float
@@ -408,12 +418,17 @@ class BoundCheck:
 
 
 def check_bound(rho, ch: KrausChannel, slack: float = 1e-9) -> BoundCheck:
-    """Check T_1(R(rho, ch)) against the pure-state/identity-channel extremal value.
+    """Check T_1(R(rho, ch)) against its value d - 1 on the extremal PDM.
 
-    For qubit-to-qubit channels the reference equals 1 exactly.
+    The extremal PDM is that of a pure basis state through the identity
+    channel, R = (1/2){|0><0| (x) I, SWAP}.  It maps |00> to itself, swaps
+    |0i> and |i0> with weight 1/2 for each i != 0, and sends every |ij> with
+    i, j != 0 to zero.  Its spectrum is therefore {1, 1/2 x (d-1),
+    -1/2 x (d-1), 0 x (d-1)^2}, and T_1 = 2 sum|negative eigs| = d - 1
+    (1 for qubits, the paper's bound).
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
     t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-    ref = _reference_t1(ch.in_dim)
+    ref = float(ch.in_dim - 1)
     return BoundCheck(t1=t1, reference=ref, bound_ok=bool(t1 <= ref + slack))

@@ -41,10 +41,6 @@ def plus_state() -> np.ndarray:
     return np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
-def minus_state() -> np.ndarray:
-    return np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-
-
 def check_density_matrix(rho, atol: float = DENSITY_ATOL) -> np.ndarray:
     """Validate unit trace and positivity; returns the matrix as complex."""
     rho = check_hermitian(rho, atol=atol)
@@ -56,9 +52,3 @@ def check_density_matrix(rho, atol: float = DENSITY_ATOL) -> np.ndarray:
         raise ValueError(f"density matrix must be positive semidefinite, min eigenvalue {lo:.3e}")
     return rho
 
-
-def is_incoherent(rho, atol: float = 1e-10) -> bool:
-    """True when the state is diagonal in the computational basis."""
-    rho = np.asarray(rho, dtype=complex)
-    off = rho - np.diag(np.diag(rho))
-    return float(np.max(np.abs(off))) <= atol if off.size else True

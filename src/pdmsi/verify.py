@@ -1,8 +1,12 @@
 """User-facing property suites: randomized invariant checks with trial counts.
 
-Each check recomputes its claim from scratch (independent routes where the
-library offers them) so a regression in one code path shows up as a named
-failure rather than a silently agreeing pair.
+``CHECKS`` is the table of every check as (suite, name, trials, check).  A
+check draws its random inputs trial by trial, in a fixed order from its
+suite's generator, then computes its claim for all trials at once through
+the stacked kernels.  Where the library has two routes to one quantity
+(closed form and LP, full spectrum and Schur blocks) the check takes both,
+so a regression in one shows up as a named failure rather than a silently
+agreeing pair.
 """
 
 from __future__ import annotations
@@ -11,27 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import coherence, pdm
 from . import random as prandom
+from .channels import _apply, _kraus_stack, _superoperator, dephasing_superoperator
 from .channels import identity_channel, unitary_channel
-from .coherence import (
-    adversarial_coherent_state,
-    block_positivity_test,
-    build_ce_oi_channel,
-    classify_channel,
-)
-from .leggett_garg import LgScenario, lg_evaluate, lg_operator, spatial_lg_bound
-from .linalg import kron
-from .observables import PAULI_1Q
-from .pdm import (
-    Pdm,
-    exact_correlators,
-    pdm_closed_form,
-    pdm_from_correlators,
-    si_measure,
-    synthesize_witness,
-)
+from .leggett_garg import _lg_correlators, lg_operator
+from .linalg import eig_hermitian, kron
+from .observables import PAULI_1Q, ObservableBasis
+from .pdm import _closed_form, _si_values, _t_p
 from .sampling import sample_two_time
 from .states import ket, projector
+
+# Default seed of each suite, in run order.
+SUITES = {"pdm": 20240801, "coherence": 20240802, "lg": 20240803}
 
 
 @dataclass
@@ -43,175 +39,183 @@ class CheckResult:
     detail: str = ""
 
 
-def _random_pdm(rng, d1=2, d2=2) -> Pdm:
+def _spectra(mats) -> np.ndarray:
+    return eig_hermitian(mats, atol=1e-9).eigenvalues
+
+
+def _closed_forms(pairs) -> np.ndarray:
+    """PDMs of equally shaped (state, channel) pairs, as one stacked call."""
+    states, chs = zip(*pairs)
+    return _closed_form(np.array(states), _kraus_stack(chs))
+
+
+def _by_dim(dims, quantity) -> np.ndarray:
+    """``quantity(indices)`` for each group of equal ``dims``, scattered back to one array."""
+    dims, out = np.asarray(dims), np.empty(len(dims))
+    for d in np.unique(dims):
+        out[dims == d] = quantity(np.flatnonzero(dims == d))
+    return out
+
+
+def _pair_quantity(pairs, quantity) -> np.ndarray:
+    """``quantity`` of the stacked PDMs of (state, channel) pairs, one stack per dimension."""
+    return _by_dim([len(rho) for rho, _ in pairs],
+                   lambda at: quantity(_closed_forms([pairs[k] for k in at])))
+
+
+def _pdm_draw(rng):
+    """A random qubit-pair PDM: a (state, channel) pair or a unit-trace Hermitian matrix."""
     if rng.random() < 0.5:
-        rho = prandom.density_matrix(d1, rng)
-        ch = prandom.channel(d1, d2, env_dim=3, rng=rng)
-        return pdm_closed_form(rho, ch)
-    return Pdm(prandom.unit_trace_hermitian(d1 * d2, rng), (d1, d2))
+        rho = prandom.density_matrix(2, rng)
+        return rho, prandom.channel(2, 2, env_dim=3, rng=rng)
+    return prandom.unit_trace_hermitian(4, rng)
 
 
-def verify_pdm(seed: int = 20240801, scale: float = 1.0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    n = lambda k: max(1, int(k * scale))
+def _pdms(draws) -> np.ndarray:
+    """``(N, 4, 4)`` matrices of ``_pdm_draw`` draws."""
+    out = np.array([np.zeros((4, 4)) if isinstance(x, tuple) else x for x in draws], dtype=complex)
+    pairs = [k for k, x in enumerate(draws) if isinstance(x, tuple)]
+    if pairs:
+        out[pairs] = _closed_forms([draws[k] for k in pairs])
+    return out
 
-    trials = n(500)
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
-        r = _random_pdm(rng)
-        rep = si_measure(r, 1.0)
-        ok &= rep.value >= 0.0
-        if r.min_eigenvalue() >= -1e-10:
-            worst = max(worst, rep.value)
-            ok &= rep.value == 0.0
-    results.append(CheckResult("pdm", "T_p positivity and zero iff PSD", ok, trials, f"max on PSD {worst:.2e}"))
 
-    trials = n(1000)
-    worst = -np.inf
-    for _ in range(trials):
-        r1, r2 = _random_pdm(rng), _random_pdm(rng)
-        w = rng.random()
-        mixed = Pdm(w * r1.mat + (1 - w) * r2.mat, r1.dims)
-        gap = si_measure(mixed, 1.0).value - (
-            w * si_measure(r1, 1.0).value + (1 - w) * si_measure(r2, 1.0).value
-        )
-        worst = max(worst, gap)
-    results.append(CheckResult("pdm", "T_1 convexity under mixing", worst <= 1e-9, trials, f"max gap {worst:.2e}"))
+def _positivity(rng, trials):
+    lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
+    t1 = _t_p(lam, 1.0)[0]
+    on_psd = t1[lam[:, 0] >= -1e-10]
+    ok = np.all(t1 >= 0.0) and np.all(on_psd == 0.0)
+    return ok, f"max on PSD {np.max(on_psd, initial=0.0):.2e}"
 
-    trials = n(1000)
-    worst = 0.0
-    for _ in range(trials):
-        r = _random_pdm(rng)
-        u = prandom.haar_unitary(4, rng)
-        rotated = Pdm(u @ r.mat @ u.conj().T, r.dims)
-        p = rng.choice([1.0, 2.0])
-        worst = max(worst, abs(si_measure(rotated, p).value - si_measure(r, p).value))
-    results.append(CheckResult("pdm", "T_p unitary invariance", worst <= 1e-9, trials, f"max drift {worst:.2e}"))
 
-    trials = n(1000)
-    worst = -np.inf
-    for _ in range(trials):
-        r = _random_pdm(rng)
-        cptp = prandom.channel(4, 4, env_dim=2, rng=rng)
-        worst = max(worst, si_measure(Pdm(cptp(r.mat), r.dims), 1.0).value - si_measure(r, 1.0).value)
-    results.append(CheckResult("pdm", "T_1 monotone under CPTP maps", worst <= 1e-9, trials, f"max gain {worst:.2e}"))
+def _convexity(rng, trials):
+    first, second, w = zip(*[(_pdm_draw(rng), _pdm_draw(rng), rng.random()) for _ in range(trials)])
+    r1, r2, w = _pdms(first), _pdms(second), np.array(w)
+    mixed = w[:, None, None] * r1 + (1 - w)[:, None, None] * r2
+    t_mixed, t1, t2 = _si_values(np.stack([mixed, r1, r2]))
+    worst = float(np.max(t_mixed - (w * t1 + (1 - w) * t2)))
+    return worst <= 1e-9, f"max gap {worst:.2e}"
 
-    trials = n(1000)
-    worst = 0.0
-    for _ in range(trials):
-        r = _random_pdm(rng)
-        closed = si_measure(r, 1.0, method="closed").value
-        numeric = si_measure(r, 1.0, method="numeric").value
-        worst = max(worst, abs(closed - numeric))
-    results.append(CheckResult(
-        "pdm", "T_1 closed form vs simplex optimizer", worst <= 1e-7, trials, f"max gap {worst:.2e}"
-    ))
 
-    trials = n(200)
-    worst = 0.0
-    for _ in range(trials):
-        r = _random_pdm(rng)
-        back = pdm_from_correlators(exact_correlators(r))
-        worst = max(worst, float(np.max(np.abs(back.mat - r.mat))))
-    results.append(CheckResult("pdm", "tomographic round trip", worst <= 1e-10, trials, f"max error {worst:.2e}"))
+def _unitary_invariance(rng, trials):
+    draws, us, ps = zip(*[(_pdm_draw(rng), prandom.haar_unitary(4, rng), rng.choice([1.0, 2.0]))
+                          for _ in range(trials)])
+    r, u = _pdms(draws), np.array(us)
+    lam = _spectra(np.stack([r, u @ r @ u.conj().swapaxes(-1, -2)]))
+    drift = [np.abs(t_rotated - t) for t, t_rotated in (_t_p(lam, 1.0)[0], _t_p(lam, 2.0)[0])]
+    worst = float(np.max(np.where(np.array(ps) == 1.0, *drift)))
+    return worst <= 1e-9, f"max drift {worst:.2e}"
 
-    trials = n(10_000)
-    worst = -np.inf
-    seen_saturation = False
+
+def _cptp_monotone(rng, trials):
+    draws, maps = zip(*[(_pdm_draw(rng), prandom.channel(4, 4, env_dim=2, rng=rng)) for _ in range(trials)])
+    r, k = _pdms(draws), _kraus_stack(maps)
+    t_mapped, t = _si_values(np.stack([_apply(k, r), r]))
+    worst = float(np.max(t_mapped - t))
+    return worst <= 1e-9, f"max gain {worst:.2e}"
+
+
+def _closed_vs_lp(rng, trials):
+    lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
+    # The LP is the independent route, so it solves each spectrum on its own.
+    numeric = [max(pdm._t1_simplex_lp(row)[0], 0.0) if row[0] < -pdm.NEGATIVITY_ATOL else 0.0 for row in lam]
+    worst = float(np.max(np.abs(_t_p(lam, 1.0)[0] - numeric)))
+    return worst <= 1e-7, f"max gap {worst:.2e}"
+
+
+def _round_trip(rng, trials):
+    r = _pdms([_pdm_draw(rng) for _ in range(trials)])
+    b = ObservableBasis.default_for_dim(2)
+    back = pdm._expand(pdm._factored_gram_solve(pdm._overlaps(r, b, b).real, b, b), b, b)
+    back = (back + back.conj().swapaxes(-1, -2)) / 2.0
+    worst = float(np.max(np.abs(back - r)))
+    return worst <= 1e-10, f"max error {worst:.2e}"
+
+
+def _qubit_bound(rng, trials):
+    pairs = []
     for t in range(trials):
         if t % 10 == 0:
             rho = projector(prandom.pure_state(2, rng))
-            ch = unitary_channel(prandom.haar_unitary(2, rng))
+            pairs.append((rho, unitary_channel(prandom.haar_unitary(2, rng))))
         else:
-            rho = prandom.density_matrix(2, rng)
-            ch = prandom.channel(2, 2, env_dim=4, rng=rng)
-        t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-        worst = max(worst, t1)
-        seen_saturation |= t1 > 0.999
-    ok = worst <= 1.0 + 1e-9 and seen_saturation
-    results.append(CheckResult(
-        "pdm", "qubit SI bound T_1 <= 1 with saturation", ok, trials,
-        f"max T_1 {worst:.12f}, saturated: {seen_saturation}"
-    ))
+            pairs.append((prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=4, rng=rng)))
+    t1 = _si_values(_closed_forms(pairs))
+    worst, saturated = float(np.max(t1)), bool(np.any(t1 > 0.999))
+    return worst <= 1.0 + 1e-9 and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
 
-    trials = n(10_000)
-    witness_floor = np.inf
-    witnesses = [synthesize_witness(pdm_closed_form(projector(ket(0)), identity_channel(2)))]
+
+def _witness_soundness(rng, trials):
+    witnesses = [pdm.synthesize_witness(pdm.pdm_closed_form(projector(ket(0)), identity_channel(2)))]
     while len(witnesses) < 10:
-        r = _random_pdm(rng)
+        r = pdm.Pdm(_pdms([_pdm_draw(rng)])[0], (2, 2))
         if r.min_eigenvalue() < -1e-6:
-            witnesses.append(synthesize_witness(r, policy=str(
-                rng.choice(["negative_eigenspace", "most_negative"])
-            )))
-    for k in range(trials):
-        rho = prandom.density_matrix(4, rng)
-        w = witnesses[k % len(witnesses)]
-        witness_floor = min(witness_floor, float(np.trace(w.mat @ rho).real))
-    results.append(CheckResult(
-        "pdm", "witness soundness on random density matrices", witness_floor >= -1e-10,
-        trials, f"{len(witnesses)} witnesses, min expectation {witness_floor:.2e}"
-    ))
-
-    extremal = pdm_closed_form(projector(ket(0)), identity_channel(2))
-    value = si_measure(extremal, 2.0).value
-    ok = abs(value - np.sqrt(0.375)) <= 1e-7
-    results.append(CheckResult("pdm", "T_2 of the extremal PDM equals sqrt(0.375)", ok, 1, f"value {value:.9f}"))
-    return results
+            policy = str(rng.choice(["negative_eigenspace", "most_negative"]))
+            witnesses.append(pdm.synthesize_witness(r, policy=policy))
+    rhos = np.array([prandom.density_matrix(4, rng) for _ in range(trials)])
+    w = np.array([x.mat for x in witnesses])[np.arange(trials) % len(witnesses)]
+    floor = float(np.min(np.einsum("nij,nji->n", w, rhos).real))
+    return floor >= -1e-10, f"{len(witnesses)} witnesses, min expectation {floor:.2e}"
 
 
-def verify_coherence(seed: int = 20240802, scale: float = 1.0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    n = lambda k: max(1, int(k * scale))
+def _extremal_t2(rng, trials):
+    value = pdm.si_measure(pdm.pdm_closed_form(projector(ket(0)), identity_channel(2)), 2.0).value
+    return abs(value - np.sqrt(0.375)) <= 1e-7, f"value {value:.9f}"
 
-    trials = n(1000)
-    disagreements = 0
+
+def _block_vs_spectrum(rng, trials):
+    pairs = []
     for t in range(trials):
         d = int(rng.choice([2, 3, 4]))
         probs = rng.dirichlet(np.ones(d))
         if t % 4 == 0:
             probs = np.zeros(d)
             probs[rng.integers(d)] = 1.0
-        ch = prandom.channel(d, d, env_dim=3, rng=rng)
-        block_ok = block_positivity_test(probs, ch).compatible
-        full_ok = pdm_closed_form(np.diag(probs.astype(complex)), ch).min_eigenvalue() >= -1e-9
-        disagreements += block_ok != full_ok
-    results.append(CheckResult(
-        "coherence", "Schur-block test agrees with full spectrum", disagreements == 0,
-        trials, f"{disagreements} disagreements"
-    ))
+        pairs.append((probs, prandom.channel(d, d, env_dim=3, rng=rng)))
 
-    trials = n(1000)
-    ok = True
+    def disagree(at):
+        probs, chs = np.array([pairs[k][0] for k in at]), [pairs[k][1] for k in at]
+        support, schur = coherence._block_failures(probs, _kraus_stack(chs))
+        lowest = _spectra(_closed_forms([(np.diag(p.astype(complex)), ch) for p, ch in zip(probs, chs)]))[:, 0]
+        return ~(support | schur).any(axis=(-2, -1)) != (lowest >= -1e-9)
+
+    disagreements = int(np.sum(_by_dim([len(probs) for probs, _ in pairs], disagree)))
+    return disagreements == 0, f"{disagreements} disagreements"
+
+
+def _hierarchy(rng, trials):
+    chs = []
     for t in range(trials):
         d = int(rng.choice([2, 3]))
         if t % 3 == 0:
-            ch = prandom.oi_channel(d, rng)
+            chs.append(prandom.oi_channel(d, rng))
         elif t % 3 == 1:
-            ch = build_ce_oi_channel(prandom.stochastic_matrix(d, rng))
+            chs.append(coherence.build_ce_oi_channel(prandom.stochastic_matrix(d, rng)))
         else:
-            ch = prandom.channel(d, d, env_dim=3, rng=rng)
-        rep = classify_channel(ch)
-        ok &= (not rep.is_oi) or rep.is_di
-        ok &= (not rep.is_ce) or rep.is_ci
-    results.append(CheckResult("coherence", "hierarchy implications OI=>DI, CE=>CI", ok, trials))
+            chs.append(prandom.channel(d, d, env_dim=3, rng=rng))
 
-    trials = n(100)
-    worst = 0.0
+    def implications_hold(at):
+        group = [chs[k] for k in at]
+        r = coherence._class_residuals(_superoperator(_kraus_stack(group)),
+                                       dephasing_superoperator(group[0].in_dim))
+        oi, ce, ci, di = (r[c] <= coherence.CLASS_ATOL for c in ("oi", "ce", "ci", "di"))
+        return (~oi | di) & (~ce | ci)
+
+    return bool(np.all(_by_dim([ch.in_dim for ch in chs], implications_hold))), ""
+
+
+def _oi_compatible(rng, trials):
+    pairs = []
     for _ in range(trials):
         d = int(rng.choice([2, 3]))
         ch = prandom.oi_channel(d, rng)
-        rho = prandom.incoherent_state(d, rng)
-        worst = max(worst, si_measure(pdm_closed_form(rho, ch), 1.0).value)
-    results.append(CheckResult(
-        "coherence", "OI channels stay compatible on incoherent states", worst <= 1e-9,
-        trials, f"max negativity {worst:.2e}"
-    ))
+        pairs.append((prandom.incoherent_state(d, rng), ch))
+    worst = float(np.max(_pair_quantity(pairs, _si_values)))
+    return worst <= 1e-9, f"max negativity {worst:.2e}"
 
-    trials = n(1000)
-    floor = np.inf
+
+def _coherent_input(rng, trials):
+    pairs = []
     for _ in range(trials):
         d = int(rng.choice([2, 3]))
         a = prandom.stochastic_matrix(d, rng)
@@ -219,85 +223,90 @@ def verify_coherence(seed: int = 20240802, scale: float = 1.0) -> list[CheckResu
         k, i, j = np.unravel_index(np.argmax(diffs), diffs.shape)
         if diffs[k, i, j] <= 1e-9 or i == j:
             continue
-        adv = adversarial_coherent_state(a, int(i), int(j), int(k), float(rng.uniform(0.05, 0.95)))
-        value = si_measure(pdm_closed_form(adv.state, build_ce_oi_channel(a)), 1.0).value
-        floor = min(floor, value)
-    results.append(CheckResult(
-        "coherence", "coherent input exposes SI of CE+OI channels", floor > 1e-9,
-        trials, f"min negativity {floor:.2e}"
-    ))
-    return results
+        adv = coherence.adversarial_coherent_state(a, int(i), int(j), int(k), float(rng.uniform(0.05, 0.95)))
+        pairs.append((adv.state, coherence.build_ce_oi_channel(a)))
+    floor = float(np.min(_pair_quantity(pairs, _si_values), initial=np.inf))
+    return floor > 1e-9, f"min negativity {floor:.2e}"
 
 
-def verify_lg(seed: int = 20240803, scale: float = 1.0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    n = lambda k: max(1, int(k * scale))
-
-    trials = n(1000)
-    worst = 0.0
+def _lg_spectrum(rng, trials):
+    triples = []
     for _ in range(trials):
         d = int(rng.choice([2, 2, 3]))
-        qs = [prandom.dichotomic_observable(d, rng) for _ in range(3)]
-        bound = spatial_lg_bound(*qs)
-        worst = max(worst, abs(bound.max_k - 1.0), abs(bound.min_k + 3.0))
-    results.append(CheckResult(
-        "lg", "LG operator spectrum pinned to (-3, 1)", worst <= 1e-9, trials, f"max drift {worst:.2e}"
-    ))
+        triples.append(np.array([prandom.dichotomic_observable(d, rng) for _ in range(3)]))
 
-    trials = n(1000)
-    ok = True
-    for _ in range(trials):
-        qs = [prandom.dichotomic_observable(2, rng) for _ in range(3)]
-        rho = prandom.density_matrix(8, rng)
-        k = float(np.trace(rho @ lg_operator(*qs)).real)
-        ok &= -3.0 - 1e-9 <= k <= 1.0 + 1e-9
-    results.append(CheckResult("lg", "tripartite states keep K in [-3, 1]", ok, trials))
+    def drift(at):
+        w = np.linalg.eigvalsh(lg_operator(*np.array([triples[k] for k in at]).swapaxes(0, 1)))
+        return np.maximum(np.abs(w[:, -1] - 1.0), np.abs(w[:, 0] + 3.0))
 
-    trials = n(200)
-    worst = -np.inf
-    z = PAULI_1Q["Z"]
-    for _ in range(trials):
-        ch = prandom.oi_channel(2, rng)
-        rho = prandom.incoherent_state(2, rng)
-        worst = max(worst, lg_evaluate(LgScenario(rho, ch, ch, z)).k)
-    results.append(CheckResult(
-        "lg", "OI legs with incoherent states respect K <= 1", worst <= 1.0 + 1e-9,
-        trials, f"max K {worst:.9f}"
-    ))
+    worst = float(np.max(_by_dim([len(q[0]) for q in triples], drift)))
+    return worst <= 1e-9, f"max drift {worst:.2e}"
 
-    trials = n(20)
-    ok = True
-    worst_sigma = 0.0
+
+def _tripartite_range(rng, trials):
+    qs, rhos = zip(*[(np.array([prandom.dichotomic_observable(2, rng) for _ in range(3)]),
+                      prandom.density_matrix(8, rng)) for _ in range(trials)])
+    k = np.einsum("nij,nji->n", np.array(rhos), lg_operator(*np.array(qs).swapaxes(0, 1))).real
+    return np.all((-3.0 - 1e-9 <= k) & (k <= 1.0 + 1e-9)), ""
+
+
+def _oi_legs(rng, trials):
+    chs, rhos = zip(*[(prandom.oi_channel(2, rng), prandom.incoherent_state(2, rng)) for _ in range(trials)])
+    k = _kraus_stack(chs)
+    c = _lg_correlators(np.array(rhos), k, k, PAULI_1Q["Z"])
+    worst = float(np.max(c[:, 0] + c[:, 1] - c[:, 2]))
+    return worst <= 1.0 + 1e-9, f"max K {worst:.9f}"
+
+
+def _sampled_correlators(rng, trials):
+    obs = [PAULI_1Q[c] for c in "XYZ"]
+    a = np.array([obs[t % 3] for t in range(trials)])
+    b = np.array([obs[(t + 1) % 3] for t in range(trials)])
+    pairs, samples = [], []
     for t in range(trials):
         rho = prandom.density_matrix(2, rng)
         ch = prandom.channel(2, 2, env_dim=3, rng=rng)
-        obs = [PAULI_1Q[c] for c in "XYZ"]
-        a = obs[t % 3]
-        b = obs[(t + 1) % 3]
-        exact = float(np.trace(pdm_closed_form(rho, ch).mat @ kron(a, b)).real)
-        sample = sample_two_time(rho, ch, a, b, 100_000, int(rng.integers(2**32)))
-        sigma = max(sample.stderr, 1e-12)
-        pull = abs(sample.mean - exact) / sigma
-        worst_sigma = max(worst_sigma, pull)
-        ok &= pull <= 5.0
-    results.append(CheckResult(
-        "lg", "sampled correlators match exact within 5 sigma", ok, trials, f"max pull {worst_sigma:.2f}"
-    ))
-    return results
+        pairs.append((rho, ch))
+        # Each seeded sample is itself a draw.
+        samples.append(sample_two_time(rho, ch, a[t], b[t], 100_000, int(rng.integers(2**32))))
+    exact = np.einsum("nij,nji->n", _closed_forms(pairs), kron(a, b)).real
+    sigma = np.maximum([s.stderr for s in samples], 1e-12)
+    pull = np.abs(np.array([s.mean for s in samples]) - exact) / sigma
+    return np.all(pull <= 5.0), f"max pull {float(np.max(pull)):.2f}"
 
 
-SUITES = {"pdm": verify_pdm, "coherence": verify_coherence, "lg": verify_lg}
+# (suite, name, trials at scale 1 or None for one fixed evaluation, check(rng, trials) -> (ok, detail))
+CHECKS = [
+    ("pdm", "T_p positivity and zero iff PSD", 500, _positivity),
+    ("pdm", "T_1 convexity under mixing", 1000, _convexity),
+    ("pdm", "T_p unitary invariance", 1000, _unitary_invariance),
+    ("pdm", "T_1 monotone under CPTP maps", 1000, _cptp_monotone),
+    ("pdm", "T_1 closed form vs simplex optimizer", 1000, _closed_vs_lp),
+    ("pdm", "tomographic round trip", 200, _round_trip),
+    ("pdm", "qubit SI bound T_1 <= 1 with saturation", 10_000, _qubit_bound),
+    ("pdm", "witness soundness on random density matrices", 10_000, _witness_soundness),
+    ("pdm", "T_2 of the extremal PDM equals sqrt(0.375)", None, _extremal_t2),
+    ("coherence", "Schur-block test agrees with full spectrum", 1000, _block_vs_spectrum),
+    ("coherence", "hierarchy implications OI=>DI, CE=>CI", 1000, _hierarchy),
+    ("coherence", "OI channels stay compatible on incoherent states", 100, _oi_compatible),
+    ("coherence", "coherent input exposes SI of CE+OI channels", 1000, _coherent_input),
+    ("lg", "LG operator spectrum pinned to (-3, 1)", 1000, _lg_spectrum),
+    ("lg", "tripartite states keep K in [-3, 1]", 1000, _tripartite_range),
+    ("lg", "OI legs with incoherent states respect K <= 1", 200, _oi_legs),
+    ("lg", "sampled correlators match exact within 5 sigma", 20, _sampled_correlators),
+]
 
 
 def run_suites(which: str = "all", seed: int | None = None, scale: float = 1.0) -> list[CheckResult]:
-    names = list(SUITES) if which == "all" else [which]
+    if which != "all" and which not in SUITES:
+        raise ValueError(f"unknown suite {which!r}; choose from all, {', '.join(SUITES)}")
     results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
-        kwargs = {"scale": scale}
-        if seed is not None:
-            kwargs["seed"] = seed
-        results.extend(SUITES[name](**kwargs))
+    for suite, default_seed in SUITES.items():
+        if which not in ("all", suite):
+            continue
+        rng = np.random.default_rng(default_seed if seed is None else seed)
+        for _, name, trials, check in (row for row in CHECKS if row[0] == suite):
+            trials = 1 if trials is None else max(1, int(trials * scale))
+            passed, detail = check(rng, trials)
+            results.append(CheckResult(suite, name, bool(passed), trials, detail))
     return results

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmsi.random as prandom
+from oracles import channels_equal, dephase
 from pdmsi.channels import (
     KrausChannel,
     amplitude_damping_channel,
-    channels_equal,
-    dephase,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,

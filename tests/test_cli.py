@@ -180,6 +180,14 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
                  id="classify-dim-disagrees"),
     pytest.param({**PDM, "version": True}, "version", [], id="version-bool"),
     pytest.param({**PDM, "version": 1.0}, "version", [], id="version-float"),
+    pytest.param({**CLASSIFY, "channel": "identity(20000)", "dim": None}, "channel", [],
+                 id="literal-dim-too-large"),
+    pytest.param({**PDM, "channel": "dephase(33)"}, "channel", [], id="dephase-dim-too-large"),
+    pytest.param({**CLASSIFY, "dim": 10**9}, "dim", [], id="classify-dim-too-large"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 10**9}}, "grid", [],
+                 id="grid-num-too-large"),
+    pytest.param({**PDM, "state": np.eye(33).tolist()}, "state", [], id="state-dim-too-large"),
+    pytest.param({**PDM, "channel": {"kraus": [[[1.0] * 33]]}}, "channel", [], id="kraus-cols-too-large"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json/sub"], id="out-below-a-file"),
 ])
@@ -189,6 +197,11 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, ex
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_classify_dim_option_is_capped(capsys):
+    assert main(["classify", "identity", "--dim", "100000"]) == 2
+    assert "field 'dim'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, payload", [

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import pdmsi.random as prandom
+from oracles import channels_equal
 from pdmsi.channels import (
     KrausChannel,
+    _kraus_stack,
     amplitude_damping_channel,
-    channels_equal,
     dephasing_channel,
     identity_channel,
 )
 from pdmsi.coherence import (
+    _block_failures,
     adversarial_coherent_state,
     block_positivity_test,
     build_ce_oi_channel,
@@ -140,6 +142,25 @@ class TestBlockPositivity:
             block_ok = block_positivity_test(probs, ch).compatible
             full = pdm_closed_form(np.diag(probs.astype(complex)), ch)
             assert block_ok == (full.min_eigenvalue() >= -1e-9)
+
+    def test_stacked_failures_match_each_call(self):
+        rng = np.random.default_rng(13)
+        probs, chs = [], []
+        for t in range(40):
+            p = rng.dirichlet(np.ones(3))
+            if t % 3 == 0:
+                p = np.eye(3)[rng.integers(3)]
+            probs.append(p)
+            chs.append(prandom.channel(3, 3, env_dim=1 + t % 4, rng=rng))
+        support, schur = _block_failures(np.array(probs), _kraus_stack(chs))
+        for k, (p, ch) in enumerate(zip(probs, chs)):
+            res = block_positivity_test(p, ch)
+            failing = np.argwhere(support[k] | schur[k])
+            assert res.compatible == (len(failing) == 0)
+            if not res.compatible:
+                i, j = failing[0]
+                assert res.failing_pair == (i, j)
+                assert res.failure_kind == ("support" if support[k, i, j] else "schur")
 
 
 class TestAdversarialState:

@@ -38,7 +38,8 @@ CASES = {
        for name in _RUN_CONFIGS},
     "cmd_classify": ["classify", "amplitude_damping(0.3)"],
     "cmd_lg": ["lg", "--config", "{configs}/lg.json", "--out", "{out}"],
-    "cmd_verify_lg": ["verify", "lg", "--seed", "3", "--trials-scale", "0.02"],
+    **{f"cmd_verify_{suite}": ["verify", suite, "--seed", "3", "--trials-scale", "0.02"]
+       for suite in ("lg", "pdm", "coherence")},
 }
 
 

@@ -18,6 +18,7 @@ from pdmsi.leggett_garg import (
     spatial_lg_bound,
 )
 from pdmsi.observables import PAULI_1Q
+from pdmsi.pdm import pdm_closed_form, si_measure
 from pdmsi.states import ket, maximally_mixed, projector
 
 Z = PAULI_1Q["Z"]
@@ -214,6 +215,22 @@ class TestLgVsSi:
             rho = prandom.incoherent_state(2, rng)
             res = lg_evaluate(LgScenario(rho, ch, ch, Z))
             assert res.k <= 1.0 + 1e-9
+
+    def test_batch_matches_per_state_calls(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            ch = prandom.channel(2, 2, env_dim=int(rng.integers(1, 4)), rng=rng)
+            states = [prandom.density_matrix(2, rng) for _ in range(4)]
+            qs = [prandom.dichotomic_observable(2, rng) for _ in range(2)]
+            res = lg_vs_si(ch, states, qs)
+            ks = [lg_evaluate(LgScenario(rho, ch, ch, q)).k for rho in states for q in qs]
+            values = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho in states]
+            assert abs(res.max_k - max(ks)) <= 1e-12
+            assert abs(res.best_negativity - max(values)) <= 1e-12
+
+    def test_empty_states_rejected(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            lg_vs_si(identity_channel(2), [])
 
     def test_qutrit_needs_explicit_observables(self):
         states = [projector(ket(0, 3)), maximally_mixed(3)]

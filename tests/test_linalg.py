@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import anticommutator, partial_trace, schatten_norm, trace_norm
+from pdmsi.channels import identity_channel
 from pdmsi.exceptions import DimensionMismatch, NonHermitian
 from pdmsi.linalg import (
-    anticommutator,
     eig_hermitian,
     kron,
-    partial_trace,
     project_simplex,
     pseudo_inverse,
-    schatten_norm,
     superop_exp,
-    trace_norm,
 )
+from pdmsi.pdm import pdm_closed_form
+from pdmsi.random import haar_unitary
+from pdmsi.states import ket, projector
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,8 +52,8 @@ class TestEigHermitian:
             m = rand_hermitian(d, rng)
             eig = eig_hermitian(m)
             assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
-            assert np.linalg.norm(eig.reconstruct() - m) < 1e-10
             v = eig.eigenvectors
+            assert np.linalg.norm((v * eig.eigenvalues) @ v.conj().T - m) < 1e-10
             assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < 1e-10
 
     def test_deterministic_output(self):
@@ -72,6 +75,69 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def eig_hermitian_reference(m):
+    """The one-matrix eig_hermitian with a per-column phase loop and greedy tie groups."""
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+
+    def fix_phase(column, tol=1e-12):
+        for entry in column:
+            if abs(entry) > tol:
+                return column * (entry.conjugate() / abs(entry))
+        return column
+
+    v = np.column_stack([fix_phase(v[:, k]) for k in range(v.shape[1])])
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    tie = 1e-12 * scale
+    order = np.arange(len(w))
+    start = 0
+    while start < len(w):
+        stop = start + 1
+        while stop < len(w) and abs(w[stop] - w[start]) <= tie:
+            stop += 1
+        if stop - start > 1:
+            group = sorted(
+                range(start, stop),
+                key=lambda k: tuple((float(x.real), float(x.imag)) for x in v[:, k]),
+            )
+            order[start:stop] = group
+        start = stop
+    return w[order], v[:, order]
+
+
+# Levels 0.5 apart: repeats are exact degeneracies, distinct levels are never near-ties.
+LEVELS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.sampled_from([2, 3, 4, 6]),
+    spectra=st.lists(st.lists(st.sampled_from(LEVELS), min_size=6, max_size=6), min_size=1, max_size=4),
+    rotate=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_eig_hermitian_on_degenerate_spectra(d, spectra, rotate, seed):
+    """Bit-identical to the one-matrix reference, and a stack equals its items."""
+    rng = np.random.default_rng(seed)
+    mats = [np.eye(d, dtype=complex)]
+    for lam, turn in zip(spectra, rotate):
+        u = haar_unitary(d, rng) if turn else np.eye(d)
+        mats.append((u * np.asarray(lam[:d])) @ u.conj().T)
+    extremal = pdm_closed_form(projector(ket(0, d)), identity_channel(d)).mat
+    u = haar_unitary(d * d, rng)
+    for stack in (np.array(mats), np.array([extremal, u @ extremal @ u.conj().T])):
+        batch = eig_hermitian(stack)
+        for m, w, v in zip(stack, batch.eigenvalues, batch.eigenvectors):
+            item = eig_hermitian(m)
+            w_ref, v_ref = eig_hermitian_reference(m)
+            assert np.array_equal(item.eigenvalues, w_ref)
+            assert np.array_equal(item.eigenvectors, v_ref)
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(v, v_ref)
+        rows = batch.eigenvalues * 3.0 - 0.5
+        assert np.array_equal(project_simplex(rows), np.array([project_simplex(r) for r in rows]))
 
 
 class TestKronAnticommutator:

@@ -8,20 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmsi.random as prandom
-from pdmsi.channels import dephasing_channel, identity_channel, unitary_channel
+from pdmsi.channels import _kraus_stack, dephasing_channel, identity_channel, unitary_channel
 from pdmsi.exceptions import (
     DimensionMismatch,
     IncompleteTable,
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from pdmsi.linalg import kron, partial_trace, schatten_norm
+from oracles import partial_trace, schatten_norm
+from pdmsi.linalg import kron
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
     CorrelatorTable,
     Pdm,
+    _closed_form,
+    _expand,
+    _factored_gram_solve,
+    _overlaps,
     _pair_coefficients,
+    _si_values,
     check_bound,
     evaluate_witness,
     exact_correlators,
@@ -396,6 +402,45 @@ class TestBound:
             u = prandom.haar_unitary(2, rng)
             value = si_measure(pdm_closed_form(rho, unitary_channel(u)), 1.0).value
             assert abs(value - base) < 1e-9
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_reference_is_closed_form(self, d):
+        rho, ch = projector(ket(0, d)), identity_channel(d)
+        assert check_bound(rho, ch).reference == d - 1
+        assert abs(si_measure(pdm_closed_form(rho, ch), 1.0).value - (d - 1)) < 1e-12
+
+
+class TestStackedKernels:
+    """The stacked kernels against the one-item public calls, which stay the oracle."""
+
+    def test_t1_stack_matches_si_measure_per_pair(self):
+        rng = np.random.default_rng(59)
+        states, chs = zip(*[
+            (prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=1 + k % 4, rng=rng))
+            for k in range(10_000)
+        ])
+        stacked = _si_values(_closed_form(np.array(states), _kraus_stack(chs)))
+        per_pair = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho, ch in zip(states, chs)]
+        assert np.max(np.abs(stacked - per_pair)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_t_p_stack_matches_items(self, p):
+        rng = np.random.default_rng(61)
+        mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(50)])
+        stacked = _si_values(mats, p)
+        assert np.max(np.abs(stacked - [si_measure(m, p).value for m in mats])) <= 1e-12
+
+    def test_basis_kernels_on_stacks(self):
+        rng = np.random.default_rng(67)
+        b1, b2 = ObservableBasis.from_descriptor("pauli:1"), ObservableBasis.from_descriptor("light_touch:3")
+        mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(20)]).reshape(4, 5, 6, 6)
+        overlaps = _overlaps(mats, b1, b2)
+        assert overlaps.shape == (4, 5, len(b1), len(b2))
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(overlaps[idx], _overlaps(mats[idx], b1, b2))
+        coeffs = _factored_gram_solve(overlaps.real, b1, b2)
+        assert np.max(np.abs(_expand(coeffs, b1, b2) - mats)) <= 1e-10
 
 
 class TestTpProperties:
