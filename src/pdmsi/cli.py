@@ -2,8 +2,9 @@
 
 Every subcommand turns its arguments into a config, and every config takes
 one path: ``validate_config``, then the kind's handler, which reads and checks
-all of its fields before it computes anything, then the atomic writes, then
-the printed lines.
+all of its fields before it computes anything (a sweep builds and checks each
+chunk's channels just before that chunk), then the atomic writes, then the
+printed lines.
 
 Exit codes: 0 success, 2 config/validation error (with a field diagnostic),
 1 numerical or verification failure.
@@ -24,6 +25,7 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
+    _kraus_stack,
     amplitude_damping_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -32,11 +34,15 @@ from .channels import (
 )
 from .coherence import classify_channel
 from .exceptions import PdmsiError
-from .leggett_garg import LgScenario, check_dichotomic, lg_evaluate, lg_vs_si
+from .leggett_garg import check_dichotomic, lg_vs_si
+from .linalg import eig_hermitian
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
+    _bound_check,
+    _check_unit_trace,
+    _closed_form,
     _matrix_to_pairs,
-    check_bound,
+    _t_p,
     evaluate_witness,
     exact_correlators,
     pdm_closed_form,
@@ -261,16 +267,17 @@ def run_pdm(cfg: dict):
     p = _number(cfg.get("p", 1.0), "p", 1)
     r = pdm_closed_form(state, ch)
     report = si_measure(r, p)
+    lam = report.eigenvalues
     out = {
         "kind": "pdm",
         "dims": list(r.dims),
         "matrix": _matrix_to_pairs(r.mat),
-        "eigenvalues": [float(x) for x in r.eigenvalues()],
+        "eigenvalues": lam.tolist(),
         "si": report.to_dict(),
     }
     if ch.in_dim == ch.out_dim:
-        out["bound"] = check_bound(state, ch).to_dict()
-    lines = [f"T_{p:g} = {report.value:.12g}  (min eigenvalue {r.min_eigenvalue():.12g})"]
+        out["bound"] = _bound_check(float(_t_p(lam, 1.0)[0]), ch.in_dim).to_dict()
+    lines = [f"T_{p:g} = {report.value:.12g}  (min eigenvalue {lam[0]:.12g})"]
     return {"pdm.json": dump_json(out)}, lines, True
 
 
@@ -325,15 +332,14 @@ def run_lg(cfg: dict):
     ch = _channel(cfg["channel"], "channel", d, square=True)
     ch2 = _channel(cfg["channel2"], "channel2", d, square=True) if "channel2" in cfg else ch
     q = parse_observable(cfg.get("q", "Z"), d)
-    per_state = [lg_evaluate(LgScenario(rho, ch, ch2, q)) for rho in states]
     summary = lg_vs_si(ch, states, q_list=[q], ch23=ch2)
     out = {
         "kind": "lg",
-        "results": [res.to_dict() for res in per_state],
+        "results": [res.to_dict() for res in summary.results],
         "comparison": summary.to_dict(),
     }
     lines = []
-    for i, res in enumerate(per_state):
+    for i, res in enumerate(summary.results):
         lines.append(
             f"state {i}: C12={res.c12:+.6f}  C23={res.c23:+.6f}  C13={res.c13:+.6f}  K={res.k:+.6f}"
         )
@@ -369,6 +375,11 @@ def run_simulate(cfg: dict):
     return {"simulate.csv": table.to_csv(), "simulate.json": dump_json(meta)}, lines, True
 
 
+def _sweep_chunk(d: int) -> int:
+    """Grid points per stacked batch: d^4 PDM entries per point, so no batch exceeds one d = MAX_DIM point."""
+    return max(1, (MAX_DIM // d) ** 4)
+
+
 def run_sweep(cfg: dict):
     state = parse_state(cfg["state"])
     name = _choice(cfg["channel"], "channel", SWEEPS)
@@ -388,24 +399,26 @@ def run_sweep(cfg: dict):
         if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
             raise ScenarioError("values", "values must be a non-empty list of finite numbers")
     p = _number(cfg.get("p", 1.0), "p", 1)
-    try:
-        points = [(float(v), build(float(v), len(state))) for v in values]
-    except ValueError as exc:
-        raise ScenarioError(field, f"invalid {parameter}: {exc}") from exc
-    if points[0][1].in_dim != len(state):
-        raise ScenarioError("channel", f"{name} acts on dimension {points[0][1].in_dim}, "
-                                       f"the state has dimension {len(state)}")
-
-    lines_csv = ["parameter,value,si_value,min_eigenvalue,bound_ok"]
-    for v, ch in points:
-        r = pdm_closed_form(state, ch)
-        si = si_measure(r, p).value
-        ok = check_bound(state, ch).bound_ok
-        lines_csv.append(
-            f"{parameter},{format(v, '.17g')},{format(si, '.17g')},"
-            f"{format(r.min_eigenvalue(), '.17g')},{str(ok).lower()}"
-        )
-    return {"sweep.csv": "\n".join(lines_csv) + "\n"}, [f"swept {len(points)} points of {parameter}"], True
+    d = len(state)
+    values = [float(v) for v in values]
+    rows = ["parameter,value,si_value,min_eigenvalue,bound_ok"]
+    step = _sweep_chunk(d)
+    for start in range(0, len(values), step):
+        chunk = values[start:start + step]
+        try:
+            chs = [build(v, d) for v in chunk]
+        except ValueError as exc:
+            raise ScenarioError(field, f"invalid {parameter}: {exc}") from exc
+        if chs[0].in_dim != d:
+            raise ScenarioError("channel", f"{name} acts on dimension {chs[0].in_dim}, "
+                                           f"the state has dimension {d}")
+        # The checks Pdm makes on each matrix: unit trace here, Hermiticity in eig_hermitian.
+        mats = _check_unit_trace(_closed_form(state, _kraus_stack(chs)))
+        lam = eig_hermitian(mats, atol=1e-10).eigenvalues
+        ok = _bound_check(_t_p(lam, 1.0)[0], d).bound_ok
+        rows += [f"{parameter},{format(v, '.17g')},{format(t, '.17g')},{format(m, '.17g')},{str(b).lower()}"
+                 for v, t, m, b in zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(), ok)]
+    return {"sweep.csv": "\n".join(rows) + "\n"}, [f"swept {len(values)} points of {parameter}"], True
 
 
 def run_verify(cfg: dict):

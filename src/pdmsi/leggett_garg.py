@@ -134,6 +134,7 @@ class LgVsSi:
     si_detected: bool
     best_negativity: float
     witness: Witness | None
+    results: list[LgResult]  # exact correlators per (observable, state), observables outer; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +167,8 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     rhos = np.array([check_density_matrix(rho) for rho in states])
     k12, k23 = np.array(ch.kraus_ops), np.array(second.kraus_ops)
     c = np.array([_lg_correlators(rhos, k12, k23, row[0].q) for row in scenarios]).reshape(-1, 3)
-    max_k = float(np.max(c[:, 0] + c[:, 1] - c[:, 2], initial=-np.inf))
+    results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
+    max_k = max((res.k for res in results), default=-np.inf)
 
     pdms = _closed_form(rhos, k12)
     values = _si_values(pdms)
@@ -180,4 +182,5 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
         si_detected=bool(si_detected),
         best_negativity=best_negativity,
         witness=witness,
+        results=results,
     )

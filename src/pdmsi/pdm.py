@@ -26,6 +26,7 @@ from .observables import ObservableBasis
 from .states import check_density_matrix
 
 NEGATIVITY_ATOL = 1e-10
+BOUND_SLACK = 1e-9
 
 
 class Pdm:
@@ -36,23 +37,27 @@ class Pdm:
         d1, d2 = dims
         if mat.shape[0] != d1 * d2:
             raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > atol:
-            raise ValueError(f"PDM must have unit trace, got {tr!r}")
-        self.mat = mat
+        self.mat = _check_unit_trace(mat, atol)
         self.dims = (int(d1), int(d2))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
+        """Ascending spectrum, from the ``eig_hermitian`` path that T_p reads."""
+        return eig_hermitian(self.mat, atol=1e-9).eigenvalues
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
 
-    def is_density_matrix(self, atol: float = NEGATIVITY_ATOL) -> bool:
-        return self.min_eigenvalue() >= -atol
-
     def __repr__(self):
         return f"Pdm(dims={self.dims}, min_eig={self.min_eigenvalue():.4g})"
+
+
+def _check_unit_trace(mats, atol: float = 1e-10) -> np.ndarray:
+    """Return a PDM matrix or ``(..., n, n)`` stack, raising unless each has unit trace within ``atol``."""
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > atol
+    if bad.any():
+        raise ValueError(f"PDM must have unit trace, got {float(tr[bad][0])!r}")
+    return mats
 
 
 def _closed_form(rho, kraus) -> np.ndarray:
@@ -233,6 +238,7 @@ class SiReport:
     p: float
     value: float
     minimizer: np.ndarray
+    eigenvalues: np.ndarray  # the ascending spectrum of R that value is computed from; not in to_dict
     negative_eigenpairs: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -321,7 +327,7 @@ def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
         value, q = _t1_simplex_lp(lam)
     minimizer = (v * q) @ v.conj().T
     minimizer = (minimizer + minimizer.conj().T) / 2.0
-    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer,
+    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer, eigenvalues=lam,
                     negative_eigenpairs=negatives)
 
 
@@ -417,18 +423,23 @@ class BoundCheck:
         return {"t1": self.t1, "reference": self.reference, "bound_ok": self.bound_ok}
 
 
-def check_bound(rho, ch: KrausChannel, slack: float = 1e-9) -> BoundCheck:
-    """Check T_1(R(rho, ch)) against its value d - 1 on the extremal PDM.
+def _bound_check(t1, d: int, slack: float = BOUND_SLACK) -> BoundCheck:
+    """T_1 of d-dimensional channels against the SI bound d - 1, for a float ``t1`` or an array
+    (whose ``bound_ok`` is then a list).
 
-    The extremal PDM is that of a pure basis state through the identity
-    channel, R = (1/2){|0><0| (x) I, SWAP}.  It maps |00> to itself, swaps
-    |0i> and |i0> with weight 1/2 for each i != 0, and sends every |ij> with
-    i, j != 0 to zero.  Its spectrum is therefore {1, 1/2 x (d-1),
-    -1/2 x (d-1), 0 x (d-1)^2}, and T_1 = 2 sum|negative eigs| = d - 1
-    (1 for qubits, the paper's bound).
+    The reference is T_1 of the extremal PDM, that of a pure basis state
+    through the identity channel, R = (1/2){|0><0| (x) I, SWAP}.  It maps |00>
+    to itself, swaps |0i> and |i0> with weight 1/2 for each i != 0, and sends
+    every |ij> with i, j != 0 to zero.  Its spectrum is therefore
+    {1, 1/2 x (d-1), -1/2 x (d-1), 0 x (d-1)^2}, and T_1 = 2 sum|negative eigs|
+    = d - 1 (1 for qubits, the paper's bound).
     """
+    reference = float(d - 1)
+    return BoundCheck(t1=t1, reference=reference, bound_ok=(np.asarray(t1) <= reference + slack).tolist())
+
+
+def check_bound(rho, ch: KrausChannel, slack: float = BOUND_SLACK) -> BoundCheck:
+    """Check T_1(R(rho, ch)) against the bound of ``_bound_check``."""
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
-    t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-    ref = float(ch.in_dim - 1)
-    return BoundCheck(t1=t1, reference=ref, bound_ok=bool(t1 <= ref + slack))
+    return _bound_check(float(_si_values(pdm_closed_form(rho, ch).mat)), ch.in_dim, slack)

@@ -2,12 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmsi.cli
 import pdmsi.pdm
-from pdmsi.cli import main
+from pdmsi import random as prandom
+from pdmsi.channels import _kraus_stack
+from pdmsi.cli import MAX_DIM, SWEEPS, main, parse_state, run_sweep
+from pdmsi.pdm import check_bound, pdm_closed_form, si_measure
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 KET0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 PLUS = [[0.5, 0.5], [0.5, 0.5]]
@@ -352,3 +360,86 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _pairs(m) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _count_calls(monkeypatch, *targets) -> Counter:
+    """Count calls of each ``module.function`` through every pdmsi module that binds it."""
+    counts = Counter()
+    for target in targets:
+        module, name = target.split(".")
+        original = getattr(sys.modules[f"pdmsi.{module}"], name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("pdmsi.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("channel, d, values", [
+        ("amplitude_damping", 2, [0.0, 0.1, 0.5, 0.9, 1.0]),
+        *[("depolarizing", d, [0.0, 0.25, 0.7, 1.0]) for d in (2, 3, 4)],
+    ])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_rows_match_per_point_calls(self, channel, d, values, p):
+        parameter, build = SWEEPS[channel]
+        cfg = {"version": 1, "kind": "sweep", "channel": channel, "parameter": parameter, "values": values,
+               "p": p, "state": _pairs(prandom.density_matrix(d, np.random.default_rng(d)))}
+        state = parse_state(cfg["state"])
+        chs = [build(v, d) for v in values]
+        if channel == "depolarizing":  # p = 0 has 1 Kraus operator, p > 0 has 1 + d^2: one padded stack
+            assert _kraus_stack(chs).shape[1] == 1 + d * d and len(chs[0].kraus_ops) == 1
+        rows = [line.split(",") for line in run_sweep(cfg)[0]["sweep.csv"].splitlines()[1:]]
+        assert len(rows) == len(values)
+        for row, v, ch in zip(rows, values, chs):
+            r = pdm_closed_form(state, ch)
+            assert float(row[1]) == v
+            assert abs(float(row[2]) - si_measure(r, p).value) <= 1e-12
+            assert abs(float(row[3]) - r.min_eigenvalue()) <= 1e-12
+            assert row[4] == str(check_bound(state, ch).bound_ok).lower()
+
+    def test_chunks_write_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "version": 1, "kind": "sweep", "state": PLUS, "channel": "amplitude_damping",
+            "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 10}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(pdmsi.cli, "_sweep_chunk", lambda d: 3)
+        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "chunked")]) == 0
+        assert counts["eig_hermitian"] == 4
+        one, chunked = ((tmp_path / out / "sweep.csv").read_bytes() for out in ("one", "chunked"))
+        assert chunked == one
+
+    def test_chunk_holds_no_more_pdm_entries_than_one_max_dim_point(self):
+        for d in range(1, MAX_DIM + 1):
+            assert 1 <= pdmsi.cli._sweep_chunk(d) and pdmsi.cli._sweep_chunk(d) * d**4 <= MAX_DIM**4
+
+
+class TestEachQuantityComputedOnce:
+    def test_sweep_makes_one_spectral_call_per_chunk(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "sweep.json", {
+            "version": 1, "kind": "sweep", "state": PLUS, "channel": "amplitude_damping",
+            "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 200}})
+        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm.si_measure", "pdm.check_bound",
+                              "linalg.eig_hermitian")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert counts == Counter({"eig_hermitian": 1})
+
+    def test_pdm_builds_and_diagonalises_one_pdm(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "linalg.eig_hermitian")
+        assert main(["run", "--config", str(GOLDEN_CONFIGS / "pdm_p1.json"), "--out", str(tmp_path)]) == 0
+        assert counts == Counter({"pdm_closed_form": 1, "eig_hermitian": 1})
+
+    def test_lg_evaluates_correlators_once(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, "leggett_garg._lg_correlators")
+        assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0
+        assert counts["_lg_correlators"] == 1

@@ -223,9 +223,12 @@ class TestLgVsSi:
             states = [prandom.density_matrix(2, rng) for _ in range(4)]
             qs = [prandom.dichotomic_observable(2, rng) for _ in range(2)]
             res = lg_vs_si(ch, states, qs)
-            ks = [lg_evaluate(LgScenario(rho, ch, ch, q)).k for rho in states for q in qs]
+            per_pair = [lg_evaluate(LgScenario(rho, ch, ch, q)) for q in qs for rho in states]
             values = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho in states]
-            assert abs(res.max_k - max(ks)) <= 1e-12
+            assert len(res.results) == len(per_pair)
+            for got, want in zip(res.results, per_pair):
+                assert np.allclose(list(got.to_dict().values()), list(want.to_dict().values()), rtol=0, atol=1e-12)
+            assert abs(res.max_k - max(r.k for r in per_pair)) <= 1e-12
             assert abs(res.best_negativity - max(values)) <= 1e-12
 
     def test_empty_states_rejected(self):
