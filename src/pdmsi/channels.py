@@ -74,10 +74,18 @@ def _apply(kraus, m) -> np.ndarray:
 
 
 def _jamiolkowski(kraus) -> np.ndarray:
-    """Jamiolkowski matrices of a Kraus stack ``(..., K, out_dim, in_dim)``."""
+    """Jamiolkowski matrices of a Kraus stack ``(..., K, out_dim, in_dim)``.
+
+    ``M[i a, j b] = sum_k K_k[a, j] conj(K_k[b, i])``: one matrix product
+    ``vec(K)^T conj(vec(K))`` over the ``(a j)`` flattening of each operator,
+    then a transpose to ``(i, a, j, b)``.
+    """
     k = np.asarray(kraus, dtype=complex)
-    n, d = k.shape[-2:]
-    return np.einsum("...kaj,...kbi->...iajb", k, k.conj()).reshape(*k.shape[:-3], d * n, d * n)
+    lead, (n, d) = k.shape[:-3], k.shape[-2:]
+    v = k.reshape(*k.shape[:-2], n * d)
+    g = (v.swapaxes(-1, -2) @ v.conj()).reshape(*lead, n, d, n, d)  # axes (..., a, j, b, i)
+    x = len(lead)
+    return g.transpose(*range(x), x + 3, x, x + 1, x + 2).reshape(*lead, d * n, d * n)
 
 
 def _superoperator(kraus) -> np.ndarray:

@@ -43,11 +43,11 @@ from .pdm import (
     _closed_form,
     _matrix_to_pairs,
     _t_p,
+    _witness,
     evaluate_witness,
     exact_correlators,
     pdm_closed_form,
     si_measure,
-    synthesize_witness,
 )
 from .sampling import sample_table, table_metadata
 from .serialize import dump_json, write_atomic
@@ -286,13 +286,14 @@ def run_witness(cfg: dict):
     ch = _channel(cfg["channel"], "channel", len(state))
     policy = _choice(cfg.get("policy", "negative_eigenspace"), "policy", WITNESS_POLICIES)
     r = pdm_closed_form(state, ch)
-    w = synthesize_witness(r, policy=policy)
+    eig = eig_hermitian(r.mat, atol=1e-9)  # one decomposition for the witness and the negativity
+    w = _witness(r, eig, policy)
     table = exact_correlators(r, (w.basis1, w.basis2))
     expectation = evaluate_witness(w, table)
     out = {
         "kind": "witness",
         "expectation": expectation,
-        "negativity": si_measure(r, 1.0).value,
+        "negativity": float(_t_p(eig.eigenvalues, 1.0)[0]),
         "policy": policy,
         "witness": w.to_dict(),
     }
@@ -371,7 +372,7 @@ def run_simulate(cfg: dict):
     elapsed = time.perf_counter() - start
     meta = table_metadata(seed, shots, [basis1.descriptor, basis2.descriptor])
     meta["kind"] = "simulate"
-    lines = [f"sampled {len(table.entries)} pairs x {shots} shots in {elapsed:.2f} s"]
+    lines = [f"sampled {table.values.size} pairs x {shots} shots in {elapsed:.2f} s"]
     return {"simulate.csv": table.to_csv(), "simulate.json": dump_json(meta)}, lines, True
 
 

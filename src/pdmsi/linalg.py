@@ -30,8 +30,10 @@ def hermiticity_defect(m) -> float:
 
 
 def check_hermitian(m, atol: float = HERMITICITY_ATOL, stacked: bool = False) -> np.ndarray:
-    """Return ``m`` as a complex array, raising NonHermitian beyond ``atol``."""
+    """Return ``m`` as a complex array, raising NonHermitian beyond ``atol`` or for a non-finite entry."""
     m = as_complex_matrix(m, stacked)
+    if not np.isfinite(m).all():
+        raise NonHermitian("matrix has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > atol:
         raise NonHermitian(f"matrix is not Hermitian: max|m - m^dag| = {defect:.3e}")

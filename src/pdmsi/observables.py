@@ -156,18 +156,19 @@ class ObservableBasis:
     """Labelled observable family for one time slot of a correlator table.
 
     ``matrices`` stacks the observables as an ``(n, d, d)`` array in label
-    order and ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members);
-    both are built once and read-only.  The named constructors return one
-    shared instance per descriptor.
+    order, ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members) and
+    ``index`` maps each label to its position; all are built once and
+    read-only.  The named constructors return one shared instance per
+    descriptor.
     """
 
     def __init__(self, observables, descriptor: str):
         self.observables = list(observables)
         self.descriptor = descriptor
         self.labels = [o.label for o in self.observables]
-        if len(set(self.labels)) != len(self.labels):
+        self.index = {label: k for k, label in enumerate(self.labels)}
+        if len(self.index) != len(self.labels):
             raise ValueError("observable labels must be unique")
-        self._by_label = {o.label: o for o in self.observables}
         self.dim = int(self.observables[0].matrix.shape[0])
         for o in self.observables:
             if o.matrix.shape != (self.dim, self.dim):
@@ -202,10 +203,10 @@ class ObservableBasis:
         return cls.light_touch(d)
 
     def observable(self, label: str):
-        return self._by_label[label]
+        return self.observables[self.index[label]]
 
     def matrix(self, label: str) -> np.ndarray:
-        return self._by_label[label].matrix
+        return self.observable(label).matrix
 
     @property
     def identity_label(self) -> str:
@@ -215,7 +216,7 @@ class ObservableBasis:
         raise ValueError("basis has no identity observable")
 
     def __contains__(self, label: str) -> bool:
-        return label in self._by_label
+        return label in self.index
 
     def __len__(self):
         return len(self.observables)

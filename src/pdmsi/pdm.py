@@ -10,7 +10,9 @@ semidefinite witness observable whose two-time expectation goes negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +56,9 @@ class Pdm:
 def _check_unit_trace(mats, atol: float = 1e-10) -> np.ndarray:
     """Return a PDM matrix or ``(..., n, n)`` stack, raising unless each has unit trace within ``atol``."""
     tr = np.trace(mats, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > atol
-    if bad.any():
-        raise ValueError(f"PDM must have unit trace, got {float(tr[bad][0])!r}")
+    ok = np.abs(tr - 1.0) <= atol  # False for a NaN trace
+    if not ok.all():
+        raise ValueError(f"PDM must have unit trace, got {float(tr[~ok][0])!r}")
     return mats
 
 
@@ -83,59 +85,152 @@ def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
 
 
 class CorrelatorTable:
-    """Two-time expectation values keyed by observable-label pairs."""
+    """Two-time expectation values over the label grid of two observable bases.
+
+    ``values`` is an ``(n1, n2)`` float array in basis-label order, NaN where
+    a pair was not recorded; ``shots`` is an integer array of the same shape
+    (-1 where a pair has no count) or None.  Both are read-only.  ``entries``
+    and ``shot_counts`` are ``{(label1, label2): ...}`` views of the recorded
+    pairs, built on first access and the same dict on every later one.
+    """
 
     def __init__(self, basis1: ObservableBasis, basis2: ObservableBasis,
                  entries: dict, shot_counts: dict | None = None):
-        self.basis1 = basis1
-        self.basis2 = basis2
-        self.entries = {k: float(v) for k, v in entries.items()}
-        self.shot_counts = None if shot_counts is None else dict(shot_counts)
-        for l1, l2 in self.entries:
-            if l1 not in basis1 or l2 not in basis2:
-                raise KeyError(f"entry ({l1},{l2}) not in the declared bases")
+        keys = list(entries)
+        values, _ = _on_grid(basis1, basis2, [k[0] for k in keys], [k[1] for k in keys],
+                             [float(v) for v in entries.values()], None,
+                             lambda k: f"entry ({keys[k][0]},{keys[k][1]})")
+        shots = None
+        if shot_counts is not None:
+            counted = list(shot_counts)
+            _, shots = _on_grid(basis1, basis2, [k[0] for k in counted], [k[1] for k in counted],
+                                None, [int(n) for n in shot_counts.values()],
+                                lambda k: f"shot count of ({counted[k][0]},{counted[k][1]})")
+        self._init(basis1, basis2, values, shots)
+
+    def _init(self, basis1, basis2, values, shots):
+        values.flags.writeable = False
+        if shots is not None:
+            shots.flags.writeable = False
+        self.basis1, self.basis2, self.values, self.shots = basis1, basis2, values, shots
+
+    @classmethod
+    def _from_arrays(cls, basis1: ObservableBasis, basis2: ObservableBasis,
+                     values: np.ndarray, shots: np.ndarray | None = None) -> "CorrelatorTable":
+        """A table that takes ownership of checked ``(n1, n2)`` arrays, with no per-pair work."""
+        table = cls.__new__(cls)
+        table._init(basis1, basis2, values, shots)
+        return table
+
+    @cached_property
+    def entries(self) -> dict:
+        return _label_view(self.values, self.basis1, self.basis2, ~np.isnan(self.values))
+
+    @cached_property
+    def shot_counts(self) -> dict | None:
+        if self.shots is None:
+            return None
+        return _label_view(self.shots, self.basis1, self.basis2, self.shots >= 0)
 
     def value(self, label1: str, label2: str) -> float:
         return self.entries[(label1, label2)]
 
     def missing_pairs(self) -> list[tuple[str, str]]:
-        return [
-            (a, b)
-            for a in self.basis1.labels
-            for b in self.basis2.labels
-            if (a, b) not in self.entries
-        ]
+        return [(self.basis1.labels[k], self.basis2.labels[l])
+                for k, l in np.argwhere(np.isnan(self.values)).tolist()]
 
     def to_csv(self) -> str:
+        n1, n2 = self.values.shape
+        shots = [[""] * n2] * n1 if self.shots is None else [
+            ["" if n < 0 else str(n) for n in row] for row in self.shots.tolist()
+        ]
         lines = ["label1,label2,value,shots"]
-        for a in self.basis1.labels:
-            for b in self.basis2.labels:
-                if (a, b) not in self.entries:
-                    continue
-                shots = "" if self.shot_counts is None else str(self.shot_counts.get((a, b), ""))
-                lines.append(f"{a},{b},{format(self.entries[(a, b)], '.17g')},{shots}")
+        lines += [
+            f"{a},{b},{format(v, '.17g')},{n}"
+            for a, row, row_shots in zip(self.basis1.labels, self.values.tolist(), shots)
+            for b, v, n in zip(self.basis2.labels, row, row_shots)
+            if v == v  # NaN: not recorded
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, basis1: ObservableBasis,
                  basis2: ObservableBasis | None = None) -> "CorrelatorTable":
+        """Parse ``to_csv`` output; blank lines are skipped and cells stripped.
+
+        Raises KeyError for a label outside the bases, and ValueError for a
+        row without four cells, a value or count that does not parse, and,
+        naming the row, a non-finite value, a negative count or a repeated
+        pair.
+        """
         basis2 = basis1 if basis2 is None else basis2
-        entries, shots = {}, {}
         rows = [line for line in text.strip().splitlines() if line.strip()]
         if not rows or rows[0].strip() != "label1,label2,value,shots":
             raise ValueError("expected CSV header 'label1,label2,value,shots'")
-        for line in rows[1:]:
-            a, b, value, n = (cell.strip() for cell in line.split(","))
-            entries[(a, b)] = float(value)
-            if n:
-                shots[(a, b)] = int(n)
-        return cls(basis1, basis2, entries, shots or None)
+        # One flat list of cells, columns taken by stride: no per-row list is kept alive.
+        commas = [line.count(",") for line in rows[1:]]
+        if set(commas) - {3}:
+            k = next(k for k, c in enumerate(commas) if c != 3)
+            raise ValueError(f"CSV row {k + 1} has {commas[k] + 1} cells, expected 4: {rows[k + 1]!r}")
+        cells = ",".join(rows[1:]).split(",") if commas else []
+        labels1, labels2 = [a.strip() for a in cells[0::4]], [b.strip() for b in cells[1::4]]
+        values = list(map(float, cells[2::4]))  # float() strips the same whitespace str.strip() does
+        counts = [n.strip() for n in cells[3::4]]
+        counts = [int(n) if n else None for n in counts] if any(counts) else None
+        values, shots = _on_grid(basis1, basis2, labels1, labels2, values, counts,
+                                 lambda k: f"CSV row {k + 1} ({labels1[k]},{labels2[k]})")
+        return cls._from_arrays(basis1, basis2, values, shots)
 
     def __repr__(self):
         return (
             f"CorrelatorTable({self.basis1.descriptor}/{self.basis2.descriptor}, "
-            f"{len(self.entries)} entries)"
+            f"{int(np.count_nonzero(~np.isnan(self.values)))} entries)"
         )
+
+
+def _label_view(array: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis, keep=None) -> dict:
+    """``{(label1, label2): value}`` of an ``(n1, n2)`` array in row-major label order, over the
+    cells where ``keep`` holds (all if None)."""
+    pairs = [(a, b) for a in basis1.labels for b in basis2.labels]
+    values = array.ravel().tolist()
+    if keep is None:
+        return dict(zip(pairs, values))
+    return {pair: v for pair, v, k in zip(pairs, values, keep.ravel().tolist()) if k}
+
+
+def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, labels2: list,
+             values: list | None, counts: list | None, where) -> tuple:
+    """``(values, shots)`` ``(n1, n2)`` arrays from per-pair lists, None for a list not given.
+
+    Unlisted pairs are NaN in ``values`` and -1 in ``shots``, and so is a
+    None count.  Raises KeyError for a label outside the bases, and
+    ValueError, naming item ``k`` by ``where(k)``, for a non-finite value, a
+    pair listed twice in ``values`` or a negative count.
+    """
+    i = [basis1.index.get(a, -1) for a in labels1]
+    j = [basis2.index.get(b, -1) for b in labels2]
+    if -1 in i or -1 in j:
+        k = next(k for k, ij in enumerate(zip(i, j)) if -1 in ij)
+        raise KeyError(f"entry ({labels1[k]},{labels2[k]}) not in the declared bases")
+    shape, grid, shots = (len(basis1), len(basis2)), None, None
+    if values is not None:
+        grid = np.full(shape, np.nan)
+        grid[i, j] = values
+        if np.count_nonzero(np.isfinite(grid)) < len(values):  # a non-finite value or a repeated pair
+            seen = set()
+            for k, (v, ij) in enumerate(zip(values, zip(i, j))):
+                if not math.isfinite(v):
+                    raise ValueError(f"{where(k)}: value {v!r} is not finite")
+                if ij in seen:
+                    raise ValueError(f"{where(k)}: pair listed twice")
+                seen.add(ij)
+    if counts is not None:
+        k = next((k for k, n in enumerate(counts) if n is not None and n < 0), None)
+        if k is not None:
+            raise ValueError(f"{where(k)}: shot count {counts[k]} is negative")
+        shots = np.full(shape, -1)
+        shots[i, j] = [-1 if n is None else n for n in counts]
+    return grid, shots
 
 
 def _overlaps(m, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
@@ -178,15 +273,6 @@ def _factored_gram_solve(overlaps: np.ndarray, basis1: ObservableBasis,
     return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _by_label_pair(values: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> dict:
-    """``{(label1, label2): float}`` from a real ``(n1, n2)`` array."""
-    return {
-        (a, b): v
-        for a, row in zip(basis1.labels, values.tolist())
-        for b, v in zip(basis2.labels, row)
-    }
-
-
 def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
     if basis is None:
         return (ObservableBasis.default_for_dim(dims[0]), ObservableBasis.default_for_dim(dims[1]))
@@ -211,7 +297,7 @@ def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
         raise ValueError(
             f"correlator ({b1.labels[k]},{b2.labels[l]}) has imaginary part {values[k, l].imag:.3e}"
         )
-    return CorrelatorTable(b1, b2, _by_label_pair(values.real, b1, b2))
+    return CorrelatorTable._from_arrays(b1, b2, np.ascontiguousarray(values.real))
 
 
 def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
@@ -222,11 +308,9 @@ def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
     direct expansion ``R = sum <{A,B}> A (x) B / (d1 d2)``.
     """
     b1, b2 = table.basis1, table.basis2
-    missing = table.missing_pairs()
-    if missing:
-        raise IncompleteTable(missing)
-    values = np.array([[table.entries[(a, b)] for b in b2.labels] for a in b1.labels])
-    r = _expand(_factored_gram_solve(values, b1, b2), b1, b2)
+    if np.isnan(table.values).any():
+        raise IncompleteTable(table.missing_pairs())
+    r = _expand(_factored_gram_solve(table.values, b1, b2), b1, b2)
     r = (r + r.conj().T) / 2.0
     return Pdm(r, (b1.dim, b2.dim))
 
@@ -337,17 +421,29 @@ class Witness:
     The expectation over any density matrix is nonnegative, so a negative
     two-time expectation certifies that the statistics cannot come from a
     bipartite quantum state.
+
+    ``coefficients`` is the ``(n1, n2)`` array of the ``a_kl`` in basis-label
+    order (read-only), and ``coeffs`` its ``{(label1, label2): a_kl}`` view,
+    built on first access and the same dict on every later one.
     """
 
-    def __init__(self, mat, coeffs: dict, basis1: ObservableBasis, basis2: ObservableBasis):
+    def __init__(self, mat, coefficients, basis1: ObservableBasis, basis2: ObservableBasis):
         mat = check_hermitian(mat, atol=1e-10)
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -NEGATIVITY_ATOL:
             raise ValueError(f"witness must be positive semidefinite, min eigenvalue {lo:.3e}")
+        coefficients = np.array(coefficients, dtype=float)
+        if coefficients.shape != (len(basis1), len(basis2)):
+            raise DimensionMismatch(f"coefficients of shape {coefficients.shape} do not match the bases")
+        coefficients.flags.writeable = False
         self.mat = mat
-        self.coeffs = {k: float(c) for k, c in coeffs.items()}
+        self.coefficients = coefficients
         self.basis1 = basis1
         self.basis2 = basis2
+
+    @cached_property
+    def coeffs(self) -> dict:
+        return _label_view(self.coefficients, self.basis1, self.basis2)
 
     def expectation(self, r: Pdm) -> float:
         return float(np.trace(self.mat @ r.mat).real)
@@ -360,11 +456,12 @@ class Witness:
         }
 
     def __repr__(self):
-        return f"Witness(dim={self.mat.shape[0]}, {len(self.coeffs)} coefficients)"
+        return f"Witness(dim={self.mat.shape[0]}, {self.coefficients.size} coefficients)"
 
 
-def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> dict:
-    return _by_label_pair(_factored_gram_solve(_overlaps(mat, b1, b2).real, b1, b2), b1, b2)
+def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> np.ndarray:
+    """The ``(n1, n2)`` coefficients ``a_kl`` of ``mat = sum a_kl A_k (x) B_l``."""
+    return _factored_gram_solve(_overlaps(mat, b1, b2).real, b1, b2)
 
 
 def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None) -> Witness:
@@ -375,7 +472,11 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None)
     single most negative one, and ``custom`` validates a user-supplied PSD
     matrix against the defining conditions.
     """
-    eig = eig_hermitian(r.mat, atol=1e-9)
+    return _witness(r, eig_hermitian(r.mat, atol=1e-9), policy, custom)
+
+
+def _witness(r: Pdm, eig, policy: str = "negative_eigenspace", custom=None) -> Witness:
+    """``synthesize_witness`` from an eigendecomposition of ``r.mat`` already at hand."""
     lam, v = eig.eigenvalues, eig.eigenvectors
     neg = np.nonzero(lam < -NEGATIVITY_ATOL)[0]
     if len(neg) == 0:
@@ -384,7 +485,7 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None)
         )
 
     if policy == "negative_eigenspace":
-        w = sum(np.outer(v[:, k], v[:, k].conj()) for k in neg)
+        w = v[:, neg] @ v[:, neg].conj().T
     elif policy == "most_negative":
         k = int(np.argmin(lam))
         w = np.outer(v[:, k], v[:, k].conj())
@@ -405,12 +506,21 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None)
 
 
 def evaluate_witness(w: Witness, table: CorrelatorTable, coeff_atol: float = 1e-12) -> float:
-    """Two-time expectation <W>_t = sum a_ab <{A, B}> from a correlator table."""
-    needed = {k: c for k, c in w.coeffs.items() if abs(c) > coeff_atol}
-    missing = [k for k in needed if k not in table.entries]
-    if missing:
-        raise IncompleteTable(missing)
-    return float(sum(c * table.entries[k] for k, c in needed.items()))
+    """Two-time expectation <W>_t = sum a_ab <{A, B}> from a correlator table over the witness's bases.
+
+    Raises IncompleteTable, listing the pairs in label order, when a pair
+    with ``|a_ab| > coeff_atol`` was not recorded.
+    """
+    if (w.basis1.labels, w.basis2.labels) != (table.basis1.labels, table.basis2.labels):
+        raise DimensionMismatch("witness and table are over different bases")
+    c, values = w.coefficients, table.values
+    needed = np.abs(c) > coeff_atol
+    missing = needed & np.isnan(values)
+    if missing.any():
+        raise IncompleteTable([(w.basis1.labels[k], w.basis2.labels[l])
+                               for k, l in np.argwhere(missing).tolist()])
+    # Summed left to right over Python floats in row-major order, as a label-keyed sum would be.
+    return float(sum((c[needed] * values[needed]).tolist()))
 
 
 @dataclass

@@ -183,13 +183,12 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
         rho, ch, _projector_stack(b1.matrices, b1.observables),
         _projector_stack(b2.matrices, b2.observables),
     )
-    entries, shots = {}, {}
+    values = np.empty((len(b1), len(b2)))
     for i, a in enumerate(b1.observables):
         for j, b in enumerate(b2.observables):
             *_, products = _draw(p[i], q[i, :, j], a.lam * b.lam, shots_per_pair, pair_seed(seed, i, j))
-            entries[(a.label, b.label)] = float(products.sum() / shots_per_pair)
-            shots[(a.label, b.label)] = shots_per_pair
-    return CorrelatorTable(b1, b2, entries, shots)
+            values[i, j] = products.sum() / shots_per_pair
+    return CorrelatorTable._from_arrays(b1, b2, values, np.full(values.shape, shots_per_pair))
 
 
 def table_metadata(seed: int, shots_per_pair: int, basis_descriptors) -> dict:

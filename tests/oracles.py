@@ -44,3 +44,53 @@ def channels_equal(a, b, atol: float = 1e-9) -> bool:
 def dephase(m) -> np.ndarray:
     """Delete all off-diagonal entries in the computational basis."""
     return np.diag(np.diag(np.asarray(m, dtype=complex)))
+
+
+# Label-keyed correlator tables as ``{(label1, label2): float}`` dicts, the
+# storage the array-backed CorrelatorTable and Witness replaced; the array
+# code must match these exactly, byte for byte and bit for bit.
+
+def dict_table_to_csv(basis1, basis2, entries: dict, shot_counts: dict | None) -> str:
+    lines = ["label1,label2,value,shots"]
+    for a in basis1.labels:
+        for b in basis2.labels:
+            if (a, b) not in entries:
+                continue
+            shots = "" if shot_counts is None else str(shot_counts.get((a, b), ""))
+            lines.append(f"{a},{b},{format(entries[(a, b)], '.17g')},{shots}")
+    return "\n".join(lines) + "\n"
+
+
+def dict_table_from_csv(text: str, basis1, basis2) -> tuple[dict, dict | None]:
+    """``(entries, shot_counts)`` of a table CSV, with the same ValueError and KeyError."""
+    entries, shots = {}, {}
+    rows = [line for line in text.strip().splitlines() if line.strip()]
+    if not rows or rows[0].strip() != "label1,label2,value,shots":
+        raise ValueError("expected CSV header 'label1,label2,value,shots'")
+    for line in rows[1:]:
+        a, b, value, n = (cell.strip() for cell in line.split(","))
+        entries[(a, b)] = float(value)
+        if n:
+            shots[(a, b)] = int(n)
+    for l1, l2 in entries:
+        if l1 not in basis1 or l2 not in basis2:
+            raise KeyError(f"entry ({l1},{l2}) not in the declared bases")
+    return entries, shots or None
+
+
+def dict_missing_pairs(basis1, basis2, entries: dict) -> list:
+    return [(a, b) for a in basis1.labels for b in basis2.labels if (a, b) not in entries]
+
+
+def dict_evaluate_witness(coeffs: dict, entries: dict, coeff_atol: float = 1e-12):
+    """``<W>`` from label-keyed coefficients, or the list of missing pairs."""
+    needed = {k: c for k, c in coeffs.items() if abs(c) > coeff_atol}
+    missing = [k for k in needed if k not in entries]
+    if missing:
+        return missing
+    return float(sum(c * entries[k] for k, c in needed.items()))
+
+
+def dict_witness_coefficients(coeffs: dict) -> dict:
+    """``Witness.to_dict()["coefficients"]``: ``"a|b"`` keys sorted by label pair."""
+    return {f"{a}|{b}": c for (a, b), c in sorted(coeffs.items())}

@@ -439,6 +439,11 @@ class TestEachQuantityComputedOnce:
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "pdm_p1.json"), "--out", str(tmp_path)]) == 0
         assert counts == Counter({"pdm_closed_form": 1, "eig_hermitian": 1})
 
+    def test_witness_diagonalises_its_pdm_once(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        assert main(["run", "--config", "witness_identity.json", "--out", str(tmp_path)]) == 0
+        assert counts == Counter({"eig_hermitian": 1})
+
     def test_lg_evaluates_correlators_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "leggett_garg._lg_correlators")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0

@@ -28,7 +28,7 @@ EXPECTED = GOLDEN / "expected"
 FLOAT_TOL = 1e-12
 EXACT_FILES = {"simulate.csv"}  # the RNG stream is part of the contract
 
-_RUN_CONFIGS = ["pdm_p1", "pdm_p2", "pdm_p3_d2d3", "witness", "classify", "lg",
+_RUN_CONFIGS = ["pdm_p1", "pdm_p2", "pdm_p3_d2d3", "witness", "witness_d3", "witness_d2d3", "classify", "lg",
                 "simulate", "simulate_lt3", "simulate_d2d3", "sweep_values", "sweep_grid",
                 "verify_lg"]
 CASES = {

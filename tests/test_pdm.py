@@ -15,19 +15,29 @@ from pdmsi.exceptions import (
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from oracles import partial_trace, schatten_norm
+from oracles import (
+    dict_evaluate_witness,
+    dict_missing_pairs,
+    dict_table_from_csv,
+    dict_table_to_csv,
+    dict_witness_coefficients,
+    partial_trace,
+    schatten_norm,
+)
 from pdmsi.linalg import kron
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
     CorrelatorTable,
     Pdm,
+    _check_unit_trace,
     _closed_form,
     _expand,
     _factored_gram_solve,
     _overlaps,
     _pair_coefficients,
     _si_values,
+    Witness,
     check_bound,
     evaluate_witness,
     exact_correlators,
@@ -156,6 +166,31 @@ class TestCorrelators:
         basis = table.basis1
         back = CorrelatorTable.from_csv(table.to_csv(), basis, basis)
         assert back.entries == pytest.approx(table.entries)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_csv_rejects_non_finite_value(self, value):
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=r"row 2 \(I,X\).*not finite"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,I,1,\nI,X,{value},\n", basis)
+
+    def test_csv_rejects_duplicate_pair(self):
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=r"row 3 \(I,X\).*twice"):
+            CorrelatorTable.from_csv("label1,label2,value,shots\nI,X,0.5,\nI,I,1,\nI,X,0.25,\n", basis)
+
+    def test_csv_rejects_negative_shots(self):
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=r"row 1 \(I,X\).*-5 is negative"):
+            CorrelatorTable.from_csv("label1,label2,value,shots\nI,X,0.5,-5\n", basis)
+
+    def test_non_finite_matrix_is_not_a_pdm(self):
+        for bad in (np.nan, np.inf):
+            m = np.eye(4, dtype=complex) / 4
+            m[1, 2] = m[2, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Pdm(m, (2, 2))
+            with pytest.raises(ValueError, match="unit trace"):
+                _check_unit_trace(np.diag([bad, 0.0]))
 
 
 class TestSiMeasure:
@@ -593,8 +628,9 @@ class TestBasisKernels:
     def test_witness_coefficients_reexpand(self, pair, seed):
         b1, b2, mat = bases_and_matrix(pair, seed)
         coeffs = _pair_coefficients(mat, b1, b2)
-        assert list(coeffs) == [(a, b) for a in b1.labels for b in b2.labels]
-        assert np.max(np.abs(loop_expand(coeffs, b1, b2) - mat)) <= 1e-10
+        assert coeffs.shape == (len(b1), len(b2))
+        by_label = {(a, b): c for a, row in zip(b1.labels, coeffs.tolist()) for b, c in zip(b2.labels, row)}
+        assert np.max(np.abs(loop_expand(by_label, b1, b2) - mat)) <= 1e-10
 
     @KERNEL_SETTINGS
     @given(pair=st.sampled_from(PAULI_PAIRS), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -606,3 +642,137 @@ class TestBasisKernels:
         r.mat = mat + 1e-6j * kron(b1.matrix(a), b2.matrix(b))
         with pytest.raises(ValueError, match=re.escape(f"correlator ({a},{b})")):
             exact_correlators(r, (b1, b2))
+
+
+# The array-backed table and witness against the label-keyed dict code they
+# replaced (tests/oracles.py): bytes, values, pair orders, errors and the bits
+# of <W> must all be identical.
+ORACLE_PAIRS = st.sampled_from(
+    [(f"pauli:{n}", f"pauli:{n}") for n in (1, 2, 3)]
+    + [(f"light_touch:{d}", f"light_touch:{d}") for d in (2, 3, 4, 5, 6)]
+    + [("pauli:1", "light_touch:3"), ("light_touch:3", "pauli:1")]
+)
+ORACLE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, -1e300, 1.0 / 3.0]
+
+
+def random_table(pair, seed, full, with_shots):
+    """A table from the dict constructor and the dicts it was built from, inserted in random order."""
+    b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in b1.labels for b in b2.labels]
+    kept = pairs if full else [key for key in pairs if rng.random() < 0.6]
+    entries = {}
+    for k in rng.permutation(len(kept)):
+        special = rng.random() < 0.2
+        entries[kept[k]] = float(rng.choice(SPECIAL_VALUES)) if special else float(rng.normal())
+    shots = {key: int(rng.integers(0, 10**6)) for key in pairs if rng.random() < 0.8} if with_shots else None
+    return CorrelatorTable(b1, b2, entries, shots), entries, shots
+
+
+def messy_csv(text, rng):
+    """The same CSV with padded cells, shuffled data rows and blank lines."""
+    header, *rows = text.splitlines()
+    out = [" " + header + "\t"]
+    for k in rng.permutation(len(rows)):
+        out.append(",".join(" " * int(rng.integers(0, 3)) + cell + "\t" * int(rng.integers(0, 2))
+                            for cell in rows[k].split(",")))
+        if rng.random() < 0.2:
+            out.append(str(rng.choice(["", "   ", "\t"])))
+    return "\n" + "\n".join(out) + str(rng.choice(["", "\n", "\n\n  \n"]))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestArrayTableMatchesDictOracle:
+    @ORACLE_SETTINGS
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), full=st.booleans(), with_shots=st.booleans())
+    def test_to_csv_bytes(self, pair, seed, full, with_shots):
+        table, entries, shots = random_table(pair, seed, full, with_shots)
+        assert table.to_csv() == dict_table_to_csv(table.basis1, table.basis2, entries, shots)
+        assert table.missing_pairs() == dict_missing_pairs(table.basis1, table.basis2, entries)
+        assert table.entries == entries and table.shot_counts == shots
+        assert table.entries is table.entries
+
+    @ORACLE_SETTINGS
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1))
+    def test_exact_table_csv_bytes(self, pair, seed):
+        b1, b2, mat = bases_and_matrix(pair, seed)
+        table = exact_correlators(Pdm(mat, (b1.dim, b2.dim)), (b1, b2))
+        values = dict(zip([(a, b) for a in b1.labels for b in b2.labels], _overlaps(mat, b1, b2).real.ravel().tolist()))
+        assert table.to_csv() == dict_table_to_csv(b1, b2, values, None)
+
+    @ORACLE_SETTINGS
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), full=st.booleans(), with_shots=st.booleans())
+    def test_from_csv_values(self, pair, seed, full, with_shots):
+        table, _, _ = random_table(pair, seed, full, with_shots)
+        b1, b2 = table.basis1, table.basis2
+        text = messy_csv(table.to_csv(), np.random.default_rng(seed))
+        entries, shots = dict_table_from_csv(text, b1, b2)
+        back = CorrelatorTable.from_csv(text, b1, b2)
+        assert back.entries == entries and back.shot_counts == shots
+        assert back.to_csv() == dict_table_to_csv(b1, b2, entries, shots)
+        assert back.missing_pairs() == dict_missing_pairs(b1, b2, entries)
+        if back.missing_pairs():
+            with pytest.raises(IncompleteTable) as err:
+                pdm_from_correlators(back)
+            assert err.value.missing == dict_missing_pairs(b1, b2, entries)
+
+    @ORACLE_SETTINGS
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), with_shots=st.booleans(),
+           fault=st.sampled_from(["label1", "label2", "extra_cell", "short_row"]))
+    def test_from_csv_errors(self, pair, seed, with_shots, fault):
+        table, _, _ = random_table(pair, seed, False, with_shots)
+        b1, b2 = table.basis1, table.basis2
+        rng = np.random.default_rng(seed)
+        lines = table.to_csv().splitlines()
+        if len(lines) < 2:
+            lines.append(f"{b1.labels[0]},{b2.labels[0]},0.5,")
+        k = int(rng.integers(1, len(lines)))
+        cells = lines[k].split(",")
+        if fault == "label1":
+            cells[0] = "Q9"
+        elif fault == "label2":
+            cells[1] = "Q9"
+        elif fault == "extra_cell":
+            cells.append("1")
+        else:
+            cells.pop()
+        lines[k] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        want = outcome(dict_table_from_csv, text, b1, b2)
+        got = outcome(CorrelatorTable.from_csv, text, b1, b2)
+        assert got[0] is want[0] is (KeyError if fault.startswith("label") else ValueError)
+        if want[0] is KeyError:
+            assert got[1] == want[1]
+
+    @ORACLE_SETTINGS
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), full=st.booleans(),
+           coeff_atol=st.sampled_from([1e-12, 1e-3, 0.05]))
+    def test_evaluate_witness_bits(self, pair, seed, full, coeff_atol):
+        b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=b1.dim * b2.dim) + 1j * rng.normal(size=b1.dim * b2.dim)
+        mat = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        coefficients = _pair_coefficients(mat, b1, b2)
+        w = Witness(mat, coefficients, b1, b2)
+        coeffs = dict(zip([(a, b) for a in b1.labels for b in b2.labels], coefficients.ravel().tolist()))
+        assert w.coeffs == coeffs and list(w.coeffs) == list(coeffs)
+        got_map = w.to_dict()["coefficients"]
+        want_map = dict_witness_coefficients(coeffs)
+        assert list(got_map.items()) == list(want_map.items())
+
+        table, entries, _ = random_table(pair, seed, full, False)
+        want = dict_evaluate_witness(coeffs, entries, coeff_atol)
+        if isinstance(want, list):
+            with pytest.raises(IncompleteTable) as err:
+                evaluate_witness(w, table, coeff_atol)
+            assert err.value.missing == want
+        else:
+            assert evaluate_witness(w, table, coeff_atol).hex() == want.hex()
