@@ -43,11 +43,11 @@ from .pdm import (
     _closed_form,
     _matrix_to_pairs,
     _t_p,
-    _witness,
     evaluate_witness,
     exact_correlators,
     pdm_closed_form,
     si_measure,
+    synthesize_witness,
 )
 from .sampling import sample_table, table_metadata
 from .serialize import dump_json, write_atomic
@@ -286,14 +286,13 @@ def run_witness(cfg: dict):
     ch = _channel(cfg["channel"], "channel", len(state))
     policy = _choice(cfg.get("policy", "negative_eigenspace"), "policy", WITNESS_POLICIES)
     r = pdm_closed_form(state, ch)
-    eig = eig_hermitian(r.mat, atol=1e-9)  # one decomposition for the witness and the negativity
-    w = _witness(r, eig, policy)
+    w = synthesize_witness(r, policy)
     table = exact_correlators(r, (w.basis1, w.basis2))
     expectation = evaluate_witness(w, table)
     out = {
         "kind": "witness",
         "expectation": expectation,
-        "negativity": float(_t_p(eig.eigenvalues, 1.0)[0]),
+        "negativity": float(_t_p(r.eig.eigenvalues, 1.0)[0]),
         "policy": policy,
         "witness": w.to_dict(),
     }

@@ -121,9 +121,13 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v + np.take_along_axis(shifts, last[..., None], axis=-1), 0.0)
 
 
-def superop_exp(generator, t: float) -> np.ndarray:
-    """Matrix exponential exp(generator * t) of a superoperator matrix."""
+def superop_exp(generator, t) -> np.ndarray:
+    """Matrix exponential exp(generator * t) of a superoperator matrix.
+
+    An array of times ``(...)`` gives the ``(..., d^2, d^2)`` stack from one
+    ``scipy.linalg.expm`` call, each slice bit-identical to its own call.
+    """
     import scipy.linalg
 
     g = as_complex_matrix(generator)
-    return scipy.linalg.expm(g * float(t))
+    return scipy.linalg.expm(g * np.asarray(t, dtype=float)[..., None, None])

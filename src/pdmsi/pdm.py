@@ -23,7 +23,7 @@ from .exceptions import (
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from .linalg import check_hermitian, eig_hermitian, kron, project_simplex
+from .linalg import EigenDecomposition, check_hermitian, eig_hermitian, kron, project_simplex
 from .observables import ObservableBasis
 from .states import check_density_matrix
 
@@ -32,19 +32,31 @@ BOUND_SLACK = 1e-9
 
 
 class Pdm:
-    """Unit-trace Hermitian operator over two time-labelled factors."""
+    """Unit-trace Hermitian operator over two time-labelled factors.
+
+    ``mat`` is a read-only copy of the matrix given, and ``eig`` its
+    ``eig_hermitian`` decomposition (read-only too), computed on first access
+    and shared by ``eigenvalues``, ``si_measure`` and ``synthesize_witness``.
+    """
 
     def __init__(self, mat, dims: tuple[int, int], atol: float = 1e-10):
-        mat = check_hermitian(mat, atol=atol)
+        mat = np.array(check_hermitian(mat, atol=atol))
         d1, d2 = dims
         if mat.shape[0] != d1 * d2:
             raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
+        mat.flags.writeable = False
         self.mat = _check_unit_trace(mat, atol)
         self.dims = (int(d1), int(d2))
 
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        eig = eig_hermitian(self.mat, atol=1e-9)
+        eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
+        return eig
+
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum, from the ``eig_hermitian`` path that T_p reads."""
-        return eig_hermitian(self.mat, atol=1e-9).eigenvalues
+        return self.eig.eigenvalues
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
@@ -399,8 +411,7 @@ def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
     if not (np.isreal(p) and np.isfinite(p) and p >= 1.0):
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
-    mat = r.mat if isinstance(r, Pdm) else check_hermitian(r, atol=1e-9)
-    eig = eig_hermitian(mat, atol=1e-9)
+    eig = r.eig if isinstance(r, Pdm) else eig_hermitian(check_hermitian(r, atol=1e-9), atol=1e-9)
     lam, v = eig.eigenvalues, eig.eigenvectors
     negatives = [
         (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
@@ -432,6 +443,9 @@ class Witness:
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -NEGATIVITY_ATOL:
             raise ValueError(f"witness must be positive semidefinite, min eigenvalue {lo:.3e}")
+        self._init(mat, coefficients, basis1, basis2)
+
+    def _init(self, mat, coefficients, basis1, basis2):
         coefficients = np.array(coefficients, dtype=float)
         if coefficients.shape != (len(basis1), len(basis2)):
             raise DimensionMismatch(f"coefficients of shape {coefficients.shape} do not match the bases")
@@ -440,6 +454,14 @@ class Witness:
         self.coefficients = coefficients
         self.basis1 = basis1
         self.basis2 = basis2
+
+    @classmethod
+    def _projector(cls, mat, basis1: ObservableBasis, basis2: ObservableBasis) -> "Witness":
+        """The witness of a projector built from orthonormal eigenvectors, positive semidefinite by
+        construction, so with no ``eigvalsh`` check."""
+        w = cls.__new__(cls)
+        w._init(check_hermitian(mat, atol=1e-10), _pair_coefficients(mat, basis1, basis2), basis1, basis2)
+        return w
 
     @cached_property
     def coeffs(self) -> dict:
@@ -470,14 +492,10 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None)
     Policies: ``negative_eigenspace`` projects onto the span of all
     negative-eigenvalue eigenvectors (default), ``most_negative`` onto the
     single most negative one, and ``custom`` validates a user-supplied PSD
-    matrix against the defining conditions.
+    matrix against the defining conditions.  Both projectors come from
+    ``r.eig``.
     """
-    return _witness(r, eig_hermitian(r.mat, atol=1e-9), policy, custom)
-
-
-def _witness(r: Pdm, eig, policy: str = "negative_eigenspace", custom=None) -> Witness:
-    """``synthesize_witness`` from an eigendecomposition of ``r.mat`` already at hand."""
-    lam, v = eig.eigenvalues, eig.eigenvectors
+    lam, v = r.eig.eigenvalues, r.eig.eigenvectors
     neg = np.nonzero(lam < -NEGATIVITY_ATOL)[0]
     if len(neg) == 0:
         raise NotSpatiallyIncompatible(
@@ -502,7 +520,9 @@ def _witness(r: Pdm, eig, policy: str = "negative_eigenspace", custom=None) -> W
 
     b1 = ObservableBasis.default_for_dim(r.dims[0])
     b2 = ObservableBasis.default_for_dim(r.dims[1])
-    return Witness(w, _pair_coefficients(w, b1, b2), b1, b2)
+    if policy == "custom":
+        return Witness(w, _pair_coefficients(w, b1, b2), b1, b2)
+    return Witness._projector(w, b1, b2)
 
 
 def evaluate_witness(w: Witness, table: CorrelatorTable, coeff_atol: float = 1e-12) -> float:

@@ -94,3 +94,18 @@ def dict_evaluate_witness(coeffs: dict, entries: dict, coeff_atol: float = 1e-12
 def dict_witness_coefficients(coeffs: dict) -> dict:
     """``Witness.to_dict()["coefficients"]``: ``"a|b"`` keys sorted by label pair."""
     return {f"{a}|{b}": c for (a, b), c in sorted(coeffs.items())}
+
+
+def loop_ncgd_residual(family, delta) -> float:
+    """The NCGD grid residual as a double loop over the 10 x 10 (t, tau) grid, with three
+    single-time ``family(t)`` calls per pair: the code the stacked grid replaced, which it
+    must match bit for bit."""
+    from pdmsi.coherence import NCGD_GRID
+
+    worst = 0.0
+    for t in NCGD_GRID:
+        for tau in NCGD_GRID:
+            lhs = delta @ family(t) @ delta @ family(tau) @ delta
+            rhs = delta @ family(t + tau) @ delta
+            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-2))))
+    return worst

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pdmsi.coherence as coherence
 import pdmsi.random as prandom
-from oracles import channels_equal
+from oracles import channels_equal, loop_ncgd_residual
 from pdmsi.channels import (
     KrausChannel,
     _kraus_stack,
     amplitude_damping_channel,
     dephasing_channel,
+    dephasing_superoperator,
     identity_channel,
 )
 from pdmsi.coherence import (
+    NCGD_GRID,
     _block_failures,
+    _ncgd_residual,
     adversarial_coherent_state,
     block_positivity_test,
     build_ce_oi_channel,
@@ -19,7 +26,8 @@ from pdmsi.coherence import (
     classify_channel,
     pdm_blocks,
 )
-from pdmsi.exceptions import NoAsymmetricColumn
+from pdmsi.exceptions import DimensionMismatch, NoAsymmetricColumn
+from pdmsi.linalg import superop_exp
 from pdmsi.pdm import pdm_closed_form, si_measure
 from pdmsi.states import ket, ketbra, projector
 
@@ -94,6 +102,108 @@ class TestClassify:
         gen = rabi_liouvillian(0.5)
         rep = classify_channel(identity_channel(2), ncgd_probe=lambda t: superop_exp(gen, t))
         assert not rep.is_ncgd
+
+
+def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
+    """A d^2 x d^2 generator: Hermitian, the unitary Liouvillian -i(H (x) I - I (x) H^T), or general."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        return 0.05 * (g + g.conj().T)
+    if kind == "unitary":
+        h = 0.3 * (g[:d, :d] + g[:d, :d].conj().T)
+        return -1j * (np.kron(h, np.eye(d)) - np.kron(np.eye(d), h.T))
+    return rng.uniform(0.02, 0.2) * g
+
+
+def kraus_family(d: int, seed: int):
+    """t -> the channel rho -> e^-t U rho U^dag + (1 - e^-t) V rho V^dag, for Haar U and V."""
+    rng = np.random.default_rng(seed)
+    u, v = prandom.haar_unitary(d, rng), prandom.haar_unitary(d, rng)
+    return lambda t: KrausChannel([np.sqrt(np.exp(-t)) * u, np.sqrt(1.0 - np.exp(-t)) * v])
+
+
+def single_time_family(probe):
+    """The single-time family the loop oracle reads: a generator's scipy.linalg.expm(L t) at
+    float t, or a callable's superoperator."""
+    if callable(probe):
+        def family(t):
+            out = probe(t)
+            return out.superoperator() if isinstance(out, KrausChannel) else np.asarray(out)
+        return family
+    gen = np.asarray(probe, dtype=complex)
+    return lambda t: scipy.linalg.expm(gen * float(t))
+
+
+NCGD_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
+DIMS = st.sampled_from([2, 3, 4])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestStackedNcgd:
+    """The stacked NCGD grid against the per-pair loop it replaced (tests/oracles.py)."""
+
+    @NCGD_SETTINGS
+    @given(d=DIMS, kind=st.sampled_from(["hermitian", "unitary", "general"]), seed=SEEDS)
+    def test_liouvillian_matches_loop(self, d, kind, seed):
+        gen = random_generator(d, kind, seed)
+        rep = classify_channel(identity_channel(d), ncgd_probe=gen)
+        assert rep.residuals["ncgd"] == loop_ncgd_residual(single_time_family(gen), dephasing_superoperator(d))
+
+    @NCGD_SETTINGS
+    @given(d=DIMS, kind=st.sampled_from(["matrix", "real", "kraus"]), seed=SEEDS)
+    def test_callable_matches_loop(self, d, kind, seed):
+        if kind == "kraus":
+            probe = kraus_family(d, seed)
+        elif kind == "real":
+            a = np.random.default_rng(seed).uniform(0.0, 1.0, (d * d, d * d))
+            probe = lambda t: np.cos(t) * a + t  # noqa: E731
+        else:
+            gen = random_generator(d, "general", seed)
+            probe = lambda t: superop_exp(gen, t)  # noqa: E731
+        rep = classify_channel(identity_channel(d), ncgd_probe=probe)
+        assert rep.residuals["ncgd"] == loop_ncgd_residual(single_time_family(probe), dephasing_superoperator(d))
+
+    def test_callable_called_once_per_distinct_time(self):
+        calls = []
+        probe = kraus_family(2, 3)
+        classify_channel(identity_channel(2), ncgd_probe=lambda t: calls.append(t) or probe(t))
+        i, j = np.triu_indices(len(NCGD_GRID))
+        assert len(calls) == 65
+        assert sorted(calls) == sorted(np.r_[NCGD_GRID, NCGD_GRID[i] + NCGD_GRID[j]].tolist())
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_chunked_path_matches_one_chunk(self, d, monkeypatch):
+        gen = random_generator(d, "general", 17)
+        delta = dephasing_superoperator(d)
+        family = lambda times: superop_exp(gen, times)  # noqa: E731
+        residuals = []
+        for budget in (2**40, 1, 3 * delta.size * 7, 3 * delta.size * 54):
+            monkeypatch.setattr(coherence, "NCGD_CHUNK_ENTRIES", budget)
+            residuals.append(_ncgd_residual(family, delta))
+        assert residuals == [loop_ncgd_residual(single_time_family(gen), delta)] * 4
+
+    def test_non_finite_generator_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_channel(identity_channel(2), ncgd_probe=np.full((4, 4), np.nan))
+        gen = pure_dephasing_liouvillian()
+        gen[1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_channel(identity_channel(2), ncgd_probe=gen)
+
+    def test_non_finite_callable_rejected(self):
+        def probe(t):
+            return np.full((4, 4), np.nan) if t > 1.0 else np.eye(4)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_channel(identity_channel(2), ncgd_probe=probe)
+
+    def test_wrong_shape_callable_names_time(self):
+        with pytest.raises(DimensionMismatch, match=r"t = 0\.01 returned shape \(9, 9\)"):
+            classify_channel(identity_channel(2), ncgd_probe=lambda t: np.eye(9))
+        with pytest.raises(DimensionMismatch, match="returned shape"):
+            classify_channel(identity_channel(2), ncgd_probe=lambda t: identity_channel(3))
 
 
 class TestBlockPositivity:

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.linalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +290,20 @@ class TestSuperopExp:
             fast = superop_exp(gen, t)
             slow = expm_repeated_squaring(gen * t)
             assert np.linalg.norm(fast - slow) / np.linalg.norm(slow) < 1e-10
+
+
+    def test_array_of_times_matches_single_calls(self):
+        rng = np.random.default_rng(43)
+        for n in (4, 9, 16):
+            gen = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            times = rng.uniform(0.0, 5.0, (2, 3))
+            stack = superop_exp(gen, times)
+            assert stack.shape == (2, 3, n, n)
+            for idx in np.ndindex(times.shape):
+                single = superop_exp(gen, times[idx])
+                assert single.shape == (n, n)
+                assert np.array_equal(stack[idx], single)
+                assert np.array_equal(single, scipy.linalg.expm(gen * float(times[idx])))
 
 
 class TestNorms:

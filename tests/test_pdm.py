@@ -605,6 +605,53 @@ def bases_and_matrix(pair, seed):
     return b1, b2, mat
 
 
+class TestSharedDecomposition:
+    def test_one_eig_hermitian_per_pdm(self, monkeypatch):
+        import pdmsi.pdm as pdm_module
+
+        calls = []
+        real = pdm_module.eig_hermitian
+        monkeypatch.setattr(pdm_module, "eig_hermitian", lambda *a, **k: calls.append(1) or real(*a, **k))
+        r = pdm_closed_form(plus_state(), dephasing_channel(2))
+        for p in (1.0, 2.0):
+            si_measure(r, p)
+        for policy in ("negative_eigenspace", "most_negative"):
+            synthesize_witness(r, policy=policy)
+        r.eigenvalues()
+        r.min_eigenvalue()
+        assert len(calls) == 1
+        assert np.array_equal(r.eig.eigenvalues, real(r.mat, atol=1e-9).eigenvalues)
+
+    def test_mat_and_eig_are_read_only_copies(self):
+        m = R_BASIS_IDENTITY.copy()
+        r = Pdm(m, (2, 2))
+        m[0, 0] = 5.0
+        assert r.mat[0, 0] == 1.0
+        for a in (r.mat, r.eig.eigenvalues, r.eig.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+class TestSynthesizedWitnessPsd:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+           policy=st.sampled_from(["negative_eigenspace", "most_negative"]))
+    def test_projector_witness_is_psd(self, seed, dims, policy):
+        r = random_pdm(np.random.default_rng(seed), dims)
+        if r.min_eigenvalue() >= -NEGATIVITY_ATOL:
+            with pytest.raises(NotSpatiallyIncompatible):
+                synthesize_witness(r, policy=policy)
+            return
+        w = synthesize_witness(r, policy=policy)
+        assert float(np.linalg.eigvalsh(w.mat)[0]) >= -NEGATIVITY_ATOL
+        assert w.expectation(r) < 0.0
+
+    def test_public_constructor_still_checks_psd(self):
+        b = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            Witness(-np.eye(4) / 4, np.zeros((4, 4)), b, b)
+
+
 class TestBasisKernels:
     @KERNEL_SETTINGS
     @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
