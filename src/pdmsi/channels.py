@@ -15,10 +15,11 @@ class KrausChannel:
     """Trace-preserving completely positive map given by Kraus operators.
 
     Kraus operators are ``out_dim x in_dim`` complex matrices satisfying
-    ``sum_l K_l^dag K_l = I`` on the input space.
+    ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
+    TRACE_PRESERVING_ATOL.
     """
 
-    def __init__(self, kraus_ops, atol: float = TRACE_PRESERVING_ATOL):
+    def __init__(self, kraus_ops):
         ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -28,7 +29,7 @@ class KrausChannel:
         self.out_dim, self.in_dim = shape
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(total - np.eye(self.in_dim))))
-        if defect > atol:
+        if defect > TRACE_PRESERVING_ATOL:
             raise ValueError(f"Kraus operators are not trace preserving: defect {defect:.3e}")
         self.kraus_ops = tuple(ops)
 

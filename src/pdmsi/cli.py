@@ -38,6 +38,7 @@ from .leggett_garg import check_dichotomic, lg_vs_si
 from .linalg import eig_hermitian
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
+    PDM_ATOL,
     _bound_check,
     _check_unit_trace,
     _closed_form,
@@ -414,7 +415,7 @@ def run_sweep(cfg: dict):
                                            f"the state has dimension {d}")
         # The checks Pdm makes on each matrix: unit trace here, Hermiticity in eig_hermitian.
         mats = _check_unit_trace(_closed_form(state, _kraus_stack(chs)))
-        lam = eig_hermitian(mats, atol=1e-10).eigenvalues
+        lam = eig_hermitian(mats, atol=PDM_ATOL).eigenvalues
         ok = _bound_check(_t_p(lam, 1.0)[0], d).bound_ok
         rows += [f"{parameter},{format(v, '.17g')},{format(t, '.17g')},{format(m, '.17g')},{str(b).lower()}"
                  for v, t, m, b in zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(), ok)]

@@ -25,6 +25,8 @@ from .linalg import pseudo_inverse, superop_exp
 from .states import ketbra
 
 CLASS_ATOL = 1e-9
+# Absolute tolerance of a probability (or stochastic-matrix) entry's sign and of each sum's distance from 1.
+PROB_ATOL = 1e-12
 NCGD_GRID = np.logspace(-2.0, 1.0, 10)
 # Entries per stacked chunk of the NCGD grid (512 KiB complex): d = 2 and 3 take one chunk.
 NCGD_CHUNK_ENTRIES = 2**15
@@ -99,8 +101,8 @@ def _ncgd_chunk(family, delta: np.ndarray, i: np.ndarray, j: np.ndarray) -> floa
     return np.max(_max_unit_deviation(lhs.reshape(2, *rhs.shape), rhs))
 
 
-def classify_channel(ch: KrausChannel, ncgd_probe=None, atol: float = CLASS_ATOL) -> CoherenceClassReport:
-    """Test the defining identity of each coherence class on all matrix units.
+def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
+    """Test the defining identity of each coherence class on all matrix units, within CLASS_ATOL.
 
     ``ncgd_probe`` may be a Liouvillian generator matrix (d^2 x d^2, the
     dynamics is exp(L t)) or a callable t -> superoperator/KrausChannel.
@@ -150,11 +152,11 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None, atol: float = CLASS_ATOL
         residuals["ncgd"] = _ncgd_residual(family, delta)
 
     return CoherenceClassReport(
-        is_oi=residuals["oi"] <= atol,
-        is_ce=residuals["ce"] <= atol,
-        is_ci=residuals["ci"] <= atol,
-        is_di=residuals["di"] <= atol,
-        is_ncgd=residuals["ncgd"] <= atol,
+        is_oi=residuals["oi"] <= CLASS_ATOL,
+        is_ce=residuals["ce"] <= CLASS_ATOL,
+        is_ci=residuals["ci"] <= CLASS_ATOL,
+        is_di=residuals["di"] <= CLASS_ATOL,
+        is_ncgd=residuals["ncgd"] <= CLASS_ATOL,
         residuals=residuals,
         ncgd_mode=mode,
     )
@@ -168,9 +170,12 @@ class BlockDecomposition:
     blocks: dict
 
 
-def check_probability_vector(probs, d: int, atol: float = 1e-12) -> np.ndarray:
+def check_probability_vector(probs, d: int) -> np.ndarray:
+    """Validate a finite probability vector of length ``d`` (entries >= 0, sum 1, within PROB_ATOL)."""
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or np.any(probs < -atol) or abs(probs.sum() - 1.0) > atol:
+    if probs.ndim != 1 or not np.isfinite(probs).all():
+        raise ValueError("probs must be a probability vector of finite entries")
+    if np.any(probs < -PROB_ATOL) or abs(probs.sum() - 1.0) > PROB_ATOL:
         raise ValueError("probs must be a probability vector")
     if len(probs) != d:
         raise DimensionMismatch("probability vector length must match channel input dim")
@@ -192,17 +197,17 @@ def pdm_blocks(probs, ch: KrausChannel) -> BlockDecomposition:
                                                    for j in range(ch.in_dim)})
 
 
-def _block_failures(probs, kraus, atol: float = CLASS_ATOL,
-                    rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Which block pairs (i, j), i != j, fail the support and the Schur test, as ``(..., d, d)``."""
+def _block_failures(probs, kraus) -> tuple[np.ndarray, np.ndarray]:
+    """Which block pairs (i, j), i != j, fail the support and the Schur test within CLASS_ATOL,
+    as ``(..., d, d)``."""
     r = _blocks(probs, kraus)
     d = r.shape[-3]
     diag = r[..., np.arange(d), np.arange(d), :, :]
     a, c = diag[..., :, None, :, :], diag[..., None, :, :, :]
-    a_pinv = pseudo_inverse(diag, rank_tol=rank_tol)[..., :, None, :, :]
-    support = np.linalg.norm((np.eye(r.shape[-1]) - a @ a_pinv) @ r, axis=(-2, -1)) > atol
+    a_pinv = pseudo_inverse(diag)[..., :, None, :, :]
+    support = np.linalg.norm((np.eye(r.shape[-1]) - a @ a_pinv) @ r, axis=(-2, -1)) > CLASS_ATOL
     schur = c - r.conj().swapaxes(-1, -2) @ a_pinv @ r
-    schur = np.linalg.eigvalsh((schur + schur.conj().swapaxes(-1, -2)) / 2.0)[..., 0] < -atol
+    schur = np.linalg.eigvalsh((schur + schur.conj().swapaxes(-1, -2)) / 2.0)[..., 0] < -CLASS_ATOL
     off_diagonal = ~np.eye(d, dtype=bool)
     return support & off_diagonal, schur & off_diagonal
 
@@ -221,15 +226,14 @@ class BlockPositivityResult:
         }
 
 
-def block_positivity_test(probs, ch: KrausChannel, atol: float = CLASS_ATOL,
-                          rank_tol: float = 1e-10) -> BlockPositivityResult:
+def block_positivity_test(probs, ch: KrausChannel) -> BlockPositivityResult:
     """Schur-complement test for positivity of the PDM of (diag(probs), ch).
 
     The PDM is positive semidefinite iff for every pair i != j the block
     R_ij lies in the support of R_ii and R_jj - R_ji R_ii^+ R_ij >= 0.
     """
     probs = check_probability_vector(probs, ch.in_dim)
-    support, schur = _block_failures(probs, np.array(ch.kraus_ops), atol, rank_tol)
+    support, schur = _block_failures(probs, np.array(ch.kraus_ops))
     failing = np.argwhere(support | schur)
     if not len(failing):
         return BlockPositivityResult(True, None, None)
@@ -237,15 +241,17 @@ def block_positivity_test(probs, ch: KrausChannel, atol: float = CLASS_ATOL,
     return BlockPositivityResult(False, (i, j), "support" if support[i, j] else "schur")
 
 
-def check_stochastic_matrix(a, atol: float = 1e-12) -> np.ndarray:
-    """Validate a column-stochastic matrix (a_ki >= 0, columns sum to 1)."""
+def check_stochastic_matrix(a) -> np.ndarray:
+    """Validate a finite column-stochastic matrix (a_ki >= 0, columns sum to 1, within PROB_ATOL)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("stochastic matrix must be square")
-    if np.any(a < -atol):
+    if not np.isfinite(a).all():
+        raise ValueError("stochastic matrix entries must be finite")
+    if np.any(a < -PROB_ATOL):
         raise ValueError("stochastic matrix entries must be nonnegative")
     sums = a.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > atol):
+    if np.any(np.abs(sums - 1.0) > PROB_ATOL):
         raise ValueError(f"columns must sum to 1, got {sums}")
     return np.clip(a, 0.0, None)
 

@@ -22,12 +22,14 @@ from .states import check_density_matrix
 
 LG_SLACK = 1e-9
 SI_DETECT_ATOL = 1e-9
+# Absolute tolerance of a +/-1 observable's Hermiticity and of each entry of q^2 - I.
+DICHOTOMIC_ATOL = 1e-10
 
 
-def check_dichotomic(q, atol: float = 1e-10) -> np.ndarray:
+def check_dichotomic(q) -> np.ndarray:
     """Validate a +/-1 observable, or each of a ``(..., d, d)`` stack: Hermitian with q^2 = I."""
-    q = check_hermitian(q, atol, stacked=True)
-    if float(np.max(np.abs(q @ q - np.eye(q.shape[-1])))) > atol:
+    q = check_hermitian(q, DICHOTOMIC_ATOL, stacked=True)
+    if float(np.max(np.abs(q @ q - np.eye(q.shape[-1])))) > DICHOTOMIC_ATOL:
         raise ValueError("dichotomic observable must square to the identity")
     return q
 
@@ -42,12 +44,15 @@ class LgScenario:
     def __post_init__(self):
         self.initial = check_density_matrix(self.initial)
         self.q = check_dichotomic(self.q)
-        d = self.initial.shape[0]
-        if (self.ch12.in_dim, self.ch12.out_dim) != (d, d) or \
-           (self.ch23.in_dim, self.ch23.out_dim) != (d, d):
-            raise DimensionMismatch("LG legs must map the system dimension to itself")
-        if self.q.shape != (d, d):
-            raise DimensionMismatch("observable dimension must match the state")
+        _check_dims(self.initial.shape[0], self.ch12, self.ch23, [self.q])
+
+
+def _check_dims(d: int, ch12: KrausChannel, ch23: KrausChannel, qs) -> None:
+    """Raise unless both legs map dimension ``d`` to itself and every observable is ``d x d``."""
+    if (ch12.in_dim, ch12.out_dim) != (d, d) or (ch23.in_dim, ch23.out_dim) != (d, d):
+        raise DimensionMismatch("LG legs must map the system dimension to itself")
+    if any(q.shape != (d, d) for q in qs):
+        raise DimensionMismatch("observable dimension must match the state")
 
 
 @dataclass
@@ -162,11 +167,14 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
             raise ValueError("q_list has a default only for qubits; pass observables explicitly")
         q_list = [PAULI_1Q["Z"]]
     second = ch if ch23 is None else ch23
-    # Every (state, observable) pair passes the checks lg_evaluate applies.
-    scenarios = [[LgScenario(rho, ch, second, q) for rho in states] for q in q_list]
-    rhos = np.array([check_density_matrix(rho) for rho in states])
+    # Every (state, observable) pair passes the checks LgScenario applies, each input checked once.
+    rhos = [check_density_matrix(rho) for rho in states]
+    qs = [check_dichotomic(q) for q in q_list]
+    for rho in rhos:
+        _check_dims(rho.shape[0], ch, second, qs)
+    rhos = np.array(rhos)
     k12, k23 = np.array(ch.kraus_ops), np.array(second.kraus_ops)
-    c = np.array([_lg_correlators(rhos, k12, k23, row[0].q) for row in scenarios]).reshape(-1, 3)
+    c = np.array([_lg_correlators(rhos, k12, k23, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
     max_k = max((res.k for res in results), default=-np.inf)
 

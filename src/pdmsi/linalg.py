@@ -89,15 +89,15 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def pseudo_inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a Hermitian matrix, or of each in a ``(..., d, d)`` stack.
 
-    Eigenvalues with ``|lam| <= rank_tol * max|lam|`` are treated as exact
+    Eigenvalues with ``|lam| <= DEFAULT_RANK_TOL * max|lam|`` are treated as exact
     zeros and excluded, so the zero matrix maps to the zero matrix.
     """
     eig = eig_hermitian(m)
     w, v = eig.eigenvalues, eig.eigenvectors
-    keep = np.abs(w) > rank_tol * np.max(np.abs(w), axis=-1, keepdims=True)
+    keep = np.abs(w) > DEFAULT_RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True)
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     out = (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2.0

@@ -22,6 +22,8 @@ PAULI_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 PAULI_LETTERS = "IXYZ"
+# Absolute tolerance of a light-touch observable's Hermiticity and of each eigenvalue's distance from +/-lam.
+LIGHT_TOUCH_ATOL = 1e-10
 
 
 class PauliString:
@@ -61,14 +63,14 @@ def pauli_basis(n: int) -> list[PauliString]:
 class LightTouchObservable:
     """Hermitian observable whose spectrum is {lam} or {+lam, -lam}."""
 
-    def __init__(self, matrix, label: str, atol: float = 1e-10):
-        matrix = check_hermitian(matrix, atol=atol)
+    def __init__(self, matrix, label: str):
+        matrix = check_hermitian(matrix, atol=LIGHT_TOUCH_ATOL)
         w = np.linalg.eigvalsh(matrix)
         lam = float(np.max(np.abs(w)))
-        if lam <= atol:
+        if lam <= LIGHT_TOUCH_ATOL:
             raise ValueError("light-touch observable must be nonzero")
-        onlyplus = np.all(np.abs(w - lam) <= atol)
-        plusminus = np.all(np.minimum(np.abs(w - lam), np.abs(w + lam)) <= atol)
+        onlyplus = np.all(np.abs(w - lam) <= LIGHT_TOUCH_ATOL)
+        plusminus = np.all(np.minimum(np.abs(w - lam), np.abs(w + lam)) <= LIGHT_TOUCH_ATOL)
         if onlyplus:
             kind = "single"
         elif plusminus:

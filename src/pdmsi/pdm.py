@@ -23,12 +23,18 @@ from .exceptions import (
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from .linalg import EigenDecomposition, check_hermitian, eig_hermitian, kron, project_simplex
+from .linalg import EigenDecomposition, as_complex_matrix, check_hermitian, eig_hermitian, kron, project_simplex
 from .observables import ObservableBasis
 from .states import check_density_matrix
 
 NEGATIVITY_ATOL = 1e-10
 BOUND_SLACK = 1e-9
+# Hermiticity and unit-trace tolerance of a Pdm.
+PDM_ATOL = 1e-10
+# Hermiticity tolerance of a matrix whose T_p is computed without building a Pdm.
+RAW_HERMITICITY_ATOL = 1e-9
+# Hermiticity tolerance of a witness matrix.
+WITNESS_ATOL = 1e-10
 
 
 class Pdm:
@@ -39,18 +45,18 @@ class Pdm:
     and shared by ``eigenvalues``, ``si_measure`` and ``synthesize_witness``.
     """
 
-    def __init__(self, mat, dims: tuple[int, int], atol: float = 1e-10):
-        mat = np.array(check_hermitian(mat, atol=atol))
+    def __init__(self, mat, dims: tuple[int, int]):
+        mat = np.array(check_hermitian(mat, atol=PDM_ATOL))
         d1, d2 = dims
         if mat.shape[0] != d1 * d2:
             raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
         mat.flags.writeable = False
-        self.mat = _check_unit_trace(mat, atol)
+        self.mat = _check_unit_trace(mat)
         self.dims = (int(d1), int(d2))
 
     @cached_property
     def eig(self) -> EigenDecomposition:
-        eig = eig_hermitian(self.mat, atol=1e-9)
+        eig = eig_hermitian(self.mat, atol=PDM_ATOL)
         eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
         return eig
 
@@ -65,10 +71,10 @@ class Pdm:
         return f"Pdm(dims={self.dims}, min_eig={self.min_eigenvalue():.4g})"
 
 
-def _check_unit_trace(mats, atol: float = 1e-10) -> np.ndarray:
-    """Return a PDM matrix or ``(..., n, n)`` stack, raising unless each has unit trace within ``atol``."""
+def _check_unit_trace(mats) -> np.ndarray:
+    """Return a PDM matrix or ``(..., n, n)`` stack, raising unless each has unit trace within PDM_ATOL."""
     tr = np.trace(mats, axis1=-2, axis2=-1).real
-    ok = np.abs(tr - 1.0) <= atol  # False for a NaN trace
+    ok = np.abs(tr - 1.0) <= PDM_ATOL  # False for a NaN trace
     if not ok.all():
         raise ValueError(f"PDM must have unit trace, got {float(tr[~ok][0])!r}")
     return mats
@@ -375,7 +381,7 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _si_values(mats, p: float = 1.0) -> np.ndarray:
     """T_p of every matrix in a Hermitian stack ``(..., n, n)``."""
-    return _t_p(eig_hermitian(mats, atol=1e-9).eigenvalues, p)[0]
+    return _t_p(eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues, p)[0]
 
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -411,7 +417,7 @@ def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
     if not (np.isreal(p) and np.isfinite(p) and p >= 1.0):
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
-    eig = r.eig if isinstance(r, Pdm) else eig_hermitian(check_hermitian(r, atol=1e-9), atol=1e-9)
+    eig = r.eig if isinstance(r, Pdm) else eig_hermitian(as_complex_matrix(r), atol=RAW_HERMITICITY_ATOL)
     lam, v = eig.eigenvalues, eig.eigenvectors
     negatives = [
         (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
@@ -433,22 +439,24 @@ class Witness:
     two-time expectation certifies that the statistics cannot come from a
     bipartite quantum state.
 
-    ``coefficients`` is the ``(n1, n2)`` array of the ``a_kl`` in basis-label
-    order (read-only), and ``coeffs`` its ``{(label1, label2): a_kl}`` view,
-    built on first access and the same dict on every later one.
+    ``coefficients`` is the ``(n1, n2)`` array of the ``a_kl`` of
+    ``mat = sum a_kl A_k (x) B_l`` in basis-label order (read-only), computed
+    from ``mat``, and ``coeffs`` its ``{(label1, label2): a_kl}`` view, built
+    on first access and the same dict on every later one.
     """
 
-    def __init__(self, mat, coefficients, basis1: ObservableBasis, basis2: ObservableBasis):
-        mat = check_hermitian(mat, atol=1e-10)
+    def __init__(self, mat, basis1: ObservableBasis, basis2: ObservableBasis):
+        mat = check_hermitian(mat, atol=WITNESS_ATOL)
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -NEGATIVITY_ATOL:
             raise ValueError(f"witness must be positive semidefinite, min eigenvalue {lo:.3e}")
-        self._init(mat, coefficients, basis1, basis2)
+        self._init(mat, basis1, basis2)
 
-    def _init(self, mat, coefficients, basis1, basis2):
-        coefficients = np.array(coefficients, dtype=float)
-        if coefficients.shape != (len(basis1), len(basis2)):
-            raise DimensionMismatch(f"coefficients of shape {coefficients.shape} do not match the bases")
+    def _init(self, mat, basis1, basis2):
+        if mat.shape[0] != basis1.dim * basis2.dim:
+            raise DimensionMismatch(f"witness of dim {mat.shape[0]} does not match bases of dims "
+                                    f"{basis1.dim}x{basis2.dim}")
+        coefficients = np.ascontiguousarray(_pair_coefficients(mat, basis1, basis2))
         coefficients.flags.writeable = False
         self.mat = mat
         self.coefficients = coefficients
@@ -460,7 +468,7 @@ class Witness:
         """The witness of a projector built from orthonormal eigenvectors, positive semidefinite by
         construction, so with no ``eigvalsh`` check."""
         w = cls.__new__(cls)
-        w._init(check_hermitian(mat, atol=1e-10), _pair_coefficients(mat, basis1, basis2), basis1, basis2)
+        w._init(check_hermitian(mat, atol=WITNESS_ATOL), basis1, basis2)
         return w
 
     @cached_property
@@ -510,19 +518,17 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None)
     elif policy == "custom":
         if custom is None:
             raise ValueError("policy 'custom' requires a matrix")
-        w = check_hermitian(custom, atol=1e-10)
-        if float(np.linalg.eigvalsh(w)[0]) < -NEGATIVITY_ATOL:
-            raise ValueError("custom witness must be positive semidefinite")
-        if float(np.trace(w @ r.mat).real) >= 0.0:
-            raise ValueError("custom witness has nonnegative expectation on this PDM")
     else:
         raise ValueError(f"unknown witness policy {policy!r}")
 
     b1 = ObservableBasis.default_for_dim(r.dims[0])
     b2 = ObservableBasis.default_for_dim(r.dims[1])
-    if policy == "custom":
-        return Witness(w, _pair_coefficients(w, b1, b2), b1, b2)
-    return Witness._projector(w, b1, b2)
+    if policy != "custom":
+        return Witness._projector(w, b1, b2)
+    witness = Witness(custom, b1, b2)
+    if witness.expectation(r) >= 0.0:
+        raise ValueError("custom witness has nonnegative expectation on this PDM")
+    return witness
 
 
 def evaluate_witness(w: Witness, table: CorrelatorTable, coeff_atol: float = 1e-12) -> float:
@@ -553,7 +559,7 @@ class BoundCheck:
         return {"t1": self.t1, "reference": self.reference, "bound_ok": self.bound_ok}
 
 
-def _bound_check(t1, d: int, slack: float = BOUND_SLACK) -> BoundCheck:
+def _bound_check(t1, d: int) -> BoundCheck:
     """T_1 of d-dimensional channels against the SI bound d - 1, for a float ``t1`` or an array
     (whose ``bound_ok`` is then a list).
 
@@ -562,14 +568,14 @@ def _bound_check(t1, d: int, slack: float = BOUND_SLACK) -> BoundCheck:
     to itself, swaps |0i> and |i0> with weight 1/2 for each i != 0, and sends
     every |ij> with i, j != 0 to zero.  Its spectrum is therefore
     {1, 1/2 x (d-1), -1/2 x (d-1), 0 x (d-1)^2}, and T_1 = 2 sum|negative eigs|
-    = d - 1 (1 for qubits, the paper's bound).
+    = d - 1 (1 for qubits, the paper's bound).  ``bound_ok`` allows BOUND_SLACK.
     """
     reference = float(d - 1)
-    return BoundCheck(t1=t1, reference=reference, bound_ok=(np.asarray(t1) <= reference + slack).tolist())
+    return BoundCheck(t1=t1, reference=reference, bound_ok=(np.asarray(t1) <= reference + BOUND_SLACK).tolist())
 
 
-def check_bound(rho, ch: KrausChannel, slack: float = BOUND_SLACK) -> BoundCheck:
+def check_bound(rho, ch: KrausChannel) -> BoundCheck:
     """Check T_1(R(rho, ch)) against the bound of ``_bound_check``."""
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
-    return _bound_check(float(_si_values(pdm_closed_form(rho, ch).mat)), ch.in_dim, slack)
+    return _bound_check(float(_si_values(pdm_closed_form(rho, ch).mat)), ch.in_dim)

@@ -41,14 +41,14 @@ def plus_state() -> np.ndarray:
     return np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
-def check_density_matrix(rho, atol: float = DENSITY_ATOL) -> np.ndarray:
-    """Validate unit trace and positivity; returns the matrix as complex."""
-    rho = check_hermitian(rho, atol=atol)
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity within DENSITY_ATOL; returns the matrix as complex."""
+    rho = check_hermitian(rho, atol=DENSITY_ATOL)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > atol:
+    if abs(tr - 1.0) > DENSITY_ATOL:
         raise ValueError(f"density matrix must have unit trace, got {tr!r}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -atol:
+    if lo < -DENSITY_ATOL:
         raise ValueError(f"density matrix must be positive semidefinite, min eigenvalue {lo:.3e}")
     return rho
 

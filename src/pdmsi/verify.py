@@ -19,10 +19,10 @@ from . import coherence, pdm
 from . import random as prandom
 from .channels import _apply, _kraus_stack, _superoperator, dephasing_superoperator
 from .channels import identity_channel, unitary_channel
-from .leggett_garg import _lg_correlators, lg_operator
+from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, lg_operator
 from .linalg import eig_hermitian, kron
 from .observables import PAULI_1Q, ObservableBasis
-from .pdm import _closed_form, _si_values, _t_p
+from .pdm import BOUND_SLACK, NEGATIVITY_ATOL, RAW_HERMITICITY_ATOL, _closed_form, _si_values, _t_p
 from .sampling import sample_two_time
 from .states import ket, projector
 
@@ -40,7 +40,7 @@ class CheckResult:
 
 
 def _spectra(mats) -> np.ndarray:
-    return eig_hermitian(mats, atol=1e-9).eigenvalues
+    return eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues
 
 
 def _closed_forms(pairs) -> np.ndarray:
@@ -83,7 +83,7 @@ def _pdms(draws) -> np.ndarray:
 def _positivity(rng, trials):
     lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
     t1 = _t_p(lam, 1.0)[0]
-    on_psd = t1[lam[:, 0] >= -1e-10]
+    on_psd = t1[lam[:, 0] >= -NEGATIVITY_ATOL]
     ok = np.all(t1 >= 0.0) and np.all(on_psd == 0.0)
     return ok, f"max on PSD {np.max(on_psd, initial=0.0):.2e}"
 
@@ -118,7 +118,7 @@ def _cptp_monotone(rng, trials):
 def _closed_vs_lp(rng, trials):
     lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
     # The LP is the independent route, so it solves each spectrum on its own.
-    numeric = [max(pdm._t1_simplex_lp(row)[0], 0.0) if row[0] < -pdm.NEGATIVITY_ATOL else 0.0 for row in lam]
+    numeric = [max(pdm._t1_simplex_lp(row)[0], 0.0) if row[0] < -NEGATIVITY_ATOL else 0.0 for row in lam]
     worst = float(np.max(np.abs(_t_p(lam, 1.0)[0] - numeric)))
     return worst <= 1e-7, f"max gap {worst:.2e}"
 
@@ -142,7 +142,7 @@ def _qubit_bound(rng, trials):
             pairs.append((prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=4, rng=rng)))
     t1 = _si_values(_closed_forms(pairs))
     worst, saturated = float(np.max(t1)), bool(np.any(t1 > 0.999))
-    return worst <= 1.0 + 1e-9 and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
+    return worst <= 1.0 + BOUND_SLACK and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
 
 
 def _witness_soundness(rng, trials):
@@ -155,7 +155,7 @@ def _witness_soundness(rng, trials):
     rhos = np.array([prandom.density_matrix(4, rng) for _ in range(trials)])
     w = np.array([x.mat for x in witnesses])[np.arange(trials) % len(witnesses)]
     floor = float(np.min(np.einsum("nij,nji->n", w, rhos).real))
-    return floor >= -1e-10, f"{len(witnesses)} witnesses, min expectation {floor:.2e}"
+    return floor >= -NEGATIVITY_ATOL, f"{len(witnesses)} witnesses, min expectation {floor:.2e}"
 
 
 def _extremal_t2(rng, trials):
@@ -177,7 +177,7 @@ def _block_vs_spectrum(rng, trials):
         probs, chs = np.array([pairs[k][0] for k in at]), [pairs[k][1] for k in at]
         support, schur = coherence._block_failures(probs, _kraus_stack(chs))
         lowest = _spectra(_closed_forms([(np.diag(p.astype(complex)), ch) for p, ch in zip(probs, chs)]))[:, 0]
-        return ~(support | schur).any(axis=(-2, -1)) != (lowest >= -1e-9)
+        return ~(support | schur).any(axis=(-2, -1)) != (lowest >= -coherence.CLASS_ATOL)
 
     disagreements = int(np.sum(_by_dim([len(probs) for probs, _ in pairs], disagree)))
     return disagreements == 0, f"{disagreements} disagreements"
@@ -211,7 +211,7 @@ def _oi_compatible(rng, trials):
         ch = prandom.oi_channel(d, rng)
         pairs.append((prandom.incoherent_state(d, rng), ch))
     worst = float(np.max(_pair_quantity(pairs, _si_values)))
-    return worst <= 1e-9, f"max negativity {worst:.2e}"
+    return worst <= SI_DETECT_ATOL, f"max negativity {worst:.2e}"
 
 
 def _coherent_input(rng, trials):
@@ -226,7 +226,7 @@ def _coherent_input(rng, trials):
         adv = coherence.adversarial_coherent_state(a, int(i), int(j), int(k), float(rng.uniform(0.05, 0.95)))
         pairs.append((adv.state, coherence.build_ce_oi_channel(a)))
     floor = float(np.min(_pair_quantity(pairs, _si_values), initial=np.inf))
-    return floor > 1e-9, f"min negativity {floor:.2e}"
+    return floor > SI_DETECT_ATOL, f"min negativity {floor:.2e}"
 
 
 def _lg_spectrum(rng, trials):
@@ -247,7 +247,7 @@ def _tripartite_range(rng, trials):
     qs, rhos = zip(*[(np.array([prandom.dichotomic_observable(2, rng) for _ in range(3)]),
                       prandom.density_matrix(8, rng)) for _ in range(trials)])
     k = np.einsum("nij,nji->n", np.array(rhos), lg_operator(*np.array(qs).swapaxes(0, 1))).real
-    return np.all((-3.0 - 1e-9 <= k) & (k <= 1.0 + 1e-9)), ""
+    return np.all((-3.0 - LG_SLACK <= k) & (k <= 1.0 + LG_SLACK)), ""
 
 
 def _oi_legs(rng, trials):
@@ -255,7 +255,7 @@ def _oi_legs(rng, trials):
     k = _kraus_stack(chs)
     c = _lg_correlators(np.array(rhos), k, k, PAULI_1Q["Z"])
     worst = float(np.max(c[:, 0] + c[:, 1] - c[:, 2]))
-    return worst <= 1.0 + 1e-9, f"max K {worst:.9f}"
+    return worst <= 1.0 + LG_SLACK, f"max K {worst:.9f}"
 
 
 def _sampled_correlators(rng, trials):

@@ -359,3 +359,17 @@ class TestBuildCeOi:
             check_stochastic_matrix(np.array([[0.5, 0.2], [0.2, 0.8]]))
         with pytest.raises(ValueError):
             check_stochastic_matrix(np.array([[-0.1, 0.0], [1.1, 1.0]]))
+
+
+NAN_COLUMN = [[np.nan, 0.0], [np.nan, 1.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pdm_blocks([np.nan, np.nan], identity_channel(2)), "probability vector of finite entries"),
+    (lambda: block_positivity_test([np.inf, 0.0], identity_channel(2)), "probability vector of finite entries"),
+    (lambda: build_ce_oi_channel(NAN_COLUMN), "stochastic matrix entries must be finite"),
+    (lambda: adversarial_coherent_state(NAN_COLUMN, 0, 1, 0, 0.5), "stochastic matrix entries must be finite"),
+], ids=["pdm_blocks", "block_positivity_test", "build_ce_oi_channel", "adversarial_coherent_state"])
+def test_non_finite_probabilities_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ class TestScenarioValidation:
     def test_scenario_dims(self):
         with pytest.raises(DimensionMismatch):
             LgScenario(maximally_mixed(3), identity_channel(2), identity_channel(2), Z)
+
+    @pytest.mark.parametrize("state, ch23, q", [
+        (maximally_mixed(3), identity_channel(2), Z),
+        (maximally_mixed(2), identity_channel(3), Z),
+        (maximally_mixed(2), identity_channel(2), np.eye(3)),
+        (maximally_mixed(2), identity_channel(2), np.diag([1.0, 2.0])),
+    ], ids=["state dim", "ch23 dim", "q dim", "q not +/-1"])
+    def test_lg_vs_si_rejects_as_scenario(self, state, ch23, q):
+        with pytest.raises(ValueError) as want:
+            LgScenario(state, identity_channel(2), ch23, q)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            lg_vs_si(identity_channel(2), [maximally_mixed(2), state], [Z, q], ch23=ch23)
 
 
 class TestLgEvaluate:

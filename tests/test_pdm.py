@@ -649,7 +649,7 @@ class TestSynthesizedWitnessPsd:
     def test_public_constructor_still_checks_psd(self):
         b = ObservableBasis.pauli(1)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            Witness(-np.eye(4) / 4, np.zeros((4, 4)), b, b)
+            Witness(-np.eye(4) / 4, b, b)
 
 
 class TestBasisKernels:
@@ -808,7 +808,7 @@ class TestArrayTableMatchesDictOracle:
         psi = rng.normal(size=b1.dim * b2.dim) + 1j * rng.normal(size=b1.dim * b2.dim)
         mat = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
         coefficients = _pair_coefficients(mat, b1, b2)
-        w = Witness(mat, coefficients, b1, b2)
+        w = Witness(mat, b1, b2)
         coeffs = dict(zip([(a, b) for a in b1.labels for b in b2.labels], coefficients.ravel().tolist()))
         assert w.coeffs == coeffs and list(w.coeffs) == list(coeffs)
         got_map = w.to_dict()["coefficients"]

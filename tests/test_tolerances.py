@@ -1,0 +1,95 @@
+"""Each named tolerance is the threshold its verdict reads.
+
+Every row builds an input whose defect is a given multiple of one constant and
+reports whether the verdict treats it as within tolerance: at 0.5x it must, at
+2x it must not.  The defects are far above rounding (at least 5e-13 against
+errors near 1e-16), so each row pins the constant, not the arithmetic.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from pdmsi.channels import TRACE_PRESERVING_ATOL, KrausChannel, depolarizing_channel, unitary_channel
+from pdmsi.coherence import (
+    CLASS_ATOL,
+    PROB_ATOL,
+    check_probability_vector,
+    check_stochastic_matrix,
+    classify_channel,
+)
+from pdmsi.exceptions import NotSpatiallyIncompatible
+from pdmsi.leggett_garg import DICHOTOMIC_ATOL, LG_SLACK, SI_DETECT_ATOL, check_dichotomic, lg_vs_si
+from pdmsi.observables import LIGHT_TOUCH_ATOL, PAULI_1Q, LightTouchObservable
+from pdmsi.pdm import BOUND_SLACK, NEGATIVITY_ATOL, PDM_ATOL, Pdm, _bound_check, synthesize_witness
+from pdmsi.states import DENSITY_ATOL, check_density_matrix, ket, ketbra, projector
+
+
+def accepted(build, error=ValueError) -> bool:
+    """Whether ``build()`` returns rather than raising ``error``."""
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+def negative_eigenvalue_ignored(e):
+    """A PDM whose one negative eigenvalue is -e: within NEGATIVITY_ATOL no witness exists."""
+    r = Pdm(np.diag([1.0 + e, 0.0, 0.0, -e]), (2, 2))
+    return not accepted(lambda: synthesize_witness(r), NotSpatiallyIncompatible)
+
+
+def oi_holds(e):
+    """``(1 - e) Delta + e id``, whose OI residual ``||ch(|0><1|)||_F`` is e."""
+    ops = [np.sqrt(1.0 - e) * ketbra(0, 0), np.sqrt(1.0 - e) * ketbra(1, 1), np.sqrt(e) * np.eye(2)]
+    report = classify_channel(KrausChannel(ops))
+    assert report.residuals["oi"] == pytest.approx(e, rel=1e-6)
+    return report.is_oi
+
+
+def lg_holds(e):
+    """Z at three times around two X rotations by theta, where
+    K = 2 cos(theta) - cos(2 theta) = 1 + theta^2 + O(theta^4)."""
+    theta = np.sqrt(e)
+    ch = unitary_channel(scipy.linalg.expm(-0.5j * theta * PAULI_1Q["X"]))
+    res = lg_vs_si(ch, [projector(ket(0))])
+    assert res.max_k == pytest.approx(1.0 + e, abs=1e-3 * e)
+    return not res.lg_violated
+
+
+def si_undetected(e):
+    """|0><0| through the depolarizing channel of strength 1 - eps, whose T_1 is
+    sqrt(a^2 + eps^2) - a with a = (1 - eps)/2; eps is solved for T_1 = e."""
+    eps = (-e + np.sqrt(e * e + 4.0 * (e + e * e))) / 2.0
+    res = lg_vs_si(depolarizing_channel(1.0 - eps), [projector(ket(0))])
+    assert res.best_negativity == pytest.approx(e, rel=1e-3)
+    return not res.si_detected
+
+
+# (constant name, value, within(defect) -> whether the verdict treats the defect as tolerated)
+THRESHOLDS = [
+    ("TRACE_PRESERVING_ATOL", TRACE_PRESERVING_ATOL,
+     lambda e: accepted(lambda: KrausChannel([np.sqrt(1.0 + e) * np.eye(2)]))),
+    ("DENSITY_ATOL", DENSITY_ATOL, lambda e: accepted(lambda: check_density_matrix(np.diag([1.0 + e, -e])))),
+    ("PDM_ATOL", PDM_ATOL, lambda e: accepted(lambda: Pdm(np.eye(4) * (1.0 + e) / 4.0, (2, 2)))),
+    ("NEGATIVITY_ATOL", NEGATIVITY_ATOL, negative_eigenvalue_ignored),
+    ("CLASS_ATOL", CLASS_ATOL, oi_holds),
+    ("BOUND_SLACK", BOUND_SLACK, lambda e: _bound_check(1.0 + e, 2).bound_ok),
+    ("PROB_ATOL probability vector", PROB_ATOL,
+     lambda e: accepted(lambda: check_probability_vector([0.5, 0.5 + e], 2))),
+    ("PROB_ATOL stochastic matrix", PROB_ATOL,
+     lambda e: accepted(lambda: check_stochastic_matrix([[0.5, 0.0], [0.5 + e, 1.0]]))),
+    ("DICHOTOMIC_ATOL", DICHOTOMIC_ATOL,
+     lambda e: accepted(lambda: check_dichotomic(np.diag([np.sqrt(1.0 + e), -1.0])))),
+    ("LIGHT_TOUCH_ATOL", LIGHT_TOUCH_ATOL,
+     lambda e: accepted(lambda: LightTouchObservable(np.diag([1.0, -1.0 - e]), "L"))),
+    ("LG_SLACK", LG_SLACK, lg_holds),
+    ("SI_DETECT_ATOL", SI_DETECT_ATOL, si_undetected),
+]
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("name, tol, within", THRESHOLDS, ids=[row[0] for row in THRESHOLDS])
+def test_threshold_is_the_constant(name, tol, within, factor):
+    assert within(factor * tol) is (factor < 1.0)
