@@ -14,9 +14,10 @@ TRACE_PRESERVING_ATOL = 1e-10
 class KrausChannel:
     """Trace-preserving completely positive map given by Kraus operators.
 
-    Kraus operators are ``out_dim x in_dim`` complex matrices satisfying
-    ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
-    TRACE_PRESERVING_ATOL.
+    Kraus operators are finite ``out_dim x in_dim`` complex matrices
+    satisfying ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
+    TRACE_PRESERVING_ATOL.  ``kraus`` is a read-only ``(K, out_dim, in_dim)``
+    copy of them, made once, and ``kraus_ops`` the tuple of its rows.
     """
 
     def __init__(self, kraus_ops):
@@ -26,12 +27,18 @@ class KrausChannel:
         shape = ops[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise DimensionMismatch("all Kraus operators must share one 2-D shape")
+        kraus = np.array(ops)
+        if not np.isfinite(kraus).all():
+            raise ValueError("Kraus operators have non-finite entries")
         self.out_dim, self.in_dim = shape
-        total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.max(np.abs(total - np.eye(self.in_dim))))
+        # sum_l K_l^dag K_l as one product V^dag V of the operators stacked row-wise.
+        v = kraus.reshape(-1, self.in_dim)
+        defect = float(abs(v.conj().T @ v - np.eye(self.in_dim)).max())
         if defect > TRACE_PRESERVING_ATOL:
             raise ValueError(f"Kraus operators are not trace preserving: defect {defect:.3e}")
-        self.kraus_ops = tuple(ops)
+        kraus.flags.writeable = False
+        self.kraus = kraus
+        self.kraus_ops = tuple(kraus)
 
     def __call__(self, m) -> np.ndarray:
         """Apply the channel to one operator or to a stack of shape (..., in_dim, in_dim)."""
@@ -40,15 +47,15 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"channel expects {self.in_dim}x{self.in_dim} operands, got {m.shape}"
             )
-        return _apply(np.array(self.kraus_ops), m)
+        return _apply(self.kraus, m)
 
     def jamiolkowski(self) -> np.ndarray:
         """M = sum_ij |i><j| (x) channel(|j><i|); Hermitian with trace in_dim."""
-        return check_hermitian(_jamiolkowski(np.array(self.kraus_ops)), atol=1e-9)
+        return check_hermitian(_jamiolkowski(self.kraus), atol=1e-9)
 
     def superoperator(self) -> np.ndarray:
         """Matrix acting on row-major vectorized operators: sum_l K_l (x) conj(K_l)."""
-        return _superoperator(np.array(self.kraus_ops))
+        return _superoperator(self.kraus)
 
     def compose(self, inner: "KrausChannel") -> "KrausChannel":
         """self after inner: (self . inner)(m) = self(inner(m))."""
@@ -65,8 +72,10 @@ class KrausChannel:
 def _kraus_stack(chs) -> np.ndarray:
     """``(N, K, out_dim, in_dim)`` Kraus operators of equally shaped channels, padded to
     the largest count K with zero operators, which change neither channel nor trace."""
-    k = max(len(ch.kraus_ops) for ch in chs)
-    return np.array([ch.kraus_ops + (np.zeros_like(ch.kraus_ops[0]),) * (k - len(ch.kraus_ops)) for ch in chs])
+    out = np.zeros((len(chs), max(len(ch.kraus) for ch in chs), *chs[0].kraus.shape[1:]), dtype=complex)
+    for row, ch in zip(out, chs):
+        row[:len(ch.kraus)] = ch.kraus
+    return out
 
 
 def _apply(kraus, m) -> np.ndarray:

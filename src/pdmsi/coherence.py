@@ -192,7 +192,7 @@ def _blocks(probs, kraus) -> np.ndarray:
 
 def pdm_blocks(probs, ch: KrausChannel) -> BlockDecomposition:
     probs = check_probability_vector(probs, ch.in_dim)
-    blocks = _blocks(probs, np.array(ch.kraus_ops))
+    blocks = _blocks(probs, ch.kraus)
     return BlockDecomposition(probs=probs, blocks={(i, j): blocks[i, j] for i in range(ch.in_dim)
                                                    for j in range(ch.in_dim)})
 
@@ -233,7 +233,7 @@ def block_positivity_test(probs, ch: KrausChannel) -> BlockPositivityResult:
     R_ij lies in the support of R_ii and R_jj - R_ji R_ii^+ R_ij >= 0.
     """
     probs = check_probability_vector(probs, ch.in_dim)
-    support, schur = _block_failures(probs, np.array(ch.kraus_ops))
+    support, schur = _block_failures(probs, ch.kraus)
     failing = np.argwhere(support | schur)
     if not len(failing):
         return BlockPositivityResult(True, None, None)

@@ -89,8 +89,7 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
     """
     rho, q = scenario.initial, scenario.q
     if shots is None:
-        c12, c23, c13 = _lg_correlators(rho, np.array(scenario.ch12.kraus_ops),
-                                        np.array(scenario.ch23.kraus_ops), q).tolist()
+        c12, c23, c13 = _lg_correlators(rho, scenario.ch12.kraus, scenario.ch23.kraus, q).tolist()
     else:
         if seed is None:
             raise ValueError("Monte Carlo LG evaluation needs a seed")
@@ -173,7 +172,7 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     for rho in rhos:
         _check_dims(rho.shape[0], ch, second, qs)
     rhos = np.array(rhos)
-    k12, k23 = np.array(ch.kraus_ops), np.array(second.kraus_ops)
+    k12, k23 = ch.kraus, second.kraus
     c = np.array([_lg_correlators(rhos, k12, k23, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
     max_k = max((res.k for res in results), default=-np.inf)

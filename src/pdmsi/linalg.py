@@ -26,7 +26,7 @@ def as_complex_matrix(m, stacked: bool = False) -> np.ndarray:
 
 def hermiticity_defect(m) -> float:
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
+    return float(abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
 def check_hermitian(m, atol: float = HERMITICITY_ATOL, stacked: bool = False) -> np.ndarray:

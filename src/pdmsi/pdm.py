@@ -88,18 +88,23 @@ def _closed_form(rho, kraus) -> np.ndarray:
     return 0.5 * (a @ m + m @ a)
 
 
+def _pair_closed_form(rho, ch: KrausChannel) -> np.ndarray:
+    """The closed-form matrix of one (state, channel) pair, after checking the state."""
+    rho = check_density_matrix(rho)
+    if rho.shape[0] != ch.in_dim:
+        raise DimensionMismatch(
+            f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
+        )
+    return _closed_form(rho, ch.kraus)
+
+
 def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
     """PDM of a state evolving through a channel: (1/2){rho (x) I, M_channel}.
 
     Valid for the projective measurement scheme that projects each observable
     onto its +/-lambda eigenspaces at both times.
     """
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != ch.in_dim:
-        raise DimensionMismatch(
-            f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
-        )
-    return Pdm(_closed_form(rho, np.array(ch.kraus_ops)), (ch.in_dim, ch.out_dim))
+    return Pdm(_pair_closed_form(rho, ch), (ch.in_dim, ch.out_dim))
 
 
 class CorrelatorTable:
@@ -380,8 +385,8 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _si_values(mats, p: float = 1.0) -> np.ndarray:
-    """T_p of every matrix in a Hermitian stack ``(..., n, n)``."""
-    return _t_p(eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues, p)[0]
+    """T_p of every matrix in a Hermitian stack ``(..., n, n)``, from its spectrum alone."""
+    return _t_p(np.linalg.eigvalsh(check_hermitian(mats, atol=RAW_HERMITICITY_ATOL, stacked=True)), p)[0]
 
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -575,7 +580,13 @@ def _bound_check(t1, d: int) -> BoundCheck:
 
 
 def check_bound(rho, ch: KrausChannel) -> BoundCheck:
-    """Check T_1(R(rho, ch)) against the bound of ``_bound_check``."""
+    """Check T_1(R(rho, ch)) against the bound of ``_bound_check``.
+
+    R is checked as a ``Pdm`` would be (Hermitian and of unit trace within
+    PDM_ATOL), but no ``Pdm`` or eigenvector is built: T_1 is the closed form
+    of ``_t_p`` at p = 1 over the spectrum alone.
+    """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
-    return _bound_check(float(_si_values(pdm_closed_form(rho, ch).mat)), ch.in_dim)
+    r = _check_unit_trace(check_hermitian(_pair_closed_form(rho, ch), atol=PDM_ATOL))
+    return _bound_check(float(_t1_closed_form(np.linalg.eigvalsh(r))), ch.in_dim)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,10 @@ import pdmsi.random as prandom
 from oracles import channels_equal, dephase
 from pdmsi.channels import (
     KrausChannel,
+    _apply,
+    _jamiolkowski,
+    _kraus_stack,
+    _superoperator,
     amplitude_damping_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -17,6 +23,12 @@ from pdmsi.exceptions import DimensionMismatch
 from pdmsi.states import ket, ketbra, plus_state, projector
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# Kraus operators (2->2, 2->3 and 3->3), operand stacks, and the action, Jamiolkowski matrix and
+# superoperator computed from them when the channel kept only a list of operators and stacked it
+# on every call.  Every entry is a multiple of 1/16, so each product and sum is exact and the bits
+# do not depend on the BLAS build.
+with np.load(Path(__file__).resolve().parent / "data" / "kraus_list_form.npz") as _saved:
+    LIST_FORM = dict(_saved)
 
 
 def sm_kraus_pair():
@@ -73,6 +85,55 @@ class TestKrausChannel:
             out = ch(rho)
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out)[0] > -1e-10
+
+
+class TestKrausStack:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausChannel([k])
+
+    def test_operators_are_read_only(self):
+        ch = amplitude_damping_channel(0.3)
+        assert ch.kraus.shape == (2, 2, 2) and not ch.kraus.flags.writeable
+        for k, row in zip(ch.kraus_ops, ch.kraus):
+            assert not k.flags.writeable and np.shares_memory(k, ch.kraus)
+            assert np.array_equal(k, row)
+            with pytest.raises(ValueError):
+                k[0, 0] = 2.0
+
+    @pytest.mark.parametrize("as_stack", [False, True])
+    def test_caller_mutation_does_not_reach_the_channel(self, as_stack):
+        ops = [np.eye(2, dtype=complex)]
+        given_ops = np.array(ops) if as_stack else ops
+        ch = KrausChannel(given_ops)
+        rho = plus_state()
+        before = ch(rho)
+        (given_ops[0] if as_stack else ops[0])[:] = HADAMARD
+        assert np.array_equal(ch.kraus_ops[0], np.eye(2)) and np.array_equal(ch(rho), before)
+
+    @pytest.mark.parametrize("name", ["q2", "q2to3", "q3"])
+    def test_outputs_match_the_list_form_bit_for_bit(self, name):
+        ch = KrausChannel(list(LIST_FORM[f"{name}_kraus"]))
+        assert np.array_equal(ch(LIST_FORM[f"{name}_operands"]), LIST_FORM[f"{name}_apply"])
+        assert np.array_equal(ch.jamiolkowski(), LIST_FORM[f"{name}_jamiolkowski"])
+        assert np.array_equal(ch.superoperator(), LIST_FORM[f"{name}_superoperator"])
+
+    def test_stack_gives_the_bits_of_stacking_the_operators_per_call(self):
+        rng = np.random.default_rng(13)
+        chs = [prandom.channel(3, 3, env_dim=k, rng=rng) for k in (1, 2, 4)]
+        m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        for ch in chs:
+            per_call = np.array([np.array(k) for k in ch.kraus_ops])
+            assert np.array_equal(ch(m), _apply(per_call, m))
+            assert np.array_equal(ch.jamiolkowski(), _jamiolkowski(per_call))
+            assert np.array_equal(ch.superoperator(), _superoperator(per_call))
+        padded = _kraus_stack(chs)
+        assert padded.shape == (3, 4, 3, 3) and padded.flags.writeable
+        for row, ch in zip(padded, chs):
+            assert np.array_equal(row[:len(ch.kraus)], ch.kraus) and not row[len(ch.kraus):].any()
 
 
 class TestJamiolkowski:

@@ -444,6 +444,17 @@ class TestEachQuantityComputedOnce:
         assert main(["run", "--config", "witness_identity.json", "--out", str(tmp_path)]) == 0
         assert counts == Counter({"eig_hermitian": 1})
 
+    def test_bound_check_builds_no_pdm_and_no_eigenvectors(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "linalg.eig_hermitian")
+        ch = prandom.channel(3, 3, env_dim=2, rng=np.random.default_rng(5))
+        assert check_bound(prandom.density_matrix(3, np.random.default_rng(6)), ch).bound_ok
+        assert counts == Counter()
+
+    def test_lg_diagonalises_only_the_witness_pdm(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0
+        assert counts == Counter({"eig_hermitian": 1})
+
     def test_lg_evaluates_correlators_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "leggett_garg._lg_correlators")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0

@@ -13,6 +13,7 @@ from pdmsi.exceptions import (
     DimensionMismatch,
     IncompleteTable,
     InvalidP,
+    NonHermitian,
     NotSpatiallyIncompatible,
 )
 from oracles import (
@@ -24,10 +25,11 @@ from oracles import (
     partial_trace,
     schatten_norm,
 )
-from pdmsi.linalg import kron
+from pdmsi.linalg import eig_hermitian, kron
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
+    RAW_HERMITICITY_ATOL,
     CorrelatorTable,
     Pdm,
     _check_unit_trace,
@@ -37,6 +39,7 @@ from pdmsi.pdm import (
     _overlaps,
     _pair_coefficients,
     _si_values,
+    _t_p,
     Witness,
     check_bound,
     evaluate_witness,
@@ -445,6 +448,42 @@ class TestBound:
         assert check_bound(rho, ch).reference == d - 1
         assert abs(si_measure(pdm_closed_form(rho, ch), 1.0).value - (d - 1)) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_spectrum_only_t1_matches_si_measure(self, d):
+        """The bound's T_1 (from eigvalsh) against si_measure's (from eig_hermitian) on one Pdm:
+        random mixed states through random channels, and pure states through Haar unitaries,
+        which saturate the bound."""
+        rng = np.random.default_rng(70 + d)
+        pairs = [(prandom.density_matrix(d, rng), prandom.channel(d, d, env_dim=1 + k % 4, rng=rng))
+                 for k in range(40)]
+        pairs += [(projector(prandom.pure_state(d, rng)), unitary_channel(prandom.haar_unitary(d, rng)))
+                  for _ in range(10)]
+        for k, (rho, ch) in enumerate(pairs):
+            res = check_bound(rho, ch)
+            t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
+            assert abs(res.t1 - t1) <= 1e-12
+            assert res.bound_ok == (t1 <= d - 1 + 1e-9) and res.bound_ok
+            if k >= 40:
+                assert abs(res.t1 - (d - 1)) <= 1e-9
+
+    @pytest.mark.parametrize("rho, ch, exc, match", [
+        (np.diag([1.5, -0.5]), identity_channel(2), ValueError, "positive semidefinite"),
+        (np.diag([np.nan, 1.0]), identity_channel(2), NonHermitian, "non-finite"),
+        (np.diag([np.inf, 0.0]), identity_channel(2), NonHermitian, "non-finite"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), identity_channel(2), NonHermitian, "not Hermitian"),
+        (np.eye(2), identity_channel(2), ValueError, "unit trace"),
+        (np.ones((2, 3)) / 2, identity_channel(2), DimensionMismatch, "square"),
+        (maximally_mixed(3), identity_channel(2), DimensionMismatch, "state dim 3"),
+        (maximally_mixed(2), prandom.channel(2, 3, env_dim=2, rng=np.random.default_rng(0)),
+         DimensionMismatch, "equal input and output"),
+        (maximally_mixed(3), prandom.channel(2, 3, env_dim=2, rng=np.random.default_rng(0)),
+         DimensionMismatch, "equal input and output"),
+    ])
+    def test_rejects_what_the_pdm_path_rejects(self, rho, ch, exc, match):
+        with pytest.raises(exc, match=match) as info:
+            check_bound(rho, ch)
+        assert type(info.value) is exc
+
 
 class TestStackedKernels:
     """The stacked kernels against the one-item public calls, which stay the oracle."""
@@ -465,6 +504,27 @@ class TestStackedKernels:
         mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(50)])
         stacked = _si_values(mats, p)
         assert np.max(np.abs(stacked - [si_measure(m, p).value for m in mats])) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_spectrum_only_t_p_matches_eig_hermitian(self, p):
+        """_si_values (eigvalsh) against _t_p of eig_hermitian's spectrum: random unit-trace
+        matrices, degenerate spectra, the extremal PDM, and 2->3 closed forms."""
+        rng = np.random.default_rng(73)
+        degenerate = [np.diag(lam).astype(complex) for lam in
+                      ([-0.25, -0.25, 0.75, 0.75], [0.25] * 4, [-0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0])]
+        rotations = [prandom.haar_unitary(4, rng) for _ in degenerate]
+        degenerate += [u @ m @ u.conj().T for m, u in zip(degenerate, rotations)]
+        stacks = [
+            np.array([prandom.unit_trace_hermitian(4, rng) for _ in range(50)]),
+            np.array(degenerate),
+            _closed_form(np.array([projector(ket(0, 3)), maximally_mixed(3)]), identity_channel(3).kraus),
+            _closed_form(np.array([prandom.density_matrix(2, rng) for _ in range(30)]),
+                         _kraus_stack([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng) for k in range(30)])),
+        ]
+        for mats in stacks:
+            want = _t_p(eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues, p)[0]
+            assert np.max(np.abs(_si_values(mats, p) - want)) <= 1e-12
+        assert stacks[-1].shape == (30, 6, 6)
 
     def test_basis_kernels_on_stacks(self):
         rng = np.random.default_rng(67)
