@@ -66,19 +66,23 @@ class LgResult:
         return {"c12": self.c12, "c23": self.c23, "c13": self.c13, "k": self.k}
 
 
-def _lg_correlators(rho, k12, k23, q) -> np.ndarray:
-    """Exact (C12, C23, C13) on the last axis, over states ``(..., d, d)`` and Kraus stacks ``(..., K, d, d)``.
+def _lg_pdms(rho, k12, k23) -> tuple:
+    """The closed-form PDMs behind (C12, C23, C13), over states ``(..., d, d)`` and Kraus stacks ``(..., K, d, d)``.
 
-    Each is ``Tr[R (q (x) q)]`` of a closed-form PDM: the state through leg 1,
-    the unmeasured leg-1 output through leg 2, and the state through both legs
-    (whose Kraus operators are the products of one operator from each leg).
+    The state through leg 1, the unmeasured leg-1 output through leg 2, and
+    the state through both legs (whose Kraus operators are the products of one
+    operator from each leg).  None depends on the observable.
     """
     rho2 = _apply(k12, rho)
     k13 = k23[..., :, None, :, :] @ k12[..., None, :, :, :]
     k13 = k13.reshape(*k13.shape[:-4], -1, *k13.shape[-2:])
+    return _closed_form(rho, k12), _closed_form(rho2, k23), _closed_form(rho, k13)
+
+
+def _lg_correlators(pdms, q) -> np.ndarray:
+    """Exact (C12, C23, C13) on the last axis: ``Tr[R (q (x) q)]`` of each of ``_lg_pdms``."""
     qq = kron(q, q)
-    return np.stack([np.einsum("...ij,ji->...", _closed_form(r, k), qq).real
-                     for r, k in ((rho, k12), (rho2, k23), (rho, k13))], axis=-1)
+    return np.stack([np.einsum("...ij,ji->...", r, qq).real for r in pdms], axis=-1)
 
 
 def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None = None) -> LgResult:
@@ -89,7 +93,7 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
     """
     rho, q = scenario.initial, scenario.q
     if shots is None:
-        c12, c23, c13 = _lg_correlators(rho, scenario.ch12.kraus, scenario.ch23.kraus, q).tolist()
+        c12, c23, c13 = _lg_correlators(_lg_pdms(rho, scenario.ch12.kraus, scenario.ch23.kraus), q).tolist()
     else:
         if seed is None:
             raise ValueError("Monte Carlo LG evaluation needs a seed")
@@ -172,17 +176,16 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     for rho in rhos:
         _check_dims(rho.shape[0], ch, second, qs)
     rhos = np.array(rhos)
-    k12, k23 = ch.kraus, second.kraus
-    c = np.array([_lg_correlators(rhos, k12, k23, q) for q in qs]).reshape(-1, 3)
+    pdms = _lg_pdms(rhos, ch.kraus, second.kraus)
+    c = np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
     max_k = max((res.k for res in results), default=-np.inf)
 
-    pdms = _closed_form(rhos, k12)
-    values = _si_values(pdms)
+    values = _si_values(pdms[0])
     best = int(np.argmax(values))
     best_negativity = float(values[best])
     si_detected = best_negativity > SI_DETECT_ATOL
-    witness = synthesize_witness(Pdm(pdms[best], (ch.in_dim, ch.in_dim))) if si_detected else None
+    witness = synthesize_witness(Pdm(pdms[0][best], (ch.in_dim, ch.in_dim))) if si_detected else None
     return LgVsSi(
         lg_violated=bool(max_k > 1.0 + LG_SLACK),
         max_k=float(max_k),

@@ -13,6 +13,13 @@ then ``shots`` for the second; shot k has outcome +lam at t1 when
 ``u1[k] < P(+)`` and +lam at t2 when ``u2[k]`` is below the probability of
 +lam given the first outcome.  Identical (inputs, seed) therefore give
 identical tables bit for bit.
+
+A product is +lam1*lam2 when the two outcomes agree and -lam1*lam2 when
+they differ, so the number k of the n shots that agree is a sufficient
+statistic: a table keeps only k per pair, as ``lam1*lam2 * (2k - n) / n``.
+The bundled bases have lam = 1, and n products +/-1.0 sum to exactly 2k - n,
+so their tables keep the bytes of the per-shot mean (as whenever lam1*lam2
+is an integer or a power of two); other scales can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -119,18 +126,25 @@ def _branch_probabilities(rho, ch: KrausChannel, projs1, projs2):
     return p, q
 
 
-def _draw(p: float, q_given, lam12: float, shots: int, seed):
-    """One pair's seeded shots: whether each outcome was +lam at t1 and at t2, and their products.
-
-    The mean of the products is ``products.sum() / shots``, which is how
-    ``np.mean`` computes it, bit for bit, without its per-call overhead.
-    """
+def _check_shots(shots, name: str) -> int:
+    """``shots`` as an int: a Python or numpy integer (not a bool) of at least 1."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {shots!r}")
     if shots < 1:
-        raise ZeroShots("shots must be >= 1")
+        raise ZeroShots(f"{name} must be >= 1")
+    return int(shots)
+
+
+def _draw(p: float, q_given, shots: int, seed):
+    """One pair's seeded shots: whether each outcome was +lam at t1, and whether it was +lam at t2.
+
+    ``q_given`` is (P(+ at t2 | + at t1), P(+ at t2 | - at t1)).
+    """
     u = np.random.default_rng(seed).random(2 * shots)
     first_plus = u[:shots] < p
-    second_plus = u[shots:] < np.where(first_plus, q_given[0], q_given[1])
-    return first_plus, second_plus, np.where(first_plus == second_plus, lam12, -lam12)
+    u2 = u[shots:]
+    second_plus = (first_plus & (u2 < q_given[0])) | (~first_plus & (u2 < q_given[1]))
+    return first_plus, second_plus
 
 
 @dataclass
@@ -150,13 +164,18 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
 
     A one-by-one call of the table kernel: ``shots`` first-measurement draws,
     then ``shots`` second-measurement draws, from ``default_rng(seed)``.
+    The mean is ``products.sum() / shots``, which is how ``np.mean``
+    computes it, bit for bit, without its per-call overhead.
     """
+    shots = _check_shots(shots, "shots")
     obs1, obs2 = _observable(obs1), _observable(obs2)
     p, q = _branch_probabilities(
         rho, ch, _projector_stack(obs1.matrix[None], [obs1]),
         _projector_stack(obs2.matrix[None], [obs2]),
     )
-    first_plus, second_plus, products = _draw(p[0], q[0, :, 0], obs1.lam * obs2.lam, shots, seed)
+    first_plus, second_plus = _draw(p[0], q[0, :, 0], shots, seed)
+    lam12 = obs1.lam * obs2.lam
+    products = np.where(first_plus == second_plus, lam12, -lam12)
     stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     return TwoTimeSample(
         mean=float(products.sum() / shots),
@@ -177,18 +196,22 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
 
     ``basis`` is read as in ``exact_correlators``: None for the default basis
     of each factor, a descriptor, one basis for both slots, or a pair.
+    Each pair keeps only its count of agreeing shots (see the module
+    docstring).
     """
+    shots = _check_shots(shots_per_pair, "shots_per_pair")
     b1, b2 = _resolve_bases(basis, (ch.in_dim, ch.out_dim))
     p, q = _branch_probabilities(
         rho, ch, _projector_stack(b1.matrices, b1.observables),
         _projector_stack(b2.matrices, b2.observables),
     )
-    values = np.empty((len(b1), len(b2)))
-    for i, a in enumerate(b1.observables):
-        for j, b in enumerate(b2.observables):
-            *_, products = _draw(p[i], q[i, :, j], a.lam * b.lam, shots_per_pair, pair_seed(seed, i, j))
-            values[i, j] = products.sum() / shots_per_pair
-    return CorrelatorTable._from_arrays(b1, b2, values, np.full(values.shape, shots_per_pair))
+    agree = np.empty((len(b1), len(b2)), dtype=np.int64)
+    for i, j in np.ndindex(agree.shape):
+        first_plus, second_plus = _draw(p[i], q[i, :, j], shots, pair_seed(seed, i, j))
+        agree[i, j] = np.count_nonzero(first_plus == second_plus)
+    lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
+    values = lam12 * (2 * agree - shots) / shots
+    return CorrelatorTable._from_arrays(b1, b2, values, np.full(values.shape, shots))
 
 
 def table_metadata(seed: int, shots_per_pair: int, basis_descriptors) -> dict:

@@ -19,7 +19,7 @@ from . import coherence, pdm
 from . import random as prandom
 from .channels import _apply, _kraus_stack, _superoperator, dephasing_superoperator
 from .channels import identity_channel, unitary_channel
-from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, lg_operator
+from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, _lg_pdms, lg_operator
 from .linalg import eig_hermitian, kron
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import BOUND_SLACK, NEGATIVITY_ATOL, RAW_HERMITICITY_ATOL, _closed_form, _si_values, _t_p
@@ -253,7 +253,7 @@ def _tripartite_range(rng, trials):
 def _oi_legs(rng, trials):
     chs, rhos = zip(*[(prandom.oi_channel(2, rng), prandom.incoherent_state(2, rng)) for _ in range(trials)])
     k = _kraus_stack(chs)
-    c = _lg_correlators(np.array(rhos), k, k, PAULI_1Q["Z"])
+    c = _lg_correlators(_lg_pdms(np.array(rhos), k, k), PAULI_1Q["Z"])
     worst = float(np.max(c[:, 0] + c[:, 1] - c[:, 2]))
     return worst <= 1.0 + LG_SLACK, f"max K {worst:.9f}"
 

@@ -195,6 +195,21 @@ def test_jamiolkowski_matches_loop(dims, env, seed):
     assert np.max(np.abs(ch.jamiolkowski() - loop_jamiolkowski(ch))) <= 1e-14
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dims=st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 3), (1, 2), (3, 1)]),
+       env=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_jamiolkowski_superoperator_round_trip(dims, env, seed):
+    # M[(i, a), (j, b)] = S[(a, b), (j, i)]: each is the other with its index pairs regrouped.
+    d_in, d_out = dims
+    ch = prandom.channel(d_in, d_out, env_dim=max(env, -(-d_in // d_out)), rng=np.random.default_rng(seed))
+    m, s = ch.jamiolkowski(), ch.superoperator()
+    assert s.shape == (d_out**2, d_in**2) and m.shape == (d_in * d_out, d_in * d_out)
+    m_to_s = m.reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 2, 0).reshape(d_out**2, d_in**2)
+    s_to_m = s.reshape(d_out, d_out, d_in, d_in).transpose(3, 0, 2, 1).reshape(d_in * d_out, d_in * d_out)
+    assert np.max(np.abs(m_to_s - s)) <= 1e-14
+    assert np.max(np.abs(s_to_m - m)) <= 1e-14
+
+
 class TestSuperoperator:
     def test_action_agreement(self):
         rng = np.random.default_rng(11)

@@ -459,3 +459,9 @@ class TestEachQuantityComputedOnce:
         counts = _count_calls(monkeypatch, "leggett_garg._lg_correlators")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0
         assert counts["_lg_correlators"] == 1
+
+    def test_lg_builds_each_closed_form_once(self, tmp_path, monkeypatch):
+        # Leg 1, leg 2 and both legs; the SI values and the witness reuse the leg-1 PDMs.
+        counts = _count_calls(monkeypatch, "pdm._closed_form")
+        assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0
+        assert counts == Counter({"_closed_form": 3})

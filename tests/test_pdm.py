@@ -635,6 +635,17 @@ class TestTpHypothesis:
         assert np.linalg.eigvalsh(rep.minimizer)[0] > -1e-9
         assert abs(schatten_norm(r.mat - rep.minimizer, p) - rep.value) < 1e-9 * (1.0 + rep.value)
 
+    @PROPERTY_SETTINGS
+    @given(dims=DIMS, p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1),
+           w=st.floats(0.0, 1.0))
+    def test_convexity(self, dims, p, seed, w):
+        # T_p is a Schatten-p distance to the convex set of density matrices.
+        rng = np.random.default_rng(seed)
+        r1, r2 = random_pdm(rng, dims), random_pdm(rng, dims)
+        mixed = Pdm(w * r1.mat + (1 - w) * r2.mat, dims)
+        rhs = w * si_measure(r1, p).value + (1 - w) * si_measure(r2, p).value
+        assert si_measure(mixed, p).value <= rhs + 1e-9
+
 
 # Loop references for the stacked basis kernels: one kron per label pair.
 def loop_correlators(mat, b1, b2) -> np.ndarray:

@@ -379,3 +379,98 @@ class TestBranchKernel:
                 _branch_probabilities(rho, ch, projs1, projs2)
             with pytest.raises(ValueError, match=f"sum to {total!r}"):
                 loop_probabilities(rho, ch, projs1[0], projs2[0])
+
+
+# Qubit bases of scaled Paulis: lam1 * lam2 is an integer (3*3, 3*2, 2*2), dyadic
+# (3*0.5) or neither (3*0.7, 0.7*0.7), and 2*I is single-spectrum with lam = 2.
+SCALED = ObservableBasis([LightTouchObservable(c * PAULI[p].matrix, f"{c}{p}")
+                          for c, p in ((3.0, "Z"), (0.7, "X"), (2.0, "I"), (0.5, "Y"))], "scaled")
+
+
+@st.composite
+def scaled_cases(draw):
+    """(rho, channel) on a qubit: a basis state or a random state, through the identity,
+    the dephasing channel or a random channel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = projector(ket(draw(st.integers(0, 1)))) if draw(st.booleans()) else prandom.density_matrix(2, rng)
+    kind = draw(st.sampled_from(["identity", "dephasing", "random"]))
+    if kind == "identity":
+        return rho, identity_channel(2)
+    if kind == "dephasing":
+        return rho, dephasing_channel(2)
+    return rho, prandom.channel(2, 2, env_dim=draw(st.integers(1, 3)), rng=rng)
+
+
+class TestAgreementCounts:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(case=scaled_cases(), seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([1, 64, 1000]))
+    def test_table_is_lam_times_agreement_count(self, case, seed, shots):
+        # Each value is lam1*lam2 * (2k - n) / n with k the loop reference's agreeing
+        # shots; it equals the reference's np.mean of the products bit for bit when
+        # lam1*lam2 is an integer, and within 1e-15 * lam1*lam2 otherwise.
+        rho, ch = case
+        table = sample_table(rho, ch, SCALED, shots, seed)
+        for i, a in enumerate(SCALED.observables):
+            for j, b in enumerate(SCALED.observables):
+                mean, _, outcomes1, outcomes2 = loop_sample_two_time(rho, ch, a, b, shots, pair_seed(seed, i, j))
+                k = np.count_nonzero((outcomes1 > 0) == (outcomes2 > 0))
+                lam12 = a.lam * b.lam
+                assert table.values[i, j] == lam12 * (2 * k - shots) / shots
+                if float(lam12).is_integer():
+                    assert table.values[i, j] == mean
+                else:
+                    assert abs(table.values[i, j] - mean) <= 1e-15 * lam12
+
+    def test_counts_keep_the_per_shot_bytes_on_bundled_bases(self):
+        # lam = 1: the sum of n products +/-1.0 is the integer 2k - n, so the count
+        # path and the per-shot mean agree bit for bit at 10^5 shots too.
+        rng = np.random.default_rng(71)
+        rho, ch = prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=2, rng=rng)
+        basis = ObservableBasis.pauli(1)
+        table = sample_table(rho, ch, basis, 100_000, seed=73)
+        for i, a in enumerate(basis.observables):
+            for j, b in enumerate(basis.observables):
+                mean = loop_sample_two_time(rho, ch, a, b, 100_000, pair_seed(73, i, j))[0]
+                assert table.values[i, j] == mean
+
+    def test_table_pair_matches_two_time(self):
+        # A one-pair draw of the table and of sample_two_time consume the same uniforms.
+        rng = np.random.default_rng(79)
+        rho, ch = prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=3, rng=rng)
+        table = sample_table(rho, ch, SCALED, 500, seed=83)
+        out = sample_two_time(rho, ch, SCALED.observables[0], SCALED.observables[2], 500, pair_seed(83, 0, 2))
+        assert table.values[0, 2] == out.mean
+
+
+class TestShotCounts:
+    BASIS = ObservableBasis.pauli(1)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, np.float64(3.0), "10", None])
+    def test_non_integers_rejected_up_front(self, bad):
+        with pytest.raises(TypeError, match="shots_per_pair"):
+            sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, bad, seed=0)
+        with pytest.raises(TypeError, match="shots"):
+            sample_two_time(maximally_mixed(2), identity_channel(2), PAULI["Z"], PAULI["Z"], bad, seed=0)
+
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_below_one_is_zero_shots(self, bad):
+        with pytest.raises(ZeroShots, match="shots_per_pair"):
+            sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, bad, seed=0)
+        with pytest.raises(ZeroShots):
+            sample_two_time(maximally_mixed(2), identity_channel(2), PAULI["Z"], PAULI["Z"], bad, seed=0)
+
+    def test_checked_before_the_kernel(self):
+        # An invalid state would raise ValueError from the kernel; the shot count is read first.
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(TypeError):
+            sample_table(bad, identity_channel(2), self.BASIS, 2.0, seed=0)
+        with pytest.raises(ZeroShots):
+            sample_two_time(bad, identity_channel(2), PAULI["I"], PAULI["Z"], 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [np.int64(50), np.int32(50), np.uint16(50)])
+    def test_numpy_integers_accepted(self, shots):
+        table = sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, shots, seed=4)
+        assert table.shots.dtype.kind == "i" and np.all(table.shots == 50)
+        assert table.to_csv() == sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, 50, seed=4).to_csv()
+        assert CorrelatorTable.from_csv(table.to_csv(), self.BASIS, self.BASIS).to_csv() == table.to_csv()
+        assert sample_two_time(maximally_mixed(2), identity_channel(2), PAULI["Z"], PAULI["Z"], shots, 0).shots == 50
