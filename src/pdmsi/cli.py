@@ -39,6 +39,7 @@ from .linalg import eig_hermitian
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
     PDM_ATOL,
+    WITNESS_POLICIES,
     _bound_check,
     _check_unit_trace,
     _closed_form,
@@ -70,8 +71,6 @@ KIND_FIELDS = {
     "sweep": ({"state", "channel", "parameter"}, {"grid", "values", "p"}),
     "verify": (set(), {"suite", "seed", "trials_scale"}),
 }
-
-WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
 
 # Sweepable channel -> (its parameter, builder from (value, state dimension)).
 SWEEPS = {
@@ -268,7 +267,7 @@ def run_pdm(cfg: dict):
     p = _number(cfg.get("p", 1.0), "p", 1)
     r = pdm_closed_form(state, ch)
     report = si_measure(r, p)
-    lam = report.eigenvalues
+    lam = r.eig.eigenvalues
     out = {
         "kind": "pdm",
         "dims": list(r.dims),
@@ -355,6 +354,9 @@ def run_lg(cfg: dict):
 def run_simulate(cfg: dict):
     state = parse_state(cfg["state"])
     ch = _channel(cfg["channel"], "channel", len(state))
+    for field, d in (("state", ch.in_dim), ("channel", ch.out_dim)):
+        if d < 2:  # no observable basis exists on dimension 1
+            raise ScenarioError(field, f"simulate needs dimension >= 2 at both times, got {d}")
     shots = _int(cfg["shots"], "shots", 1)
     if cfg.get("seed") is None:
         raise ScenarioError("seed", "simulate needs a seed (config field or --seed)")
@@ -470,7 +472,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_verify = sub.add_parser("verify", help="run randomized property suites")
-    p_verify.add_argument("suite", nargs="?", default="all", choices=["all", "pdm", "coherence", "lg"])
+    p_verify.add_argument("suite", nargs="?", default="all", choices=["all", *SUITES])
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--trials-scale", type=float, default=1.0)
 

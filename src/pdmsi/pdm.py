@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .exceptions import (
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from .linalg import EigenDecomposition, as_complex_matrix, check_hermitian, eig_hermitian, kron, project_simplex
+from .linalg import EigenDecomposition, check_hermitian, eig_hermitian, kron, project_simplex
 from .observables import ObservableBasis
 from .states import check_density_matrix
 
@@ -35,6 +36,10 @@ PDM_ATOL = 1e-10
 RAW_HERMITICITY_ATOL = 1e-9
 # Hermiticity tolerance of a witness matrix.
 WITNESS_ATOL = 1e-10
+# A witness coefficient at or below it in magnitude needs no table entry.
+WITNESS_COEFF_ATOL = 1e-12
+
+WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
 
 
 class Pdm:
@@ -345,7 +350,6 @@ class SiReport:
     p: float
     value: float
     minimizer: np.ndarray
-    eigenvalues: np.ndarray  # the ascending spectrum of R that value is computed from; not in to_dict
     negative_eigenpairs: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -390,7 +394,7 @@ def _si_values(mats, p: float = 1.0) -> np.ndarray:
 
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """min ||lam - q||_1 over the simplex via an LP (independent of the closed form)."""
+    """min ||lam - q||_1 over the simplex via an LP, scipy's default HiGHS (independent of the closed form)."""
     import scipy.optimize
 
     n = len(lam)
@@ -400,41 +404,36 @@ def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
     a_eq = np.concatenate([np.ones(n), np.zeros(n)])[None, :]
     res = scipy.optimize.linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)] * n, method="highs",
+        bounds=[(0, None)] * n + [(None, None)] * n,
     )
     if not res.success:
         raise RuntimeError(f"simplex LP failed: {res.message}")
     return float(res.fun), res.x[:n]
 
 
-def si_measure(r, p: float = 1.0, method: str = "auto") -> SiReport:
+def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
     """Degree of spatial incompatibility T_p(R) with the achieving density matrix.
 
     Unitary invariance of the Schatten norms (Mirsky) reduces the problem to
-    the spectrum: T_p(R) = min ||lam - q||_p over the probability simplex.
-    At p = 1 ``method="auto"`` (or ``"closed"``) uses the closed form
-    2*sum|negative eigs| and ``method="numeric"`` solves the LP instead, as an
-    independent cross-check.  For every p > 1 the KKT conditions make the
-    Euclidean simplex projection of lam the exact minimizer.
+    the spectrum of ``r.eig``: T_p(R) = min ||lam - q||_p over the probability
+    simplex.  At p = 1 this is the closed form 2*sum|negative eigs|; for every
+    p > 1 the KKT conditions make the Euclidean simplex projection of lam the
+    exact minimizer.  ``_t1_simplex_lp`` solves the p = 1 problem
+    independently, for ``verify`` and the tests.
     """
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}; use 'auto', 'closed' or 'numeric'")
-    if not (np.isreal(p) and np.isfinite(p) and p >= 1.0):
+    if not isinstance(r, Pdm):
+        raise TypeError(f"si_measure takes a Pdm, got {type(r).__name__}")
+    if isinstance(p, bool) or not isinstance(p, Real) or not (math.isfinite(p) and p >= 1.0):
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
-    eig = r.eig if isinstance(r, Pdm) else eig_hermitian(as_complex_matrix(r), atol=RAW_HERMITICITY_ATOL)
-    lam, v = eig.eigenvalues, eig.eigenvectors
+    lam, v = r.eig.eigenvalues, r.eig.eigenvectors
     negatives = [
         (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
     ]
-
     value, q = _t_p(lam, p)
-    if p == 1.0 and method == "numeric" and negatives:
-        value, q = _t1_simplex_lp(lam)
     minimizer = (v * q) @ v.conj().T
     minimizer = (minimizer + minimizer.conj().T) / 2.0
-    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer, eigenvalues=lam,
-                    negative_eigenpairs=negatives)
+    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer, negative_eigenpairs=negatives)
 
 
 class Witness:
@@ -499,53 +498,42 @@ def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> np.ndar
     return _factored_gram_solve(_overlaps(mat, b1, b2).real, b1, b2)
 
 
-def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace", custom=None) -> Witness:
+def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace") -> Witness:
     """Build an SI witness for a PDM with at least one negative eigenvalue.
 
-    Policies: ``negative_eigenspace`` projects onto the span of all
-    negative-eigenvalue eigenvectors (default), ``most_negative`` onto the
-    single most negative one, and ``custom`` validates a user-supplied PSD
-    matrix against the defining conditions.  Both projectors come from
-    ``r.eig``.
+    Policies (``WITNESS_POLICIES``): ``negative_eigenspace`` projects onto
+    the span of all negative-eigenvalue eigenvectors of ``r.eig`` (default),
+    ``most_negative`` onto the single most negative one.  A matrix of one's
+    own becomes a witness through ``Witness(mat, basis1, basis2)``.
     """
+    if policy not in WITNESS_POLICIES:
+        raise ValueError(f"unknown witness policy {policy!r}; use one of {', '.join(WITNESS_POLICIES)}")
     lam, v = r.eig.eigenvalues, r.eig.eigenvectors
     neg = np.nonzero(lam < -NEGATIVITY_ATOL)[0]
     if len(neg) == 0:
         raise NotSpatiallyIncompatible(
             f"min eigenvalue {lam[0]:.3e} >= -{NEGATIVITY_ATOL}; no witness exists"
         )
-
     if policy == "negative_eigenspace":
         w = v[:, neg] @ v[:, neg].conj().T
-    elif policy == "most_negative":
+    else:
         k = int(np.argmin(lam))
         w = np.outer(v[:, k], v[:, k].conj())
-    elif policy == "custom":
-        if custom is None:
-            raise ValueError("policy 'custom' requires a matrix")
-    else:
-        raise ValueError(f"unknown witness policy {policy!r}")
-
     b1 = ObservableBasis.default_for_dim(r.dims[0])
     b2 = ObservableBasis.default_for_dim(r.dims[1])
-    if policy != "custom":
-        return Witness._projector(w, b1, b2)
-    witness = Witness(custom, b1, b2)
-    if witness.expectation(r) >= 0.0:
-        raise ValueError("custom witness has nonnegative expectation on this PDM")
-    return witness
+    return Witness._projector(w, b1, b2)
 
 
-def evaluate_witness(w: Witness, table: CorrelatorTable, coeff_atol: float = 1e-12) -> float:
+def evaluate_witness(w: Witness, table: CorrelatorTable) -> float:
     """Two-time expectation <W>_t = sum a_ab <{A, B}> from a correlator table over the witness's bases.
 
     Raises IncompleteTable, listing the pairs in label order, when a pair
-    with ``|a_ab| > coeff_atol`` was not recorded.
+    with ``|a_ab| > WITNESS_COEFF_ATOL`` was not recorded.
     """
     if (w.basis1.labels, w.basis2.labels) != (table.basis1.labels, table.basis2.labels):
         raise DimensionMismatch("witness and table are over different bases")
     c, values = w.coefficients, table.values
-    needed = np.abs(c) > coeff_atol
+    needed = np.abs(c) > WITNESS_COEFF_ATOL
     missing = needed & np.isnan(values)
     if missing.any():
         raise IncompleteTable([(w.basis1.labels[k], w.basis2.labels[l])

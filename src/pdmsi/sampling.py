@@ -126,13 +126,13 @@ def _branch_probabilities(rho, ch: KrausChannel, projs1, projs2):
     return p, q
 
 
-def _check_shots(shots, name: str) -> int:
-    """``shots`` as an int: a Python or numpy integer (not a bool) of at least 1."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ZeroShots(f"{name} must be >= 1")
-    return int(shots)
+def _check_int(x, name: str, low: int, error=ValueError) -> int:
+    """``x`` as an int: a Python or numpy integer (not a bool) of at least ``low``, else ``error``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if x < low:
+        raise error(f"{name} must be >= {low}, got {x}")
+    return int(x)
 
 
 def _draw(p: float, q_given, shots: int, seed):
@@ -167,7 +167,9 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
     The mean is ``products.sum() / shots``, which is how ``np.mean``
     computes it, bit for bit, without its per-call overhead.
     """
-    shots = _check_shots(shots, "shots")
+    shots = _check_int(shots, "shots", 1, ZeroShots)
+    if isinstance(seed, (bool, np.bool_)):
+        raise TypeError(f"seed must be an integer or a SeedSequence, got {seed!r}")
     obs1, obs2 = _observable(obs1), _observable(obs2)
     p, q = _branch_probabilities(
         rho, ch, _projector_stack(obs1.matrix[None], [obs1]),
@@ -197,9 +199,11 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
     ``basis`` is read as in ``exact_correlators``: None for the default basis
     of each factor, a descriptor, one basis for both slots, or a pair.
     Each pair keeps only its count of agreeing shots (see the module
-    docstring).
+    docstring).  ``seed`` is a Python or numpy integer >= 0; a bool or a
+    float raises TypeError.
     """
-    shots = _check_shots(shots_per_pair, "shots_per_pair")
+    shots = _check_int(shots_per_pair, "shots_per_pair", 1, ZeroShots)
+    seed = _check_int(seed, "seed", 0)
     b1, b2 = _resolve_bases(basis, (ch.in_dim, ch.out_dim))
     p, q = _branch_probabilities(
         rho, ch, _projector_stack(b1.matrices, b1.observables),

@@ -27,6 +27,7 @@ from pdmsi.leggett_garg import lg_operator, lg_vs_si, spatial_lg_bound
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     Pdm,
+    _t1_simplex_lp,
     exact_correlators,
     pdm_closed_form,
     pdm_from_correlators,
@@ -250,8 +251,7 @@ def test_criterion_9_tp_property_suite():
     worst = 0.0
     for _ in range(1000):
         r = random_pdm(rng)
-        gap = abs(si_measure(r, 1.0, method="closed").value
-                  - si_measure(r, 1.0, method="numeric").value)
+        gap = abs(si_measure(r, 1.0).value - _t1_simplex_lp(r.eig.eigenvalues)[0])
         worst = max(worst, gap)
         assert gap <= 1e-7
 

@@ -172,6 +172,9 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**VERIFY, "seed": -1}, "seed", [], id="verify-seed-negative"),
     pytest.param({**SIMULATE, "basis": "foo:2"}, "basis", [], id="basis-unknown"),
     pytest.param({**SIMULATE, "basis": "pauli:2"}, "basis", [], id="basis-dim-mismatch"),
+    pytest.param({**SIMULATE, "state": [[1]], "channel": "identity(1)"}, "state", [], id="simulate-state-dim-1"),
+    pytest.param({**SIMULATE, "channel": {"kraus": [[[1, 0]], [[0, 1]]]}}, "channel", [],
+                 id="simulate-channel-out-dim-1"),
     pytest.param({**VERIFY, "suite": "nope"}, "suite", [], id="suite-unknown"),
     pytest.param({**LG, "states": []}, "states", [], id="lg-states-empty"),
     pytest.param({**LG, "states": [KET0, QUTRIT]}, "states[1]", [], id="lg-states-mixed-dims"),

@@ -30,6 +30,7 @@ from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
     RAW_HERMITICITY_ATOL,
+    WITNESS_COEFF_ATOL,
     CorrelatorTable,
     Pdm,
     _check_unit_trace,
@@ -39,6 +40,7 @@ from pdmsi.pdm import (
     _overlaps,
     _pair_coefficients,
     _si_values,
+    _t1_simplex_lp,
     _t_p,
     Witness,
     check_bound,
@@ -247,8 +249,8 @@ class TestSiMeasure:
         rng = np.random.default_rng(29)
         for _ in range(50):
             r = random_pdm(rng)
-            closed = si_measure(r, 1.0, method="closed").value
-            numeric = si_measure(r, 1.0, method="numeric").value
+            closed = si_measure(r, 1.0).value
+            numeric = _t1_simplex_lp(r.eig.eigenvalues)[0]
             assert abs(closed - numeric) < 1e-7
 
     def test_general_p_sandwich(self):
@@ -262,15 +264,15 @@ class TestSiMeasure:
 
     def test_invalid_p(self):
         r = Pdm(np.eye(4, dtype=complex) / 4, (2, 2))
-        for p in [0.5, 0, -1, np.inf, np.nan]:
+        for p in [0.5, 0, -1, np.inf, np.nan, True, 1 + 0j, "2"]:
             with pytest.raises(InvalidP):
                 si_measure(r, p)
 
-    def test_unknown_method_rejected(self):
+    def test_ndarray_rejected(self):
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
         for p in [1.0, 3.0]:
-            with pytest.raises(ValueError, match="bogus"):
-                si_measure(r, p, method="bogus")
+            with pytest.raises(TypeError, match="ndarray"):
+                si_measure(r.mat, p)
 
     @pytest.mark.parametrize("p", [1.3, 1.5, 3.0, 5.0, 10.0])
     def test_general_p_matches_slsqp(self, p):
@@ -333,13 +335,23 @@ class TestWitness:
         assert abs(np.trace(single.mat).real - 1.0) < 1e-9
         assert full.expectation(r) < single.expectation(r) < 0
 
-    def test_custom_policy_validation(self):
+    def test_user_witness_validation(self):
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
-        good = synthesize_witness(r).mat
-        w = synthesize_witness(r, policy="custom", custom=good)
+        good = synthesize_witness(r)
+        w = Witness(good.mat, good.basis1, good.basis2)
         assert abs(w.expectation(r) + 0.5) < 1e-10
-        with pytest.raises(ValueError):
-            synthesize_witness(r, policy="custom", custom=np.eye(4) / 4)
+        assert np.array_equal(w.coefficients, good.coefficients)
+        assert Witness(np.eye(4) / 4, good.basis1, good.basis2).expectation(r) >= 0.0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            Witness(-good.mat, good.basis1, good.basis2)
+        with pytest.raises(NonHermitian):
+            Witness(np.triu(np.ones((4, 4))), good.basis1, good.basis2)
+
+    def test_policy_checked_before_the_spectrum(self):
+        for r in (Pdm(np.eye(4, dtype=complex) / 4, (2, 2)), pdm_closed_form(projector(ket(0)), identity_channel(2))):
+            for bad in ("bogus", "custom"):
+                with pytest.raises(ValueError, match=f"unknown witness policy '{bad}'"):
+                    synthesize_witness(r, policy=bad)
 
     def test_rejects_density_matrix(self):
         with pytest.raises(NotSpatiallyIncompatible):
@@ -503,7 +515,7 @@ class TestStackedKernels:
         rng = np.random.default_rng(61)
         mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(50)])
         stacked = _si_values(mats, p)
-        assert np.max(np.abs(stacked - [si_measure(m, p).value for m in mats])) <= 1e-12
+        assert np.max(np.abs(stacked - [si_measure(Pdm(m, (2, 3)), p).value for m in mats])) <= 1e-12
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_spectrum_only_t_p_matches_eig_hermitian(self, p):
@@ -871,9 +883,8 @@ class TestArrayTableMatchesDictOracle:
             assert got[1] == want[1]
 
     @ORACLE_SETTINGS
-    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), full=st.booleans(),
-           coeff_atol=st.sampled_from([1e-12, 1e-3, 0.05]))
-    def test_evaluate_witness_bits(self, pair, seed, full, coeff_atol):
+    @given(pair=ORACLE_PAIRS, seed=st.integers(0, 2**32 - 1), full=st.booleans())
+    def test_evaluate_witness_bits(self, pair, seed, full):
         b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=b1.dim * b2.dim) + 1j * rng.normal(size=b1.dim * b2.dim)
@@ -887,10 +898,28 @@ class TestArrayTableMatchesDictOracle:
         assert list(got_map.items()) == list(want_map.items())
 
         table, entries, _ = random_table(pair, seed, full, False)
-        want = dict_evaluate_witness(coeffs, entries, coeff_atol)
+        want = dict_evaluate_witness(coeffs, entries, WITNESS_COEFF_ATOL)
         if isinstance(want, list):
             with pytest.raises(IncompleteTable) as err:
-                evaluate_witness(w, table, coeff_atol)
+                evaluate_witness(w, table)
             assert err.value.missing == want
         else:
-            assert evaluate_witness(w, table, coeff_atol).hex() == want.hex()
+            assert evaluate_witness(w, table).hex() == want.hex()
+
+    def test_evaluate_witness_skips_zero_coefficients(self):
+        """The singlet projector has four nonzero coefficients; a table of only those four pairs
+        gives the bits of the label-keyed sum, and one of them missing is reported."""
+        r = pdm_closed_form(projector(ket(0)), identity_channel(2))
+        w = synthesize_witness(r)
+        coeffs = dict(w.coeffs)
+        kept = [k for k, c in coeffs.items() if abs(c) > WITNESS_COEFF_ATOL]
+        assert kept == [("I", "I"), ("X", "X"), ("Y", "Y"), ("Z", "Z")]
+        exact = exact_correlators(r).entries
+        table = CorrelatorTable(w.basis1, w.basis2, {k: exact[k] for k in kept})
+        want = dict_evaluate_witness(coeffs, table.entries, WITNESS_COEFF_ATOL)
+        assert evaluate_witness(w, table).hex() == want.hex()
+        assert abs(want + 0.5) < 1e-12
+        short = CorrelatorTable(w.basis1, w.basis2, {k: exact[k] for k in kept[1:]})
+        with pytest.raises(IncompleteTable) as err:
+            evaluate_witness(w, short)
+        assert err.value.missing == [("I", "I")]

@@ -474,3 +474,32 @@ class TestShotCounts:
         assert table.to_csv() == sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, 50, seed=4).to_csv()
         assert CorrelatorTable.from_csv(table.to_csv(), self.BASIS, self.BASIS).to_csv() == table.to_csv()
         assert sample_two_time(maximally_mixed(2), identity_channel(2), PAULI["Z"], PAULI["Z"], shots, 0).shots == 50
+
+
+class TestSeeds:
+    BASIS = ObservableBasis.pauli(1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, False, np.True_, np.float64(1.0), "1", None])
+    def test_non_integers_rejected_up_front(self, bad):
+        # An invalid state would raise ValueError from the kernel; the seed is read first.
+        state = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(TypeError, match="seed"):
+            sample_table(state, identity_channel(2), self.BASIS, 10, seed=bad)
+
+    @pytest.mark.parametrize("bad", [True, np.True_])
+    def test_two_time_rejects_bool(self, bad):
+        with pytest.raises(TypeError, match="seed"):
+            sample_two_time(np.diag([1.2, -0.2]).astype(complex), identity_channel(2),
+                            PAULI["Z"], PAULI["Z"], 10, seed=bad)
+
+    @pytest.mark.parametrize("bad", [-1, np.int64(-1)])
+    def test_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            sample_table(maximally_mixed(2), identity_channel(2), self.BASIS, 10, seed=bad)
+
+    def test_numpy_integer_is_the_same_seed(self):
+        want = sample_table(plus_state(), dephasing_channel(2), self.BASIS, 200, seed=1).to_csv()
+        for seed in (np.int64(1), np.uint8(1)):
+            assert sample_table(plus_state(), dephasing_channel(2), self.BASIS, 200, seed=seed).to_csv() == want
+        assert sample_two_time(plus_state(), dephasing_channel(2), PAULI["X"], PAULI["Z"], 200,
+                               np.random.SeedSequence((1, 12))).shots == 200

@@ -18,10 +18,22 @@ from pdmsi.coherence import (
     check_stochastic_matrix,
     classify_channel,
 )
-from pdmsi.exceptions import NotSpatiallyIncompatible
+from pdmsi.exceptions import IncompleteTable, NotSpatiallyIncompatible
 from pdmsi.leggett_garg import DICHOTOMIC_ATOL, LG_SLACK, SI_DETECT_ATOL, check_dichotomic, lg_vs_si
 from pdmsi.observables import LIGHT_TOUCH_ATOL, PAULI_1Q, LightTouchObservable
-from pdmsi.pdm import BOUND_SLACK, NEGATIVITY_ATOL, PDM_ATOL, Pdm, _bound_check, synthesize_witness
+from pdmsi.observables import ObservableBasis
+from pdmsi.pdm import (
+    BOUND_SLACK,
+    NEGATIVITY_ATOL,
+    PDM_ATOL,
+    WITNESS_COEFF_ATOL,
+    CorrelatorTable,
+    Pdm,
+    Witness,
+    _bound_check,
+    evaluate_witness,
+    synthesize_witness,
+)
 from pdmsi.states import DENSITY_ATOL, check_density_matrix, ket, ketbra, projector
 
 
@@ -38,6 +50,15 @@ def negative_eigenvalue_ignored(e):
     """A PDM whose one negative eigenvalue is -e: within NEGATIVITY_ATOL no witness exists."""
     r = Pdm(np.diag([1.0 + e, 0.0, 0.0, -e]), (2, 2))
     return not accepted(lambda: synthesize_witness(r), NotSpatiallyIncompatible)
+
+
+def missing_coefficient_ignored(e):
+    """``I (x) I / 4 + e X (x) X``, whose (X, X) coefficient is e, on a table without (X, X)."""
+    b = ObservableBasis.pauli(1)
+    w = Witness(np.eye(4) / 4.0 + e * np.kron(PAULI_1Q["X"], PAULI_1Q["X"]), b, b)
+    assert w.coefficients[1, 1] == pytest.approx(e, rel=1e-6)
+    table = CorrelatorTable(b, b, {(a, c): 0.0 for a in b.labels for c in b.labels if (a, c) != ("X", "X")})
+    return accepted(lambda: evaluate_witness(w, table), IncompleteTable)
 
 
 def oi_holds(e):
@@ -74,6 +95,7 @@ THRESHOLDS = [
     ("DENSITY_ATOL", DENSITY_ATOL, lambda e: accepted(lambda: check_density_matrix(np.diag([1.0 + e, -e])))),
     ("PDM_ATOL", PDM_ATOL, lambda e: accepted(lambda: Pdm(np.eye(4) * (1.0 + e) / 4.0, (2, 2)))),
     ("NEGATIVITY_ATOL", NEGATIVITY_ATOL, negative_eigenvalue_ignored),
+    ("WITNESS_COEFF_ATOL", WITNESS_COEFF_ATOL, missing_coefficient_ignored),
     ("CLASS_ATOL", CLASS_ATOL, oi_holds),
     ("BOUND_SLACK", BOUND_SLACK, lambda e: _bound_check(1.0 + e, 2).bound_ok),
     ("PROB_ATOL probability vector", PROB_ATOL,
