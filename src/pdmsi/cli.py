@@ -35,15 +35,13 @@ from .channels import (
 from .coherence import classify_channel
 from .exceptions import PdmsiError
 from .leggett_garg import check_dichotomic, lg_vs_si
-from .linalg import eig_hermitian
 from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
-    PDM_ATOL,
     WITNESS_POLICIES,
     _bound_check,
-    _check_unit_trace,
     _closed_form,
     _matrix_to_pairs,
+    _spectra,
     _t_p,
     evaluate_witness,
     exact_correlators,
@@ -401,6 +399,8 @@ def run_sweep(cfg: dict):
         field, values = "values", cfg["values"]
         if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
             raise ScenarioError("values", "values must be a non-empty list of finite numbers")
+        if len(values) > MAX_GRID:
+            raise ScenarioError("values", f"values has {len(values)} points, at most {MAX_GRID} allowed")
     p = _number(cfg.get("p", 1.0), "p", 1)
     d = len(state)
     values = [float(v) for v in values]
@@ -415,9 +415,7 @@ def run_sweep(cfg: dict):
         if chs[0].in_dim != d:
             raise ScenarioError("channel", f"{name} acts on dimension {chs[0].in_dim}, "
                                            f"the state has dimension {d}")
-        # The checks Pdm makes on each matrix: unit trace here, Hermiticity in eig_hermitian.
-        mats = _check_unit_trace(_closed_form(state, _kraus_stack(chs)))
-        lam = eig_hermitian(mats, atol=PDM_ATOL).eigenvalues
+        lam = _spectra(_closed_form(state, _kraus_stack(chs)))
         ok = _bound_check(_t_p(lam, 1.0)[0], d).bound_ok
         rows += [f"{parameter},{format(v, '.17g')},{format(t, '.17g')},{format(m, '.17g')},{str(b).lower()}"
                  for v, t, m, b in zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(), ok)]

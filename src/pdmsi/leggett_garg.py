@@ -17,7 +17,7 @@ from .exceptions import DimensionMismatch
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
 from .pdm import Pdm, Witness, _closed_form, _si_values, synthesize_witness
-from .sampling import sample_two_time
+from .sampling import _check_int, sample_two_time
 from .states import check_density_matrix
 
 LG_SLACK = 1e-9
@@ -89,7 +89,8 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
     """LG correlators and K = C12 + C23 - C13.
 
     Exact by default; with ``shots`` each correlator is Monte Carlo sampled
-    through the same measure-evolve-measure procedure as the simulator.
+    through the same measure-evolve-measure procedure as the simulator, from
+    ``seed``, a Python or numpy integer >= 0.
     """
     rho, q = scenario.initial, scenario.q
     if shots is None:
@@ -97,6 +98,7 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
     else:
         if seed is None:
             raise ValueError("Monte Carlo LG evaluation needs a seed")
+        seed = _check_int(seed, "seed", 0)
         rho2 = scenario.ch12(rho)
         ch13 = scenario.ch23.compose(scenario.ch12)
         c12 = sample_two_time(rho, scenario.ch12, q, q, shots, np.random.SeedSequence((seed, 12))).mean

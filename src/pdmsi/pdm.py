@@ -30,10 +30,8 @@ from .states import check_density_matrix
 
 NEGATIVITY_ATOL = 1e-10
 BOUND_SLACK = 1e-9
-# Hermiticity and unit-trace tolerance of a Pdm.
+# Hermiticity and unit-trace tolerance of a PDM.
 PDM_ATOL = 1e-10
-# Hermiticity tolerance of a matrix whose T_p is computed without building a Pdm.
-RAW_HERMITICITY_ATOL = 1e-9
 # Hermiticity tolerance of a witness matrix.
 WITNESS_ATOL = 1e-10
 # A witness coefficient at or below it in magnitude needs no table entry.
@@ -47,16 +45,16 @@ class Pdm:
 
     ``mat`` is a read-only copy of the matrix given, and ``eig`` its
     ``eig_hermitian`` decomposition (read-only too), computed on first access
-    and shared by ``eigenvalues``, ``si_measure`` and ``synthesize_witness``.
+    and shared by ``min_eigenvalue``, ``si_measure`` and ``synthesize_witness``.
     """
 
     def __init__(self, mat, dims: tuple[int, int]):
-        mat = np.array(check_hermitian(mat, atol=PDM_ATOL))
+        mat = np.array(_check_pdm(mat))
         d1, d2 = dims
         if mat.shape[0] != d1 * d2:
             raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
         mat.flags.writeable = False
-        self.mat = _check_unit_trace(mat)
+        self.mat = mat
         self.dims = (int(d1), int(d2))
 
     @cached_property
@@ -65,24 +63,28 @@ class Pdm:
         eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
         return eig
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum, from the ``eig_hermitian`` path that T_p reads."""
-        return self.eig.eigenvalues
-
     def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
+        return float(self.eig.eigenvalues[0])
 
     def __repr__(self):
         return f"Pdm(dims={self.dims}, min_eig={self.min_eigenvalue():.4g})"
 
 
-def _check_unit_trace(mats) -> np.ndarray:
-    """Return a PDM matrix or ``(..., n, n)`` stack, raising unless each has unit trace within PDM_ATOL."""
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    ok = np.abs(tr - 1.0) <= PDM_ATOL  # False for a NaN trace
+def _check_pdm(m, stacked: bool = False) -> np.ndarray:
+    """``m`` as a complex matrix, or ``(..., n, n)`` stack when ``stacked``, raising unless each is
+    a PDM: finite, Hermitian and of unit trace, each within PDM_ATOL."""
+    m = check_hermitian(m, atol=PDM_ATOL, stacked=stacked)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    ok = np.abs(tr - 1.0) <= PDM_ATOL
     if not ok.all():
         raise ValueError(f"PDM must have unit trace, got {float(tr[~ok][0])!r}")
-    return mats
+    return m
+
+
+def _spectra(mats) -> np.ndarray:
+    """Ascending spectra ``(..., n)`` of a checked PDM stack ``(..., n, n)``: the one route for
+    readers that need no eigenvectors."""
+    return np.linalg.eigvalsh(_check_pdm(mats, stacked=True))
 
 
 def _closed_form(rho, kraus) -> np.ndarray:
@@ -350,14 +352,14 @@ class SiReport:
     p: float
     value: float
     minimizer: np.ndarray
-    negative_eigenpairs: list = field(default_factory=list)
+    negative_eigenvalues: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "value": self.value,
             "minimizer": _matrix_to_pairs(self.minimizer),
-            "negative_eigenvalues": [lam for lam, _ in self.negative_eigenpairs],
+            "negative_eigenvalues": self.negative_eigenvalues,
         }
 
 
@@ -389,8 +391,8 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _si_values(mats, p: float = 1.0) -> np.ndarray:
-    """T_p of every matrix in a Hermitian stack ``(..., n, n)``, from its spectrum alone."""
-    return _t_p(np.linalg.eigvalsh(check_hermitian(mats, atol=RAW_HERMITICITY_ATOL, stacked=True)), p)[0]
+    """T_p of every PDM in a stack ``(..., n, n)``, from its spectrum alone."""
+    return _t_p(_spectra(mats), p)[0]
 
 
 def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -427,13 +429,11 @@ def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
     lam, v = r.eig.eigenvalues, r.eig.eigenvectors
-    negatives = [
-        (float(lam[k]), v[:, k]) for k in range(len(lam)) if lam[k] < -NEGATIVITY_ATOL
-    ]
     value, q = _t_p(lam, p)
     minimizer = (v * q) @ v.conj().T
     minimizer = (minimizer + minimizer.conj().T) / 2.0
-    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer, negative_eigenpairs=negatives)
+    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer,
+                    negative_eigenvalues=lam[lam < -NEGATIVITY_ATOL].tolist())
 
 
 class Witness:
@@ -570,11 +570,9 @@ def _bound_check(t1, d: int) -> BoundCheck:
 def check_bound(rho, ch: KrausChannel) -> BoundCheck:
     """Check T_1(R(rho, ch)) against the bound of ``_bound_check``.
 
-    R is checked as a ``Pdm`` would be (Hermitian and of unit trace within
-    PDM_ATOL), but no ``Pdm`` or eigenvector is built: T_1 is the closed form
-    of ``_t_p`` at p = 1 over the spectrum alone.
+    No ``Pdm`` or eigenvector is built: T_1 is the closed form of ``_t_p`` at
+    p = 1 over the spectrum of ``_spectra``, which checks R as a ``Pdm`` would.
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
-    r = _check_unit_trace(check_hermitian(_pair_closed_form(rho, ch), atol=PDM_ATOL))
-    return _bound_check(float(_t1_closed_form(np.linalg.eigvalsh(r))), ch.in_dim)
+    return _bound_check(float(_t1_closed_form(_spectra(_pair_closed_form(rho, ch)))), ch.in_dim)

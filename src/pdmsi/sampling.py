@@ -189,8 +189,10 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
 
 
 def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:
-    """Deterministic per-pair sub-seed; independent of iteration order."""
-    return np.random.SeedSequence(entropy=(int(root_seed), int(i), int(j)))
+    """Deterministic per-pair sub-seed; independent of iteration order.  Each argument is a Python
+    or numpy integer >= 0."""
+    return np.random.SeedSequence(entropy=(_check_int(root_seed, "root_seed", 0), _check_int(i, "i", 0),
+                                           _check_int(j, "j", 0)))
 
 
 def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -> CorrelatorTable:

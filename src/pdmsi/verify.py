@@ -20,9 +20,9 @@ from . import random as prandom
 from .channels import _apply, _kraus_stack, _superoperator, dephasing_superoperator
 from .channels import identity_channel, unitary_channel
 from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, _lg_pdms, lg_operator
-from .linalg import eig_hermitian, kron
+from .linalg import kron
 from .observables import PAULI_1Q, ObservableBasis
-from .pdm import BOUND_SLACK, NEGATIVITY_ATOL, RAW_HERMITICITY_ATOL, _closed_form, _si_values, _t_p
+from .pdm import NEGATIVITY_ATOL, _bound_check, _closed_form, _si_values, _spectra, _t_p
 from .sampling import sample_two_time
 from .states import ket, projector
 
@@ -37,10 +37,6 @@ class CheckResult:
     passed: bool
     trials: int
     detail: str = ""
-
-
-def _spectra(mats) -> np.ndarray:
-    return eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues
 
 
 def _closed_forms(pairs) -> np.ndarray:
@@ -142,7 +138,7 @@ def _qubit_bound(rng, trials):
             pairs.append((prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=4, rng=rng)))
     t1 = _si_values(_closed_forms(pairs))
     worst, saturated = float(np.max(t1)), bool(np.any(t1 > 0.999))
-    return worst <= 1.0 + BOUND_SLACK and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
+    return _bound_check(worst, 2).bound_ok and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
 
 
 def _witness_soundness(rng, trials):

@@ -61,7 +61,7 @@ def test_criterion_1_identity_channel_worked_example():
     start = time.perf_counter()
     r = pdm_closed_form(projector(ket(0)), identity_channel(2))
     assert np.array_equal(r.mat, R_BASIS_IDENTITY), "matrix must match entrywise"
-    assert np.allclose(np.sort(r.eigenvalues()), [-0.5, 0.0, 0.5, 1.0], atol=1e-10)
+    assert np.allclose(np.sort(r.eig.eigenvalues), [-0.5, 0.0, 0.5, 1.0], atol=1e-10)
     t1 = si_measure(r, 1.0).value
     assert abs(t1 - 1.0) <= 1e-9
     w = synthesize_witness(r)

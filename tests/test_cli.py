@@ -12,7 +12,7 @@ import pdmsi.cli
 import pdmsi.pdm
 from pdmsi import random as prandom
 from pdmsi.channels import _kraus_stack
-from pdmsi.cli import MAX_DIM, SWEEPS, main, parse_state, run_sweep
+from pdmsi.cli import MAX_DIM, MAX_GRID, SWEEPS, main, parse_state, run_sweep
 from pdmsi.pdm import check_bound, pdm_closed_form, si_measure
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
@@ -197,6 +197,7 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**CLASSIFY, "dim": 10**9}, "dim", [], id="classify-dim-too-large"),
     pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 10**9}}, "grid", [],
                  id="grid-num-too-large"),
+    pytest.param({**SWEEP, "values": [0.5] * (MAX_GRID + 1)}, "values", [], id="values-too-many"),
     pytest.param({**PDM, "state": np.eye(33).tolist()}, "state", [], id="state-dim-too-large"),
     pytest.param({**PDM, "channel": {"kraus": [[[1.0] * 33]]}}, "channel", [], id="kraus-cols-too-large"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
@@ -416,9 +417,9 @@ class TestStackedSweep:
             "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 10}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
         monkeypatch.setattr(pdmsi.cli, "_sweep_chunk", lambda d: 3)
-        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "pdm._spectra", "linalg.eig_hermitian")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "chunked")]) == 0
-        assert counts["eig_hermitian"] == 4
+        assert counts["_spectra"] == 4 and counts["eig_hermitian"] == 0
         one, chunked = ((tmp_path / out / "sweep.csv").read_bytes() for out in ("one", "chunked"))
         assert chunked == one
 
@@ -433,9 +434,9 @@ class TestEachQuantityComputedOnce:
             "version": 1, "kind": "sweep", "state": PLUS, "channel": "amplitude_damping",
             "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 200}})
         counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm.si_measure", "pdm.check_bound",
-                              "linalg.eig_hermitian")
+                              "pdm._spectra", "linalg.eig_hermitian")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert counts == Counter({"eig_hermitian": 1})
+        assert counts == Counter({"_spectra": 1})
 
     def test_pdm_builds_and_diagonalises_one_pdm(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "linalg.eig_hermitian")

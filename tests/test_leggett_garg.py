@@ -130,6 +130,21 @@ class TestLgEvaluate:
                          (exact.c13, sampled.c13)]:
                 assert abs(a - b) < 5 * max(sigma, 1e-12)
 
+    @pytest.mark.parametrize("bad, error", [
+        (True, TypeError), (np.True_, TypeError), (1.5, TypeError), ("1", TypeError),
+        (-1, ValueError), (np.int64(-1), ValueError), (None, ValueError),
+    ])
+    def test_monte_carlo_rejects_bad_seed(self, bad, error, monkeypatch):
+        monkeypatch.setattr("pdmsi.leggett_garg.sample_two_time",
+                            lambda *a, **k: pytest.fail("drew before the seed check"))
+        scenario = LgScenario(projector(ket(0)), identity_channel(2), identity_channel(2), Z)
+        with pytest.raises(error, match="seed"):
+            lg_evaluate(scenario, shots=10, seed=bad)
+
+    def test_monte_carlo_numpy_integer_is_the_same_seed(self):
+        scenario = LgScenario(maximally_mixed(2), dephasing_channel(2), identity_channel(2), Z)
+        assert lg_evaluate(scenario, shots=200, seed=np.int64(3)) == lg_evaluate(scenario, shots=200, seed=3)
+
 
 class TestSpatialBound:
     def test_all_z(self):

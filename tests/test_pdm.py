@@ -29,17 +29,17 @@ from pdmsi.linalg import eig_hermitian, kron
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
-    RAW_HERMITICITY_ATOL,
+    PDM_ATOL,
     WITNESS_COEFF_ATOL,
     CorrelatorTable,
     Pdm,
-    _check_unit_trace,
     _closed_form,
     _expand,
     _factored_gram_solve,
     _overlaps,
     _pair_coefficients,
     _si_values,
+    _spectra,
     _t1_simplex_lp,
     _t_p,
     Witness,
@@ -194,8 +194,8 @@ class TestCorrelators:
             m[1, 2] = m[2, 1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 Pdm(m, (2, 2))
-            with pytest.raises(ValueError, match="unit trace"):
-                _check_unit_trace(np.diag([bad, 0.0]))
+            with pytest.raises(ValueError, match="non-finite"):
+                _spectra(np.diag([bad, 0.0]))
 
 
 class TestSiMeasure:
@@ -203,11 +203,11 @@ class TestSiMeasure:
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
         rep = si_measure(r, 1.0)
         assert abs(rep.value - 1.0) < 1e-9
-        assert len(rep.negative_eigenpairs) == 1
-        lam, vec = rep.negative_eigenpairs[0]
-        assert abs(lam + 0.5) < 1e-10
+        assert len(rep.negative_eigenvalues) == 1
+        assert abs(rep.negative_eigenvalues[0] + 0.5) < 1e-10
+        assert r.eig.eigenvalues[0] == rep.negative_eigenvalues[0]
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        assert abs(abs(vec @ singlet)) > 1 - 1e-9
+        assert abs(abs(r.eig.eigenvectors[:, 0] @ singlet)) > 1 - 1e-9
 
     def test_plus_dephase_value(self):
         r = pdm_closed_form(plus_state(), dephasing_channel(2))
@@ -534,7 +534,7 @@ class TestStackedKernels:
                          _kraus_stack([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng) for k in range(30)])),
         ]
         for mats in stacks:
-            want = _t_p(eig_hermitian(mats, atol=RAW_HERMITICITY_ATOL).eigenvalues, p)[0]
+            want = _t_p(eig_hermitian(mats, atol=PDM_ATOL).eigenvalues, p)[0]
             assert np.max(np.abs(_si_values(mats, p) - want)) <= 1e-12
         assert stacks[-1].shape == (30, 6, 6)
 
@@ -700,7 +700,6 @@ class TestSharedDecomposition:
             si_measure(r, p)
         for policy in ("negative_eigenspace", "most_negative"):
             synthesize_witness(r, policy=policy)
-        r.eigenvalues()
         r.min_eigenvalue()
         assert len(calls) == 1
         assert np.array_equal(r.eig.eigenvalues, real(r.mat, atol=1e-9).eigenvalues)

@@ -245,6 +245,19 @@ class TestSampleTable:
         b = pair_seed(9, 1, 2).generate_state(4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("args, name, error", [
+        ((1.5, 0, 0), "root_seed", TypeError), ((True, 0, 0), "root_seed", TypeError),
+        ((np.True_, 0, 0), "root_seed", TypeError), ((1, 0.0, 0), "i", TypeError),
+        ((1, 0, False), "j", TypeError), ((-1, 0, 0), "root_seed", ValueError),
+        ((1, -1, 0), "i", ValueError), ((1, 0, np.int64(-2)), "j", ValueError),
+    ])
+    def test_pair_seed_rejects_non_integers(self, args, name, error):
+        with pytest.raises(error, match=f"^{name} must"):
+            pair_seed(*args)
+
+    def test_pair_seed_takes_numpy_integers(self):
+        assert pair_seed(np.int64(1), np.int32(0), 2).entropy == (1, 0, 2)
+
     def test_converges_to_exact_correlators(self):
         rng = np.random.default_rng(17)
         rho = prandom.density_matrix(2, rng)

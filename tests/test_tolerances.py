@@ -31,6 +31,7 @@ from pdmsi.pdm import (
     Pdm,
     Witness,
     _bound_check,
+    _si_values,
     evaluate_witness,
     synthesize_witness,
 )
@@ -44,6 +45,11 @@ def accepted(build, error=ValueError) -> bool:
     except error:
         return False
     return True
+
+
+def spectrum_route_accepts(defect):
+    """Whether ``_si_values`` takes a stack of two PDMs, the second of which is ``I / 4 + defect``."""
+    return accepted(lambda: _si_values(np.stack([np.eye(4) / 4.0, np.eye(4) / 4.0 + defect])))
 
 
 def negative_eigenvalue_ignored(e):
@@ -94,6 +100,8 @@ THRESHOLDS = [
      lambda e: accepted(lambda: KrausChannel([np.sqrt(1.0 + e) * np.eye(2)]))),
     ("DENSITY_ATOL", DENSITY_ATOL, lambda e: accepted(lambda: check_density_matrix(np.diag([1.0 + e, -e])))),
     ("PDM_ATOL", PDM_ATOL, lambda e: accepted(lambda: Pdm(np.eye(4) * (1.0 + e) / 4.0, (2, 2)))),
+    ("PDM_ATOL spectrum Hermiticity", PDM_ATOL, lambda e: spectrum_route_accepts(e * np.eye(4, k=1))),
+    ("PDM_ATOL spectrum trace", PDM_ATOL, lambda e: spectrum_route_accepts(e * np.eye(4) / 4.0)),
     ("NEGATIVITY_ATOL", NEGATIVITY_ATOL, negative_eigenvalue_ignored),
     ("WITNESS_COEFF_ATOL", WITNESS_COEFF_ATOL, missing_coefficient_ignored),
     ("CLASS_ATOL", CLASS_ATOL, oi_holds),
