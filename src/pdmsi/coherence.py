@@ -8,9 +8,12 @@ decohering map Delta, checked on all matrix units:
     CI (creation incoherent):       ch . Delta = Delta . ch . Delta
     DI (detection incoherent):      Delta . ch = Delta . ch . Delta
 
-NCGD (non-coherence-generating-and-detecting) is a statement about a whole
-dynamics family; on a finite (t, tau) grid it can only be refuted, never
-proven, so the report carries the probing mode alongside the boolean.
+NCGD (non-coherence-generating-and-detecting; Smirne, Egloff, Diaz, Plenio
+& Huelga, Quantum Sci. Technol. 4, 01LT01 (2019)) is a statement about a
+whole dynamics family.  For a Liouvillian it is decided exactly from powers
+of the generator; a callable family is probed on a finite (t, tau) grid,
+where it can only be refuted, never proven.  The report carries the probing
+mode alongside the boolean.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .channels import KrausChannel, _jamiolkowski, dephasing_superoperator
 from .exceptions import DimensionMismatch, NoAsymmetricColumn
-from .linalg import pseudo_inverse, superop_exp
+from .linalg import pseudo_inverse
 from .states import ketbra
 
 CLASS_ATOL = 1e-9
@@ -101,13 +104,40 @@ def _ncgd_chunk(family, delta: np.ndarray, i: np.ndarray, j: np.ndarray) -> floa
     return np.max(_max_unit_deviation(lhs.reshape(2, *rhs.shape), rhs))
 
 
+def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
+    """Max over n = 1 ... d^2 + d of the max column norm of P L^n P - (PLP)^n P, for
+    P = Delta and L = ``gen`` scaled to unit Frobenius norm (the zero generator gives 0).
+
+    NCGD holds iff P e^{Lt} P = e^{PLP t} P, i.e. iff P L^n P = (PLP)^n P for every n.
+    The difference obeys a linear recurrence of order <= d^2 + d + 1 (L's characteristic
+    polynomial times PLP's minimal one, PLP having rank <= d), so n = 0 ... d^2 + d
+    decide it.  Both sides vanish off the population rows and columns, so only the d
+    population columns of L^n and the population block of (PLP)^n are iterated.
+    """
+    norm = np.linalg.norm(gen)
+    if norm == 0.0:
+        return 0.0
+    gen = gen / norm
+    pop = np.arange(d) * (d + 1)
+    a = gen[:, pop]
+    g = a[pop]
+    lhs, rhs = [a[pop]], [g]
+    for _ in range(d * d + d - 1):
+        a = gen @ a
+        lhs.append(a[pop])
+        rhs.append(g @ rhs[-1])
+    return float(np.max(_max_unit_deviation(np.stack(lhs), np.stack(rhs))))
+
+
 def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
     """Test the defining identity of each coherence class on all matrix units, within CLASS_ATOL.
 
     ``ncgd_probe`` may be a Liouvillian generator matrix (d^2 x d^2, the
     dynamics is exp(L t)) or a callable t -> superoperator/KrausChannel.
     Without a probe the channel itself doubles as both legs (single-channel
-    surrogate).  A grid pass means "not refuted on the grid".
+    surrogate).  A Liouvillian is decided exactly, whatever its time scale
+    (``_exact_ncgd_residual``, normalised); a callable is probed on the
+    NCGD_GRID x NCGD_GRID grid, where a pass means "not refuted on the grid".
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("coherence classification needs equal input and output dims")
@@ -138,18 +168,15 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
                     outs.append(out)
                 return np.stack(outs)
 
+            residuals["ncgd"] = _ncgd_residual(family, delta)
         else:
-            mode = "liouvillian grid (not refuted is not a proof)"
+            mode = "liouvillian (exact)"
             gen = np.asarray(ncgd_probe, dtype=complex)
             if gen.shape != delta.shape:
                 raise DimensionMismatch("Liouvillian generator must be d^2 x d^2")
             if not np.isfinite(gen).all():
                 raise ValueError("Liouvillian generator has non-finite entries")
-
-            def family(times):
-                return superop_exp(gen, times)
-
-        residuals["ncgd"] = _ncgd_residual(family, delta)
+            residuals["ncgd"] = _exact_ncgd_residual(gen, ch.in_dim)
 
     return CoherenceClassReport(
         is_oi=residuals["oi"] <= CLASS_ATOL,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,8 +21,11 @@ from pdmsi.channels import (
     identity_channel,
 )
 from pdmsi.coherence import (
+    CLASS_ATOL,
     NCGD_GRID,
     _block_failures,
+    _exact_ncgd_residual,
+    _max_unit_deviation,
     _ncgd_residual,
     adversarial_coherent_state,
     block_positivity_test,
@@ -90,7 +98,7 @@ class TestClassify:
     def test_ncgd_refuted_for_rabi_dynamics(self):
         rep = classify_channel(identity_channel(2), ncgd_probe=rabi_liouvillian())
         assert not rep.is_ncgd
-        assert "grid" in rep.ncgd_mode
+        assert "exact" in rep.ncgd_mode
 
     def test_ncgd_holds_for_pure_dephasing(self):
         rep = classify_channel(identity_channel(2), ncgd_probe=pure_dephasing_liouvillian())
@@ -148,8 +156,9 @@ class TestStackedNcgd:
     @given(d=DIMS, kind=st.sampled_from(["hermitian", "unitary", "general"]), seed=SEEDS)
     def test_liouvillian_matches_loop(self, d, kind, seed):
         gen = random_generator(d, kind, seed)
-        rep = classify_channel(identity_channel(d), ncgd_probe=gen)
-        assert rep.residuals["ncgd"] == loop_ncgd_residual(single_time_family(gen), dephasing_superoperator(d))
+        delta = dephasing_superoperator(d)
+        grid = _ncgd_residual(lambda ts: superop_exp(gen, ts), delta)
+        assert grid == loop_ncgd_residual(single_time_family(gen), delta)
 
     @NCGD_SETTINGS
     @given(d=DIMS, kind=st.sampled_from(["matrix", "real", "kraus"]), seed=SEEDS)
@@ -204,6 +213,103 @@ class TestStackedNcgd:
             classify_channel(identity_channel(2), ncgd_probe=lambda t: np.eye(9))
         with pytest.raises(DimensionMismatch, match="returned shape"):
             classify_channel(identity_channel(2), ncgd_probe=lambda t: identity_channel(3))
+
+
+def lindbladian(h, jumps) -> np.ndarray:
+    """Row-major -i(H (x) I - I (x) H^T) + sum_J [J (x) J* - (J^dag J (x) I + I (x) (J^dag J)^T) / 2]."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(len(h))
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in jumps:
+        jj = j.conj().T @ j
+        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+    return gen
+
+
+def lindbladian_of_kind(d: int, kind: str, seed: int) -> np.ndarray:
+    """``classical``: jumps |k><i| and dephasing |k><k| at rates in [0.2, 2] under a diagonal H,
+    which is NCGD; ``driven``: the same plus an off-diagonal drive of strength 0.01-0.1;
+    ``generic``: a random H and one random jump operator."""
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        return lindbladian((g[0] + g[0].conj().T) / 2.0, [g[1]])
+    jumps = [np.sqrt(rng.uniform(0.2, 2.0)) * ketbra(k, i, d) for k in range(d) for i in range(d)]
+    h = np.diag(rng.uniform(-1.0, 1.0, d)).astype(complex)
+    if kind == "driven":
+        v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        v = v + v.conj().T
+        h += rng.uniform(0.01, 0.1) * (v - np.diag(np.diag(v)))
+    return lindbladian(h, jumps)
+
+
+def grid_residual(gen) -> float:
+    """The NCGD grid residual of exp(L t), the test a Liouvillian probe used to get."""
+    return _ncgd_residual(lambda ts: superop_exp(gen, ts), dephasing_superoperator(int(np.sqrt(len(gen)))))
+
+
+L0 = lindbladian_of_kind(2, "generic", 0)
+
+
+class TestExactNcgd:
+    """A Liouvillian probe's exact NCGD test: P L^n P = (PLP)^n P for n <= d^2 + d."""
+
+    @pytest.mark.parametrize("scale", [1e4, 1e-8])
+    def test_grid_false_pass_is_refuted(self, scale):
+        assert grid_residual(scale * L0) <= CLASS_ATOL
+        rep = classify_channel(identity_channel(2), ncgd_probe=scale * L0)
+        assert rep.ncgd_mode == "liouvillian (exact)"
+        assert not rep.is_ncgd
+        assert rep.residuals["ncgd"] > 0.01
+
+    def test_scale_invariant(self):
+        residuals = [_exact_ncgd_residual(c * L0, 2) for c in (1e-8, 1e-6, 1.0, 1e3, 1e4)]
+        assert max(residuals) - min(residuals) <= 1e-12
+
+    @NCGD_SETTINGS
+    @given(d=st.sampled_from([2, 3]), kind=st.sampled_from(["classical", "driven", "generic"]), seed=SEEDS)
+    def test_agrees_with_grid(self, d, kind, seed):
+        gen = lindbladian_of_kind(d, kind, seed)
+        rep = classify_channel(identity_channel(d), ncgd_probe=gen)
+        assert rep.is_ncgd == (grid_residual(gen) <= CLASS_ATOL) == (kind == "classical")
+
+    @pytest.mark.parametrize("d, kind, seed", [(2, "generic", 1), (3, "driven", 2), (3, "generic", 3),
+                                               (4, "classical", 4), (4, "generic", 5)])
+    def test_restriction_matches_full_form(self, d, kind, seed):
+        gen = lindbladian_of_kind(d, kind, seed)
+        gen = gen / np.linalg.norm(gen)
+        delta = dephasing_superoperator(d)
+        g = delta @ gen @ delta
+        full = max(float(_max_unit_deviation(delta @ np.linalg.matrix_power(gen, n) @ delta,
+                                             np.linalg.matrix_power(g, n) @ delta))
+                   for n in range(1, d * d + d + 1))
+        assert abs(_exact_ncgd_residual(gen, d) - full) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_zeros(self, d):
+        delta = dephasing_superoperator(d)
+        for gen in (np.zeros((d * d, d * d)), 0.7 * (delta - np.eye(d * d))):
+            rep = classify_channel(identity_channel(d), ncgd_probe=gen)
+            assert rep.residuals["ncgd"] == 0.0 and rep.is_ncgd
+
+
+def test_liouvillian_probe_does_not_load_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(coherence.__file__))
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from pdmsi.channels import identity_channel
+        from pdmsi.coherence import classify_channel
+        h = np.diag([0.0, 1.0, 2.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
+        jump, eye = np.eye(3, k=-1), np.eye(3)
+        gen = (-1j * (np.kron(h, eye) - np.kron(eye, h)) + np.kron(jump, jump)
+               - 0.5 * (np.kron(jump.T @ jump, eye) + np.kron(eye, jump.T @ jump)))
+        report = classify_channel(identity_channel(3), ncgd_probe=gen)
+        print(report.is_ncgd, "scipy.linalg" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False False"
 
 
 class TestBlockPositivity:

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmsi.channels import TRACE_PRESERVING_ATOL, KrausChannel, depolarizing_channel, unitary_channel
+from pdmsi.channels import (
+    TRACE_PRESERVING_ATOL,
+    KrausChannel,
+    depolarizing_channel,
+    identity_channel,
+    unitary_channel,
+)
 from pdmsi.coherence import (
     CLASS_ATOL,
     PROB_ATOL,
@@ -75,6 +81,17 @@ def oi_holds(e):
     return report.is_oi
 
 
+def ncgd_holds(e):
+    """The nilpotent qubit generator population -> coherence -> population, L[1, 0] = 1 and
+    L[3, 1] = e in row-major vec, whose normalised NCGD residual ||P L^2 P|| / ||L||_F^2 is
+    e / (1 + e^2)."""
+    gen = np.zeros((4, 4))
+    gen[1, 0], gen[3, 1] = 1.0, e
+    report = classify_channel(identity_channel(2), ncgd_probe=gen)
+    assert report.residuals["ncgd"] == pytest.approx(e / (1.0 + e * e), rel=1e-6)
+    return report.is_ncgd
+
+
 def lg_holds(e):
     """Z at three times around two X rotations by theta, where
     K = 2 cos(theta) - cos(2 theta) = 1 + theta^2 + O(theta^4)."""
@@ -105,6 +122,7 @@ THRESHOLDS = [
     ("NEGATIVITY_ATOL", NEGATIVITY_ATOL, negative_eigenvalue_ignored),
     ("WITNESS_COEFF_ATOL", WITNESS_COEFF_ATOL, missing_coefficient_ignored),
     ("CLASS_ATOL", CLASS_ATOL, oi_holds),
+    ("CLASS_ATOL Liouvillian NCGD", CLASS_ATOL, ncgd_holds),
     ("BOUND_SLACK", BOUND_SLACK, lambda e: _bound_check(1.0 + e, 2).bound_ok),
     ("PROB_ATOL probability vector", PROB_ATOL,
      lambda e: accepted(lambda: check_probability_vector([0.5, 0.5 + e], 2))),
