@@ -105,28 +105,35 @@ def _ncgd_chunk(family, delta: np.ndarray, i: np.ndarray, j: np.ndarray) -> floa
 
 
 def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
-    """Max over n = 1 ... d^2 + d of the max column norm of P L^n P - (PLP)^n P, for
-    P = Delta and L = ``gen`` scaled to unit Frobenius norm (the zero generator gives 0).
+    """Max over k = 0 ... d^2 - d - 1 of the max column norm of D M^k K, each factor in
+    units that the populations' own couplings set (0 when L does not couple populations).
 
-    NCGD holds iff P e^{Lt} P = e^{PLP t} P, i.e. iff P L^n P = (PLP)^n P for every n.
-    The difference obeys a linear recurrence of order <= d^2 + d + 1 (L's characteristic
-    polynomial times PLP's minimal one, PLP having rank <= d), so n = 0 ... d^2 + d
-    decide it.  Both sides vanish off the population rows and columns, so only the d
-    population columns of L^n and the population block of (PLP)^n are iterated.
+    With P = Delta, Q = I - P, D = PLQ, K = QLP and M = QLQ, NCGD holds iff
+    P e^{Lt} P = e^{PLP t} P, i.e. iff P L^n P = (PLP)^n P for every n.  A path from the
+    populations back to them either stays in them or leaves through K, runs in the
+    coherences and returns through D, so the identity holds iff D M^k K = 0 for every k,
+    and by Cayley-Hamilton on M (order d^2 - d) for k < d^2 - d.  D and K are divided by
+    s, the Frobenius norm of L's population rows and columns, and each power of M by the
+    larger of s and M's gain on the current iterate: rescaling L leaves the residual
+    unchanged, and a fast block of M that the populations never reach cannot shrink it.
     """
-    norm = np.linalg.norm(gen)
-    if norm == 0.0:
-        return 0.0
-    gen = gen / norm
     pop = np.arange(d) * (d + 1)
-    a = gen[:, pop]
-    g = a[pop]
-    lhs, rhs = [a[pop]], [g]
-    for _ in range(d * d + d - 1):
-        a = gen @ a
-        lhs.append(a[pop])
-        rhs.append(g @ rhs[-1])
-    return float(np.max(_max_unit_deviation(np.stack(lhs), np.stack(rhs))))
+    coh = np.flatnonzero(np.eye(d).ravel() == 0.0)
+    k = gen[coh][:, pop]
+    scale = np.hypot(np.linalg.norm(gen[pop]), np.linalg.norm(k))
+    if scale == 0.0:
+        return 0.0
+    detect, m, x = gen[pop][:, coh] / scale, gen[coh][:, coh], k / scale
+    size, products = np.linalg.norm(x), []
+    for _ in range(d * d - d):
+        products.append(detect @ x)
+        y = m @ x
+        gain = np.linalg.norm(y)
+        if gain == 0.0:
+            break
+        step = max(scale, gain / size)
+        x, size = y / step, gain / step
+    return float(np.max(_max_unit_deviation(np.stack(products), 0.0)))
 
 
 def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
@@ -135,9 +142,9 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
     ``ncgd_probe`` may be a Liouvillian generator matrix (d^2 x d^2, the
     dynamics is exp(L t)) or a callable t -> superoperator/KrausChannel.
     Without a probe the channel itself doubles as both legs (single-channel
-    surrogate).  A Liouvillian is decided exactly, whatever its time scale
-    (``_exact_ncgd_residual``, normalised); a callable is probed on the
-    NCGD_GRID x NCGD_GRID grid, where a pass means "not refuted on the grid".
+    surrogate).  A Liouvillian is decided exactly from powers of the generator
+    (``_exact_ncgd_residual``, unchanged when L is rescaled); a callable is probed
+    on the NCGD_GRID x NCGD_GRID grid, where a pass means "not refuted on the grid".
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("coherence classification needs equal input and output dims")

@@ -46,11 +46,20 @@ def sm_kraus_pair():
     return KrausChannel([k0, k1])
 
 
+def lindbladian(h, jumps) -> np.ndarray:
+    """Row-major -i(H (x) I - I (x) H^T) + sum_J [J (x) J* - (J^dag J (x) I + I (x) (J^dag J)^T) / 2]."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(len(h))
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in jumps:
+        jj = j.conj().T @ j
+        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+    return gen
+
+
 def rabi_liouvillian(omega=1.0):
     """Coherent drive about X: generates and detects coherence."""
-    h = omega * np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return lindbladian(omega * np.array([[0, 1], [1, 0]]), [])
 
 
 def pure_dephasing_liouvillian(gamma=1.0):
@@ -120,8 +129,7 @@ def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
     if kind == "hermitian":
         return 0.05 * (g + g.conj().T)
     if kind == "unitary":
-        h = 0.3 * (g[:d, :d] + g[:d, :d].conj().T)
-        return -1j * (np.kron(h, np.eye(d)) - np.kron(np.eye(d), h.T))
+        return lindbladian(0.3 * (g[:d, :d] + g[:d, :d].conj().T), [])
     return rng.uniform(0.02, 0.2) * g
 
 
@@ -215,17 +223,6 @@ class TestStackedNcgd:
             classify_channel(identity_channel(2), ncgd_probe=lambda t: identity_channel(3))
 
 
-def lindbladian(h, jumps) -> np.ndarray:
-    """Row-major -i(H (x) I - I (x) H^T) + sum_J [J (x) J* - (J^dag J (x) I + I (x) (J^dag J)^T) / 2]."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(len(h))
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for j in jumps:
-        jj = j.conj().T @ j
-        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
-    return gen
-
-
 def lindbladian_of_kind(d: int, kind: str, seed: int) -> np.ndarray:
     """``classical``: jumps |k><i| and dephasing |k><k| at rates in [0.2, 2] under a diagonal H,
     which is NCGD; ``driven``: the same plus an off-diagonal drive of strength 0.01-0.1;
@@ -252,7 +249,8 @@ L0 = lindbladian_of_kind(2, "generic", 0)
 
 
 class TestExactNcgd:
-    """A Liouvillian probe's exact NCGD test: P L^n P = (PLP)^n P for n <= d^2 + d."""
+    """A Liouvillian probe's exact NCGD test: D M^k K = 0 for k < d^2 - d, with D = PLQ,
+    K = QLP and M = QLQ for P = Delta and Q = I - P."""
 
     @pytest.mark.parametrize("scale", [1e4, 1e-8])
     def test_grid_false_pass_is_refuted(self, scale):
@@ -276,14 +274,44 @@ class TestExactNcgd:
     @pytest.mark.parametrize("d, kind, seed", [(2, "generic", 1), (3, "driven", 2), (3, "generic", 3),
                                                (4, "classical", 4), (4, "generic", 5)])
     def test_restriction_matches_full_form(self, d, kind, seed):
+        # The same recurrence on full d^2 x d^2 matrices, with P = Delta and Q = I - P in place
+        # of the population and coherence index slices.
         gen = lindbladian_of_kind(d, kind, seed)
-        gen = gen / np.linalg.norm(gen)
-        delta = dephasing_superoperator(d)
-        g = delta @ gen @ delta
-        full = max(float(_max_unit_deviation(delta @ np.linalg.matrix_power(gen, n) @ delta,
-                                             np.linalg.matrix_power(g, n) @ delta))
-                   for n in range(1, d * d + d + 1))
-        assert abs(_exact_ncgd_residual(gen, d) - full) <= 1e-12
+        p = dephasing_superoperator(d)
+        q = np.eye(d * d) - p
+        detect, m, x = p @ gen @ q, q @ gen @ q, q @ gen @ p
+        scale = np.linalg.norm(gen - m)
+        full, x = [], x / scale
+        for _ in range(d * d - d):
+            full.append(_max_unit_deviation(detect @ x / scale, 0.0))
+            y = m @ x
+            x = y / max(scale, np.linalg.norm(y) / np.linalg.norm(x)) if y.any() else y
+        assert abs(_exact_ncgd_residual(gen, d) - max(full)) <= 1e-12
+
+    def test_fast_block_does_not_hide_a_slow_violation(self):
+        # Levels 0 and 1 are degenerate and resonantly driven; level 2 sits 1e5 above them.
+        h = np.diag([0.0, 0.0, 1e5])
+        h[0, 1] = h[1, 0] = 1.0
+        gen = lindbladian(h, [])
+        assert grid_residual(gen) > 0.1
+        rep = classify_channel(identity_channel(3), ncgd_probe=gen)
+        assert not rep.is_ncgd
+        assert rep.residuals["ncgd"] > 0.1
+
+    @pytest.mark.parametrize("fast", [1.0, 1e8])
+    def test_second_order_violation(self, fast):
+        # |0><0| -> |0><1| (K), |0><1| -> |1><0| at 1e-3 (M), |1><0| -> |2><2| (D): DK = 0 and
+        # DMK != 0, so P L^n P = (PLP)^n P fails first at n = 3.  |0><2| and |2><0| rotate
+        # at the rate ``fast``, which the populations never reach.
+        gen = np.zeros((9, 9), dtype=complex)
+        gen[1, 0], gen[3, 1], gen[8, 3] = 1.0, 1e-3, 1.0
+        gen[2, 2], gen[6, 6] = -1j * fast, 1j * fast
+        p = dephasing_superoperator(3)
+        assert not (p @ gen @ gen @ p).any()
+        third = np.zeros((9, 9))
+        third[8, 0] = 1e-3
+        assert np.array_equal(p @ np.linalg.matrix_power(gen, 3) @ p, third)
+        assert _exact_ncgd_residual(gen, 3) == pytest.approx(1e-3 / (2.0 * np.sqrt(2.0)), rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_exact_zeros(self, d):
@@ -293,18 +321,16 @@ class TestExactNcgd:
             assert rep.residuals["ncgd"] == 0.0 and rep.is_ncgd
 
 
-def test_liouvillian_probe_does_not_load_scipy_linalg():
+def test_liouvillian_probe_does_not_load_scipy_linalg(tmp_path):
+    h = np.diag([0.0, 1.0, 2.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    np.save(tmp_path / "gen.npy", lindbladian(h, [np.eye(3, k=-1)]))
     src = os.path.dirname(os.path.dirname(coherence.__file__))
-    code = textwrap.dedent("""
+    code = textwrap.dedent(f"""
         import sys
         import numpy as np
         from pdmsi.channels import identity_channel
         from pdmsi.coherence import classify_channel
-        h = np.diag([0.0, 1.0, 2.0]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
-        jump, eye = np.eye(3, k=-1), np.eye(3)
-        gen = (-1j * (np.kron(h, eye) - np.kron(eye, h)) + np.kron(jump, jump)
-               - 0.5 * (np.kron(jump.T @ jump, eye) + np.kron(eye, jump.T @ jump)))
-        report = classify_channel(identity_channel(3), ncgd_probe=gen)
+        report = classify_channel(identity_channel(3), ncgd_probe=np.load({str(tmp_path / "gen.npy")!r}))
         print(report.is_ncgd, "scipy.linalg" in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -83,8 +83,8 @@ def oi_holds(e):
 
 def ncgd_holds(e):
     """The nilpotent qubit generator population -> coherence -> population, L[1, 0] = 1 and
-    L[3, 1] = e in row-major vec, whose normalised NCGD residual ||P L^2 P|| / ||L||_F^2 is
-    e / (1 + e^2)."""
+    L[3, 1] = e in row-major vec, whose normalised NCGD residual ||DK|| / s^2 is e / (1 + e^2)
+    (s^2 = 1 + e^2, the squared Frobenius norm of L's population rows and columns)."""
     gen = np.zeros((4, 4))
     gen[1, 0], gen[3, 1] = 1.0, e
     report = classify_channel(identity_channel(2), ncgd_probe=gen)
