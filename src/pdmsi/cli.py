@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -404,7 +405,7 @@ def run_sweep(cfg: dict):
     p = _number(cfg.get("p", 1.0), "p", 1)
     d = len(state)
     values = [float(v) for v in values]
-    rows = ["parameter,value,si_value,min_eigenvalue,bound_ok"]
+    fields = []
     step = _sweep_chunk(d)
     for start in range(0, len(values), step):
         chunk = values[start:start + step]
@@ -417,9 +418,12 @@ def run_sweep(cfg: dict):
                                            f"the state has dimension {d}")
         lam = _spectra(_closed_form(state, _kraus_stack(chs)))
         ok = _bound_check(_t_p(lam, 1.0)[0], d).bound_ok
-        rows += [f"{parameter},{format(v, '.17g')},{format(t, '.17g')},{format(m, '.17g')},{str(b).lower()}"
-                 for v, t, m, b in zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(), ok)]
-    return {"sweep.csv": "\n".join(rows) + "\n"}, [f"swept {len(values)} points of {parameter}"], True
+        fields += chain.from_iterable(zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(),
+                                          map(("false", "true").__getitem__, ok)))
+    # One template, filled by one % (as CorrelatorTable.to_csv); the parameter names in SWEEPS hold no %.
+    row = f"{parameter},%.17g,%.17g,%.17g,%s\n"
+    text = ("parameter,value,si_value,min_eigenvalue,bound_ok\n" + row * len(values)) % tuple(fields)
+    return {"sweep.csv": text}, [f"swept {len(values)} points of {parameter}"], True
 
 
 def run_verify(cfg: dict):

@@ -16,8 +16,8 @@ from .channels import KrausChannel, _apply
 from .exceptions import DimensionMismatch
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
-from .pdm import Pdm, Witness, _closed_form, _si_values, synthesize_witness
-from .sampling import _check_int, sample_two_time
+from .pdm import Pdm, Witness, _check_int, _closed_form, _si_values, synthesize_witness
+from .sampling import sample_two_time
 from .states import check_density_matrix
 
 LG_SLACK = 1e-9

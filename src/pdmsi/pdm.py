@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from numbers import Real
 
 import numpy as np
@@ -38,6 +39,8 @@ WITNESS_ATOL = 1e-10
 WITNESS_COEFF_ATOL = 1e-12
 
 WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
+
+_CSV_HEADER = "label1,label2,value,shots"
 
 
 class Pdm:
@@ -114,6 +117,16 @@ def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
     return Pdm(_pair_closed_form(rho, ch), (ch.in_dim, ch.out_dim))
 
 
+def _check_int(x, name: str, low: int | None = None, error=ValueError) -> int:
+    """``x`` as an int: a Python or numpy integer (not a bool) of at least ``low`` (when given),
+    else ``error``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise error(f"{name} must be >= {low}, got {x}")
+    return int(x)
+
+
 class CorrelatorTable:
     """Two-time expectation values over the label grid of two observable bases.
 
@@ -126,15 +139,20 @@ class CorrelatorTable:
 
     def __init__(self, basis1: ObservableBasis, basis2: ObservableBasis,
                  entries: dict, shot_counts: dict | None = None):
+        """Raises TypeError, naming the pair, for a value that is a bool or not a real number and
+        for a shot count that is a bool or not an integer, then as ``_on_grid``."""
         keys = list(entries)
+        for (a, b), v in entries.items():
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise TypeError(f"entry ({a},{b}): value {v!r} is not a real number")
         values, _ = _on_grid(basis1, basis2, [k[0] for k in keys], [k[1] for k in keys],
                              [float(v) for v in entries.values()], None,
                              lambda k: f"entry ({keys[k][0]},{keys[k][1]})")
         shots = None
         if shot_counts is not None:
             counted = list(shot_counts)
-            _, shots = _on_grid(basis1, basis2, [k[0] for k in counted], [k[1] for k in counted],
-                                None, [int(n) for n in shot_counts.values()],
+            _, shots = _on_grid(basis1, basis2, [k[0] for k in counted], [k[1] for k in counted], None,
+                                [_check_int(n, f"shot count of ({a},{b})") for (a, b), n in shot_counts.items()],
                                 lambda k: f"shot count of ({counted[k][0]},{counted[k][1]})")
         self._init(basis1, basis2, values, shots)
 
@@ -170,43 +188,57 @@ class CorrelatorTable:
                 for k, l in np.argwhere(np.isnan(self.values)).tolist()]
 
     def to_csv(self) -> str:
-        n1, n2 = self.values.shape
-        shots = [[""] * n2] * n1 if self.shots is None else [
-            ["" if n < 0 else str(n) for n in row] for row in self.shots.tolist()
-        ]
-        lines = ["label1,label2,value,shots"]
-        lines += [
-            f"{a},{b},{format(v, '.17g')},{n}"
-            for a, row, row_shots in zip(self.basis1.labels, self.values.tolist(), shots)
-            for b, v, n in zip(self.basis2.labels, row, row_shots)
-            if v == v  # NaN: not recorded
-        ]
-        return "\n".join(lines) + "\n"
+        """``label1,label2,value,shots`` and one row per recorded pair in label-grid order: the
+        value at ``.17g``, the shot count or a blank.
+
+        One ``%`` template holds every row, its labels escaped and its counts
+        inlined, and one ``%`` fills all the values (``%.17g`` is
+        ``format(v, '.17g')``).  A label-1 block of the template is one
+        ``str.join`` of its kept label-2 cells, so no row is built on its own.
+        """
+        keep = ~np.isnan(self.values)
+        cells2 = [b.replace("%", "%%") + ",%.17g," for b in self.basis2.labels]
+        rows = repeat(cells2) if self.shots is None else (
+            [c + ("" if n < 0 else str(n)) for c, n in zip(cells2, counts)] for counts in self.shots.tolist()
+        )
+        blocks = [_CSV_HEADER + "\n"]
+        for a, row, kept in zip(self.basis1.labels, rows, keep.tolist()):
+            a = a.replace("%", "%%") + ","
+            if any(kept):
+                blocks.append(a + ("\n" + a).join(compress(row, kept)) + "\n")
+        return "".join(blocks) % tuple(self.values[keep].tolist())
 
     @classmethod
     def from_csv(cls, text: str, basis1: ObservableBasis,
                  basis2: ObservableBasis | None = None) -> "CorrelatorTable":
         """Parse ``to_csv`` output; blank lines are skipped and cells stripped.
 
-        Raises KeyError for a label outside the bases, and ValueError for a
-        row without four cells, a value or count that does not parse, and,
-        naming the row, a non-finite value, a negative count or a repeated
-        pair.
+        The text is parsed by column: one split into cells, then one ``map``
+        per column.  Raises KeyError for a label outside the bases, and
+        ValueError for a row without four cells, a value or count that does
+        not parse, and, naming the row, a non-finite value, a negative count
+        or a repeated pair.
         """
         basis2 = basis1 if basis2 is None else basis2
-        rows = [line for line in text.strip().splitlines() if line.strip()]
-        if not rows or rows[0].strip() != "label1,label2,value,shots":
-            raise ValueError("expected CSV header 'label1,label2,value,shots'")
-        # One flat list of cells, columns taken by stride: no per-row list is kept alive.
-        commas = [line.count(",") for line in rows[1:]]
-        if set(commas) - {3}:
-            k = next(k for k, c in enumerate(commas) if c != 3)
-            raise ValueError(f"CSV row {k + 1} has {commas[k] + 1} cells, expected 4: {rows[k + 1]!r}")
-        cells = ",".join(rows[1:]).split(",") if commas else []
-        labels1, labels2 = [a.strip() for a in cells[0::4]], [b.strip() for b in cells[1::4]]
-        values = list(map(float, cells[2::4]))  # float() strips the same whitespace str.strip() does
-        counts = [n.strip() for n in cells[3::4]]
-        counts = [int(n) if n else None for n in counts] if any(counts) else None
+        rows = list(filter(str.strip, text.strip().splitlines()))
+        if not rows or rows[0].strip() != _CSV_HEADER:
+            raise ValueError(f"expected CSV header {_CSV_HEADER!r}")
+        # One flat list of cells with a "\n" cell between rows (no row holds a line break), columns
+        # taken by stride: every row has four cells exactly when the "\n" cells fall on every fifth.
+        n = len(rows) - 1
+        cells = ",\n,".join(rows[1:]).split(",") if n else []
+        if n and (len(cells) != 5 * n - 1 or cells[4::5].count("\n") != n - 1):
+            k = next(k for k, row in enumerate(rows) if row.count(",") != 3)
+            raise ValueError(f"CSV row {k} has {rows[k].count(',') + 1} cells, expected 4: {rows[k]!r}")
+        labels1, labels2 = list(map(str.strip, cells[0::5])), list(map(str.strip, cells[1::5]))
+        values = list(map(float, cells[2::5]))  # float() strips the same whitespace str.strip() does
+        counts = list(map(str.strip, cells[3::5]))
+        if not any(counts):
+            counts = None
+        elif all(counts):
+            counts = list(map(int, counts))
+        else:
+            counts = [int(n) if n else None for n in counts]
         values, shots = _on_grid(basis1, basis2, labels1, labels2, values, counts,
                                  lambda k: f"CSV row {k + 1} ({labels1[k]},{labels2[k]})")
         return cls._from_arrays(basis1, basis2, values, shots)
@@ -237,29 +269,31 @@ def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, la
     ValueError, naming item ``k`` by ``where(k)``, for a non-finite value, a
     pair listed twice in ``values`` or a negative count.
     """
-    i = [basis1.index.get(a, -1) for a in labels1]
-    j = [basis2.index.get(b, -1) for b in labels2]
-    if -1 in i or -1 in j:
-        k = next(k for k, ij in enumerate(zip(i, j)) if -1 in ij)
+    i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, len(labels1))
+    j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, len(labels2))
+    unknown = np.flatnonzero((i < 0) | (j < 0))
+    if unknown.size:
+        k = unknown[0]
         raise KeyError(f"entry ({labels1[k]},{labels2[k]}) not in the declared bases")
     shape, grid, shots = (len(basis1), len(basis2)), None, None
+    flat = i * shape[1] + j
     if values is not None:
         grid = np.full(shape, np.nan)
-        grid[i, j] = values
+        np.put(grid, flat, values)
         if np.count_nonzero(np.isfinite(grid)) < len(values):  # a non-finite value or a repeated pair
             seen = set()
-            for k, (v, ij) in enumerate(zip(values, zip(i, j))):
+            for k, (v, n) in enumerate(zip(values, flat.tolist())):
                 if not math.isfinite(v):
                     raise ValueError(f"{where(k)}: value {v!r} is not finite")
-                if ij in seen:
+                if n in seen:
                     raise ValueError(f"{where(k)}: pair listed twice")
-                seen.add(ij)
+                seen.add(n)
     if counts is not None:
-        k = next((k for k, n in enumerate(counts) if n is not None and n < 0), None)
-        if k is not None:
+        if min(filter(None, counts), default=0) < 0:  # filter(None, ...) drops the blanks (and zeros)
+            k = next(k for k, n in enumerate(counts) if n is not None and n < 0)
             raise ValueError(f"{where(k)}: shot count {counts[k]} is negative")
         shots = np.full(shape, -1)
-        shots[i, j] = [-1 if n is None else n for n in counts]
+        np.put(shots, flat, [-1 if n is None else n for n in counts] if None in counts else counts)
     return grid, shots
 
 

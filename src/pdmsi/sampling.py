@@ -31,7 +31,7 @@ import numpy as np
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
 from .observables import LightTouchObservable, PauliString
-from .pdm import CorrelatorTable, _resolve_bases
+from .pdm import CorrelatorTable, _check_int, _resolve_bases
 from .states import check_density_matrix
 
 GENERATOR_ID = "numpy-pcg64"
@@ -124,15 +124,6 @@ def _branch_probabilities(rho, ch: KrausChannel, projs1, projs2):
     q = _outcome_probs(projs2, ch(post), live)[..., 0]
     q[q >= 1.0 - DEAD_BRANCH_PROB] = 1.0
     return p, q
-
-
-def _check_int(x, name: str, low: int, error=ValueError) -> int:
-    """``x`` as an int: a Python or numpy integer (not a bool) of at least ``low``, else ``error``."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {x!r}")
-    if x < low:
-        raise error(f"{name} must be >= {low}, got {x}")
-    return int(x)
 
 
 def _draw(p: float, q_given, shots: int, seed):

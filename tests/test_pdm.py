@@ -26,7 +26,7 @@ from oracles import (
     schatten_norm,
 )
 from pdmsi.linalg import eig_hermitian, kron
-from pdmsi.observables import ObservableBasis
+from pdmsi.observables import PAULI_1Q, LightTouchObservable, ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
     PDM_ATOL,
@@ -187,6 +187,63 @@ class TestCorrelators:
         basis = ObservableBasis.pauli(1)
         with pytest.raises(ValueError, match=r"row 1 \(I,X\).*-5 is negative"):
             CorrelatorTable.from_csv("label1,label2,value,shots\nI,X,0.5,-5\n", basis)
+
+    def test_csv_names_first_row_of_wrong_width(self):
+        # 4 + 3 + 5 data cells: a multiple of 4, so only a per-row count finds the short row.
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=r"^CSV row 2 has 3 cells, expected 4: 'I,X,0.5'$"):
+            CorrelatorTable.from_csv("label1,label2,value,shots\nI,I,1,\nI,X,0.5\nX,X,0.25,3,\n", basis)
+
+    def test_csv_crlf_reads_as_lf(self):
+        table = exact_correlators(random_pdm(np.random.default_rng(17)))
+        shots = np.arange(table.values.size).reshape(table.values.shape)
+        shots[0, 1] = -1
+        table = CorrelatorTable._from_arrays(table.basis1, table.basis2, table.values, shots)
+        text = table.to_csv()
+        lf = CorrelatorTable.from_csv(text, table.basis1)
+        crlf = CorrelatorTable.from_csv(text.replace("\n", "\r\n"), table.basis1)
+        assert np.array_equal(crlf.values, lf.values) and np.array_equal(crlf.shots, lf.shots)
+        assert crlf.to_csv() == lf.to_csv() == text
+
+    def test_csv_header_only_is_all_missing(self):
+        basis = ObservableBasis.pauli(1)
+        table = CorrelatorTable.from_csv("label1,label2,value,shots\n", basis)
+        assert np.isnan(table.values).all() and table.shots is None
+        assert table.missing_pairs() == [(a, b) for a in basis.labels for b in basis.labels]
+        assert table.to_csv() == "label1,label2,value,shots\n"
+
+    def test_csv_escapes_format_characters_in_labels(self):
+        # A label left unescaped in the writer's % template would consume or misread a value.
+        labels = ["100%", "%s", "{x}", "%(k)s}"]
+        basis = ObservableBasis([LightTouchObservable(PAULI_1Q[p], label) for p, label in zip("IXYZ", labels)],
+                                "escaped")
+        rng = np.random.default_rng(19)
+        entries = {(a, b): float(rng.normal()) for a in labels for b in labels if rng.random() < 0.7}
+        shots = {key: int(rng.integers(0, 1000)) for key in entries if rng.random() < 0.7}
+        table = CorrelatorTable(basis, basis, entries, shots)
+        text = table.to_csv()
+        assert text == dict_table_to_csv(basis, basis, entries, shots)
+        back = CorrelatorTable.from_csv(text, basis)
+        assert back.entries == entries and back.shot_counts == shots
+
+    @pytest.mark.parametrize("entries, shots, message", [
+        ({("I", "X"): "0.5"}, None, r"entry \(I,X\): value '0.5' is not a real number"),
+        ({("I", "X"): True}, None, r"entry \(I,X\): value True is not a real number"),
+        ({("I", "X"): 0.5j}, None, r"entry \(I,X\): value 0.5j is not a real number"),
+        ({("I", "X"): 0.5}, {("I", "X"): 2.7}, r"shot count of \(I,X\) must be an integer, got 2.7"),
+        ({("I", "X"): 0.5}, {("I", "X"): True}, r"shot count of \(I,X\) must be an integer, got True"),
+        ({("I", "X"): 0.5}, {("I", "X"): "3"}, r"shot count of \(I,X\) must be an integer, got '3'"),
+    ])
+    def test_dict_constructor_rejects_bad_types(self, entries, shots, message):
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(TypeError, match=message):
+            CorrelatorTable(basis, basis, {("I", "I"): 1.0, **entries}, None if shots is None else {("I", "I"): 2, **shots})
+
+    def test_dict_constructor_takes_numpy_scalars(self):
+        basis = ObservableBasis.pauli(1)
+        table = CorrelatorTable(basis, basis, {("I", "I"): np.float32(0.5), ("I", "X"): np.int64(1)},
+                                {("I", "I"): np.int64(7), ("I", "X"): 3})
+        assert table.to_csv() == "label1,label2,value,shots\nI,I,0.5,7\nI,X,1,3\n"
 
     def test_non_finite_matrix_is_not_a_pdm(self):
         for bad in (np.nan, np.inf):
