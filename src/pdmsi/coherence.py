@@ -31,8 +31,6 @@ CLASS_ATOL = 1e-9
 # Absolute tolerance of a probability (or stochastic-matrix) entry's sign and of each sum's distance from 1.
 PROB_ATOL = 1e-12
 NCGD_GRID = np.logspace(-2.0, 1.0, 10)
-# Entries per stacked chunk of the NCGD grid (512 KiB complex): d = 2 and 3 take one chunk.
-NCGD_CHUNK_ENTRIES = 2**15
 
 
 @dataclass
@@ -79,29 +77,20 @@ def _class_residuals(s: np.ndarray, delta: np.ndarray) -> dict:
 def _ncgd_residual(family, delta: np.ndarray) -> float:
     """Max deviation of Delta F_t Delta F_tau Delta from Delta F_{t+tau} Delta over NCGD_GRID x NCGD_GRID.
 
-    ``family`` maps a 1-D array of times to their ``(k, d^2, d^2)`` stack of
-    superoperators F.  The pairs (i, j), i <= j, go in chunks of m pairs whose
-    stacks hold at most 3m <= NCGD_CHUNK_ENTRIES / d^4 superoperators (one pair at
-    least).  Up to d = 3 this is one chunk, which sees each of the 10 grid
-    times and 55 sums once.  Past one chunk, each chunk evaluates the grid
-    times it uses again: holding all ten would cost 10 MiB at d = 16.
+    ``family`` maps one time t to its superoperator F_t.  It is called once at
+    each of the 10 grid times and once at each of the 55 sums t_i + t_j,
+    i <= j; float addition commutes, so the pairs (i, j) and (j, i) share the
+    right side.  At most 11 superoperators are held at once.
     """
-    first, second = np.triu_indices(len(NCGD_GRID))
-    step = max(1, NCGD_CHUNK_ENTRIES // (3 * delta.size))
-    return float(np.max([_ncgd_chunk(family, delta, first[k:k + step], second[k:k + step])
-                         for k in range(0, len(first), step)]))
-
-
-def _ncgd_chunk(family, delta: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
-    """``_ncgd_residual`` over the grid pairs (i, j) and (j, i), from one ``family`` call on
-    the grid times they use and their sums; float addition commutes, so both orders share
-    the right side."""
-    times, at = np.unique(np.r_[i, j], return_inverse=True)
-    f = family(np.r_[NCGD_GRID[times], NCGD_GRID[i] + NCGD_GRID[j]])
-    grid, rhs = f[:len(times)], delta @ f[len(times):] @ delta
-    # The left sides of (i, j) then (j, i), in the product order of the one-pair identity.
-    lhs = delta @ grid[at] @ delta @ grid[np.r_[at[len(i):], at[:len(i)]]] @ delta
-    return np.max(_max_unit_deviation(lhs.reshape(2, *rhs.shape), rhs))
+    grid = [family(t) for t in NCGD_GRID]
+    worst = 0.0
+    for i, t in enumerate(NCGD_GRID):
+        for j in range(i, len(NCGD_GRID)):
+            rhs = delta @ family(t + NCGD_GRID[j]) @ delta
+            for a, b in ((i, j), (j, i)):
+                lhs = delta @ grid[a] @ delta @ grid[b] @ delta
+                worst = max(worst, float(_max_unit_deviation(lhs, rhs)))
+    return worst
 
 
 def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
@@ -162,18 +151,15 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
         if callable(ncgd_probe):
             mode = "family grid (not refuted is not a proof)"
 
-            def family(times):
-                outs = []
-                for t in times:
-                    out = ncgd_probe(t)
-                    out = out.superoperator() if isinstance(out, KrausChannel) else np.asarray(out)
-                    if out.shape != delta.shape:
-                        raise DimensionMismatch(f"ncgd_probe at t = {float(t)!r} returned shape "
-                                                f"{out.shape}, expected {delta.shape}")
-                    if not np.isfinite(out).all():
-                        raise ValueError(f"ncgd_probe at t = {float(t)!r} returned non-finite entries")
-                    outs.append(out)
-                return np.stack(outs)
+            def family(t):
+                out = ncgd_probe(t)
+                out = out.superoperator() if isinstance(out, KrausChannel) else np.asarray(out)
+                if out.shape != delta.shape:
+                    raise DimensionMismatch(f"ncgd_probe at t = {float(t)!r} returned shape "
+                                            f"{out.shape}, expected {delta.shape}")
+                if not np.isfinite(out).all():
+                    raise ValueError(f"ncgd_probe at t = {float(t)!r} returned non-finite entries")
+                return out
 
             residuals["ncgd"] = _ncgd_residual(family, delta)
         else:

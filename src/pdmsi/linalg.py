@@ -43,42 +43,23 @@ def check_hermitian(m, atol: float = HERMITICITY_ATOL, stacked: bool = False) ->
 @dataclass
 class EigenDecomposition:
     """Ascending eigenvalues ``(..., d)`` and matching orthonormal eigenvector
-    columns ``(..., d, d)``, in the conventions of ``eig_hermitian``."""
+    columns ``(..., d, d)``, as ``np.linalg.eigh`` returns them."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> EigenDecomposition:
-    """Eigendecomposition with deterministic ordering and phases, for ``(..., d, d)``.
+    """``np.linalg.eigh`` of the Hermitian part of ``m``, one matrix or a ``(..., d, d)`` stack,
+    after ``check_hermitian`` within ``atol``.
 
-    Each column is rotated so its first entry above 1e-12 in modulus is real
-    positive.  Consecutive eigenvalues within ``1e-12 max(1, max|w|)`` form a
-    degenerate group, whose columns are ordered lexicographically by the
-    (real, imag) parts of their entries, so repeated runs give identical
-    vectors.
+    No phase or tie-order convention is imposed: every reader (T_p, its
+    minimizer, the projector witnesses, ``pseudo_inverse``) depends on the
+    eigenspaces only, not on the basis chosen within them.
     """
     m = check_hermitian(m, atol=atol, stacked=True)
-    shape, d = m.shape, m.shape[-1]
-    w, v = np.linalg.eigh(((m + m.conj().swapaxes(-1, -2)) / 2.0).reshape(-1, d, d))
-    # hypot, not np.abs: numpy's vectorised complex abs can differ in the last bit.
-    modulus = np.hypot(v.real, v.imag)
-    pivots = (np.arange(len(v))[:, None], np.argmax(modulus > 1e-12, axis=1), np.arange(d))
-    v = v * (v[pivots].conj() / modulus[pivots])[:, None, :]
-
-    # w ascends, so max|w| is at one end.
-    scale = np.maximum(np.maximum(-w[:, :1], w[:, -1:]), 1.0)
-    tied = w[:, 1:] - w[:, :-1] <= 1e-12 * scale
-    if tied.any():
-        # np.lexsort reads its last key first: the group, then row 0 real, row 0 imag, row 1 ...
-        keys = np.zeros((2 * d + 1, len(v), d))
-        parts = v.view(float).reshape(len(v), d, d, 2).transpose(1, 3, 0, 2)
-        keys[:-1] = parts.reshape(2 * d, len(v), d)[::-1]
-        np.cumsum(~tied, axis=1, out=keys[-1, :, 1:])
-        order = np.lexsort(keys, axis=-1)
-        rows = np.arange(len(v))[:, None]
-        w, v = w[rows, order], v[rows[..., None], np.arange(d)[:, None], order[:, None, :]]
-    return EigenDecomposition(w.reshape(shape[:-1]), v.reshape(shape))
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return EigenDecomposition(w, v)
 
 
 def kron(a, b) -> np.ndarray:

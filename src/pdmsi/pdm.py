@@ -37,6 +37,8 @@ PDM_ATOL = 1e-10
 WITNESS_ATOL = 1e-10
 # A witness coefficient at or below it in magnitude needs no table entry.
 WITNESS_COEFF_ATOL = 1e-12
+# Eigenvalues within it of the minimum, relative to max(1, max|lam|), are tied with it for ``most_negative``.
+MIN_EIGENVALUE_TIE_RTOL = 1e-12
 
 WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
 
@@ -62,6 +64,8 @@ class Pdm:
 
     @cached_property
     def eig(self) -> EigenDecomposition:
+        """Ascending eigenvalues and the eigenvectors ``eigh`` returns; within a degenerate
+        eigenspace the basis is ``eigh``'s choice, and no reader depends on it."""
         eig = eig_hermitian(self.mat, atol=PDM_ATOL)
         eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
         return eig
@@ -216,8 +220,8 @@ class CorrelatorTable:
         The text is parsed by column: one split into cells, then one ``map``
         per column.  Raises KeyError for a label outside the bases, and
         ValueError for a row without four cells, a value or count that does
-        not parse, and, naming the row, a non-finite value, a negative count
-        or a repeated pair.
+        not parse, and, naming the row, a non-finite value, a negative count,
+        a count above 2**63 - 1 or a repeated pair.
         """
         basis2 = basis1 if basis2 is None else basis2
         rows = list(filter(str.strip, text.strip().splitlines()))
@@ -267,7 +271,8 @@ def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, la
     Unlisted pairs are NaN in ``values`` and -1 in ``shots``, and so is a
     None count.  Raises KeyError for a label outside the bases, and
     ValueError, naming item ``k`` by ``where(k)``, for a non-finite value, a
-    pair listed twice in ``values`` or a negative count.
+    pair listed twice in ``values`` or a count that is negative or above
+    the int64 maximum, 2**63 - 1.
     """
     i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, len(labels1))
     j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, len(labels2))
@@ -289,9 +294,11 @@ def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, la
                     raise ValueError(f"{where(k)}: pair listed twice")
                 seen.add(n)
     if counts is not None:
-        if min(filter(None, counts), default=0) < 0:  # filter(None, ...) drops the blanks (and zeros)
-            k = next(k for k, n in enumerate(counts) if n is not None and n < 0)
-            raise ValueError(f"{where(k)}: shot count {counts[k]} is negative")
+        given, top = list(filter(None, counts)), np.iinfo(np.int64).max  # filter drops blanks (and zeros)
+        if min(given, default=0) < 0 or max(given, default=0) > top:
+            k = next(k for k, n in enumerate(counts) if n is not None and not 0 <= n <= top)
+            problem = "is negative" if counts[k] < 0 else f"is above {top}"
+            raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
         shots = np.full(shape, -1)
         np.put(shots, flat, [-1 if n is None else n for n in counts] if None in counts else counts)
     return grid, shots
@@ -537,22 +544,24 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace") -> Witness:
 
     Policies (``WITNESS_POLICIES``): ``negative_eigenspace`` projects onto
     the span of all negative-eigenvalue eigenvectors of ``r.eig`` (default),
-    ``most_negative`` onto the single most negative one.  A matrix of one's
-    own becomes a witness through ``Witness(mat, basis1, basis2)``.
+    ``most_negative`` onto the eigenspace of the minimum eigenvalue: every
+    eigenvalue within ``MIN_EIGENVALUE_TIE_RTOL * max(1, max|lam|)`` of it, so a
+    degenerate minimum gives the same projector whichever basis ``eigh``
+    picks within it.  A matrix of one's own becomes a witness through
+    ``Witness(mat, basis1, basis2)``.
     """
     if policy not in WITNESS_POLICIES:
         raise ValueError(f"unknown witness policy {policy!r}; use one of {', '.join(WITNESS_POLICIES)}")
     lam, v = r.eig.eigenvalues, r.eig.eigenvectors
-    neg = np.nonzero(lam < -NEGATIVITY_ATOL)[0]
-    if len(neg) == 0:
+    if lam[0] >= -NEGATIVITY_ATOL:
         raise NotSpatiallyIncompatible(
             f"min eigenvalue {lam[0]:.3e} >= -{NEGATIVITY_ATOL}; no witness exists"
         )
     if policy == "negative_eigenspace":
-        w = v[:, neg] @ v[:, neg].conj().T
+        sel = lam < -NEGATIVITY_ATOL
     else:
-        k = int(np.argmin(lam))
-        w = np.outer(v[:, k], v[:, k].conj())
+        sel = lam - lam[0] <= MIN_EIGENVALUE_TIE_RTOL * max(1.0, -lam[0], lam[-1])
+    w = v[:, sel] @ v[:, sel].conj().T
     b1 = ObservableBasis.default_for_dim(r.dims[0])
     b2 = ObservableBasis.default_for_dim(r.dims[1])
     return Witness._projector(w, b1, b2)

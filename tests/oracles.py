@@ -98,8 +98,8 @@ def dict_witness_coefficients(coeffs: dict) -> dict:
 
 def loop_ncgd_residual(family, delta) -> float:
     """The NCGD grid residual as a double loop over the 10 x 10 (t, tau) grid, with three
-    single-time ``family(t)`` calls per pair: the code the stacked grid replaced, which it
-    must match bit for bit."""
+    single-time ``family(t)`` calls per pair, which ``coherence._ncgd_residual`` must match bit
+    for bit."""
     from pdmsi.coherence import NCGD_GRID
 
     worst = 0.0

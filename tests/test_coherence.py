@@ -158,14 +158,14 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestStackedNcgd:
-    """The stacked NCGD grid against the per-pair loop it replaced (tests/oracles.py)."""
+    """The NCGD grid, 65 probe calls, against the per-pair loop with 300 (tests/oracles.py)."""
 
     @NCGD_SETTINGS
     @given(d=DIMS, kind=st.sampled_from(["hermitian", "unitary", "general"]), seed=SEEDS)
     def test_liouvillian_matches_loop(self, d, kind, seed):
         gen = random_generator(d, kind, seed)
         delta = dephasing_superoperator(d)
-        grid = _ncgd_residual(lambda ts: superop_exp(gen, ts), delta)
+        grid = _ncgd_residual(lambda t: superop_exp(gen, t), delta)
         assert grid == loop_ncgd_residual(single_time_family(gen), delta)
 
     @NCGD_SETTINGS
@@ -189,17 +189,6 @@ class TestStackedNcgd:
         i, j = np.triu_indices(len(NCGD_GRID))
         assert len(calls) == 65
         assert sorted(calls) == sorted(np.r_[NCGD_GRID, NCGD_GRID[i] + NCGD_GRID[j]].tolist())
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_chunked_path_matches_one_chunk(self, d, monkeypatch):
-        gen = random_generator(d, "general", 17)
-        delta = dephasing_superoperator(d)
-        family = lambda times: superop_exp(gen, times)  # noqa: E731
-        residuals = []
-        for budget in (2**40, 1, 3 * delta.size * 7, 3 * delta.size * 54):
-            monkeypatch.setattr(coherence, "NCGD_CHUNK_ENTRIES", budget)
-            residuals.append(_ncgd_residual(family, delta))
-        assert residuals == [loop_ncgd_residual(single_time_family(gen), delta)] * 4
 
     def test_non_finite_generator_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -242,7 +231,7 @@ def lindbladian_of_kind(d: int, kind: str, seed: int) -> np.ndarray:
 
 def grid_residual(gen) -> float:
     """The NCGD grid residual of exp(L t), the test a Liouvillian probe used to get."""
-    return _ncgd_residual(lambda ts: superop_exp(gen, ts), dephasing_superoperator(int(np.sqrt(len(gen)))))
+    return _ncgd_residual(lambda t: superop_exp(gen, t), dephasing_superoperator(int(np.sqrt(len(gen)))))
 
 
 L0 = lindbladian_of_kind(2, "generic", 0)

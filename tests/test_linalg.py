@@ -65,47 +65,9 @@ class TestEigHermitian:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_phase_convention(self):
-        rng = np.random.default_rng(13)
-        m = rand_hermitian(4, rng)
-        v = eig_hermitian(m).eigenvectors
-        for k in range(4):
-            first = next(x for x in v[:, k] if abs(x) > 1e-12)
-            assert first.real > 0 and abs(first.imag) < 1e-12
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def eig_hermitian_reference(m):
-    """The one-matrix eig_hermitian with a per-column phase loop and greedy tie groups."""
-    m = np.asarray(m, dtype=complex)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-
-    def fix_phase(column, tol=1e-12):
-        for entry in column:
-            if abs(entry) > tol:
-                return column * (entry.conjugate() / abs(entry))
-        return column
-
-    v = np.column_stack([fix_phase(v[:, k]) for k in range(v.shape[1])])
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    tie = 1e-12 * scale
-    order = np.arange(len(w))
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and abs(w[stop] - w[start]) <= tie:
-            stop += 1
-        if stop - start > 1:
-            group = sorted(
-                range(start, stop),
-                key=lambda k: tuple((float(x.real), float(x.imag)) for x in v[:, k]),
-            )
-            order[start:stop] = group
-        start = stop
-    return w[order], v[:, order]
 
 
 # Levels 0.5 apart: repeats are exact degeneracies, distinct levels are never near-ties.
@@ -120,23 +82,28 @@ LEVELS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_eig_hermitian_on_degenerate_spectra(d, spectra, rotate, seed):
-    """Bit-identical to the one-matrix reference, and a stack equals its items."""
+    """A stack equals its items bit for bit, and each item reproduces its matrix from orthonormal
+    eigenvectors and the spectrum it was built with, degenerate levels included."""
     rng = np.random.default_rng(seed)
-    mats = [np.eye(d, dtype=complex)]
+    mats, levels = [np.eye(d, dtype=complex)], [np.ones(d)]
     for lam, turn in zip(spectra, rotate):
         u = haar_unitary(d, rng) if turn else np.eye(d)
         mats.append((u * np.asarray(lam[:d])) @ u.conj().T)
+        levels.append(np.sort(lam[:d]))
     extremal = pdm_closed_form(projector(ket(0, d)), identity_channel(d)).mat
+    # The extremal PDM's spectrum (pdm._bound_check): {1, 1/2 x (d-1), -1/2 x (d-1), 0 x (d-1)^2}.
+    ext_levels = np.repeat([-0.5, 0.0, 0.5, 1.0], [d - 1, (d - 1) ** 2, d - 1, 1])
     u = haar_unitary(d * d, rng)
-    for stack in (np.array(mats), np.array([extremal, u @ extremal @ u.conj().T])):
+    stacks = ((np.array(mats), levels), (np.array([extremal, u @ extremal @ u.conj().T]), [ext_levels] * 2))
+    for stack, spectra_in in stacks:
         batch = eig_hermitian(stack)
-        for m, w, v in zip(stack, batch.eigenvalues, batch.eigenvectors):
+        for m, lam, w, v in zip(stack, spectra_in, batch.eigenvalues, batch.eigenvectors):
             item = eig_hermitian(m)
-            w_ref, v_ref = eig_hermitian_reference(m)
-            assert np.array_equal(item.eigenvalues, w_ref)
-            assert np.array_equal(item.eigenvectors, v_ref)
-            assert np.array_equal(w, w_ref)
-            assert np.array_equal(v, v_ref)
+            assert np.array_equal(w, item.eigenvalues)
+            assert np.array_equal(v, item.eigenvectors)
+            assert np.allclose(w, lam, atol=1e-12)
+            assert np.linalg.norm((v * w) @ v.conj().T - m) < 1e-12 * len(m)
+            assert np.linalg.norm(v.conj().T @ v - np.eye(len(m))) < 1e-12 * len(m)
         rows = batch.eigenvalues * 3.0 - 0.5
         assert np.array_equal(project_simplex(rows), np.array([project_simplex(r) for r in rows]))
 

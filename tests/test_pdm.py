@@ -188,6 +188,24 @@ class TestCorrelators:
         with pytest.raises(ValueError, match=r"row 1 \(I,X\).*-5 is negative"):
             CorrelatorTable.from_csv("label1,label2,value,shots\nI,X,0.5,-5\n", basis)
 
+    def test_shot_count_above_int64_rejected_naming_the_row_or_pair(self):
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=rf"row 2 \(I,X\).*{2**63} is above {2**63 - 1}"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,I,1,3\nI,X,0.5,{2**63}\n", basis)
+        with pytest.raises(ValueError, match=rf"row 1 \(I,X\).*{2**70} is above"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,{2**70}\nI,I,1,\n", basis)
+        with pytest.raises(ValueError, match=rf"shot count of \(I,X\): shot count {2**63} is above"):
+            CorrelatorTable(basis, basis, {("I", "I"): 1.0, ("I", "X"): 0.5}, {("I", "I"): 2, ("I", "X"): 2**63})
+
+    def test_shot_count_at_int64_max_round_trips(self):
+        basis, top = ObservableBasis.pauli(1), 2**63 - 1
+        table = CorrelatorTable(basis, basis, {("I", "I"): 1.0, ("I", "X"): 0.5}, {("I", "X"): top})
+        assert table.shot_counts == {("I", "X"): top}
+        text = table.to_csv()
+        assert text == f"label1,label2,value,shots\nI,I,1,\nI,X,0.5,{top}\n"
+        back = CorrelatorTable.from_csv(text, basis)
+        assert back.shot_counts == {("I", "X"): top} and back.to_csv() == text
+
     def test_csv_names_first_row_of_wrong_width(self):
         # 4 + 3 + 5 data cells: a multiple of 4, so only a per-row count finds the short row.
         basis = ObservableBasis.pauli(1)
@@ -385,12 +403,34 @@ class TestWitness:
             assert np.max(np.abs(recon - w.mat)) < 1e-10
 
     def test_policies(self):
-        r = pdm_closed_form(plus_state(), dephasing_channel(2))
+        # diag(p) through the identity has eigenvalues +-(p_i + p_j)/2, i < j: here -0.45 < -0.35 < -0.2.
+        r = pdm_closed_form(np.diag([0.6, 0.3, 0.1]), identity_channel(3))
         full = synthesize_witness(r, policy="negative_eigenspace")
         single = synthesize_witness(r, policy="most_negative")
-        assert abs(np.trace(full.mat).real - 2.0) < 1e-9   # two negative eigenvalues
+        assert abs(np.trace(full.mat).real - 3.0) < 1e-9
         assert abs(np.trace(single.mat).real - 1.0) < 1e-9
+        assert abs(single.expectation(r) + 0.45) < 1e-12
         assert full.expectation(r) < single.expectation(r) < 0
+
+    def test_most_negative_takes_a_degenerate_minimum_whole(self):
+        # |+> through dephasing: both negative eigenvalues are -1/4, so the two policies agree.
+        r = pdm_closed_form(plus_state(), dephasing_channel(2))
+        full = synthesize_witness(r, policy="negative_eigenspace")
+        group = synthesize_witness(r, policy="most_negative")
+        assert abs(np.trace(group.mat).real - 2.0) < 1e-9
+        assert np.max(np.abs(group.mat - full.mat)) < 1e-12
+
+    def test_most_negative_is_covariant_under_relabelling(self):
+        # |0> through identity(3) has -1/2 twice; relabelling basis states 1 and 2 maps the PDM to
+        # (P (x) P) R (P (x) P)^T, and the witness must follow it whichever eigenbasis eigh returns.
+        perm = np.eye(3)[[0, 2, 1]]
+        pp = np.kron(perm, perm)
+        rho = projector(ket(0, 3))
+        w = synthesize_witness(pdm_closed_form(rho, identity_channel(3)), policy="most_negative")
+        relabelled = synthesize_witness(pdm_closed_form(perm @ rho @ perm.T, identity_channel(3)),
+                                        policy="most_negative")
+        assert np.max(np.abs(pp @ w.mat @ pp.T - relabelled.mat)) <= 1e-12
+        assert abs(np.trace(w.mat).real - 2.0) < 1e-12
 
     def test_user_witness_validation(self):
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))

@@ -30,6 +30,7 @@ from pdmsi.observables import LIGHT_TOUCH_ATOL, PAULI_1Q, LightTouchObservable
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     BOUND_SLACK,
+    MIN_EIGENVALUE_TIE_RTOL,
     NEGATIVITY_ATOL,
     PDM_ATOL,
     WITNESS_COEFF_ATOL,
@@ -62,6 +63,15 @@ def negative_eigenvalue_ignored(e):
     """A PDM whose one negative eigenvalue is -e: within NEGATIVITY_ATOL no witness exists."""
     r = Pdm(np.diag([1.0 + e, 0.0, 0.0, -e]), (2, 2))
     return not accepted(lambda: synthesize_witness(r), NotSpatiallyIncompatible)
+
+
+def minimum_tie_joined(e):
+    """A PDM with eigenvalues -1/2 and -1/2 + e (and max|lam| = 1): within the tie rule the
+    ``most_negative`` witness projects onto both."""
+    r = Pdm(np.diag([-0.5, -0.5 + e, 1.0, 1.0 - e]), (2, 2))
+    rank = round(float(np.trace(synthesize_witness(r, policy="most_negative").mat).real))
+    assert rank in (1, 2)
+    return rank == 2
 
 
 def missing_coefficient_ignored(e):
@@ -121,6 +131,7 @@ THRESHOLDS = [
     ("PDM_ATOL spectrum trace", PDM_ATOL, lambda e: spectrum_route_accepts(e * np.eye(4) / 4.0)),
     ("NEGATIVITY_ATOL", NEGATIVITY_ATOL, negative_eigenvalue_ignored),
     ("WITNESS_COEFF_ATOL", WITNESS_COEFF_ATOL, missing_coefficient_ignored),
+    ("MIN_EIGENVALUE_TIE_RTOL", MIN_EIGENVALUE_TIE_RTOL, minimum_tie_joined),
     ("CLASS_ATOL", CLASS_ATOL, oi_holds),
     ("CLASS_ATOL Liouvillian NCGD", CLASS_ATOL, ncgd_holds),
     ("BOUND_SLACK", BOUND_SLACK, lambda e: _bound_check(1.0 + e, 2).bound_ok),
