@@ -41,7 +41,6 @@ from .pdm import (
     WITNESS_POLICIES,
     _bound_check,
     _closed_form,
-    _matrix_to_pairs,
     _spectra,
     _t_p,
     evaluate_witness,
@@ -57,9 +56,13 @@ from .verify import SUITES, run_suites
 
 CONFIG_VERSION = 1
 
-# Size caps, checked before any allocation: a PDM build touches d^4 entries, a sweep one channel per point.
+# Size caps, checked before any allocation: a PDM build touches d^4 entries, a sweep one channel per point,
+# a simulation draws two uniforms per shot and pair (160 MB per pair at MAX_SHOTS), and verify's trial counts
+# grow with trials_scale.
 MAX_DIM = 32
 MAX_GRID = 100_000
+MAX_SHOTS = 10**7
+MAX_TRIALS_SCALE = 10
 
 KIND_FIELDS = {
     "pdm": ({"state", "channel"}, {"p"}),
@@ -71,7 +74,7 @@ KIND_FIELDS = {
     "verify": (set(), {"suite", "seed", "trials_scale"}),
 }
 
-# Sweepable channel -> (its parameter, builder from (value, state dimension)).
+# Channel builtins that take a parameter, and so can be swept -> (the parameter, builder from (value, state dimension)).
 SWEEPS = {
     "amplitude_damping": ("gamma", lambda v, d: amplitude_damping_channel(v)),
     "depolarizing": ("p", depolarizing_channel),
@@ -99,10 +102,11 @@ def _int(x, field: str, low: int, high: int | None = None) -> int:
     return x
 
 
-def _number(x, field: str, low: float, strict: bool = False) -> float:
-    """A finite JSON number >= ``low``, or > ``low`` when ``strict``."""
-    if not _is_number(x) or x < low or (strict and x == low):
-        raise ScenarioError(field, f"expected a finite number {'>' if strict else '>='} {low:g}, got {x!r}")
+def _number(x, field: str, low: float, strict: bool = False, high: float | None = None) -> float:
+    """A finite JSON number >= ``low``, or > ``low`` when ``strict``, and <= ``high`` (when given)."""
+    if not _is_number(x) or x < low or (strict and x == low) or (high is not None and x > high):
+        bounds = f"{'>' if strict else '>='} {low:g}" + ("" if high is None else f" and <= {high:g}")
+        raise ScenarioError(field, f"expected a finite number {bounds}, got {x!r}")
     return float(x)
 
 
@@ -121,19 +125,18 @@ def _parse_entry(x, field: str) -> complex:
     raise ScenarioError(field, f"matrix entries must be finite numbers or [re, im] pairs, got {x!r}")
 
 
-def _check_dims(rows: list, field: str) -> None:
-    """Reject a matrix literal with more than MAX_DIM rows or columns before parsing its entries."""
-    if max(len(rows), *(len(row) for row in rows)) > MAX_DIM:
-        raise ScenarioError(field, f"matrix dimensions exceed the maximum {MAX_DIM}")
-
-
-def parse_matrix(obj, field: str) -> np.ndarray:
+def parse_matrix(obj, field: str, square: bool = True) -> np.ndarray:
+    """A matrix literal: a list of rows of equal length (the row count too when ``square``), at most
+    MAX_DIM rows and columns, checked before its entries are parsed."""
     if not isinstance(obj, list) or not obj or not all(isinstance(row, list) for row in obj):
         raise ScenarioError(field, "expected a dense matrix as a list of rows")
-    _check_dims(obj, field)
+    if max(len(obj), *(len(row) for row in obj)) > MAX_DIM:
+        raise ScenarioError(field, f"matrix dimensions exceed the maximum {MAX_DIM}")
     rows = [[_parse_entry(x, field) for x in row] for row in obj]
-    if any(len(row) != len(rows) for row in rows):
-        raise ScenarioError(field, f"matrix must be square, got row lengths {[len(r) for r in rows]}")
+    width = len(rows) if square else len(rows[0])
+    if any(len(row) != width for row in rows):
+        shape = "square" if square else "rectangular"
+        raise ScenarioError(field, f"matrix must be {shape}, got row lengths {[len(r) for r in rows]}")
     return np.array(rows, dtype=complex)
 
 
@@ -159,14 +162,11 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
             if name in ("identity", "dephase"):
                 d = _int(int(arg), field, 1, MAX_DIM) if arg else (dim or 2)
                 return (identity_channel if name == "identity" else dephasing_channel)(d)
-            if name == "amplitude_damping":
+            if name in SWEEPS:
+                parameter, build = SWEEPS[name]
                 if arg is None:
-                    raise ScenarioError(field, "amplitude_damping needs a gamma argument")
-                return amplitude_damping_channel(float(arg))
-            if name == "depolarizing":
-                if arg is None:
-                    raise ScenarioError(field, "depolarizing needs a p argument")
-                return depolarizing_channel(float(arg), dim or 2)
+                    raise ScenarioError(field, f"{name} needs a {parameter} argument")
+                return build(float(arg), dim or 2)
             raise ScenarioError(field, f"unknown channel builtin {name!r}")
         if isinstance(obj, dict):
             unknown = set(obj) - {"kraus", "unitary"}
@@ -177,13 +177,7 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
             ops = obj["kraus"]
             if not isinstance(ops, list) or not ops:
                 raise ScenarioError(field, "'kraus' must be a non-empty list of matrices")
-            mats = []
-            for idx, op in enumerate(ops):
-                if not isinstance(op, list) or not op or not all(isinstance(row, list) for row in op):
-                    raise ScenarioError(field, f"kraus[{idx}] is not a matrix")
-                _check_dims(op, field)
-                mats.append(np.array([[_parse_entry(x, field) for x in row] for row in op]))
-            return KrausChannel(mats)
+            return KrausChannel([parse_matrix(op, field, square=False) for op in ops])
     except ScenarioError:
         raise
     except (ValueError, PdmsiError) as exc:
@@ -270,12 +264,12 @@ def run_pdm(cfg: dict):
     out = {
         "kind": "pdm",
         "dims": list(r.dims),
-        "matrix": _matrix_to_pairs(r.mat),
-        "eigenvalues": lam.tolist(),
-        "si": report.to_dict(),
+        "matrix": r.mat,
+        "eigenvalues": lam,
+        "si": report,
     }
     if ch.in_dim == ch.out_dim:
-        out["bound"] = _bound_check(float(_t_p(lam, 1.0)[0]), ch.in_dim).to_dict()
+        out["bound"] = _bound_check(float(_t_p(lam, 1.0)[0]), ch.in_dim)
     lines = [f"T_{p:g} = {report.value:.12g}  (min eigenvalue {lam[0]:.12g})"]
     return {"pdm.json": dump_json(out)}, lines, True
 
@@ -303,7 +297,7 @@ def run_classify(cfg: dict):
     dim = None if cfg.get("dim") is None else _int(cfg["dim"], "dim", 1, MAX_DIM)
     ch = _channel(cfg["channel"], "channel", dim, square=True)
     report = classify_channel(ch)
-    out = {"kind": "classify", "report": report.to_dict()}
+    out = {"kind": "classify", "report": report}
     holds = {"oi": report.is_oi, "ce": report.is_ce, "ci": report.is_ci,
              "di": report.is_di, "ncgd": report.is_ncgd}
     lines = ["class  holds  residual"]
@@ -334,7 +328,7 @@ def run_lg(cfg: dict):
     summary = lg_vs_si(ch, states, q_list=[q], ch23=ch2)
     out = {
         "kind": "lg",
-        "results": [res.to_dict() for res in summary.results],
+        "results": summary.results,
         "comparison": summary.to_dict(),
     }
     lines = []
@@ -356,7 +350,7 @@ def run_simulate(cfg: dict):
     for field, d in (("state", ch.in_dim), ("channel", ch.out_dim)):
         if d < 2:  # no observable basis exists on dimension 1
             raise ScenarioError(field, f"simulate needs dimension >= 2 at both times, got {d}")
-    shots = _int(cfg["shots"], "shots", 1)
+    shots = _int(cfg["shots"], "shots", 1, MAX_SHOTS)
     if cfg.get("seed") is None:
         raise ScenarioError("seed", "simulate needs a seed (config field or --seed)")
     seed = _int(cfg["seed"], "seed", 0)
@@ -428,7 +422,7 @@ def run_sweep(cfg: dict):
 
 def run_verify(cfg: dict):
     suite = _choice(cfg.get("suite", "all"), "suite", ["all", *SUITES])
-    scale = _number(cfg.get("trials_scale", 1.0), "trials_scale", 0, strict=True)
+    scale = _number(cfg.get("trials_scale", 1.0), "trials_scale", 0, strict=True, high=MAX_TRIALS_SCALE)
     seed = None if cfg.get("seed") is None else _int(cfg["seed"], "seed", 0)
     results = run_suites(suite, seed=seed, scale=scale)
     lines = []
@@ -441,11 +435,7 @@ def run_verify(cfg: dict):
     out = {
         "kind": "verify",
         "suite": suite,
-        "checks": [
-            {"suite": r.suite, "name": r.name, "passed": bool(r.passed), "trials": r.trials,
-             "detail": r.detail}
-            for r in results
-        ],
+        "checks": results,
     }
     return {"verify.json": dump_json(out)}, lines, failures == 0
 

@@ -43,17 +43,6 @@ class CoherenceClassReport:
     residuals: dict
     ncgd_mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "is_oi": self.is_oi,
-            "is_ce": self.is_ce,
-            "is_ci": self.is_ci,
-            "is_di": self.is_di,
-            "is_ncgd": self.is_ncgd,
-            "ncgd_mode": self.ncgd_mode,
-            "residuals": dict(sorted(self.residuals.items())),
-        }
-
 
 def _max_unit_deviation(s_left: np.ndarray, s_right: np.ndarray) -> np.ndarray:
     """Max Frobenius distance of two maps' outputs over all matrix units, per stacked pair.
@@ -237,13 +226,6 @@ class BlockPositivityResult:
     compatible: bool
     failing_pair: tuple[int, int] | None
     failure_kind: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "compatible": self.compatible,
-            "failing_pair": list(self.failing_pair) if self.failing_pair else None,
-            "failure_kind": self.failure_kind,
-        }
 
 
 def block_positivity_test(probs, ch: KrausChannel) -> BlockPositivityResult:

@@ -62,9 +62,6 @@ class LgResult:
     c13: float
     k: float
 
-    def to_dict(self) -> dict:
-        return {"c12": self.c12, "c23": self.c23, "c13": self.c13, "k": self.k}
-
 
 def _lg_pdms(rho, k12, k23) -> tuple:
     """The closed-form PDMs behind (C12, C23, C13), over states ``(..., d, d)`` and Kraus stacks ``(..., K, d, d)``.
@@ -111,9 +108,6 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
 class SpatialBound:
     max_k: float
     min_k: float
-
-    def to_dict(self) -> dict:
-        return {"max_k": self.max_k, "min_k": self.min_k}
 
 
 def lg_operator(q1, q2, q3) -> np.ndarray:

@@ -11,7 +11,7 @@ semidefinite witness observable whose two-time expectation goes negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from numbers import Real
@@ -393,20 +393,7 @@ class SiReport:
     p: float
     value: float
     minimizer: np.ndarray
-    negative_eigenvalues: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "value": self.value,
-            "minimizer": _matrix_to_pairs(self.minimizer),
-            "negative_eigenvalues": self.negative_eigenvalues,
-        }
-
-
-def _matrix_to_pairs(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    negative_eigenvalues: list
 
 
 def _t1_closed_form(lam: np.ndarray) -> np.ndarray:
@@ -419,15 +406,18 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
     At p = 1 this is 2 sum|negative eigs|, attained by the normalized positive
     part of lam; for p > 1 the Euclidean simplex projection of lam is the
-    exact minimizer.  A spectrum with no eigenvalue below -NEGATIVITY_ATOL
-    gives exactly 0.
+    exact minimizer.  The gap ``lam - q`` is divided by its largest entry before
+    the norm is taken, so its p-th powers do not all underflow at large p.  A
+    spectrum with no eigenvalue below -NEGATIVITY_ATOL gives exactly 0.
     """
     if p == 1.0:
         value, q = _t1_closed_form(lam), np.clip(lam, 0.0, None)
         q = q / np.sum(q, axis=-1, keepdims=True)
     else:
         q = project_simplex(lam)
-        value = np.linalg.norm(lam - q, ord=p, axis=-1)
+        gap = np.abs(lam - q)
+        top = np.max(gap, axis=-1)
+        value = top * np.linalg.norm(gap / np.where(top > 0, top, 1.0)[..., None], ord=p, axis=-1)
     return np.where((lam < -NEGATIVITY_ATOL).any(axis=-1), np.maximum(value, 0.0), 0.0), q
 
 
@@ -525,7 +515,7 @@ class Witness:
 
     def to_dict(self) -> dict:
         return {
-            "matrix": _matrix_to_pairs(self.mat),
+            "matrix": self.mat,
             "coefficients": {f"{a}|{b}": c for (a, b), c in sorted(self.coeffs.items())},
             "basis": [self.basis1.descriptor, self.basis2.descriptor],
         }
@@ -590,9 +580,6 @@ class BoundCheck:
     t1: float
     reference: float
     bound_ok: bool
-
-    def to_dict(self) -> dict:
-        return {"t1": self.t1, "reference": self.reference, "bound_ok": self.bound_ok}
 
 
 def _bound_check(t1, d: int) -> BoundCheck:

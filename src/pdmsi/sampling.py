@@ -145,12 +145,9 @@ class TwoTimeSample:
     mean: float
     stderr: float
     shots: int
-    outcomes1: np.ndarray | None = None
-    outcomes2: np.ndarray | None = None
 
 
-def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
-                    keep_outcomes: bool = False) -> TwoTimeSample:
+def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed) -> TwoTimeSample:
     """Sample <product of outcomes> for (obs1 at t1, obs2 at t2).
 
     A one-by-one call of the table kernel: ``shots`` first-measurement draws,
@@ -170,13 +167,7 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed,
     lam12 = obs1.lam * obs2.lam
     products = np.where(first_plus == second_plus, lam12, -lam12)
     stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    return TwoTimeSample(
-        mean=float(products.sum() / shots),
-        stderr=stderr,
-        shots=shots,
-        outcomes1=np.where(first_plus, obs1.lam, -obs1.lam) if keep_outcomes else None,
-        outcomes2=np.where(second_plus, obs2.lam, -obs2.lam) if keep_outcomes else None,
-    )
+    return TwoTimeSample(mean=float(products.sum() / shots), stderr=stderr, shots=shots)
 
 
 def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:

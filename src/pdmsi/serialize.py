@@ -1,11 +1,14 @@
 """Deterministic JSON/CSV emission: sorted keys, floats at 17 significant digits.
 
 Identical inputs must produce byte-identical files, so floats are formatted
-explicitly instead of relying on library repr behavior.
+explicitly instead of relying on library repr behavior.  A complex number is
+written as ``[re, im]``, an array as its nested lists and a dataclass
+instance as the object of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -38,6 +41,8 @@ def dumps(obj, indent: int = 0) -> str:
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, complex):
         return dumps([obj.real, obj.imag], indent)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dumps({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):

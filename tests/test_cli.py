@@ -12,7 +12,7 @@ import pdmsi.cli
 import pdmsi.pdm
 from pdmsi import random as prandom
 from pdmsi.channels import _kraus_stack
-from pdmsi.cli import MAX_DIM, MAX_GRID, SWEEPS, main, parse_state, run_sweep
+from pdmsi.cli import MAX_DIM, MAX_GRID, MAX_SHOTS, MAX_TRIALS_SCALE, SWEEPS, main, parse_state, run_sweep
 from pdmsi.pdm import check_bound, pdm_closed_form, si_measure
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
@@ -161,6 +161,9 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}, "grid", [], id="grid-num-fraction"),
     pytest.param({**VERIFY, "trials_scale": "x"}, "trials_scale", [], id="trials-scale-string"),
     pytest.param({**VERIFY, "trials_scale": 0}, "trials_scale", [], id="trials-scale-zero"),
+    pytest.param({**VERIFY, "trials_scale": 1e12}, "trials_scale", [], id="trials-scale-too-large"),
+    pytest.param({**SIMULATE, "shots": MAX_SHOTS + 1}, "shots", [], id="shots-too-many"),
+    pytest.param({**SIMULATE, "shots": 10**11}, "shots", [], id="shots-far-too-many"),
     pytest.param(CLASSIFY, "dim", [], id="classify-dim-string"),
     pytest.param({**CLASSIFY, "dim": True}, "dim", [], id="classify-dim-bool"),
     pytest.param({**PDM, "state": [[True, 0], [0, False]]}, "state", [], id="state-bool-entries"),
@@ -200,6 +203,8 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**SWEEP, "values": [0.5] * (MAX_GRID + 1)}, "values", [], id="values-too-many"),
     pytest.param({**PDM, "state": np.eye(33).tolist()}, "state", [], id="state-dim-too-large"),
     pytest.param({**PDM, "channel": {"kraus": [[[1.0] * 33]]}}, "channel", [], id="kraus-cols-too-large"),
+    pytest.param({**PDM, "channel": {"kraus": [[[1, 0], [0]]]}}, "channel", [], id="kraus-ragged-rows"),
+    pytest.param({**PDM, "channel": {"kraus": [[1, 0]]}}, "channel", [], id="kraus-not-a-matrix"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json/sub"], id="out-below-a-file"),
 ])
@@ -209,6 +214,17 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, ex
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("literal, parameter", [("amplitude_damping", "gamma"), ("depolarizing", "p")])
+def test_builtin_without_its_argument_names_it(capsys, literal, parameter):
+    assert main(["classify", literal]) == 2
+    assert f"field 'channel': {literal} needs a {parameter} argument" in capsys.readouterr().err
+
+
+def test_trials_scale_option_is_capped(capsys):
+    assert main(["verify", "lg", "--trials-scale", str(2 * MAX_TRIALS_SCALE)]) == 2
+    assert "field 'trials_scale'" in capsys.readouterr().err
 
 
 def test_classify_dim_option_is_capped(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -256,7 +257,7 @@ class TestLgVsSi:
             values = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho in states]
             assert len(res.results) == len(per_pair)
             for got, want in zip(res.results, per_pair):
-                assert np.allclose(list(got.to_dict().values()), list(want.to_dict().values()), rtol=0, atol=1e-12)
+                assert np.allclose(dataclasses.astuple(got), dataclasses.astuple(want), rtol=0, atol=1e-12)
             assert abs(res.max_k - max(r.k for r in per_pair)) <= 1e-12
             assert abs(res.best_negativity - max(values)) <= 1e-12
 

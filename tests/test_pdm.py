@@ -301,6 +301,14 @@ class TestSiMeasure:
         assert abs(rep.value - np.sqrt(0.375)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(rep.minimizer), [0, 0, 0.25, 0.75], atol=1e-10)
 
+    @pytest.mark.parametrize("p", [1e4, 1e300])
+    def test_large_p_does_not_underflow(self, p):
+        # The gap lam - q has magnitudes (1/4, 1/4, 0, 1/2), so T_p falls to max|gap| = 1/2 as p grows.
+        r = pdm_closed_form(projector(ket(0)), identity_channel(2))
+        values = [si_measure(r, order).value for order in (2.0, 10.0, 100.0, 1000.0, p)]
+        assert values[-1] == 0.5
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
     def test_minimizer_is_density_matrix_achieving_value(self):
         rng = np.random.default_rng(19)
         for p in [1.0, 2.0]:

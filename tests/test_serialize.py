@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,6 +6,20 @@ import numpy as np
 import pytest
 
 from pdmsi.serialize import dump_json, dumps, format_float, write_atomic
+
+
+@dataclasses.dataclass
+class Report:
+    value: float
+    matrix: np.ndarray
+    pair: tuple | None
+    extra: dict
+
+
+def matrix_to_pairs(m) -> list:
+    """The ``[re, im]`` nested lists that complex matrices were written as before ``dumps`` took them."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 class TestFormatting:
@@ -41,6 +56,30 @@ class TestFormatting:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps(object())
+        with pytest.raises(TypeError):
+            dumps(Report)  # a dataclass type is not an instance
+
+
+class TestDataclasses:
+    REPORT = Report(value=0.5, matrix=np.array([[1.0, 0.5j], [-0.5j, -0.0]]), pair=(0, 1), extra={"b": 2, "a": 1})
+
+    def test_written_as_its_field_dict(self):
+        fields = {f.name: getattr(self.REPORT, f.name) for f in dataclasses.fields(self.REPORT)}
+        assert dumps(self.REPORT) == dumps(fields)
+        assert json.loads(dumps(self.REPORT))["pair"] == [0, 1]
+
+    def test_nested_in_lists_and_dicts(self):
+        plain = {f.name: getattr(self.REPORT, f.name) for f in dataclasses.fields(self.REPORT)}
+        assert dumps({"k": [self.REPORT, None]}) == dumps({"k": [plain, None]})
+        assert dumps([{"r": self.REPORT}]) == dumps([{"r": plain}])
+
+    def test_complex_ndarray_matches_pair_lists(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m[0, 0], m[1, 1], m[2, 2] = -0.0, complex(-0.0, -0.0), complex(1.0, -0.0)
+        text = dumps(m)
+        assert text == dumps(matrix_to_pairs(m))
+        assert [line.strip(" ,") for line in text.splitlines()].count("-0.0") == 4
 
 
 class TestAtomicWrite:

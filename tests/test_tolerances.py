@@ -20,6 +20,7 @@ from pdmsi.channels import (
 from pdmsi.coherence import (
     CLASS_ATOL,
     PROB_ATOL,
+    block_positivity_test,
     check_probability_vector,
     check_stochastic_matrix,
     classify_channel,
@@ -40,6 +41,8 @@ from pdmsi.pdm import (
     _bound_check,
     _si_values,
     evaluate_witness,
+    pdm_closed_form,
+    si_measure,
     synthesize_witness,
 )
 from pdmsi.states import DENSITY_ATOL, check_density_matrix, ket, ketbra, projector
@@ -102,6 +105,19 @@ def ncgd_holds(e):
     return report.is_ncgd
 
 
+def leaky_dephasing(e):
+    """``(1 - 2e) Delta + 2e id``: from probs (1, 0) its PDM has the block R_01 = e |1><0| outside the
+    support of R_00 = |0><0| (support residual e), and min eigenvalue -e."""
+    ops = [np.sqrt(1.0 - 2.0 * e) * ketbra(0, 0), np.sqrt(1.0 - 2.0 * e) * ketbra(1, 1), np.sqrt(2.0 * e) * np.eye(2)]
+    return KrausChannel(ops)
+
+
+def block_test_compatible(e):
+    res = block_positivity_test([1.0, 0.0], leaky_dephasing(e))
+    assert res.compatible or (res.failing_pair, res.failure_kind) == ((0, 1), "support")
+    return res.compatible
+
+
 def lg_holds(e):
     """Z at three times around two X rotations by theta, where
     K = 2 cos(theta) - cos(2 theta) = 1 + theta^2 + O(theta^4)."""
@@ -134,6 +150,7 @@ THRESHOLDS = [
     ("MIN_EIGENVALUE_TIE_RTOL", MIN_EIGENVALUE_TIE_RTOL, minimum_tie_joined),
     ("CLASS_ATOL", CLASS_ATOL, oi_holds),
     ("CLASS_ATOL Liouvillian NCGD", CLASS_ATOL, ncgd_holds),
+    ("CLASS_ATOL block test", CLASS_ATOL, block_test_compatible),
     ("BOUND_SLACK", BOUND_SLACK, lambda e: _bound_check(1.0 + e, 2).bound_ok),
     ("PROB_ATOL probability vector", PROB_ATOL,
      lambda e: accepted(lambda: check_probability_vector([0.5, 0.5 + e], 2))),
@@ -152,3 +169,14 @@ THRESHOLDS = [
 @pytest.mark.parametrize("name, tol, within", THRESHOLDS, ids=[row[0] for row in THRESHOLDS])
 def test_threshold_is_the_constant(name, tol, within, factor):
     assert within(factor * tol) is (factor < 1.0)
+
+
+def test_block_test_tolerates_what_the_spectrum_reads_as_si():
+    """Between NEGATIVITY_ATOL and CLASS_ATOL the two verdicts disagree: the block test calls the
+    PDM compatible while T_1 = 2e, read from the spectrum, is positive."""
+    e = 0.5 * CLASS_ATOL
+    ch = leaky_dephasing(e)
+    assert block_positivity_test([1.0, 0.0], ch).compatible
+    r = pdm_closed_form(np.diag([1.0, 0.0]), ch)
+    assert r.min_eigenvalue() == pytest.approx(-e, rel=1e-6)
+    assert si_measure(r, 1.0).value == pytest.approx(2.0 * e, rel=1e-6)
