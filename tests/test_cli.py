@@ -222,6 +222,13 @@ def test_builtin_without_its_argument_names_it(capsys, literal, parameter):
     assert f"field 'channel': {literal} needs a {parameter} argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["identity()", "dephase()", "amplitude_damping()", "depolarizing( )"])
+def test_builtin_with_empty_parentheses_is_rejected(capsys, literal):
+    # A bare name keeps its meaning (identity of dim 2, or "needs a ... argument").
+    assert main(["classify", literal]) == 2
+    assert f"field 'channel': {literal.partition('(')[0]}() has an empty argument" in capsys.readouterr().err
+
+
 def test_trials_scale_option_is_capped(capsys):
     assert main(["verify", "lg", "--trials-scale", str(2 * MAX_TRIALS_SCALE)]) == 2
     assert "field 'trials_scale'" in capsys.readouterr().err
@@ -380,6 +387,15 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random costs a cold start about 15 ms; sampling loads it on first use.
+    src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
+    code = "import sys, pdmsi.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def _pairs(m) -> list:

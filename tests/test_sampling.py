@@ -12,6 +12,7 @@ from pdmsi.pdm import CorrelatorTable, exact_correlators, pdm_closed_form, pdm_f
 from pdmsi.sampling import (
     DEAD_BRANCH_PROB,
     _branch_probabilities,
+    _pair_states,
     _projector_stack,
     pair_seed,
     projectors_for,
@@ -258,6 +259,17 @@ class TestSampleTable:
     def test_pair_seed_takes_numpy_integers(self):
         assert pair_seed(np.int64(1), np.int32(0), 2).entropy == (1, 0, 2)
 
+    # Seeds of one to five 32-bit words: the pool holds four entropy words, so a seed of
+    # three or more pushes j, then i, into the rounds mixed in after the pool is full.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                      2**96 + 5, 2**128 + 1, 2**130])
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (4, 9), (9, 4), (16, 16)])
+    def test_bulk_states_match_pair_seed(self, seed, n1, n2):
+        states = _pair_states(seed, n1, n2)
+        assert states.shape == (n1 * n2, 4) and states.dtype == np.uint64
+        for k, (i, j) in enumerate(np.ndindex(n1, n2)):
+            assert np.array_equal(states[k], pair_seed(seed, i, j).generate_state(4, np.uint64))
+
     def test_converges_to_exact_correlators(self):
         rng = np.random.default_rng(17)
         rho = prandom.density_matrix(2, rng)
@@ -345,7 +357,7 @@ class TestBranchKernel:
                 assert abs(q[i, 1, j] - ref[2]) <= 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=25)
-    @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1))
+    @given(case=sampling_cases(), seed=st.integers(0, 2**130))
     def test_table_csv_matches_loop(self, case, seed):
         rho, ch, b1, b2 = case
         got = sample_table(rho, ch, (b1, b2), 64, seed).to_csv()
