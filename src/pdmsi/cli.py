@@ -159,17 +159,17 @@ def parse_channel(obj, field: str = "channel", dim: int | None = None) -> KrausC
             if not match:
                 raise ScenarioError(field, f"cannot parse channel literal {obj!r}")
             name, arg = match.group(1), match.group(2)
-            if name not in SWEEPS and name not in ("identity", "dephase"):
-                raise ScenarioError(field, f"unknown channel builtin {name!r}")
             if arg is not None and not arg.strip():
-                raise ScenarioError(field, f"{name}() has an empty argument; drop the parentheses or give a value")
+                raise ScenarioError(field, f"{name}() has an empty argument")
+            if name in ("identity", "dephase"):
+                d = _int(int(arg), field, 1, MAX_DIM) if arg else (dim or 2)
+                return (identity_channel if name == "identity" else dephasing_channel)(d)
             if name in SWEEPS:
                 parameter, build = SWEEPS[name]
                 if arg is None:
                     raise ScenarioError(field, f"{name} needs a {parameter} argument")
                 return build(float(arg), dim or 2)
-            d = _int(int(arg), field, 1, MAX_DIM) if arg else (dim or 2)
-            return (identity_channel if name == "identity" else dephasing_channel)(d)
+            raise ScenarioError(field, f"unknown channel builtin {name!r}")
         if isinstance(obj, dict):
             unknown = set(obj) - {"kraus", "unitary"}
             if unknown or len(obj) != 1:

@@ -390,9 +390,14 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_numpy_random():
-    # numpy.random costs a cold start about 15 ms; sampling loads it on first use.
+    # numpy.random costs a cold start about 15 ms; sampling loads it on first use. NumPy 1.x
+    # imports it with numpy itself, so only modules beyond those of a bare `import numpy` count.
     src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
-    code = "import sys, pdmsi.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    code = ("import sys, numpy\n"
+            "rng = lambda: {m for m in sys.modules if m.startswith('numpy.random')}\n"
+            "before = rng()\n"
+            "import pdmsi.cli\n"
+            "print(sorted(rng() - before))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
