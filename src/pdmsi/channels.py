@@ -18,6 +18,9 @@ class KrausChannel:
     satisfying ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
     TRACE_PRESERVING_ATOL.  ``kraus`` is a read-only ``(K, out_dim, in_dim)``
     copy of them, made once, and ``kraus_ops`` the tuple of its rows.
+    ``_closed_form_memo`` is the one ``(key, matrix)`` entry that
+    ``pdm._pair_closed_form`` keeps for the last state it checked against
+    this channel (None until then); the matrix is read-only.
     """
 
     def __init__(self, kraus_ops):
@@ -39,6 +42,7 @@ class KrausChannel:
         kraus.flags.writeable = False
         self.kraus = kraus
         self.kraus_ops = tuple(kraus)
+        self._closed_form_memo = None
 
     def __call__(self, m) -> np.ndarray:
         """Apply the channel to one operator or to a stack of shape (..., in_dim, in_dim)."""

@@ -158,10 +158,10 @@ class ObservableBasis:
     """Labelled observable family for one time slot of a correlator table.
 
     ``matrices`` stacks the observables as an ``(n, d, d)`` array in label
-    order, ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members) and
-    ``index`` maps each label to its position; all are built once and
-    read-only.  The named constructors return one shared instance per
-    descriptor.
+    order, ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members),
+    ``gram_inv`` its inverse and ``index`` maps each label to its position;
+    all are built once and read-only.  The named constructors return one
+    shared instance per descriptor.
     """
 
     def __init__(self, observables, descriptor: str):
@@ -178,8 +178,9 @@ class ObservableBasis:
         self.matrices = np.array([o.matrix for o in self.observables], dtype=complex)
         flat = self.matrices.reshape(len(self.observables), -1)
         self.gram = np.real(flat.conj() @ flat.T)
+        self.gram_inv = np.linalg.inv(self.gram)
         self.matrices.flags.writeable = False
-        self.gram.flags.writeable = False
+        self.gram.flags.writeable = self.gram_inv.flags.writeable = False
 
     @classmethod
     def pauli(cls, n: int) -> "ObservableBasis":

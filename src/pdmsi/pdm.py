@@ -103,13 +103,26 @@ def _closed_form(rho, kraus) -> np.ndarray:
 
 
 def _pair_closed_form(rho, ch: KrausChannel) -> np.ndarray:
-    """The closed-form matrix of one (state, channel) pair, after checking the state."""
+    """The read-only closed-form matrix of one (state, channel) pair, after checking the state.
+
+    The channel keeps the last matrix it gave, keyed by the shape and bytes of
+    the state cast to complex, so ``check_bound`` after ``pdm_closed_form`` on
+    the same pair neither checks the state again nor rebuilds the matrix.  A
+    state changed in place has a new key; a failed check stores nothing.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    key, memo = (rho.shape, rho.tobytes()), ch._closed_form_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
     rho = check_density_matrix(rho)
     if rho.shape[0] != ch.in_dim:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
         )
-    return _closed_form(rho, ch.kraus)
+    r = _closed_form(rho, ch.kraus)
+    r.flags.writeable = False
+    ch._closed_form_memo = (key, r)
+    return r
 
 
 def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
@@ -338,10 +351,10 @@ def _factored_gram_solve(overlaps: np.ndarray, basis1: ObservableBasis,
     """Coefficients C with ``Tr[(A_k (x) B_l) sum C A (x) B] = overlaps_kl``, per ``(n1, n2)`` slice.
 
     The Gram matrix of the product family is ``G1 (x) G2``, so ``C`` is
-    ``G1^-1 O G2^-1``, solved per factor (``G = d I`` for Pauli strings).
+    ``G1^-1 O G2^-T``: two products with each basis's stored inverse (for
+    Pauli strings ``G = d I``, so they scale exactly by ``1/d``).
     """
-    left = np.linalg.solve(basis1.gram, overlaps)
-    return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return basis1.gram_inv @ overlaps @ basis2.gram_inv.T
 
 
 def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
@@ -426,22 +439,39 @@ def _si_values(mats, p: float = 1.0) -> np.ndarray:
     return _t_p(_spectra(mats), p)[0]
 
 
-def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """min ||lam - q||_1 over the simplex via an LP, scipy's default HiGHS (independent of the closed form)."""
-    import scipy.optimize
+def _t1_simplex_lps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min ||lam_i - q_i||_1 over the simplex for every row of an ``(N, n)`` spectrum stack, as one
+    LP with sparse constraints, scipy's default HiGHS (independent of the closed form).
 
-    n = len(lam)
-    c = np.concatenate([np.zeros(n), np.ones(n)])
-    a_ub = np.block([[np.eye(n), -np.eye(n)], [-np.eye(n), -np.eye(n)]])
-    b_ub = np.concatenate([lam, -lam])
-    a_eq = np.concatenate([np.ones(n), np.zeros(n)])[None, :]
+    The variables are every ``q`` then every ``t``, with ``|lam - q| <= t``
+    and each row of ``q`` summing to 1.  Both objective and constraints split
+    by row, so the optimum of ``sum t`` holds each row's optimum, read as the
+    sum of that row's ``t``.  Returns the ``(N,)`` values and ``(N, n)`` minimizers.
+    """
+    import scipy.optimize
+    import scipy.sparse
+
+    lam = np.asarray(lam, dtype=float)
+    rows, n = lam.shape
+    size = rows * n
+    eye = scipy.sparse.identity(size, format="csr")
+    a_ub = scipy.sparse.bmat([[eye, -eye], [-eye, -eye]], format="csr")
+    a_eq = scipy.sparse.csr_matrix((np.ones(size), (np.repeat(np.arange(rows), n), np.arange(size))),
+                                   shape=(rows, 2 * size))
     res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)] * n,
+        np.concatenate([np.zeros(size), np.ones(size)]), A_ub=a_ub,
+        b_ub=np.concatenate([lam.ravel(), -lam.ravel()]), A_eq=a_eq, b_eq=np.ones(rows),
+        bounds=[(0, None)] * size + [(None, None)] * size,
     )
     if not res.success:
         raise RuntimeError(f"simplex LP failed: {res.message}")
-    return float(res.fun), res.x[:n]
+    return res.x[size:].reshape(rows, n).sum(axis=1), res.x[:size].reshape(rows, n)
+
+
+def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_t1_simplex_lps`` of one spectrum: the value and the minimizer."""
+    values, q = _t1_simplex_lps(np.asarray(lam)[None])
+    return float(values[0]), q[0]
 
 
 def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
@@ -451,7 +481,7 @@ def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
     the spectrum of ``r.eig``: T_p(R) = min ||lam - q||_p over the probability
     simplex.  At p = 1 this is the closed form 2*sum|negative eigs|; for every
     p > 1 the KKT conditions make the Euclidean simplex projection of lam the
-    exact minimizer.  ``_t1_simplex_lp`` solves the p = 1 problem
+    exact minimizer.  ``_t1_simplex_lps`` solves the p = 1 problem
     independently, for ``verify`` and the tests.
     """
     if not isinstance(r, Pdm):

@@ -113,8 +113,11 @@ def _cptp_monotone(rng, trials):
 
 def _closed_vs_lp(rng, trials):
     lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
-    # The LP is the independent route, so it solves each spectrum on its own.
-    numeric = [max(pdm._t1_simplex_lp(row)[0], 0.0) if row[0] < -NEGATIVITY_ATOL else 0.0 for row in lam]
+    # The LP is the independent route: one block LP over every spectrum with a negative eigenvalue.
+    negative = lam[:, 0] < -NEGATIVITY_ATOL
+    numeric = np.zeros(len(lam))
+    if negative.any():
+        numeric[negative] = np.maximum(pdm._t1_simplex_lps(lam[negative])[0], 0.0)
     worst = float(np.max(np.abs(_t_p(lam, 1.0)[0] - numeric)))
     return worst <= 1e-7, f"max gap {worst:.2e}"
 

@@ -109,3 +109,10 @@ def loop_ncgd_residual(family, delta) -> float:
             rhs = delta @ family(t + tau) @ delta
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=-2))))
     return worst
+
+
+def gram_solve(overlaps, basis1, basis2) -> np.ndarray:
+    """Coefficients ``G1^-1 O G2^-T`` per ``(n1, n2)`` slice by two ``np.linalg.solve`` calls against
+    the bases' Gram matrices, the route each basis's stored inverse replaced."""
+    left = np.linalg.solve(basis1.gram, overlaps)
+    return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)

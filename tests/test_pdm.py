@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmsi.random as prandom
-from pdmsi.channels import _kraus_stack, dephasing_channel, identity_channel, unitary_channel
+from pdmsi.channels import KrausChannel, _kraus_stack, dephasing_channel, identity_channel, unitary_channel
 from pdmsi.exceptions import (
     DimensionMismatch,
     IncompleteTable,
@@ -22,6 +22,7 @@ from oracles import (
     dict_table_from_csv,
     dict_table_to_csv,
     dict_witness_coefficients,
+    gram_solve,
     partial_trace,
     schatten_norm,
 )
@@ -602,6 +603,96 @@ class TestBound:
         assert type(info.value) is exc
 
 
+class TestClosedFormMemo:
+    """The one closed-form entry a channel keeps: ``check_bound`` after ``pdm_closed_form`` on the
+    same (state, channel) pair checks the state once, and any other state is checked afresh."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        import pdmsi.pdm as pdm_module
+
+        calls = []
+        real = pdm_module.check_density_matrix
+        monkeypatch.setattr(pdm_module, "check_density_matrix", lambda rho: calls.append(1) or real(rho))
+        return calls
+
+    def test_one_state_check_per_pair(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        rng = np.random.default_rng(81)
+        for d in (2, 3):
+            rho, ch = prandom.density_matrix(d, rng), prandom.channel(d, d, env_dim=2, rng=rng)
+            before = len(calls)
+            pdm_closed_form(rho, ch)
+            check_bound(rho, ch)
+            check_bound(rho, ch)
+            assert len(calls) - before == 1
+
+    def test_reused_channel_bound_is_bit_identical_to_fresh(self):
+        rng = np.random.default_rng(83)
+        for d in (2, 3, 4):
+            for k in range(10):
+                rho, ch = prandom.density_matrix(d, rng), prandom.channel(d, d, env_dim=1 + k % 3, rng=rng)
+                r = pdm_closed_form(rho, ch)
+                assert check_bound(rho, ch) == check_bound(rho, KrausChannel(ch.kraus))
+                assert np.array_equal(r.mat, pdm_closed_form(rho, KrausChannel(ch.kraus)).mat)
+
+    def test_state_mutated_in_place_is_recomputed(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        rng = np.random.default_rng(85)
+        rho, ch = prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=3, rng=rng)
+        pdm_closed_form(rho, ch)
+        rho[...] = prandom.density_matrix(2, rng)
+        res = check_bound(rho, ch)
+        assert len(calls) == 2
+        assert res.t1 == check_bound(rho.copy(), KrausChannel(ch.kraus)).t1
+        assert np.array_equal(pdm_closed_form(rho, ch).mat, pdm_closed_form(rho.copy(), KrausChannel(ch.kraus)).mat)
+
+    def test_state_mutated_into_an_invalid_one_raises(self):
+        rho, ch = maximally_mixed(2), dephasing_channel(2)
+        pdm_closed_form(rho, ch)
+        rho[...] = np.diag([1.2, -0.2])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            check_bound(rho, ch)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            pdm_closed_form(rho, ch)
+
+    def test_failed_check_stores_nothing(self):
+        ch = identity_channel(2)
+        pdm_closed_form(plus_state(), ch)
+        kept = ch._closed_form_memo
+        for bad in (np.diag([1.5, -0.5]), maximally_mixed(3), np.eye(2)):
+            with pytest.raises((ValueError, DimensionMismatch)):
+                pdm_closed_form(bad, ch)
+            assert ch._closed_form_memo is kept
+
+    def test_memo_is_read_only(self):
+        ch = dephasing_channel(2)
+        r = pdm_closed_form(plus_state(), ch)
+        key, mat = ch._closed_form_memo
+        assert key == ((2, 2), plus_state().tobytes())
+        assert np.array_equal(mat, R_PLUS_DEPHASE)
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.0
+        assert np.array_equal(r.mat, R_PLUS_DEPHASE)
+
+    def test_list_and_real_states_match_the_complex_array(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        rng = np.random.default_rng(87)
+        u = prandom.haar_unitary(3, rng)
+        ch = prandom.channel(3, 3, env_dim=2, rng=rng)
+        real = np.diag(rng.dirichlet(np.ones(3)))
+        want_bound = check_bound(real.astype(complex), KrausChannel(ch.kraus))
+        want_mat = pdm_closed_form(real.astype(complex), KrausChannel(ch.kraus)).mat
+        for state in (real, real.tolist(), real.astype(complex)):
+            assert check_bound(state, ch) == want_bound
+            assert np.array_equal(pdm_closed_form(state, ch).mat, want_mat)
+        other = u @ real @ u.conj().T
+        assert check_bound(other.tolist(), ch) == check_bound(other, KrausChannel(ch.kraus))
+        # One check for each fresh channel, one for all three forms of ``real`` on ``ch`` (they share
+        # one key), and one for ``other`` on each channel.
+        assert len(calls) == 2 + 1 + 2
+
+
 class TestStackedKernels:
     """The stacked kernels against the one-item public calls, which stay the oracle."""
 
@@ -839,6 +930,36 @@ class TestSynthesizedWitnessPsd:
             Witness(-np.eye(4) / 4, b, b)
 
 
+GRAM_DESCRIPTORS = ["pauli:1", "pauli:2", "pauli:3", "light_touch:3", "light_touch:5"]
+
+
+class TestInverseGram:
+    """Each shared basis inverts its Gram matrix once; ``_factored_gram_solve`` is two products with
+    the inverses, checked against the two ``np.linalg.solve`` calls they replaced."""
+
+    @pytest.mark.parametrize("descriptor", GRAM_DESCRIPTORS)
+    def test_inverse_is_read_only(self, descriptor):
+        b = ObservableBasis.from_descriptor(descriptor)
+        assert np.max(np.abs(b.gram_inv @ b.gram - np.eye(len(b)))) <= 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            b.gram_inv[0, 0] = 0.0
+
+    @pytest.mark.parametrize("pair", [(d, d) for d in GRAM_DESCRIPTORS] + [
+        ("pauli:1", "light_touch:3"), ("light_touch:3", "pauli:1"), ("pauli:1", "pauli:2"),
+        ("light_touch:3", "light_touch:5"), ("pauli:2", "light_touch:5")])
+    def test_matches_solve_reference(self, pair):
+        rng = np.random.default_rng(89)
+        b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
+        n = b1.dim * b2.dim
+        mats = np.array([prandom.unit_trace_hermitian(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        overlaps = _overlaps(mats, b1, b2).real
+        got, want = _factored_gram_solve(overlaps, b1, b2), gram_solve(overlaps, b1, b2)
+        assert got.shape == want.shape == (2, 3, len(b1), len(b2))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        if pair[0].startswith("pauli") and pair[1].startswith("pauli"):
+            assert np.array_equal(got, want)
+
+
 class TestBasisKernels:
     @KERNEL_SETTINGS
     @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
@@ -855,7 +976,7 @@ class TestBasisKernels:
         b1, b2, mat = bases_and_matrix(pair, seed)
         r = pdm_from_correlators(exact_correlators(Pdm(mat, (b1.dim, b2.dim)), (b1, b2)))
         assert r.dims == (b1.dim, b2.dim)
-        assert np.max(np.abs(r.mat - mat)) <= 1e-10
+        assert np.max(np.abs(r.mat - mat)) <= 1e-12
 
     @KERNEL_SETTINGS
     @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1))
