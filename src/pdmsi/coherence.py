@@ -11,9 +11,8 @@ decohering map Delta, checked on all matrix units:
 NCGD (non-coherence-generating-and-detecting; Smirne, Egloff, Diaz, Plenio
 & Huelga, Quantum Sci. Technol. 4, 01LT01 (2019)) is a statement about a
 whole dynamics family.  For a Liouvillian it is decided exactly from powers
-of the generator; a callable family is probed on a finite (t, tau) grid,
-where it can only be refuted, never proven.  The report carries the probing
-mode alongside the boolean.
+of the generator; without one, the channel itself stands in for the family.
+The report carries the mode alongside the boolean.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .states import ketbra
 CLASS_ATOL = 1e-9
 # Absolute tolerance of a probability (or stochastic-matrix) entry's sign and of each sum's distance from 1.
 PROB_ATOL = 1e-12
-NCGD_GRID = np.logspace(-2.0, 1.0, 10)
 
 
 @dataclass
@@ -63,28 +61,9 @@ def _class_residuals(s: np.ndarray, delta: np.ndarray) -> dict:
     }
 
 
-def _ncgd_residual(family, delta: np.ndarray) -> float:
-    """Max deviation of Delta F_t Delta F_tau Delta from Delta F_{t+tau} Delta over NCGD_GRID x NCGD_GRID.
-
-    ``family`` maps one time t to its superoperator F_t.  It is called once at
-    each of the 10 grid times and once at each of the 55 sums t_i + t_j,
-    i <= j; float addition commutes, so the pairs (i, j) and (j, i) share the
-    right side.  At most 11 superoperators are held at once.
-    """
-    grid = [family(t) for t in NCGD_GRID]
-    worst = 0.0
-    for i, t in enumerate(NCGD_GRID):
-        for j in range(i, len(NCGD_GRID)):
-            rhs = delta @ family(t + NCGD_GRID[j]) @ delta
-            for a, b in ((i, j), (j, i)):
-                lhs = delta @ grid[a] @ delta @ grid[b] @ delta
-                worst = max(worst, float(_max_unit_deviation(lhs, rhs)))
-    return worst
-
-
 def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
     """Max over k = 0 ... d^2 - d - 1 of the max column norm of D M^k K, each factor in
-    units that the populations' own couplings set (0 when L does not couple populations).
+    units that the populations' own couplings set (0 when K = 0, as when d = 1).
 
     With P = Delta, Q = I - P, D = PLQ, K = QLP and M = QLQ, NCGD holds iff
     P e^{Lt} P = e^{PLP t} P, i.e. iff P L^n P = (PLP)^n P for every n.  A path from the
@@ -98,9 +77,9 @@ def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
     pop = np.arange(d) * (d + 1)
     coh = np.flatnonzero(np.eye(d).ravel() == 0.0)
     k = gen[coh][:, pop]
-    scale = np.hypot(np.linalg.norm(gen[pop]), np.linalg.norm(k))
-    if scale == 0.0:
+    if not k.any():
         return 0.0
+    scale = np.hypot(np.linalg.norm(gen[pop]), np.linalg.norm(k))
     detect, m, x = gen[pop][:, coh] / scale, gen[coh][:, coh], k / scale
     size, products = np.linalg.norm(x), []
     for _ in range(d * d - d):
@@ -117,12 +96,10 @@ def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
 def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
     """Test the defining identity of each coherence class on all matrix units, within CLASS_ATOL.
 
-    ``ncgd_probe`` may be a Liouvillian generator matrix (d^2 x d^2, the
-    dynamics is exp(L t)) or a callable t -> superoperator/KrausChannel.
-    Without a probe the channel itself doubles as both legs (single-channel
-    surrogate).  A Liouvillian is decided exactly from powers of the generator
-    (``_exact_ncgd_residual``, unchanged when L is rescaled); a callable is probed
-    on the NCGD_GRID x NCGD_GRID grid, where a pass means "not refuted on the grid".
+    ``ncgd_probe`` is a Liouvillian generator matrix (d^2 x d^2, the dynamics is
+    exp(L t)), decided exactly from powers of the generator (``_exact_ncgd_residual``,
+    unchanged when L is rescaled).  Without a probe the channel itself doubles as both
+    legs (single-channel surrogate).
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("coherence classification needs equal input and output dims")
@@ -136,29 +113,16 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
         lhs = delta @ s @ delta @ s @ delta
         rhs = delta @ s @ s @ delta
         residuals["ncgd"] = float(_max_unit_deviation(lhs, rhs))
+    elif callable(ncgd_probe):
+        raise TypeError("ncgd_probe must be a d^2 x d^2 Liouvillian generator matrix, not a callable")
     else:
-        if callable(ncgd_probe):
-            mode = "family grid (not refuted is not a proof)"
-
-            def family(t):
-                out = ncgd_probe(t)
-                out = out.superoperator() if isinstance(out, KrausChannel) else np.asarray(out)
-                if out.shape != delta.shape:
-                    raise DimensionMismatch(f"ncgd_probe at t = {float(t)!r} returned shape "
-                                            f"{out.shape}, expected {delta.shape}")
-                if not np.isfinite(out).all():
-                    raise ValueError(f"ncgd_probe at t = {float(t)!r} returned non-finite entries")
-                return out
-
-            residuals["ncgd"] = _ncgd_residual(family, delta)
-        else:
-            mode = "liouvillian (exact)"
-            gen = np.asarray(ncgd_probe, dtype=complex)
-            if gen.shape != delta.shape:
-                raise DimensionMismatch("Liouvillian generator must be d^2 x d^2")
-            if not np.isfinite(gen).all():
-                raise ValueError("Liouvillian generator has non-finite entries")
-            residuals["ncgd"] = _exact_ncgd_residual(gen, ch.in_dim)
+        mode = "liouvillian (exact)"
+        gen = np.asarray(ncgd_probe, dtype=complex)
+        if gen.shape != delta.shape:
+            raise DimensionMismatch("Liouvillian generator must be d^2 x d^2")
+        if not np.isfinite(gen).all():
+            raise ValueError("Liouvillian generator has non-finite entries")
+        residuals["ncgd"] = _exact_ncgd_residual(gen, ch.in_dim)
 
     return CoherenceClassReport(
         is_oi=residuals["oi"] <= CLASS_ATOL,

@@ -165,6 +165,8 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
         if ch.in_dim != 2:
             raise ValueError("q_list has a default only for qubits; pass observables explicitly")
         q_list = [PAULI_1Q["Z"]]
+    if not len(q_list):
+        raise ValueError("lg_vs_si needs at least one observable in q_list")
     second = ch if ch23 is None else ch23
     # Every (state, observable) pair passes the checks LgScenario applies, each input checked once.
     rhos = [check_density_matrix(rho) for rho in states]
@@ -175,7 +177,7 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     pdms = _lg_pdms(rhos, ch.kraus, second.kraus)
     c = np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
-    max_k = max((res.k for res in results), default=-np.inf)
+    max_k = max(res.k for res in results)
 
     values = _si_values(pdms[0])
     best = int(np.argmax(values))

@@ -468,12 +468,6 @@ def _t1_simplex_lps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return res.x[size:].reshape(rows, n).sum(axis=1), res.x[:size].reshape(rows, n)
 
 
-def _t1_simplex_lp(lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """``_t1_simplex_lps`` of one spectrum: the value and the minimizer."""
-    values, q = _t1_simplex_lps(np.asarray(lam)[None])
-    return float(values[0]), q[0]
-
-
 def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
     """Degree of spatial incompatibility T_p(R) with the achieving density matrix.
 

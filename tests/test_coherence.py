@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import pdmsi.coherence as coherence
 import pdmsi.random as prandom
-from oracles import channels_equal, loop_ncgd_residual
+from oracles import NCGD_GRID, channels_equal, loop_ncgd_residual
 from pdmsi.channels import (
     KrausChannel,
     _kraus_stack,
@@ -22,11 +23,9 @@ from pdmsi.channels import (
 )
 from pdmsi.coherence import (
     CLASS_ATOL,
-    NCGD_GRID,
     _block_failures,
     _exact_ncgd_residual,
     _max_unit_deviation,
-    _ncgd_residual,
     adversarial_coherent_state,
     block_positivity_test,
     build_ce_oi_channel,
@@ -114,11 +113,11 @@ class TestClassify:
         assert rep.is_ncgd
 
     def test_ncgd_family_callable(self):
-        from pdmsi.linalg import superop_exp
-
+        # For a semigroup the generator decides NCGD exactly; for any other family
+        # F_t . F_tau != F_{t+tau}, so a (t, tau) grid of F_t checks no NCGD condition.
         gen = rabi_liouvillian(0.5)
-        rep = classify_channel(identity_channel(2), ncgd_probe=lambda t: superop_exp(gen, t))
-        assert not rep.is_ncgd
+        with pytest.raises(TypeError, match=r"ncgd_probe must be a d\^2 x d\^2 Liouvillian generator"):
+            classify_channel(identity_channel(2), ncgd_probe=lambda t: superop_exp(gen, t))
 
 
 def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
@@ -133,23 +132,11 @@ def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
     return rng.uniform(0.02, 0.2) * g
 
 
-def kraus_family(d: int, seed: int):
-    """t -> the channel rho -> e^-t U rho U^dag + (1 - e^-t) V rho V^dag, for Haar U and V."""
-    rng = np.random.default_rng(seed)
-    u, v = prandom.haar_unitary(d, rng), prandom.haar_unitary(d, rng)
-    return lambda t: KrausChannel([np.sqrt(np.exp(-t)) * u, np.sqrt(1.0 - np.exp(-t)) * v])
-
-
-def single_time_family(probe):
-    """The single-time family the loop oracle reads: a generator's scipy.linalg.expm(L t) at
-    float t, or a callable's superoperator."""
-    if callable(probe):
-        def family(t):
-            out = probe(t)
-            return out.superoperator() if isinstance(out, KrausChannel) else np.asarray(out)
-        return family
-    gen = np.asarray(probe, dtype=complex)
-    return lambda t: scipy.linalg.expm(gen * float(t))
+def single_time_family(gen):
+    """The single-time family the loop oracle reads: scipy.linalg.expm(L t) at float t, one call
+    per distinct t."""
+    gen = np.asarray(gen, dtype=complex)
+    return functools.cache(lambda t: scipy.linalg.expm(gen * float(t)))
 
 
 NCGD_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -158,37 +145,17 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestStackedNcgd:
-    """The NCGD grid, 65 probe calls, against the per-pair loop with 300 (tests/oracles.py)."""
+    """The NCGD grid oracle (tests/oracles.py) read from one stacked ``superop_exp`` over every
+    grid time and sum, against the same grid read from one scipy.linalg.expm call per time."""
 
     @NCGD_SETTINGS
     @given(d=DIMS, kind=st.sampled_from(["hermitian", "unitary", "general"]), seed=SEEDS)
     def test_liouvillian_matches_loop(self, d, kind, seed):
         gen = random_generator(d, kind, seed)
         delta = dephasing_superoperator(d)
-        grid = _ncgd_residual(lambda t: superop_exp(gen, t), delta)
-        assert grid == loop_ncgd_residual(single_time_family(gen), delta)
-
-    @NCGD_SETTINGS
-    @given(d=DIMS, kind=st.sampled_from(["matrix", "real", "kraus"]), seed=SEEDS)
-    def test_callable_matches_loop(self, d, kind, seed):
-        if kind == "kraus":
-            probe = kraus_family(d, seed)
-        elif kind == "real":
-            a = np.random.default_rng(seed).uniform(0.0, 1.0, (d * d, d * d))
-            probe = lambda t: np.cos(t) * a + t  # noqa: E731
-        else:
-            gen = random_generator(d, "general", seed)
-            probe = lambda t: superop_exp(gen, t)  # noqa: E731
-        rep = classify_channel(identity_channel(d), ncgd_probe=probe)
-        assert rep.residuals["ncgd"] == loop_ncgd_residual(single_time_family(probe), dephasing_superoperator(d))
-
-    def test_callable_called_once_per_distinct_time(self):
-        calls = []
-        probe = kraus_family(2, 3)
-        classify_channel(identity_channel(2), ncgd_probe=lambda t: calls.append(t) or probe(t))
-        i, j = np.triu_indices(len(NCGD_GRID))
-        assert len(calls) == 65
-        assert sorted(calls) == sorted(np.r_[NCGD_GRID, NCGD_GRID[i] + NCGD_GRID[j]].tolist())
+        times = np.r_[NCGD_GRID, np.add.outer(NCGD_GRID, NCGD_GRID).ravel()]
+        stacked = dict(zip(times.tolist(), superop_exp(gen, times)))
+        assert loop_ncgd_residual(stacked.__getitem__, delta) == loop_ncgd_residual(single_time_family(gen), delta)
 
     def test_non_finite_generator_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -198,18 +165,9 @@ class TestStackedNcgd:
         with pytest.raises(ValueError, match="non-finite"):
             classify_channel(identity_channel(2), ncgd_probe=gen)
 
-    def test_non_finite_callable_rejected(self):
-        def probe(t):
-            return np.full((4, 4), np.nan) if t > 1.0 else np.eye(4)
-
-        with pytest.raises(ValueError, match="non-finite"):
-            classify_channel(identity_channel(2), ncgd_probe=probe)
-
-    def test_wrong_shape_callable_names_time(self):
-        with pytest.raises(DimensionMismatch, match=r"t = 0\.01 returned shape \(9, 9\)"):
-            classify_channel(identity_channel(2), ncgd_probe=lambda t: np.eye(9))
-        with pytest.raises(DimensionMismatch, match="returned shape"):
-            classify_channel(identity_channel(2), ncgd_probe=lambda t: identity_channel(3))
+    def test_wrong_shape_generator_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"d\^2 x d\^2"):
+            classify_channel(identity_channel(2), ncgd_probe=np.eye(9))
 
 
 def lindbladian_of_kind(d: int, kind: str, seed: int) -> np.ndarray:
@@ -230,8 +188,8 @@ def lindbladian_of_kind(d: int, kind: str, seed: int) -> np.ndarray:
 
 
 def grid_residual(gen) -> float:
-    """The NCGD grid residual of exp(L t), the test a Liouvillian probe used to get."""
-    return _ncgd_residual(lambda t: superop_exp(gen, t), dephasing_superoperator(int(np.sqrt(len(gen)))))
+    """The NCGD grid oracle's residual of exp(L t), the test a Liouvillian probe used to get."""
+    return loop_ncgd_residual(single_time_family(gen), dephasing_superoperator(int(np.sqrt(len(gen)))))
 
 
 L0 = lindbladian_of_kind(2, "generic", 0)
@@ -308,6 +266,10 @@ class TestExactNcgd:
         for gen in (np.zeros((d * d, d * d)), 0.7 * (delta - np.eye(d * d))):
             rep = classify_channel(identity_channel(d), ncgd_probe=gen)
             assert rep.residuals["ncgd"] == 0.0 and rep.is_ncgd
+
+    def test_one_level_has_no_coherences(self):
+        rep = classify_channel(identity_channel(1), ncgd_probe=np.array([[0.5]]))
+        assert rep.residuals["ncgd"] == 0.0 and rep.is_ncgd
 
 
 def test_liouvillian_probe_does_not_load_scipy_linalg(tmp_path):

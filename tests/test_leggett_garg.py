@@ -265,6 +265,11 @@ class TestLgVsSi:
         with pytest.raises(ValueError, match="at least one state"):
             lg_vs_si(identity_channel(2), [])
 
+    def test_empty_q_list_rejected(self):
+        # With no observable there is no K to report: max_k would be -inf, which dumps rejects.
+        with pytest.raises(ValueError, match="at least one observable"):
+            lg_vs_si(identity_channel(2), self.INCOHERENT, q_list=[])
+
     def test_qutrit_needs_explicit_observables(self):
         states = [projector(ket(0, 3)), maximally_mixed(3)]
         with pytest.raises(ValueError):
