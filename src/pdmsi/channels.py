@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .linalg import check_hermitian, kron
+from .linalg import check_hermitian
 from .states import ket
 
 TRACE_PRESERVING_ATOL = 1e-10
@@ -58,7 +58,7 @@ class KrausChannel:
         return check_hermitian(_jamiolkowski(self.kraus), atol=1e-9)
 
     def superoperator(self) -> np.ndarray:
-        """Matrix acting on row-major vectorized operators: sum_l K_l (x) conj(K_l)."""
+        """sum_l K_l (x) conj(K_l) on row-major vectorized operators: the realigned Jamiolkowski matrix."""
         return _superoperator(self.kraus)
 
     def compose(self, inner: "KrausChannel") -> "KrausChannel":
@@ -103,8 +103,11 @@ def _jamiolkowski(kraus) -> np.ndarray:
 
 
 def _superoperator(kraus) -> np.ndarray:
-    """Superoperators ``sum_l K_l (x) conj(K_l)`` of a Kraus stack ``(..., K, out_dim, in_dim)``."""
-    return np.sum(kron(kraus, np.conj(kraus)), axis=-3)
+    """Superoperators ``sum_l K_l (x) conj(K_l)`` of a Kraus stack ``(..., K, out_dim, in_dim)``:
+    the Jamiolkowski matrices realigned, ``S[a b, j i] = M[i a, j b]``."""
+    lead, (n, d) = np.shape(kraus)[:-3], np.shape(kraus)[-2:]
+    m = _jamiolkowski(kraus).reshape(*lead, d, n, d, n)  # axes (..., i, a, j, b)
+    return np.moveaxis(m, (-4, -3, -1), (-1, -4, -3)).reshape(*lead, n * n, d * d)
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
@@ -143,10 +146,3 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
             for j in range(d):
                 ops.append(np.sqrt(p / d) * np.outer(ket(i, d), ket(j, d).conj()))
     return KrausChannel(ops)
-
-
-def dephasing_superoperator(d: int) -> np.ndarray:
-    """Superoperator of Delta in the row-major vectorization."""
-    diag = np.zeros(d * d)
-    diag[:: d + 1] = 1.0
-    return np.diag(diag)

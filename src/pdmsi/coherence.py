@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _jamiolkowski, dephasing_superoperator
+from .channels import KrausChannel, _jamiolkowski
 from .exceptions import DimensionMismatch, NoAsymmetricColumn
 from .linalg import pseudo_inverse
 from .states import ketbra
@@ -42,22 +42,31 @@ class CoherenceClassReport:
     ncgd_mode: str
 
 
-def _max_unit_deviation(s_left: np.ndarray, s_right: np.ndarray) -> np.ndarray:
-    """Max Frobenius distance of two maps' outputs over all matrix units, per stacked pair.
-
-    Superoperator columns are exactly the vectorized outputs on matrix units,
-    so this is the max column 2-norm of the difference.
-    """
-    return np.max(np.linalg.norm(s_left - s_right, axis=-2), axis=-1)
+def _max_unit_deviation(s: np.ndarray) -> np.ndarray:
+    """Max Frobenius norm of a map's outputs over the matrix units given (0 over none), per stacked
+    map: superoperator columns are the vectorized outputs on matrix units, so the max column 2-norm."""
+    return np.max(np.linalg.norm(s, axis=-2), axis=-1, initial=0.0)
 
 
-def _class_residuals(s: np.ndarray, delta: np.ndarray) -> dict:
-    """Residuals of the OI, CE, CI and DI identities for superoperators ``(..., d^2, d^2)``."""
+def _populations_coherences(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of the d populations |i><i| (the range of P = Delta) and of the
+    d^2 - d coherences |i><j|, i != j (the range of Q = I - P)."""
+    return np.arange(d) * (d + 1), np.flatnonzero(np.eye(d).ravel() == 0.0)
+
+
+def _class_residuals(s: np.ndarray, d: int) -> dict:
+    """OI, CE, CI and DI residuals and the single-channel NCGD surrogate of superoperators
+    ``(..., d^2, d^2)``: the blocks ch.Q, Q.ch, Q.ch.P, P.ch.Q and P.ch.Q.ch.P, with P = Delta and
+    Q = I - P.  The last is Delta.ch.ch.Delta - Delta.ch.Delta.ch.Delta, the k = 0 term D K of the
+    generator test with the channel in place of L."""
+    pop, coh = _populations_coherences(d)
+    from_pop, from_coh = s[..., pop], s[..., coh]
     return {
-        "oi": _max_unit_deviation(s, s @ delta),
-        "ce": _max_unit_deviation(s, delta @ s),
-        "ci": _max_unit_deviation(s @ delta, delta @ s @ delta),
-        "di": _max_unit_deviation(delta @ s, delta @ s @ delta),
+        "oi": _max_unit_deviation(from_coh),
+        "ce": _max_unit_deviation(s[..., coh, :]),
+        "ci": _max_unit_deviation(from_pop[..., coh, :]),
+        "di": _max_unit_deviation(from_coh[..., pop, :]),
+        "ncgd": _max_unit_deviation(from_coh[..., pop, :] @ from_pop[..., coh, :]),
     }
 
 
@@ -74,8 +83,7 @@ def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
     larger of s and M's gain on the current iterate: rescaling L leaves the residual
     unchanged, and a fast block of M that the populations never reach cannot shrink it.
     """
-    pop = np.arange(d) * (d + 1)
-    coh = np.flatnonzero(np.eye(d).ravel() == 0.0)
+    pop, coh = _populations_coherences(d)
     k = gen[coh][:, pop]
     if not k.any():
         return 0.0
@@ -90,7 +98,7 @@ def _exact_ncgd_residual(gen: np.ndarray, d: int) -> float:
             break
         step = max(scale, gain / size)
         x, size = y / step, gain / step
-    return float(np.max(_max_unit_deviation(np.stack(products), 0.0)))
+    return float(np.max(_max_unit_deviation(np.stack(products))))
 
 
 def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
@@ -99,30 +107,25 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
     ``ncgd_probe`` is a Liouvillian generator matrix (d^2 x d^2, the dynamics is
     exp(L t)), decided exactly from powers of the generator (``_exact_ncgd_residual``,
     unchanged when L is rescaled).  Without a probe the channel itself doubles as both
-    legs (single-channel surrogate).
+    legs (single-channel surrogate, the k = 0 term of the same test).
     """
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("coherence classification needs equal input and output dims")
-    s = ch.superoperator()
-    delta = dephasing_superoperator(ch.in_dim)
-
-    residuals = {name: float(r) for name, r in _class_residuals(s, delta).items()}
+    d = ch.in_dim
+    residuals = {name: float(r) for name, r in _class_residuals(ch.superoperator(), d).items()}
 
     if ncgd_probe is None:
         mode = "single-channel surrogate"
-        lhs = delta @ s @ delta @ s @ delta
-        rhs = delta @ s @ s @ delta
-        residuals["ncgd"] = float(_max_unit_deviation(lhs, rhs))
     elif callable(ncgd_probe):
         raise TypeError("ncgd_probe must be a d^2 x d^2 Liouvillian generator matrix, not a callable")
     else:
         mode = "liouvillian (exact)"
         gen = np.asarray(ncgd_probe, dtype=complex)
-        if gen.shape != delta.shape:
+        if gen.shape != (d * d, d * d):
             raise DimensionMismatch("Liouvillian generator must be d^2 x d^2")
         if not np.isfinite(gen).all():
             raise ValueError("Liouvillian generator has non-finite entries")
-        residuals["ncgd"] = _exact_ncgd_residual(gen, ch.in_dim)
+        residuals["ncgd"] = _exact_ncgd_residual(gen, d)
 
     return CoherenceClassReport(
         is_oi=residuals["oi"] <= CLASS_ATOL,

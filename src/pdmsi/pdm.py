@@ -55,12 +55,12 @@ class Pdm:
 
     def __init__(self, mat, dims: tuple[int, int]):
         mat = np.array(_check_pdm(mat))
-        d1, d2 = dims
+        d1, d2 = (_check_int(d, "dims", 1) for d in dims)
         if mat.shape[0] != d1 * d2:
             raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
         mat.flags.writeable = False
         self.mat = mat
-        self.dims = (int(d1), int(d2))
+        self.dims = (d1, d2)
 
     @cached_property
     def eig(self) -> EigenDecomposition:
@@ -535,6 +535,9 @@ class Witness:
         return _label_view(self.coefficients, self.basis1, self.basis2)
 
     def expectation(self, r: Pdm) -> float:
+        if r.dims != (self.basis1.dim, self.basis2.dim):
+            raise DimensionMismatch(f"PDM of dims {r.dims} does not match bases of dims "
+                                    f"{self.basis1.dim}x{self.basis2.dim}")
         return float(np.trace(self.mat @ r.mat).real)
 
     def to_dict(self) -> dict:

@@ -26,6 +26,8 @@ def ketbra(i: int, j: int, d: int = 2) -> np.ndarray:
 def projector(psi) -> np.ndarray:
     """|psi><psi| from a (not necessarily normalized) vector."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise DimensionMismatch(f"projector needs a 1-D vector, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
     if norm == 0:
         raise ValueError("cannot project onto the zero vector")

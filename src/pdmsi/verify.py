@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coherence, pdm
 from . import random as prandom
-from .channels import _apply, _kraus_stack, _superoperator, dephasing_superoperator
+from .channels import _apply, _kraus_stack, _superoperator
 from .channels import identity_channel, unitary_channel
 from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, _lg_pdms, lg_operator
 from .linalg import kron
@@ -195,8 +195,7 @@ def _hierarchy(rng, trials):
 
     def implications_hold(at):
         group = [chs[k] for k in at]
-        r = coherence._class_residuals(_superoperator(_kraus_stack(group)),
-                                       dephasing_superoperator(group[0].in_dim))
+        r = coherence._class_residuals(_superoperator(_kraus_stack(group)), group[0].in_dim)
         oi, ce, ci, di = (r[c] <= coherence.CLASS_ATOL for c in ("oi", "ce", "ci", "di"))
         return (~oi | di) & (~ce | ci)
 

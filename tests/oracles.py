@@ -96,6 +96,31 @@ def dict_witness_coefficients(coeffs: dict) -> dict:
     return {f"{a}|{b}": c for (a, b), c in sorted(coeffs.items())}
 
 
+def dephasing_superoperator(d: int) -> np.ndarray:
+    """Superoperator of Delta in the row-major vectorization."""
+    diag = np.zeros(d * d)
+    diag[:: d + 1] = 1.0
+    return np.diag(diag)
+
+
+def delta_class_residuals(s) -> dict:
+    """The OI, CE, CI and DI residuals and the single-channel NCGD surrogate of superoperators
+    ``(..., d^2, d^2)``, each the max column norm of the gap between its identity's two sides,
+    formed as dense products with Delta."""
+    delta = dephasing_superoperator(int(round(np.sqrt(s.shape[-1]))))
+
+    def gap(left, right):
+        return np.max(np.linalg.norm(left - right, axis=-2), axis=-1)
+
+    return {
+        "oi": gap(s, s @ delta),
+        "ce": gap(s, delta @ s),
+        "ci": gap(s @ delta, delta @ s @ delta),
+        "di": gap(delta @ s, delta @ s @ delta),
+        "ncgd": gap(delta @ s @ delta @ s @ delta, delta @ s @ s @ delta),
+    }
+
+
 # The (t, tau) grid on which a dynamics family t -> F_t is probed for NCGD.
 NCGD_GRID = np.logspace(-2.0, 1.0, 10)
 

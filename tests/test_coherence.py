@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,18 +13,26 @@ from hypothesis import strategies as st
 
 import pdmsi.coherence as coherence
 import pdmsi.random as prandom
-from oracles import NCGD_GRID, channels_equal, loop_ncgd_residual
+from oracles import (
+    NCGD_GRID,
+    channels_equal,
+    delta_class_residuals,
+    dephasing_superoperator,
+    loop_ncgd_residual,
+)
 from pdmsi.channels import (
     KrausChannel,
     _kraus_stack,
+    _superoperator,
     amplitude_damping_channel,
     dephasing_channel,
-    dephasing_superoperator,
+    depolarizing_channel,
     identity_channel,
 )
 from pdmsi.coherence import (
     CLASS_ATOL,
     _block_failures,
+    _class_residuals,
     _exact_ncgd_residual,
     _max_unit_deviation,
     adversarial_coherent_state,
@@ -118,6 +127,78 @@ class TestClassify:
         gen = rabi_liouvillian(0.5)
         with pytest.raises(TypeError, match=r"ncgd_probe must be a d\^2 x d\^2 Liouvillian generator"):
             classify_channel(identity_channel(2), ncgd_probe=lambda t: superop_exp(gen, t))
+
+
+def channel_of_kind(d: int, kind: str, rng) -> KrausChannel:
+    if kind == "oi":
+        return prandom.oi_channel(d, rng)
+    if kind == "ce_oi":
+        return build_ce_oi_channel(prandom.stochastic_matrix(d, rng))
+    if kind == "dephasing":
+        return dephasing_channel(d)
+    if kind == "depolarizing":
+        return depolarizing_channel(float(rng.uniform()), d)
+    if kind == "identity":
+        return identity_channel(d)
+    return prandom.channel(d, d, env_dim=int(rng.integers(1, 4)), rng=rng)
+
+
+CHANNEL_KINDS = ["random", "oi", "ce_oi", "dephasing", "depolarizing", "identity"]
+RESIDUALS = ["oi", "ce", "ci", "di", "ncgd"]
+
+
+class TestClassResiduals:
+    """The residuals read off the superoperator's population and coherence blocks, against the
+    dense products with Delta that define them (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_blocks_match_delta_products(self, d, kind):
+        rng = np.random.default_rng(100 * d + CHANNEL_KINDS.index(kind))
+        for _ in range(5):
+            ch = channel_of_kind(d, kind, rng)
+            rep = classify_channel(ch)
+            want = delta_class_residuals(ch.superoperator())
+            for name in RESIDUALS:
+                assert abs(rep.residuals[name] - want[name]) <= 1e-15
+                assert getattr(rep, f"is_{name}") == (want[name] <= CLASS_ATOL)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_stack_matches_delta_products(self, d):
+        # verify's hierarchy check classifies one padded Kraus stack per dimension.
+        rng = np.random.default_rng(d)
+        chs = [channel_of_kind(d, kind, rng) for kind in CHANNEL_KINDS * 3]
+        s = _superoperator(_kraus_stack(chs))
+        got, want = _class_residuals(s, d), delta_class_residuals(s)
+        for name in RESIDUALS:
+            assert got[name].shape == (len(chs),)
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-15
+            assert np.array_equal(got[name] <= CLASS_ATOL, want[name] <= CLASS_ATOL)
+            assert np.array_equal(got[name], [classify_channel(ch).residuals[name] for ch in chs])
+
+    def test_surrogate_refutes_a_coherence_round_trip(self):
+        # A Hadamard turns |0><0| into |+><+| (coherence out) and reads it back, so
+        # Delta.H.H.Delta = Delta while Delta.H.Delta.H.Delta mixes the populations.
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        rep = classify_channel(KrausChannel([h]))
+        assert not rep.is_ncgd and rep.residuals["ncgd"] == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+
+    def test_one_level_has_no_coherences(self):
+        rep = classify_channel(identity_channel(1))
+        assert all(rep.residuals[name] == 0.0 for name in RESIDUALS)
+        assert rep.is_oi and rep.is_ce and rep.is_ci and rep.is_di and rep.is_ncgd
+
+    def test_superoperator_memory_is_bounded_by_its_output(self):
+        # 145 Kraus operators of size 12: a K-fold kron(K, conj K) stack would hold 145 d^4
+        # complex entries (48 MB); the output has d^4 (0.3 MB).
+        kraus = depolarizing_channel(0.3, 12).kraus
+        tracemalloc.start()
+        try:
+            _superoperator(kraus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
@@ -230,7 +311,7 @@ class TestExactNcgd:
         scale = np.linalg.norm(gen - m)
         full, x = [], x / scale
         for _ in range(d * d - d):
-            full.append(_max_unit_deviation(detect @ x / scale, 0.0))
+            full.append(_max_unit_deviation(detect @ x / scale))
             y = m @ x
             x = y / max(scale, np.linalg.norm(y) / np.linalg.norm(x)) if y.any() else y
         assert abs(_exact_ncgd_residual(gen, d) - max(full)) <= 1e-12

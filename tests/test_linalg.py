@@ -135,6 +135,12 @@ class TestKronAnticommutator:
             anticommutator(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("psi", [np.eye(2), np.ones((2, 1)), np.array(1.0)], ids=["matrix", "column", "scalar"])
+def test_projector_rejects_anything_but_a_vector(psi):
+    with pytest.raises(DimensionMismatch, match="1-D vector"):
+        projector(psi)
+
+
 class TestPseudoInverse:
     def test_diagonal(self):
         assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))

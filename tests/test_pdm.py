@@ -108,6 +108,16 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             pdm_closed_form(np.eye(2, dtype=complex), identity_channel(2))
 
+    @pytest.mark.parametrize("dims, error", [((-2, -2), ValueError), ((0, 4), ValueError),
+                                             ((True, 4), TypeError), ((4.0, 1), TypeError)])
+    def test_rejects_dims_that_are_not_positive_integers(self, dims, error):
+        with pytest.raises(error, match="dims must be"):
+            Pdm(np.eye(4) / 4, dims)
+
+    def test_numpy_integer_dims_are_plain_ints(self):
+        r = Pdm(np.eye(6) / 6, (np.int64(2), np.int32(3)))
+        assert r.dims == (2, 3) and all(type(d) is int for d in r.dims)
+
 
 class TestCorrelators:
     def test_maximally_mixed_pdm_table(self):
@@ -396,6 +406,17 @@ class TestWitness:
             assert abs(w.coeffs[key] - value) < 1e-10
         other = sum(abs(v) for k, v in w.coeffs.items() if k not in expected)
         assert other < 1e-10
+
+    def test_expectation_checks_factor_dims(self):
+        # Same total size, factors swapped: the (2, 3) witness has no meaning on a (3, 2) PDM.
+        r = pdm_closed_form(np.diag([0.5, 0.3, 0.2]), dephasing_channel(3))
+        w = synthesize_witness(pdm_closed_form(projector(ket(0)), identity_channel(2)))
+        w23 = Witness(np.eye(6) / 6, ObservableBasis.default_for_dim(2), ObservableBasis.default_for_dim(3))
+        with pytest.raises(DimensionMismatch, match=r"PDM of dims \(3, 3\) does not match bases of dims 2x2"):
+            w.expectation(r)
+        with pytest.raises(DimensionMismatch, match=r"\(3, 2\)"):
+            w23.expectation(Pdm(np.eye(6) / 6, (3, 2)))
+        assert w23.expectation(Pdm(np.eye(6) / 6, (2, 3))) == pytest.approx(1 / 6)
 
     def test_coefficients_reconstruct_matrix(self):
         rng = np.random.default_rng(37)
