@@ -1,9 +1,9 @@
 """Measurement-observable bases: Pauli strings and light-touch sets.
 
 A light-touch observable is Hermitian with spectrum {lam} or {+lam, -lam};
-Pauli strings are the qubit special case (lam = 1).  Each basis is a
-tomographically complete family used both to define correlator tables and
-to reconstruct operators from them.
+a Pauli string is the lam = 1 case whose spectrum its letters give.  Each
+basis is a tomographically complete family, checked as it is built, used
+both to define correlator tables and to reconstruct operators from them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .linalg import check_hermitian
+from .linalg import check_hermitian, kron
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -24,40 +24,6 @@ PAULI_1Q = {
 PAULI_LETTERS = "IXYZ"
 # Absolute tolerance of a light-touch observable's Hermiticity and of each eigenvalue's distance from +/-lam.
 LIGHT_TOUCH_ATOL = 1e-10
-
-
-class PauliString:
-    """Tensor product of single-qubit Paulis, e.g. "XZ" on two qubits."""
-
-    def __init__(self, letters):
-        letters = tuple(letters)
-        if not letters or any(c not in PAULI_LETTERS for c in letters):
-            raise ValueError(f"invalid Pauli letters {letters!r}")
-        self.letters = letters
-        self.label = "".join(letters)
-        self.n_qubits = len(letters)
-        mat = PAULI_1Q[letters[0]]
-        for c in letters[1:]:
-            mat = np.kron(mat, PAULI_1Q[c])
-        self.matrix = mat
-
-    @property
-    def lam(self) -> float:
-        return 1.0
-
-    @property
-    def is_identity(self) -> bool:
-        return all(c == "I" for c in self.letters)
-
-    def __repr__(self):
-        return f"PauliString({self.label!r})"
-
-
-def pauli_basis(n: int) -> list[PauliString]:
-    """All 4**n Pauli strings in lexicographic order (I < X < Y < Z per site)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [PauliString(p) for p in product(PAULI_LETTERS, repeat=n)]
 
 
 class LightTouchObservable:
@@ -90,6 +56,34 @@ class LightTouchObservable:
         return f"LightTouchObservable({self.label!r}, lam={self.lam}, kind={self.kind!r})"
 
 
+class PauliString(LightTouchObservable):
+    """Tensor product of single-qubit Paulis, e.g. "XZ"; a lam = 1 light-touch observable, kind read off its letters."""
+
+    def __init__(self, letters):
+        letters = tuple(letters)
+        if not letters or any(c not in PAULI_LETTERS for c in letters):
+            raise ValueError(f"invalid Pauli letters {letters!r}")
+        self.letters = letters
+        self.label = "".join(letters)
+        self.n_qubits = len(letters)
+        mat = PAULI_1Q[letters[0]]
+        for c in letters[1:]:
+            mat = kron(mat, PAULI_1Q[c])
+        self.matrix = mat
+        self.lam = 1.0
+        self.kind = "single" if set(letters) == {"I"} else "pm"
+
+    def __repr__(self):
+        return f"PauliString({self.label!r})"
+
+
+def pauli_basis(n: int) -> list[PauliString]:
+    """All 4**n Pauli strings in lexicographic order (I < X < Y < Z per site)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [PauliString(p) for p in product(PAULI_LETTERS, repeat=n)]
+
+
 def _sign_rows(d: int) -> np.ndarray:
     """Full-rank d x d matrix with +/-1 entries, first row all ones."""
     if d & (d - 1) == 0:  # power of two: Sylvester-Hadamard
@@ -106,15 +100,15 @@ def _sign_rows(d: int) -> np.ndarray:
 def light_touch_basis(d: int) -> list[LightTouchObservable]:
     """Tomographically complete set of d**2 light-touch observables.
 
-    For d = 2 this is the Pauli set {I, X, Y, Z}.  For larger d it combines
-    d diagonal +/-1 observables (rows of a full-rank sign matrix) with X- and
-    Y-type pair observables completed by the projector onto the untouched
-    subspace, each of which has spectrum {+/-1}.
+    For d = 2 these are the Pauli strings {I, X, Y, Z}.  For larger d they
+    combine d diagonal +/-1 observables (rows of a full-rank sign matrix) with
+    X- and Y-type pair observables completed by the projector onto the
+    untouched subspace, each of which has spectrum {+/-1}.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if d == 2:
-        return [LightTouchObservable(PAULI_1Q[c], c) for c in PAULI_LETTERS]
+        return pauli_basis(1)
 
     obs = []
     signs = _sign_rows(d)
@@ -134,11 +128,6 @@ def light_touch_basis(d: int) -> list[LightTouchObservable]:
             y[i, j] = -1j
             y[j, i] = 1j
             obs.append(LightTouchObservable(y, f"Y{i}.{j}"))
-
-    vecs = np.stack([o.matrix.reshape(-1) for o in obs])
-    rank = np.linalg.matrix_rank(vecs, tol=1e-10)
-    if rank != d * d:
-        raise ValueError(f"light-touch set for d={d} is not complete (rank {rank} < {d * d})")
     return obs
 
 
@@ -155,9 +144,9 @@ def _shared_basis(kind: str, n: int) -> "ObservableBasis":
 
 
 class ObservableBasis:
-    """Labelled observable family for one time slot of a correlator table.
+    """Labelled, tomographically complete observable family for one time slot of a correlator table.
 
-    ``matrices`` stacks the observables as an ``(n, d, d)`` array in label
+    ``matrices`` stacks the d**2 observables as an ``(n, d, d)`` array in label
     order, ``gram`` holds ``Tr[A_k A_l]`` (real for Hermitian members),
     ``gram_inv`` its inverse and ``index`` maps each label to its position;
     all are built once and read-only.  The named constructors return one
@@ -166,6 +155,8 @@ class ObservableBasis:
 
     def __init__(self, observables, descriptor: str):
         self.observables = list(observables)
+        if not self.observables:
+            raise ValueError(f"observable basis {descriptor!r} is empty")
         self.descriptor = descriptor
         self.labels = [o.label for o in self.observables]
         self.index = {label: k for k, label in enumerate(self.labels)}
@@ -178,6 +169,11 @@ class ObservableBasis:
         self.matrices = np.array([o.matrix for o in self.observables], dtype=complex)
         flat = self.matrices.reshape(len(self.observables), -1)
         self.gram = np.real(flat.conj() @ flat.T)
+        # The squared singular values of ``flat``, rounded by ~1e-16 of the largest: read the smallest relative to it.
+        w = np.linalg.eigvalsh(self.gram)
+        if len(self) != self.dim**2 or w[0] <= 1e-10 * w[-1]:
+            raise ValueError(f"observable basis {descriptor!r} is not tomographically complete: {len(self)} "
+                             f"members for d = {self.dim}, Gram eigenvalues {w[0]:.3g} to {w[-1]:.3g}")
         self.gram_inv = np.linalg.inv(self.gram)
         self.matrices.flags.writeable = False
         self.gram.flags.writeable = self.gram_inv.flags.writeable = False

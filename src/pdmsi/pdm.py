@@ -587,10 +587,13 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace") -> Witness:
 def evaluate_witness(w: Witness, table: CorrelatorTable) -> float:
     """Two-time expectation <W>_t = sum a_ab <{A, B}> from a correlator table over the witness's bases.
 
-    Raises IncompleteTable, listing the pairs in label order, when a pair
-    with ``|a_ab| > WITNESS_COEFF_ATOL`` was not recorded.
+    Each table basis must be the witness's: the same object, or the same
+    labels over equal matrices; otherwise DimensionMismatch.  Raises
+    IncompleteTable, listing the pairs in label order, when a pair with
+    ``|a_ab| > WITNESS_COEFF_ATOL`` was not recorded.
     """
-    if (w.basis1.labels, w.basis2.labels) != (table.basis1.labels, table.basis2.labels):
+    if not all(a is b or (a.labels == b.labels and np.array_equal(a.matrices, b.matrices))
+               for a, b in ((w.basis1, table.basis1), (w.basis2, table.basis2))):
         raise DimensionMismatch("witness and table are over different bases")
     c, values = w.coefficients, table.values
     needed = np.abs(c) > WITNESS_COEFF_ATOL

@@ -32,9 +32,8 @@ def pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def density_matrix(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = d if rank is None else rank
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+def density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -54,11 +53,8 @@ def unit_trace_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     return h + (1.0 - np.trace(h).real) / d * np.eye(d)
 
 
-def channel(in_dim: int, out_dim: int | None = None, env_dim: int = 4,
-            rng: np.random.Generator | None = None) -> KrausChannel:
+def channel(in_dim: int, out_dim: int | None = None, env_dim: int = 4, *, rng: np.random.Generator) -> KrausChannel:
     """Random CPTP map from a Haar-random Stinespring isometry."""
-    if rng is None:
-        raise ValueError("pass an explicit rng")
     out_dim = in_dim if out_dim is None else out_dim
     v = haar_isometry(out_dim * env_dim, in_dim, rng)
     blocks = v.reshape(out_dim, env_dim, in_dim)

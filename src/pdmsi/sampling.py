@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
-from .observables import LightTouchObservable, PauliString
+from .observables import LightTouchObservable
 from .pdm import CorrelatorTable, _check_int, _resolve_bases
 from .states import check_density_matrix
 
@@ -52,11 +52,9 @@ class MeasurementProjectors:
     lam: float
 
 
-def _observable(obs):
-    """A Pauli string or light-touch observable; a raw +/-lam Hermitian matrix is wrapped."""
-    if isinstance(obs, (PauliString, LightTouchObservable)):
-        return obs
-    return LightTouchObservable(obs, label="")
+def _observable(obs) -> LightTouchObservable:
+    """A light-touch observable (a Pauli string is one); a raw +/-lam Hermitian matrix is wrapped."""
+    return obs if isinstance(obs, LightTouchObservable) else LightTouchObservable(obs, label="")
 
 
 def _projector_stack(matrices, observables) -> np.ndarray:
@@ -66,7 +64,7 @@ def _projector_stack(matrices, observables) -> np.ndarray:
     projector pair is (I, 0).
     """
     lams = np.array([o.lam for o in observables])
-    single = np.array([getattr(o, "kind", "pm") == "single" for o in observables])
+    single = np.array([o.kind == "single" for o in observables])
     eye = np.eye(matrices.shape[-1], dtype=complex)
     scaled = matrices / lams[:, None, None]
     projs = np.stack([(eye + scaled) / 2.0, (eye - scaled) / 2.0], axis=1)
@@ -161,7 +159,7 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed) -> TwoT
     computes it, bit for bit, without its per-call overhead.
     """
     shots = _check_int(shots, "shots", 1, ZeroShots)
-    if isinstance(seed, (bool, np.bool_)):
+    if seed is None or isinstance(seed, (bool, np.bool_)):
         raise TypeError(f"seed must be an integer or a SeedSequence, got {seed!r}")
     obs1, obs2 = _observable(obs1), _observable(obs2)
     p, q = _branch_probabilities(

@@ -3,6 +3,7 @@ import pytest
 
 from pdmsi.exceptions import NonHermitian
 from pdmsi.observables import (
+    PAULI_1Q,
     LightTouchObservable,
     ObservableBasis,
     PauliString,
@@ -51,6 +52,17 @@ class TestPauliBasis:
             if not p.is_identity:
                 assert abs(np.trace(p.matrix)) < 1e-12
 
+    def test_pauli_string_is_light_touch_without_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("a Pauli string's spectrum is read off its letters")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        basis = pauli_basis(3)
+        assert len(basis) == 64 and all(isinstance(p, LightTouchObservable) for p in basis)
+        assert (PauliString("II").kind, PauliString("XZ").kind) == ("single", "pm")
+        assert {p.lam for p in basis} == {1.0}
+        assert [p.label for p in basis if p.kind == "single"] == ["III"]
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             PauliString("A")
@@ -65,6 +77,8 @@ class TestLightTouch:
         assert [o.label for o in lt] == [p.label for p in pb]
         for o, p in zip(lt, pb):
             assert np.allclose(o.matrix, p.matrix)
+            assert isinstance(o, PauliString)
+            assert (o.lam, o.kind) == (p.lam, p.kind)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_complete_and_light_touch(self, d):
@@ -72,6 +86,8 @@ class TestLightTouch:
         assert len(obs) == d * d
         vecs = np.stack([o.matrix.reshape(-1) for o in obs])
         assert np.linalg.matrix_rank(vecs, tol=1e-10) == d * d
+        assert len(ObservableBasis(obs, f"family:{d}")) == d * d
+        assert {o.lam for o in obs} == {1.0}
         for o in obs:
             w = np.linalg.eigvalsh(o.matrix)
             lam = o.lam
@@ -106,6 +122,22 @@ class TestObservableBasis:
         assert ObservableBasis.default_for_dim(2).descriptor == "pauli:1"
         assert ObservableBasis.default_for_dim(4).descriptor == "pauli:2"
         assert ObservableBasis.default_for_dim(3).descriptor == "light_touch:3"
+
+    @pytest.mark.parametrize("mats", [
+        [],
+        [PAULI_1Q[c] for c in "IXZ"],
+        [PAULI_1Q[c] for c in "IXXZ"],
+        # cos(0.2) X + sin(0.2) Z has spectrum {+1, -1}; the Gram's smallest eigenvalue rounds to +1.2e-16.
+        [PAULI_1Q["I"], PAULI_1Q["X"], PAULI_1Q["Z"], np.cos(0.2) * PAULI_1Q["X"] + np.sin(0.2) * PAULI_1Q["Z"]],
+    ])
+    def test_incomplete_family_rejected(self, mats):
+        with pytest.raises(ValueError, match="empty|not tomographically complete"):
+            ObservableBasis([LightTouchObservable(m, f"A{k}") for k, m in enumerate(mats)], "incomplete")
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_completeness_is_scale_free(self, scale):
+        basis = ObservableBasis([LightTouchObservable(scale * PAULI_1Q[c], c) for c in "IXYZ"], "scaled")
+        assert np.allclose(2 * scale**2 * basis.gram_inv, np.eye(4))
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):

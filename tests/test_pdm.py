@@ -513,6 +513,16 @@ class TestWitness:
         with pytest.raises(IncompleteTable):
             evaluate_witness(w, partial)
 
+    def test_evaluate_compares_basis_content_not_labels(self):
+        # The singlet witness over pauli:1; a table over I, X, Y, Z labels of 2 * sigma would read -2.0.
+        r = pdm_closed_form(projector(ket(0)), identity_channel(2))
+        w = synthesize_witness(r)
+        assert abs(evaluate_witness(w, exact_correlators(r, ObservableBasis.light_touch(2))) + 0.5) < 1e-12
+        doubled = ObservableBasis([LightTouchObservable(2 * PAULI_1Q[c], c) for c in "IXYZ"], "doubled")
+        for basis in (doubled, (ObservableBasis.pauli(1), doubled), (doubled, ObservableBasis.pauli(1))):
+            with pytest.raises(DimensionMismatch, match="different bases"):
+                evaluate_witness(w, exact_correlators(r, basis))
+
     def test_evaluate_from_sampled_table(self):
         from pdmsi.sampling import sample_table
 

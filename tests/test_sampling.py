@@ -508,8 +508,9 @@ class TestSeeds:
         with pytest.raises(TypeError, match="seed"):
             sample_table(state, identity_channel(2), self.BASIS, 10, seed=bad)
 
-    @pytest.mark.parametrize("bad", [True, np.True_])
+    @pytest.mark.parametrize("bad", [True, np.True_, None])
     def test_two_time_rejects_bool(self, bad):
+        # None would draw from OS entropy, and a bool would read as 0 or 1.
         with pytest.raises(TypeError, match="seed"):
             sample_two_time(np.diag([1.2, -0.2]).astype(complex), identity_channel(2),
                             PAULI["Z"], PAULI["Z"], 10, seed=bad)
