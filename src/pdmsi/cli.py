@@ -57,8 +57,9 @@ from .verify import SUITES, run_suites
 CONFIG_VERSION = 1
 
 # Size caps, checked before any allocation: a PDM build touches d^4 entries, a sweep one channel per point,
-# a simulation draws two uniforms per shot and pair (160 MB per pair at MAX_SHOTS), and verify's trial counts
-# grow with trials_scale.
+# and verify's trial counts grow with trials_scale.  A simulation draws one binomial per pair, so its time and
+# memory do not grow with shots; MAX_SHOTS is a plausibility cap on the shots per pair an experiment records,
+# and a larger count is a config error naming `shots`.
 MAX_DIM = 32
 MAX_GRID = 100_000
 MAX_SHOTS = 10**7

@@ -21,6 +21,8 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+for _pauli in PAULI_1Q.values():  # a one-letter PauliString hands out these arrays themselves
+    _pauli.flags.writeable = False
 PAULI_LETTERS = "IXYZ"
 # Absolute tolerance of a light-touch observable's Hermiticity and of each eigenvalue's distance from +/-lam.
 LIGHT_TOUCH_ATOL = 1e-10

@@ -5,30 +5,28 @@ observable (Lueders update), sends the post-measurement state through the
 channel, projects again with the second observable, and records the product
 of the two outcomes.  Expectations converge to Tr[R (A (x) B)].
 
-The outcome probabilities of a whole basis pair come from one kernel over
-the stacked projectors; only the draws run per pair.  RNG contract: pair
-(i, j) of a table draws from ``default_rng(SeedSequence((seed, i, j)))``
-(``pair_seed``) and consumes ``shots`` uniforms for the first measurement,
-then ``shots`` for the second; shot k has outcome +lam at t1 when
-``u1[k] < P(+)`` and +lam at t2 when ``u2[k]`` is below the probability of
-+lam given the first outcome.  Identical (inputs, seed) therefore give
-identical tables bit for bit.  ``sample_table`` derives all of a table's
-sub-seeds in one array pass (``_pair_states``), bit-identical to seeding each
-pair from ``pair_seed``.  At 10^5 shots per pair the time goes to the uniforms
-themselves (3-5 ns each on a 2-CPU x86-64 host), which seeding in bulk
-leaves as it is.
-
 A product is +lam1*lam2 when the two outcomes agree and -lam1*lam2 when
 they differ, so the number k of the n shots that agree is a sufficient
-statistic: a table keeps only k per pair, as ``lam1*lam2 * (2k - n) / n``.
-The bundled bases have lam = 1, and n products +/-1.0 sum to exactly 2k - n,
-so their tables keep the bytes of the per-shot mean (as whenever lam1*lam2
-is an integer or a power of two); other scales can differ in the last bit.
+statistic: a table keeps only k per pair, as ``lam1*lam2 * ((2k - n) / n)``,
+which is exactly +/-lam1*lam2 at k = n or 0.
+The shots are i.i.d., so k is exactly Binomial(n, P_agree), with
+``P_agree = p q+ + (1 - p)(1 - q-)`` from the outcome probabilities that one
+kernel computes for a whole basis pair over the stacked projectors (p of +lam
+at t1, q+/- of +lam at t2 after +/-lam at t1).  Where the clamped
+probabilities make agreement certain or impossible (a dead first branch, a
+certain second outcome), P_agree is exactly 1 or 0, since p + fl(1 - p)
+rounds to 1, so k is exactly n or 0.
+
+RNG contract (``GENERATOR_ID``): a table makes one generator,
+``default_rng(seed)``, and draws one binomial per pair, all pairs in one call
+in row-major (i, j) order; ``sample_two_time`` is the one-pair case.
+Identical (inputs, seed) therefore give identical tables bit for bit, and
+the cost per pair does not grow with the number of shots.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +37,7 @@ from .observables import LightTouchObservable
 from .pdm import CorrelatorTable, _check_int, _resolve_bases
 from .states import check_density_matrix
 
-GENERATOR_ID = "numpy-pcg64"
+GENERATOR_ID = "numpy-pcg64-binomial"
 DEAD_BRANCH_PROB = 1e-14
 
 
@@ -129,16 +127,14 @@ def _branch_probabilities(rho, ch: KrausChannel, projs1, projs2):
     return p, q
 
 
-def _draw(p: float, q_given, shots: int, seed):
-    """One pair's seeded shots: whether each outcome was +lam at t1, and whether it was +lam at t2.
+def _agree_counts(p, q, shots: int, seed) -> np.ndarray:
+    """Seeded agree-counts k of every (i, j) pair: one ``binomial(shots, P_agree)`` draw in row-major order.
 
-    ``q_given`` is (P(+ at t2 | + at t1), P(+ at t2 | - at t1)).
+    ``P_agree = p q+ + (1 - p)(1 - q-)`` is the probability that the two outcomes
+    agree; the clip keeps it inside [0, 1], as numpy's binomial raises on a value 1 ulp outside.
     """
-    u = np.random.default_rng(seed).random(2 * shots)
-    first_plus = u[:shots] < p
-    u2 = u[shots:]
-    second_plus = (first_plus & (u2 < q_given[0])) | (~first_plus & (u2 < q_given[1]))
-    return first_plus, second_plus
+    p_agree = p[:, None] * q[:, 0, :] + (1.0 - p[:, None]) * (1.0 - q[:, 1, :])
+    return np.random.default_rng(seed).binomial(shots, np.clip(p_agree, 0.0, 1.0))
 
 
 @dataclass
@@ -153,10 +149,11 @@ class TwoTimeSample:
 def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed) -> TwoTimeSample:
     """Sample <product of outcomes> for (obs1 at t1, obs2 at t2).
 
-    A one-by-one call of the table kernel: ``shots`` first-measurement draws,
-    then ``shots`` second-measurement draws, from ``default_rng(seed)``.
-    The mean is ``products.sum() / shots``, which is how ``np.mean``
-    computes it, bit for bit, without its per-call overhead.
+    A one-by-one call of the table kernel: one binomial draw of the agree-count
+    k from ``default_rng(seed)``, where ``seed`` is an integer or a
+    SeedSequence.  The mean is ``lam1*lam2 * ((2k - n) / n)`` and the stderr
+    ``2|lam1*lam2| sqrt(k(n - k) / (n(n - 1))) / sqrt(n)``, the ``ddof=1``
+    standard error of the n products (0 for one shot).
     """
     shots = _check_int(shots, "shots", 1, ZeroShots)
     if seed is None or isinstance(seed, (bool, np.bool_)):
@@ -166,89 +163,11 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed) -> TwoT
         rho, ch, _projector_stack(obs1.matrix[None], [obs1]),
         _projector_stack(obs2.matrix[None], [obs2]),
     )
-    first_plus, second_plus = _draw(p[0], q[0, :, 0], shots, seed)
+    k = int(_agree_counts(p, q, shots, seed)[0, 0])
     lam12 = obs1.lam * obs2.lam
-    products = np.where(first_plus == second_plus, lam12, -lam12)
-    stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    return TwoTimeSample(mean=float(products.sum() / shots), stderr=stderr, shots=shots)
-
-
-def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:
-    """Deterministic per-pair sub-seed; independent of iteration order.  Each argument is a Python
-    or numpy integer >= 0."""
-    return np.random.SeedSequence(entropy=(_check_int(root_seed, "root_seed", 0), _check_int(i, "i", 0),
-                                           _check_int(j, "j", 0)))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), word for word.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF, 4
-
-
-def _pair_states(seed: int, n1: int, n2: int) -> np.ndarray:
-    """``(n1*n2, 4)`` uint64 PCG64 seeds: row ``i*n2 + j`` is
-    ``pair_seed(seed, i, j).generate_state(4, np.uint64)``.
-
-    The hash runs once over uint32 arrays of i and j; uint32 arithmetic wraps
-    as numpy's C does, and the hash constants stay Python ints below 2**32.
-    ``seed`` is an int >= 0 of any size, entered as its 32-bit words, least
-    significant first (at least one word, as SeedSequence reads an int).
-    """
-    n = n1 * n2
-    words = [np.full(n, (seed >> (32 * k)) & _MASK32, dtype=np.uint32)
-             for k in range(max(1, -(-seed.bit_length() // 32)))]
-    words += [np.repeat(np.arange(n1, dtype=np.uint32), n2), np.tile(np.arange(n2, dtype=np.uint32), n1)]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(words))  # short entropy: hash zeros
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, np.uint64): eight 32-bit words, cycling the pool, read as little-endian pairs.
-    state = np.empty((n, 8), dtype="<u4")
-    hash_const = _INIT_B
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        state[:, k] = value ^ (value >> _XSHIFT)
-    return state.view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _fixed_seed_type():
-    """An ``ISeedSequence`` that hands PCG64 a precomputed ``generate_state(4, np.uint64)``.
-
-    Made on first use: importing ``numpy.random`` costs every CLI start that
-    never samples.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedSeed(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return FixedSeed
+    spread = math.sqrt(k * (shots - k) / (shots * (shots - 1))) if shots > 1 else 0.0
+    return TwoTimeSample(mean=lam12 * ((2 * k - shots) / shots),
+                         stderr=2.0 * abs(lam12) * spread / math.sqrt(shots), shots=shots)
 
 
 def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -> CorrelatorTable:
@@ -267,13 +186,9 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
         rho, ch, _projector_stack(b1.matrices, b1.observables),
         _projector_stack(b2.matrices, b2.observables),
     )
-    agree = np.empty((len(b1), len(b2)), dtype=np.int64)
-    fixed_seed = _fixed_seed_type()
-    for (i, j), state in zip(np.ndindex(agree.shape), _pair_states(seed, *agree.shape)):
-        first_plus, second_plus = _draw(p[i], q[i, :, j], shots, fixed_seed(state))
-        agree[i, j] = np.count_nonzero(first_plus == second_plus)
+    agree = _agree_counts(p, q, shots, seed)
     lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
-    values = lam12 * (2 * agree - shots) / shots
+    values = lam12 * ((2 * agree - shots) / shots)
     return CorrelatorTable._from_arrays(b1, b2, values, np.full(values.shape, shots))
 
 

@@ -3,6 +3,9 @@
 import numpy as np
 
 from pdmsi.exceptions import DimensionMismatch
+from pdmsi.observables import LightTouchObservable
+from pdmsi.pdm import CorrelatorTable
+from pdmsi.sampling import DEAD_BRANCH_PROB
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -143,3 +146,95 @@ def gram_solve(overlaps, basis1, basis2) -> np.ndarray:
     the bases' Gram matrices, the route each basis's stored inverse replaced."""
     left = np.linalg.solve(basis1.gram, overlaps)
     return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+# Per-pair sampling reference: the projector and branch code that the stacked
+# kernel replaced, and the per-shot sampler that the binomial draw replaced.
+# The per-shot sampler draws 2n uniforms per pair from its own SeedSequence
+# (seed, i, j); it is the reference distribution of the agree-count k.
+
+def loop_projectors(obs):
+    """(P+, P-, lam) of one observable, a raw +/-lam Hermitian wrapped as light-touch."""
+    if not isinstance(obs, LightTouchObservable):
+        obs = LightTouchObservable(obs, label="")
+    eye = np.eye(obs.matrix.shape[0], dtype=complex)
+    if obs.kind == "single":
+        return eye, np.zeros_like(eye), obs.lam
+    return (eye + obs.matrix / obs.lam) / 2.0, (eye - obs.matrix / obs.lam) / 2.0, obs.lam
+
+
+def loop_branch(rho, plus, minus):
+    out = []
+    for proj in (plus, minus):
+        p = min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
+        if p < DEAD_BRANCH_PROB:
+            out.append((0.0, None))
+        else:
+            post = proj @ rho @ proj
+            out.append((p, post / np.trace(post).real))
+    total = out[0][0] + out[1][0]
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"branch probabilities sum to {total!r}")
+    return out
+
+
+def loop_probabilities(rho, ch, projs1, projs2):
+    """(P(+ at t1), P(+ at t2 | +), P(+ at t2 | -)) of one pair, with the same clamps."""
+    (p_plus, post_plus), (p_minus, post_minus) = loop_branch(rho, *projs1[:2])
+    if p_plus >= 1.0 - DEAD_BRANCH_PROB:
+        p_plus = 1.0
+    if p_minus >= 1.0 - DEAD_BRANCH_PROB:
+        p_plus = 0.0
+
+    def second_plus_prob(post):
+        if post is None:
+            return 0.0
+        (q_plus, _), _ = loop_branch(ch(post), *projs2[:2])
+        return 1.0 if q_plus >= 1.0 - DEAD_BRANCH_PROB else q_plus
+
+    return p_plus, second_plus_prob(post_plus), second_plus_prob(post_minus)
+
+
+def loop_agree_probability(rho, ch, obs1, obs2) -> float:
+    """P(the two outcomes agree) of one pair, clipped to [0, 1]."""
+    p, q_plus, q_minus = loop_probabilities(rho, ch, loop_projectors(obs1), loop_projectors(obs2))
+    return min(max(p * q_plus + (1.0 - p) * (1.0 - q_minus), 0.0), 1.0)
+
+
+def per_shot_outcomes(probs, shots, seed):
+    """Whether each of ``shots`` shots, drawn one by one from ``default_rng(seed)``, had outcome +lam at
+    t1 and at t2: ``shots`` uniforms for t1, then ``shots`` for t2.  ``probs`` is ``loop_probabilities``'s
+    triple."""
+    p_plus, q_given_plus, q_given_minus = probs
+    rng = np.random.default_rng(seed)
+    first_plus = rng.random(shots) < p_plus
+    return first_plus, rng.random(shots) < np.where(first_plus, q_given_plus, q_given_minus)
+
+
+def per_shot_agree_counts(rho, ch, basis1, basis2, shots, seeds) -> np.ndarray:
+    """``(len(seeds), n1, n2)`` agree-counts, pair (i, j) drawn shot by shot from ``SeedSequence((seed, i, j))``."""
+    counts = np.empty((len(seeds), len(basis1), len(basis2)), dtype=np.int64)
+    for i, a in enumerate(basis1.observables):
+        for j, b in enumerate(basis2.observables):
+            probs = loop_probabilities(rho, ch, loop_projectors(a), loop_projectors(b))
+            for s, seed in enumerate(seeds):
+                first, second = per_shot_outcomes(probs, shots, np.random.SeedSequence((seed, i, j)))
+                counts[s, i, j] = np.count_nonzero(first == second)
+    return counts
+
+
+def loop_binomial_table(rho, ch, basis1, basis2, shots, seed) -> CorrelatorTable:
+    """The binomial contract pair by pair: one ``default_rng(seed)``, one scalar binomial per pair in
+    row-major order, each value ``lam1*lam2 * ((2k - n) / n)``."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for a in basis1.observables:
+        for b in basis2.observables:
+            k = int(rng.binomial(shots, loop_agree_probability(rho, ch, a, b)))
+            entries[(a.label, b.label)] = a.lam * b.lam * ((2 * k - shots) / shots)
+    return CorrelatorTable(basis1, basis2, entries, {key: shots for key in entries})
+
+
+def products_with_agreements(k: int, shots: int, lam12: float) -> np.ndarray:
+    """``shots`` products +/-lam12, ``k`` of them +lam12 (outcomes that agree)."""
+    return np.where(np.arange(shots) < k, lam12, -lam12)

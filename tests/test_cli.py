@@ -303,7 +303,7 @@ class TestDeterminism:
         })
         main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         meta = json.loads((tmp_path / "out" / "simulate.json").read_text())
-        assert meta["generator"] == "numpy-pcg64"
+        assert meta["generator"] == "numpy-pcg64-binomial"
         assert meta["seed"] == 5
         assert meta["shots_per_pair"] == 100
         assert "wall_time" not in meta and "wall_time_s" not in meta

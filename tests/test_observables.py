@@ -69,6 +69,15 @@ class TestPauliBasis:
         with pytest.raises(ValueError):
             pauli_basis(0)
 
+    def test_constants_cannot_be_scaled_in_place(self):
+        # A one-letter string's matrix is the constant itself, so an in-place write
+        # would change every later Pauli string and basis.
+        for handed_out in (PauliString("X").matrix, ObservableBasis.pauli(1).matrix("X"), PAULI_1Q["Z"]):
+            with pytest.raises(ValueError, match="read-only"):
+                handed_out *= 2.0
+        assert np.array_equal(PauliString("X").matrix, [[0, 1], [1, 0]])
+        assert np.array_equal(PAULI_1Q["Z"], np.diag([1, -1]))
+
 
 class TestLightTouch:
     def test_qubit_case_is_pauli(self):

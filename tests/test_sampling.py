@@ -1,20 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    loop_agree_probability,
+    loop_binomial_table,
+    loop_probabilities,
+    loop_projectors,
+    per_shot_agree_counts,
+    products_with_agreements,
+)
 
 import pdmsi.random as prandom
-from pdmsi.channels import dephasing_channel, identity_channel
+from pdmsi.channels import KrausChannel, dephasing_channel, identity_channel
+from pdmsi.cli import MAX_SHOTS
 from pdmsi.exceptions import DimensionMismatch, NonHermitian, ZeroShots
 from pdmsi.linalg import kron
-from pdmsi.observables import LightTouchObservable, ObservableBasis, PauliString, pauli_basis
+from pdmsi.observables import LightTouchObservable, ObservableBasis, pauli_basis
 from pdmsi.pdm import CorrelatorTable, exact_correlators, pdm_closed_form, pdm_from_correlators
 from pdmsi.sampling import (
-    DEAD_BRANCH_PROB,
     _branch_probabilities,
-    _pair_states,
     _projector_stack,
-    pair_seed,
     projectors_for,
     sample_table,
     sample_two_time,
@@ -22,71 +30,6 @@ from pdmsi.sampling import (
 from pdmsi.states import ket, maximally_mixed, plus_state, projector
 
 PAULI = {p.label: p for p in pauli_basis(1)}
-
-
-# Per-pair reference: the projector, branch and sampling code that the
-# stacked kernel replaced, kept here as its oracle.
-def loop_projectors(obs):
-    if not isinstance(obs, (PauliString, LightTouchObservable)):
-        obs = LightTouchObservable(obs, label="")
-    eye = np.eye(obs.matrix.shape[0], dtype=complex)
-    if getattr(obs, "kind", "pm") == "single":
-        return eye, np.zeros_like(eye), obs.lam
-    return (eye + obs.matrix / obs.lam) / 2.0, (eye - obs.matrix / obs.lam) / 2.0, obs.lam
-
-
-def loop_branch(rho, plus, minus):
-    out = []
-    for proj in (plus, minus):
-        p = min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
-        if p < DEAD_BRANCH_PROB:
-            out.append((0.0, None))
-        else:
-            post = proj @ rho @ proj
-            out.append((p, post / np.trace(post).real))
-    total = out[0][0] + out[1][0]
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"branch probabilities sum to {total!r}")
-    return out
-
-
-def loop_probabilities(rho, ch, projs1, projs2):
-    """(P(+ at t1), P(+ at t2 | +), P(+ at t2 | -)) of one pair, with the same clamps."""
-    (p_plus, post_plus), (p_minus, post_minus) = loop_branch(rho, *projs1[:2])
-    if p_plus >= 1.0 - DEAD_BRANCH_PROB:
-        p_plus = 1.0
-    if p_minus >= 1.0 - DEAD_BRANCH_PROB:
-        p_plus = 0.0
-
-    def second_plus_prob(post):
-        if post is None:
-            return 0.0
-        (q_plus, _), _ = loop_branch(ch(post), *projs2[:2])
-        return 1.0 if q_plus >= 1.0 - DEAD_BRANCH_PROB else q_plus
-
-    return p_plus, second_plus_prob(post_plus), second_plus_prob(post_minus)
-
-
-def loop_sample_two_time(rho, ch, obs1, obs2, shots, seed):
-    projs1, projs2 = loop_projectors(obs1), loop_projectors(obs2)
-    p_plus, q_given_plus, q_given_minus = loop_probabilities(rho, ch, projs1, projs2)
-    rng = np.random.default_rng(seed)
-    first_plus = rng.random(shots) < p_plus
-    outcomes1 = np.where(first_plus, projs1[2], -projs1[2])
-    q = np.where(first_plus, q_given_plus, q_given_minus)
-    outcomes2 = np.where(rng.random(shots) < q, projs2[2], -projs2[2])
-    products = outcomes1 * outcomes2
-    stderr = float(np.std(products, ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    return float(np.mean(products)), stderr, outcomes1, outcomes2
-
-
-def loop_sample_table(rho, ch, b1, b2, shots, seed) -> CorrelatorTable:
-    entries = {}
-    for i, a in enumerate(b1.labels):
-        for j, b in enumerate(b2.labels):
-            entries[(a, b)] = loop_sample_two_time(
-                rho, ch, b1.observable(a), b2.observable(b), shots, pair_seed(seed, i, j))[0]
-    return CorrelatorTable(b1, b2, entries, {key: shots for key in entries})
 
 
 def kernel(rho, ch, b1, b2):
@@ -194,9 +137,10 @@ class TestSampleTwoTime:
         a = sample_two_time(rho, ch, PAULI["X"], PAULI["Y"], 5000, seed=42)
         b = sample_two_time(rho, ch, PAULI["X"], PAULI["Y"], 5000, seed=42)
         c = sample_two_time(rho, ch, PAULI["X"], PAULI["Y"], 5000, seed=43)
-        want = loop_sample_two_time(rho, ch, PAULI["X"], PAULI["Y"], 5000, 42)[:2]
-        assert (a.mean, a.stderr) == (b.mean, b.stderr) == want
+        assert a == b
         assert a.mean != c.mean
+        seeds = [np.random.SeedSequence((42, 12)) for _ in range(2)]
+        assert len({sample_two_time(rho, ch, PAULI["X"], PAULI["Y"], 5000, s).mean for s in seeds}) == 1
 
     def test_unbiased_over_seeds(self):
         rng = np.random.default_rng(11)
@@ -240,35 +184,13 @@ class TestSampleTable:
                              ObservableBasis.pauli(1), 100, seed=5)
         assert table.value("Z", "Z") == 1.0
 
-    def test_pair_seeds_are_order_independent(self):
-        assert pair_seed(9, 1, 2).entropy == (9, 1, 2)
-        a = pair_seed(9, 1, 2).generate_state(4)
-        b = pair_seed(9, 1, 2).generate_state(4)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("args, name, error", [
-        ((1.5, 0, 0), "root_seed", TypeError), ((True, 0, 0), "root_seed", TypeError),
-        ((np.True_, 0, 0), "root_seed", TypeError), ((1, 0.0, 0), "i", TypeError),
-        ((1, 0, False), "j", TypeError), ((-1, 0, 0), "root_seed", ValueError),
-        ((1, -1, 0), "i", ValueError), ((1, 0, np.int64(-2)), "j", ValueError),
-    ])
-    def test_pair_seed_rejects_non_integers(self, args, name, error):
-        with pytest.raises(error, match=f"^{name} must"):
-            pair_seed(*args)
-
-    def test_pair_seed_takes_numpy_integers(self):
-        assert pair_seed(np.int64(1), np.int32(0), 2).entropy == (1, 0, 2)
-
-    # Seeds of one to five 32-bit words: the pool holds four entropy words, so a seed of
-    # three or more pushes j, then i, into the rounds mixed in after the pool is full.
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
-                                      2**96 + 5, 2**128 + 1, 2**130])
-    @pytest.mark.parametrize("n1, n2", [(1, 1), (4, 9), (9, 4), (16, 16)])
-    def test_bulk_states_match_pair_seed(self, seed, n1, n2):
-        states = _pair_states(seed, n1, n2)
-        assert states.shape == (n1 * n2, 4) and states.dtype == np.uint64
-        for k, (i, j) in enumerate(np.ndindex(n1, n2)):
-            assert np.array_equal(states[k], pair_seed(seed, i, j).generate_state(4, np.uint64))
+    def test_rerun_gives_the_same_bytes(self):
+        rng = np.random.default_rng(43)
+        rho, ch = prandom.density_matrix(4, rng), prandom.channel(4, 4, env_dim=2, rng=rng)
+        basis = ObservableBasis.pauli(2)
+        first = sample_table(rho, ch, basis, 700, seed=2**70 + 3).to_csv()
+        assert sample_table(rho, ch, basis, 700, seed=2**70 + 3).to_csv() == first
+        assert sample_table(rho, ch, basis, 700, seed=2**70 + 4).to_csv() != first
 
     def test_converges_to_exact_correlators(self):
         rng = np.random.default_rng(17)
@@ -294,7 +216,10 @@ class TestSampleTable:
         z2 = 2.0 * np.diag([1.0, -1.0]).astype(complex)
         exact = float(np.trace(pdm_closed_form(rho, ch).mat @ kron(z2, z2)).real)
         out = sample_two_time(rho, ch, z2, z2, 50_000, seed=41)
-        assert (out.mean, out.stderr) == loop_sample_two_time(rho, ch, z2, z2, 50_000, 41)[:2]
+        k = round((out.mean / 4.0 * 50_000 + 50_000) / 2)
+        products = products_with_agreements(k, 50_000, 4.0)
+        assert out.mean == np.mean(products)
+        assert abs(out.stderr - np.std(products, ddof=1) / np.sqrt(50_000)) <= 4 * np.spacing(out.stderr)
         assert abs(out.mean - exact) <= 5 * out.stderr + 1e-9
 
     def test_light_touch_sampling_and_reconstruction(self):
@@ -359,18 +284,23 @@ class TestBranchKernel:
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(case=sampling_cases(), seed=st.integers(0, 2**130))
     def test_table_csv_matches_loop(self, case, seed):
+        # The array draw is the per-pair loop of scalar binomials from one generator, in row-major order.
         rho, ch, b1, b2 = case
         got = sample_table(rho, ch, (b1, b2), 64, seed).to_csv()
-        assert got == loop_sample_table(rho, ch, b1, b2, 64, seed).to_csv()
+        assert got == loop_binomial_table(rho, ch, b1, b2, 64, seed).to_csv()
 
     @KERNEL_SETTINGS
     @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_two_time_matches_loop(self, case, seed, data):
+        # The same k as the loop's one binomial draw, its mean, and the ddof=1 stderr of its products.
         rho, ch, b1, b2 = case
         a = b1.observable(data.draw(st.sampled_from(b1.labels)))
         b = b2.observable(data.draw(st.sampled_from(b2.labels)))
         out = sample_two_time(rho, ch, a, b, 200, seed)
-        assert (out.mean, out.stderr) == loop_sample_two_time(rho, ch, a, b, 200, seed)[:2]
+        k = int(np.random.default_rng(seed).binomial(200, loop_agree_probability(rho, ch, a, b)))
+        products = products_with_agreements(k, 200, a.lam * b.lam)
+        assert out.mean == a.lam * b.lam * ((2 * k - 200) / 200)
+        assert abs(out.stderr - np.std(products, ddof=1) / np.sqrt(200)) <= 4 * np.spacing(out.stderr)
 
     def test_clamps_at_the_edges(self):
         # On |0><0| with Z at t2: p- within DEAD_BRANCH_PROB of 1 makes p+ exactly 0
@@ -427,41 +357,112 @@ class TestAgreementCounts:
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(case=scaled_cases(), seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([1, 64, 1000]))
     def test_table_is_lam_times_agreement_count(self, case, seed, shots):
-        # Each value is lam1*lam2 * (2k - n) / n with k the loop reference's agreeing
-        # shots; it equals the reference's np.mean of the products bit for bit when
-        # lam1*lam2 is an integer, and within 1e-15 * lam1*lam2 otherwise.
+        # Each value is lam1*lam2 * ((2k - n) / n) with k the loop reference's binomial draw; it
+        # equals np.mean of n products +/-lam1*lam2 with k agreements bit for bit when lam1*lam2
+        # is a power of two (scaling by it is exact), and within 1e-15 * lam1*lam2 otherwise.
         rho, ch = case
         table = sample_table(rho, ch, SCALED, shots, seed)
+        want = loop_binomial_table(rho, ch, SCALED, SCALED, shots, seed)
         for i, a in enumerate(SCALED.observables):
             for j, b in enumerate(SCALED.observables):
-                mean, _, outcomes1, outcomes2 = loop_sample_two_time(rho, ch, a, b, shots, pair_seed(seed, i, j))
-                k = np.count_nonzero((outcomes1 > 0) == (outcomes2 > 0))
                 lam12 = a.lam * b.lam
-                assert table.values[i, j] == lam12 * (2 * k - shots) / shots
-                if float(lam12).is_integer():
+                k = round((want.values[i, j] / lam12 * shots + shots) / 2)
+                assert table.values[i, j] == want.values[i, j] == lam12 * ((2 * k - shots) / shots)
+                mean = np.mean(products_with_agreements(k, shots, lam12))
+                if math.frexp(lam12)[0] == 0.5:
                     assert table.values[i, j] == mean
                 else:
                     assert abs(table.values[i, j] - mean) <= 1e-15 * lam12
 
     def test_counts_keep_the_per_shot_bytes_on_bundled_bases(self):
-        # lam = 1: the sum of n products +/-1.0 is the integer 2k - n, so the count
-        # path and the per-shot mean agree bit for bit at 10^5 shots too.
+        # lam = 1: the sum of n products +/-1.0 is the integer 2k - n, so a value and the
+        # per-shot mean of its k agreements agree bit for bit at 10^5 shots too.
         rng = np.random.default_rng(71)
         rho, ch = prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=2, rng=rng)
-        basis = ObservableBasis.pauli(1)
-        table = sample_table(rho, ch, basis, 100_000, seed=73)
-        for i, a in enumerate(basis.observables):
-            for j, b in enumerate(basis.observables):
-                mean = loop_sample_two_time(rho, ch, a, b, 100_000, pair_seed(73, i, j))[0]
-                assert table.values[i, j] == mean
+        table = sample_table(rho, ch, ObservableBasis.pauli(1), 100_000, seed=73)
+        for value in table.values.ravel():
+            k = round((value * 100_000 + 100_000) / 2)
+            assert value == (2 * k - 100_000) / 100_000 == np.mean(products_with_agreements(k, 100_000, 1.0))
 
     def test_table_pair_matches_two_time(self):
-        # A one-pair draw of the table and of sample_two_time consume the same uniforms.
+        # Pair (0, 0) is a table's first draw, so it is sample_two_time's one draw from the same seed.
         rng = np.random.default_rng(79)
         rho, ch = prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=3, rng=rng)
         table = sample_table(rho, ch, SCALED, 500, seed=83)
-        out = sample_two_time(rho, ch, SCALED.observables[0], SCALED.observables[2], 500, pair_seed(83, 0, 2))
-        assert table.values[0, 2] == out.mean
+        out = sample_two_time(rho, ch, SCALED.observables[0], SCALED.observables[0], 500, 83)
+        assert table.values[0, 0] == out.mean
+
+
+# Fixed in advance: each comparison of the binomial and per-shot agree-counts over SEEDS
+# seeds passes within Z_MAX standard errors of the difference; not tuned to the seeds.
+SEEDS, SHOTS, Z_MAX = 400, 200, 5.0
+
+
+class TestBinomialMatchesPerShot:
+    """The binomial draw against the per-shot sampler it replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("d1, basis", [(2, "pauli:1"), (3, "light_touch:3")])
+    def test_agree_count_mean_and_variance(self, d1, basis):
+        rng = np.random.default_rng(97 + d1)
+        rho, ch = prandom.density_matrix(d1, rng), prandom.channel(d1, d1, env_dim=2, rng=rng)
+        b = ObservableBasis.from_descriptor(basis)
+        lam12 = np.outer([a.lam for a in b.observables], [a.lam for a in b.observables])
+        binom = np.array([np.rint((sample_table(rho, ch, b, SHOTS, seed).values / lam12 * SHOTS + SHOTS) / 2)
+                          for seed in range(SEEDS)])
+        shot = per_shot_agree_counts(rho, ch, b, b, SHOTS, range(SEEDS))
+        p_agree = np.array([[loop_agree_probability(rho, ch, a1, a2) for a2 in b.observables]
+                            for a1 in b.observables])
+        random = (p_agree > 0.0) & (p_agree < 1.0)
+        assert random.sum() >= 0.75 * random.size
+        b_k, s_k, p_k = binom[:, random], shot[:, random], p_agree[random]
+        var_b, var_s = b_k.var(axis=0, ddof=1), s_k.var(axis=0, ddof=1)
+        z_mean = np.abs(b_k.mean(axis=0) - s_k.mean(axis=0)) / np.sqrt((var_b + var_s) / SEEDS)
+        # log of a ratio of two sample variances: standard error sqrt(2/(S-1) + 2/(S-1)) for
+        # near-normal counts (binomial excess kurtosis is below 1/(n p (1 - p))).
+        z_var = np.abs(np.log(var_b / var_s)) / np.sqrt(4.0 / (SEEDS - 1))
+        assert np.all(z_mean <= Z_MAX), z_mean.max()
+        assert np.all(z_var <= Z_MAX), z_var.max()
+        # Both match the exact mean n P too.
+        for counts in (b_k, s_k):
+            z_exact = np.abs(counts.mean(axis=0) - SHOTS * p_k) / np.sqrt(SHOTS * p_k * (1.0 - p_k) / SEEDS)
+            assert np.all(z_exact <= Z_MAX), z_exact.max()
+        # Agreement certain or impossible: both samplers give k = n or 0, every seed.
+        assert np.all(binom[:, ~random] == shot[:, ~random])
+        assert np.all(binom[:, ~random] == SHOTS * p_agree[~random])
+
+    @pytest.mark.parametrize("shots", [1, 2, 1000, MAX_SHOTS])
+    def test_deterministic_pairs_are_exact(self, shots):
+        # |0><0| through an X flip: Z then Z always disagree (P_agree = 0), X then X always agree
+        # (p = 1/2, q = (1, 0)); the first branch of Z is dead.  Through the identity, every
+        # observable repeats its outcome.  Each such value is exactly +/-lam1*lam2.
+        flip = KrausChannel([np.array([[0, 1], [1, 0]], dtype=complex)])
+        rho = projector(ket(0))
+        for ch, sign in ((flip, {"3.0Z": -1.0, "0.7X": 1.0}), (identity_channel(2), {"3.0Z": 1.0, "0.7X": 1.0})):
+            table = sample_table(rho, ch, SCALED, shots, seed=5)
+            for label, s in sign.items():
+                lam = SCALED.observable(label).lam
+                assert table.value(label, label) == s * lam * lam
+                out = sample_two_time(rho, ch, SCALED.observable(label), SCALED.observable(label), shots, 5)
+                assert (out.mean, out.stderr) == (s * lam * lam, 0.0)
+        # The single-spectrum 2I agrees with a certain +lam of 3Z on |0><0| through the identity.
+        assert sample_table(rho, identity_channel(2), SCALED, shots, seed=6).value("2.0I", "3.0Z") == 6.0
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(case=scaled_cases(), seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([1, 2, 3, 64, 1001]),
+           pair=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_stderr_is_the_std_of_the_products(self, case, seed, shots, pair):
+        # 2|lam12| sqrt(k(n - k) / (n(n - 1))) / sqrt(n) against np.std(ddof=1) / sqrt(n) of n
+        # products with k agreements, within 4 ulp; 0 for one shot.
+        rho, ch = case
+        a, b = (SCALED.observables[i] for i in pair)
+        out = sample_two_time(rho, ch, a, b, shots, seed)
+        lam12 = a.lam * b.lam
+        k = round((out.mean / lam12 * shots + shots) / 2)
+        if shots == 1:
+            assert out.stderr == 0.0
+            return
+        want = np.std(products_with_agreements(k, shots, lam12), ddof=1) / math.sqrt(shots)
+        assert abs(out.stderr - want) <= 4 * np.spacing(max(out.stderr, want))
 
 
 class TestShotCounts:
