@@ -1,10 +1,11 @@
 """Reference routines that only the tests use, kept beside them as oracles."""
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from pdmsi.exceptions import DimensionMismatch
 from pdmsi.observables import LightTouchObservable
-from pdmsi.pdm import CorrelatorTable
+from pdmsi.pdm import CorrelatorTable, _check_int
 from pdmsi.sampling import DEAD_BRANCH_PROB
 
 
@@ -151,7 +152,8 @@ def gram_solve(overlaps, basis1, basis2) -> np.ndarray:
 # Per-pair sampling reference: the projector and branch code that the stacked
 # kernel replaced, and the per-shot sampler that the binomial draw replaced.
 # The per-shot sampler draws 2n uniforms per pair from its own SeedSequence
-# (seed, i, j); it is the reference distribution of the agree-count k.
+# (seed, i, j) (``pair_seed``, derived in bulk by ``pair_states``); it is the
+# reference distribution of the agree-count k.
 
 def loop_projectors(obs):
     """(P+, P-, lam) of one observable, a raw +/-lam Hermitian wrapped as light-touch."""
@@ -211,16 +213,86 @@ def per_shot_outcomes(probs, shots, seed):
     return first_plus, rng.random(shots) < np.where(first_plus, q_given_plus, q_given_minus)
 
 
+def pair_seed(root_seed: int, i: int, j: int) -> np.random.SeedSequence:
+    """The per-shot sampler's seed of pair (i, j); independent of iteration order.  Each argument is a
+    Python or numpy integer >= 0."""
+    return np.random.SeedSequence(entropy=(_check_int(root_seed, "root_seed", 0), _check_int(i, "i", 0),
+                                           _check_int(j, "j", 0)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), word for word.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32, _POOL_SIZE = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF, 4
+
+
+def pair_states(seed: int, n1: int, n2: int) -> np.ndarray:
+    """``(n1*n2, 4)`` uint64 PCG64 seeds: row ``i*n2 + j`` is
+    ``pair_seed(seed, i, j).generate_state(4, np.uint64)``.
+
+    The hash runs once over uint32 arrays of i and j; uint32 arithmetic wraps
+    as numpy's C does, and the hash constants stay Python ints below 2**32.
+    ``seed`` is an int >= 0 of any size, entered as its 32-bit words, least
+    significant first (at least one word, as SeedSequence reads an int).
+    """
+    n = n1 * n2
+    words = [np.full(n, (seed >> (32 * k)) & _MASK32, dtype=np.uint32)
+             for k in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [np.repeat(np.arange(n1, dtype=np.uint32), n2), np.tile(np.arange(n2, dtype=np.uint32), n1)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(words))  # short entropy: hash zeros
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words, cycling the pool, read as little-endian pairs.
+    state = np.empty((n, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+class FixedSeed(ISeedSequence):
+    """Hands PCG64 one row of ``pair_states`` as its ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 def per_shot_agree_counts(rho, ch, basis1, basis2, shots, seeds) -> np.ndarray:
-    """``(len(seeds), n1, n2)`` agree-counts, pair (i, j) drawn shot by shot from ``SeedSequence((seed, i, j))``."""
-    counts = np.empty((len(seeds), len(basis1), len(basis2)), dtype=np.int64)
-    for i, a in enumerate(basis1.observables):
-        for j, b in enumerate(basis2.observables):
-            probs = loop_probabilities(rho, ch, loop_projectors(a), loop_projectors(b))
-            for s, seed in enumerate(seeds):
-                first, second = per_shot_outcomes(probs, shots, np.random.SeedSequence((seed, i, j)))
-                counts[s, i, j] = np.count_nonzero(first == second)
-    return counts
+    """``(len(seeds), n1, n2)`` agree-counts, pair (i, j) drawn shot by shot from ``pair_seed(seed, i, j)``."""
+    n1, n2 = len(basis1), len(basis2)
+    probs = [loop_probabilities(rho, ch, loop_projectors(a), loop_projectors(b))
+             for a in basis1.observables for b in basis2.observables]
+    counts = np.empty((len(seeds), n1 * n2), dtype=np.int64)
+    for s, seed in enumerate(seeds):
+        for k, (pair, state) in enumerate(zip(probs, pair_states(seed, n1, n2))):
+            first, second = per_shot_outcomes(pair, shots, FixedSeed(state))
+            counts[s, k] = np.count_nonzero(first == second)
+    return counts.reshape(len(seeds), n1, n2)
 
 
 def loop_binomial_table(rho, ch, basis1, basis2, shots, seed) -> CorrelatorTable:

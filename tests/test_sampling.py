@@ -9,6 +9,8 @@ from oracles import (
     loop_binomial_table,
     loop_probabilities,
     loop_projectors,
+    pair_seed,
+    pair_states,
     per_shot_agree_counts,
     products_with_agreements,
 )
@@ -183,6 +185,37 @@ class TestSampleTable:
         table = sample_table(projector(ket(0)), dephasing_channel(2),
                              ObservableBasis.pauli(1), 100, seed=5)
         assert table.value("Z", "Z") == 1.0
+
+    # The per-shot reference's seeding (tests/oracles.py): ``pair_seed`` and its bulk form.
+    def test_pair_seeds_are_order_independent(self):
+        assert pair_seed(9, 1, 2).entropy == (9, 1, 2)
+        a = pair_seed(9, 1, 2).generate_state(4)
+        b = pair_seed(9, 1, 2).generate_state(4)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("args, name, error", [
+        ((1.5, 0, 0), "root_seed", TypeError), ((True, 0, 0), "root_seed", TypeError),
+        ((np.True_, 0, 0), "root_seed", TypeError), ((1, 0.0, 0), "i", TypeError),
+        ((1, 0, False), "j", TypeError), ((-1, 0, 0), "root_seed", ValueError),
+        ((1, -1, 0), "i", ValueError), ((1, 0, np.int64(-2)), "j", ValueError),
+    ])
+    def test_pair_seed_rejects_non_integers(self, args, name, error):
+        with pytest.raises(error, match=f"^{name} must"):
+            pair_seed(*args)
+
+    def test_pair_seed_takes_numpy_integers(self):
+        assert pair_seed(np.int64(1), np.int32(0), 2).entropy == (1, 0, 2)
+
+    # Seeds of one to five 32-bit words: the pool holds four entropy words, so a seed of
+    # three or more pushes j, then i, into the rounds mixed in after the pool is full.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                                      2**96 + 5, 2**128 + 1, 2**130])
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (4, 9), (9, 4), (16, 16)])
+    def test_bulk_states_match_pair_seed(self, seed, n1, n2):
+        states = pair_states(seed, n1, n2)
+        assert states.shape == (n1 * n2, 4) and states.dtype == np.uint64
+        for k, (i, j) in enumerate(np.ndindex(n1, n2)):
+            assert np.array_equal(states[k], pair_seed(seed, i, j).generate_state(4, np.uint64))
 
     def test_rerun_gives_the_same_bytes(self):
         rng = np.random.default_rng(43)
