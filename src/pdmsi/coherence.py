@@ -58,15 +58,29 @@ def _class_residuals(s: np.ndarray, d: int) -> dict:
     """OI, CE, CI and DI residuals and the single-channel NCGD surrogate of superoperators
     ``(..., d^2, d^2)``: the blocks ch.Q, Q.ch, Q.ch.P, P.ch.Q and P.ch.Q.ch.P, with P = Delta and
     Q = I - P.  The last is Delta.ch.ch.Delta - Delta.ch.Delta.ch.Delta, the k = 0 term D K of the
-    generator test with the channel in place of L."""
+    generator test with the channel in place of L.
+
+    The four column norms are row sums of one ``|S|^2`` array, formed as ``np.linalg.norm`` forms
+    it, over all rows, the coherence rows or the population rows; each sum adds its own rows in
+    order (never a total less another block), and no coherence block of S is copied."""
     pop, coh = _populations_coherences(d)
-    from_pop, from_coh = s[..., pop], s[..., coh]
+    sq = np.conj(s)
+    sq *= s
+    sq = sq.real
+    coh_rows = np.zeros((d * d, 1), dtype=bool)
+    coh_rows[coh] = True
+    to_coh = sq.sum(axis=-2, where=coh_rows)
+    to_pop = sq[..., pop, :].sum(axis=-2)
+
+    def worst(sums):
+        return np.sqrt(np.max(sums, axis=-1, initial=0.0))
+
     return {
-        "oi": _max_unit_deviation(from_coh),
-        "ce": _max_unit_deviation(s[..., coh, :]),
-        "ci": _max_unit_deviation(from_pop[..., coh, :]),
-        "di": _max_unit_deviation(from_coh[..., pop, :]),
-        "ncgd": _max_unit_deviation(from_coh[..., pop, :] @ from_pop[..., coh, :]),
+        "oi": worst(sq.sum(axis=-2)[..., coh]),
+        "ce": worst(to_coh),
+        "ci": worst(to_coh[..., pop]),
+        "di": worst(to_pop[..., coh]),
+        "ncgd": _max_unit_deviation(s[..., pop, :][..., coh] @ s[..., pop][..., coh, :]),
     }
 
 

@@ -317,20 +317,21 @@ def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, la
     return grid, shots
 
 
-def _overlaps(m, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
-    """Complex ``Tr[M (A_k (x) B_l)]`` for every label pair, as ``(..., n1, n2)``.
+def _overlaps(m, mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
+    """Complex ``Tr[M (A_k (x) B_l)]`` for every pair of the observable stacks
+    ``(n1, d1, d1)`` and ``(n2, d2, d2)`` (a basis's ``matrices``), as ``(..., n1, n2)``.
 
     The contractions ``iajb,kji->kab`` then ``kab,lba->kl`` over the
     ``(d1, d2, d1, d2)`` view of each ``M`` in a ``(..., d1 d2, d1 d2)``
     stack, each as one matrix product; no ``d1 d2 x d1 d2`` pair operator is
     ever built.
     """
-    n1, n2, d1, d2 = len(basis1), len(basis2), basis1.dim, basis2.dim
+    (n1, d1, _), (n2, d2, _) = mats1.shape, mats2.shape
     m = np.asarray(m, dtype=complex)
     lead = m.shape[:-2]
     t = m.reshape(*lead, d1, d2, d1, d2).transpose(*range(len(lead)), -2, -4, -3, -1)
-    partial = basis1.matrices.reshape(n1, d1 * d1) @ t.reshape(*lead, d1 * d1, d2 * d2)
-    return partial @ basis2.matrices.transpose(0, 2, 1).reshape(n2, d2 * d2).T
+    partial = mats1.reshape(n1, d1 * d1) @ t.reshape(*lead, d1 * d1, d2 * d2)
+    return partial @ mats2.transpose(0, 2, 1).reshape(n2, d2 * d2).T
 
 
 def _expand(coeffs: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis) -> np.ndarray:
@@ -374,7 +375,7 @@ def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
     b1, b2 = _resolve_bases(basis, r.dims)
     if b1.dim != r.dims[0] or b2.dim != r.dims[1]:
         raise DimensionMismatch("basis dimensions do not match the PDM factors")
-    values = _overlaps(r.mat, b1, b2)
+    values = _overlaps(r.mat, b1.matrices, b2.matrices)
     bad = np.argwhere(np.abs(values.imag) > 1e-10)
     if len(bad):
         k, l = bad[0]
@@ -553,7 +554,7 @@ class Witness:
 
 def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> np.ndarray:
     """The ``(n1, n2)`` coefficients ``a_kl`` of ``mat = sum a_kl A_k (x) B_l``."""
-    return _factored_gram_solve(_overlaps(mat, b1, b2).real, b1, b2)
+    return _factored_gram_solve(_overlaps(mat, b1.matrices, b2.matrices).real, b1, b2)
 
 
 def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace") -> Witness:

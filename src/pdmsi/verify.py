@@ -125,7 +125,7 @@ def _closed_vs_lp(rng, trials):
 def _round_trip(rng, trials):
     r = _pdms([_pdm_draw(rng) for _ in range(trials)])
     b = ObservableBasis.default_for_dim(2)
-    back = pdm._expand(pdm._factored_gram_solve(pdm._overlaps(r, b, b).real, b, b), b, b)
+    back = pdm._expand(pdm._factored_gram_solve(pdm._overlaps(r, b.matrices, b.matrices).real, b, b), b, b)
     back = (back + back.conj().swapaxes(-1, -2)) / 2.0
     worst = float(np.max(np.abs(back - r)))
     return worst <= 1e-10, f"max error {worst:.2e}"

@@ -7,6 +7,7 @@ from pdmsi.exceptions import DimensionMismatch
 from pdmsi.observables import LightTouchObservable
 from pdmsi.pdm import CorrelatorTable, _check_int
 from pdmsi.sampling import DEAD_BRANCH_PROB
+from pdmsi.states import check_density_matrix
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -149,11 +150,62 @@ def gram_solve(overlaps, basis1, basis2) -> np.ndarray:
     return np.linalg.solve(basis2.gram, left.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-# Per-pair sampling reference: the projector and branch code that the stacked
-# kernel replaced, and the per-shot sampler that the binomial draw replaced.
-# The per-shot sampler draws 2n uniforms per pair from its own SeedSequence
-# (seed, i, j) (``pair_seed``, derived in bulk by ``pair_states``); it is the
-# reference distribution of the agree-count k.
+# Sampling references: the Lueders branch kernel that the closed-form agreement
+# probability replaced (stacked, ``branch_probabilities``, and pair by pair,
+# ``loop_probabilities``), and the per-shot sampler that the binomial draw
+# replaced.  The per-shot sampler draws 2n uniforms per pair from its own
+# SeedSequence (seed, i, j) (``pair_seed``, derived in bulk by
+# ``pair_states``); it is the reference distribution of the agree-count k.
+
+def outcome_probs(projs, states, live=True) -> np.ndarray:
+    """Clamped Re Tr[P rho] for every (P+, P-) of ``projs`` and every rho of ``states``.
+
+    ``projs`` is (n, 2, d, d) and ``states`` (..., d, d); the result is
+    (..., n, 2), clipped to [0, 1], with values below DEAD_BRANCH_PROB zeroed
+    (dead: never sampled).  Raises ValueError when a pair on a ``live`` state
+    (shape (...)) does not sum to 1 within 1e-9.
+    """
+    d = projs.shape[-1]
+    vec_t = projs.transpose(0, 1, 3, 2).reshape(-1, d * d)
+    probs = np.clip(np.real(states.reshape(-1, d * d) @ vec_t.T), 0.0, 1.0)
+    probs = probs.reshape(states.shape[:-2] + projs.shape[:2])
+    probs[probs < DEAD_BRANCH_PROB] = 0.0
+    total = probs[..., 0] + probs[..., 1]
+    bad = (np.abs(total - 1.0) > 1e-9) & np.expand_dims(live, -1)
+    if bad.any():
+        raise ValueError(f"branch probabilities sum to {float(total[bad][0])!r}")
+    return probs
+
+
+def branch_probabilities(rho, ch, projs1, projs2):
+    """Outcome probabilities of every (A_i at t1, B_j at t2) pair of two projector stacks
+    (``sampling._projector_stack``), from the Lueders post-state of each first branch.
+
+    Returns ``p`` of shape (n1,), the probability of +lam at t1 for A_i, and
+    ``q`` of shape (n1, 2, n2), the probability of +lam at t2 for B_j after
+    outcome s (0: +lam, 1: -lam) of A_i.  A first outcome within
+    DEAD_BRANCH_PROB of certainty is certain, and so is a second one; a dead
+    first branch has no post-state and q = 0.  Its memory grows as n1 K d^3.
+    """
+    rho = check_density_matrix(rho)
+    if rho.shape[0] != ch.in_dim:
+        raise DimensionMismatch("state dimension does not match channel input")
+    if projs1.shape[-1] != ch.in_dim or projs2.shape[-1] != ch.out_dim:
+        raise DimensionMismatch("observable dimensions do not match the channel")
+
+    first = outcome_probs(projs1, rho)
+    p = first[:, 0].copy()
+    p[p >= 1.0 - DEAD_BRANCH_PROB] = 1.0
+    p[first[:, 1] >= 1.0 - DEAD_BRANCH_PROB] = 0.0
+
+    live = first > 0.0
+    post = projs1 @ rho @ projs1
+    norm = np.trace(post, axis1=-2, axis2=-1).real[..., None, None]
+    post = np.divide(post, norm, out=np.zeros_like(post), where=live[..., None, None])
+    q = outcome_probs(projs2, ch(post), live)[..., 0]
+    q[q >= 1.0 - DEAD_BRANCH_PROB] = 1.0
+    return p, q
+
 
 def loop_projectors(obs):
     """(P+, P-, lam) of one observable, a raw +/-lam Hermitian wrapped as light-touch."""
@@ -295,14 +347,14 @@ def per_shot_agree_counts(rho, ch, basis1, basis2, shots, seeds) -> np.ndarray:
     return counts.reshape(len(seeds), n1, n2)
 
 
-def loop_binomial_table(rho, ch, basis1, basis2, shots, seed) -> CorrelatorTable:
+def loop_binomial_table(p_agree, basis1, basis2, shots, seed) -> CorrelatorTable:
     """The binomial contract pair by pair: one ``default_rng(seed)``, one scalar binomial per pair in
-    row-major order, each value ``lam1*lam2 * ((2k - n) / n)``."""
+    row-major order with probability ``p_agree[i, j]``, each value ``lam1*lam2 * ((2k - n) / n)``."""
     rng = np.random.default_rng(seed)
     entries = {}
-    for a in basis1.observables:
-        for b in basis2.observables:
-            k = int(rng.binomial(shots, loop_agree_probability(rho, ch, a, b)))
+    for i, a in enumerate(basis1.observables):
+        for j, b in enumerate(basis2.observables):
+            k = int(rng.binomial(shots, p_agree[i, j]))
             entries[(a.label, b.label)] = a.lam * b.lam * ((2 * k - shots) / shots)
     return CorrelatorTable(basis1, basis2, entries, {key: shots for key in entries})
 

@@ -200,6 +200,20 @@ class TestClassResiduals:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_classify_memory_is_near_the_superoperators(self):
+        # At d = 32 S holds 2^20 complex entries (16 MiB); copying its coherence rows and columns
+        # doubled the peak of building it, and one |S|^2 array keeps classify within a quarter of it.
+        ch = depolarizing_channel(0.3, 32)
+        peaks = []
+        for build in (lambda: _superoperator(ch.kraus), lambda: classify_channel(ch)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
 
 def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
     """A d^2 x d^2 generator: Hermitian, the unitary Liouvillian -i(H (x) I - I (x) H^T), or general."""

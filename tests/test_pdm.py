@@ -768,10 +768,10 @@ class TestStackedKernels:
         rng = np.random.default_rng(67)
         b1, b2 = ObservableBasis.from_descriptor("pauli:1"), ObservableBasis.from_descriptor("light_touch:3")
         mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(20)]).reshape(4, 5, 6, 6)
-        overlaps = _overlaps(mats, b1, b2)
+        overlaps = _overlaps(mats, b1.matrices, b2.matrices)
         assert overlaps.shape == (4, 5, len(b1), len(b2))
         for idx in np.ndindex(4, 5):
-            assert np.array_equal(overlaps[idx], _overlaps(mats[idx], b1, b2))
+            assert np.array_equal(overlaps[idx], _overlaps(mats[idx], b1.matrices, b2.matrices))
         coeffs = _factored_gram_solve(overlaps.real, b1, b2)
         assert np.max(np.abs(_expand(coeffs, b1, b2) - mats)) <= 1e-10
 
@@ -982,7 +982,7 @@ class TestInverseGram:
         b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
         n = b1.dim * b2.dim
         mats = np.array([prandom.unit_trace_hermitian(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
-        overlaps = _overlaps(mats, b1, b2).real
+        overlaps = _overlaps(mats, b1.matrices, b2.matrices).real
         got, want = _factored_gram_solve(overlaps, b1, b2), gram_solve(overlaps, b1, b2)
         assert got.shape == want.shape == (2, 3, len(b1), len(b2))
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -1090,7 +1090,8 @@ class TestArrayTableMatchesDictOracle:
     def test_exact_table_csv_bytes(self, pair, seed):
         b1, b2, mat = bases_and_matrix(pair, seed)
         table = exact_correlators(Pdm(mat, (b1.dim, b2.dim)), (b1, b2))
-        values = dict(zip([(a, b) for a in b1.labels for b in b2.labels], _overlaps(mat, b1, b2).real.ravel().tolist()))
+        overlaps = _overlaps(mat, b1.matrices, b2.matrices).real.ravel().tolist()
+        values = dict(zip([(a, b) for a in b1.labels for b in b2.labels], overlaps))
         assert table.to_csv() == dict_table_to_csv(b1, b2, values, None)
 
     @ORACLE_SETTINGS

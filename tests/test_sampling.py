@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    branch_probabilities,
     loop_agree_probability,
     loop_binomial_table,
     loop_probabilities,
@@ -16,14 +18,14 @@ from oracles import (
 )
 
 import pdmsi.random as prandom
-from pdmsi.channels import KrausChannel, dephasing_channel, identity_channel
+from pdmsi.channels import KrausChannel, dephasing_channel, depolarizing_channel, identity_channel
 from pdmsi.cli import MAX_SHOTS
 from pdmsi.exceptions import DimensionMismatch, NonHermitian, ZeroShots
 from pdmsi.linalg import kron
 from pdmsi.observables import LightTouchObservable, ObservableBasis, pauli_basis
 from pdmsi.pdm import CorrelatorTable, exact_correlators, pdm_closed_form, pdm_from_correlators
 from pdmsi.sampling import (
-    _branch_probabilities,
+    _agree_probabilities,
     _projector_stack,
     projectors_for,
     sample_table,
@@ -35,8 +37,15 @@ PAULI = {p.label: p for p in pauli_basis(1)}
 
 
 def kernel(rho, ch, b1, b2):
-    return _branch_probabilities(rho, ch, _projector_stack(b1.matrices, b1.observables),
-                                 _projector_stack(b2.matrices, b2.observables))
+    """The Lueders branch kernel (tests/oracles.py) over two bases' projector stacks."""
+    return branch_probabilities(rho, ch, _projector_stack(b1.matrices, b1.observables),
+                                _projector_stack(b2.matrices, b2.observables))
+
+
+def agree_probabilities(rho, ch, b1, b2):
+    """``sample_table``'s P_agree of every pair of two bases, from the closed form."""
+    lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
+    return _agree_probabilities(rho, ch, b1.matrices, b2.matrices, lam12)
 
 
 class TestProjectors:
@@ -320,7 +329,7 @@ class TestBranchKernel:
         # The array draw is the per-pair loop of scalar binomials from one generator, in row-major order.
         rho, ch, b1, b2 = case
         got = sample_table(rho, ch, (b1, b2), 64, seed).to_csv()
-        assert got == loop_binomial_table(rho, ch, b1, b2, 64, seed).to_csv()
+        assert got == loop_binomial_table(agree_probabilities(rho, ch, b1, b2), b1, b2, 64, seed).to_csv()
 
     @KERNEL_SETTINGS
     @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -347,7 +356,7 @@ class TestBranchKernel:
                  ((certain, tiny), (1.0, 1.0, 1.0)),
                  ((certain, dead), (1.0, 1.0, 0.0))]
         for pair, want in cases:
-            p, q = _branch_probabilities(rho, ch, np.array([pair], dtype=complex), second)
+            p, q = branch_probabilities(rho, ch, np.array([pair], dtype=complex), second)
             assert (p[0], q[0, 0, 0], q[0, 1, 0]) == want
             assert loop_probabilities(rho, ch, pair, second[0]) == want
 
@@ -361,7 +370,7 @@ class TestBranchKernel:
         half = np.array([[np.eye(2) / 4.0] * 2], dtype=complex)
         for projs1, projs2, total in ((double, good, 2.0), (good, half, 0.5)):
             with pytest.raises(ValueError, match=f"sum to {total!r}"):
-                _branch_probabilities(rho, ch, projs1, projs2)
+                branch_probabilities(rho, ch, projs1, projs2)
             with pytest.raises(ValueError, match=f"sum to {total!r}"):
                 loop_probabilities(rho, ch, projs1[0], projs2[0])
 
@@ -395,7 +404,7 @@ class TestAgreementCounts:
         # is a power of two (scaling by it is exact), and within 1e-15 * lam1*lam2 otherwise.
         rho, ch = case
         table = sample_table(rho, ch, SCALED, shots, seed)
-        want = loop_binomial_table(rho, ch, SCALED, SCALED, shots, seed)
+        want = loop_binomial_table(agree_probabilities(rho, ch, SCALED, SCALED), SCALED, SCALED, shots, seed)
         for i, a in enumerate(SCALED.observables):
             for j, b in enumerate(SCALED.observables):
                 lam12 = a.lam * b.lam
@@ -424,6 +433,40 @@ class TestAgreementCounts:
         table = sample_table(rho, ch, SCALED, 500, seed=83)
         out = sample_two_time(rho, ch, SCALED.observables[0], SCALED.observables[0], 500, 83)
         assert table.values[0, 0] == out.mean
+
+
+# Fixed in advance: the closed-form and Lueders agreement probabilities differ by rounding only.
+AGREE_ATOL = 1e-12
+
+
+class TestAgreeIdentity:
+    """P_agree = 1/2 + Tr[R (A (x) B)] / (2 lam1 lam2) against the Lueders branch oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=st.one_of(sampling_cases(), scaled_cases().map(lambda c: (*c, SCALED, SCALED))))
+    def test_matches_lueders_oracle(self, case):
+        # d1 != d2, lam != 1, single-spectrum members (I, D0, 2I), basis-state inputs whose
+        # first branches die, and the identity channel; an exact 0 or 1 stays exact.
+        rho, ch, b1, b2 = case
+        got = agree_probabilities(rho, ch, b1, b2)
+        want = np.array([[loop_agree_probability(rho, ch, a, b) for b in b2.observables]
+                         for a in b1.observables])
+        assert np.max(np.abs(got - want)) <= AGREE_ATOL
+        certain = (want == 0.0) | (want == 1.0)
+        assert np.array_equal(got[certain], want[certain])
+
+    def test_table_builds_no_post_state_per_branch(self):
+        # depolarizing(0.3) at d = 16 has 257 Kraus operators: Lueders post-states through it
+        # took n1 K d^3 complex entries (over 1 GB); the closed form holds a few d^4.
+        ch, basis = depolarizing_channel(0.3, 16), ObservableBasis.pauli(4)
+        tracemalloc.start()
+        try:
+            table = sample_table(maximally_mixed(16), ch, basis, 1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert table.values.shape == (256, 256) and table.value("IIII", "IIII") == 1.0
 
 
 # Fixed in advance: each comparison of the binomial and per-shot agree-counts over SEEDS
