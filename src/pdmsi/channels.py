@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .linalg import check_hermitian
 from .states import ket
 
 TRACE_PRESERVING_ATOL = 1e-10
@@ -18,9 +17,9 @@ class KrausChannel:
     satisfying ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
     TRACE_PRESERVING_ATOL.  ``kraus`` is a read-only ``(K, out_dim, in_dim)``
     copy of them, made once, and ``kraus_ops`` the tuple of its rows.
-    ``_closed_form_memo`` is the one ``(key, matrix)`` entry that
-    ``pdm._pair_closed_form`` keeps for the last state it checked against
-    this channel (None until then); the matrix is read-only.
+    ``_closed_form_memo`` is the one ``(key, Pdm)`` entry that
+    ``pdm.pdm_closed_form`` keeps for the last state it checked against this
+    channel (None until then), read by every later call on that state.
     """
 
     def __init__(self, kraus_ops):
@@ -55,7 +54,7 @@ class KrausChannel:
 
     def jamiolkowski(self) -> np.ndarray:
         """M = sum_ij |i><j| (x) channel(|j><i|); Hermitian with trace in_dim."""
-        return check_hermitian(_jamiolkowski(self.kraus), atol=1e-9)
+        return _jamiolkowski(self.kraus)
 
     def superoperator(self) -> np.ndarray:
         """sum_l K_l (x) conj(K_l) on row-major vectorized operators: the realigned Jamiolkowski matrix."""
@@ -67,7 +66,7 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"cannot compose: inner produces dim {inner.out_dim}, outer expects {self.in_dim}"
             )
-        return KrausChannel([a @ b for a in self.kraus_ops for b in inner.kraus_ops])
+        return KrausChannel(_compose(self.kraus, inner.kraus))
 
     def __repr__(self):
         return f"KrausChannel({len(self.kraus_ops)} ops, {self.in_dim}->{self.out_dim})"
@@ -80,6 +79,13 @@ def _kraus_stack(chs) -> np.ndarray:
     for row, ch in zip(out, chs):
         row[:len(ch.kraus)] = ch.kraus
     return out
+
+
+def _compose(outer, inner) -> np.ndarray:
+    """Kraus operators of ``outer`` after ``inner`` for stacks ``(..., K_o, d_out, d_mid)`` and
+    ``(..., K_i, d_mid, d_in)``: every product ``a @ b``, outer-major, as ``(..., K_o K_i, d_out, d_in)``."""
+    k = outer[..., :, None, :, :] @ inner[..., None, :, :, :]
+    return k.reshape(*k.shape[:-4], -1, *k.shape[-2:])
 
 
 def _apply(kraus, m) -> np.ndarray:

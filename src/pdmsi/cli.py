@@ -43,6 +43,7 @@ from .pdm import (
     _closed_form,
     _spectra,
     _t_p,
+    check_bound,
     evaluate_witness,
     exact_correlators,
     pdm_closed_form,
@@ -272,7 +273,7 @@ def run_pdm(cfg: dict):
         "si": report,
     }
     if ch.in_dim == ch.out_dim:
-        out["bound"] = _bound_check(float(_t_p(lam, 1.0)[0]), ch.in_dim)
+        out["bound"] = check_bound(state, ch)
     lines = [f"T_{p:g} = {report.value:.12g}  (min eigenvalue {lam[0]:.12g})"]
     return {"pdm.json": dump_json(out)}, lines, True
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _apply
+from .channels import KrausChannel, _apply, _compose
 from .exceptions import DimensionMismatch
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
@@ -71,9 +71,7 @@ def _lg_pdms(rho, k12, k23) -> tuple:
     operator from each leg).  None depends on the observable.
     """
     rho2 = _apply(k12, rho)
-    k13 = k23[..., :, None, :, :] @ k12[..., None, :, :, :]
-    k13 = k13.reshape(*k13.shape[:-4], -1, *k13.shape[-2:])
-    return _closed_form(rho, k12), _closed_form(rho2, k23), _closed_form(rho, k13)
+    return _closed_form(rho, k12), _closed_form(rho2, k23), _closed_form(rho, _compose(k23, k12))
 
 
 def _lg_correlators(pdms, q) -> np.ndarray:

@@ -50,7 +50,7 @@ class Pdm:
 
     ``mat`` is a read-only copy of the matrix given, and ``eig`` its
     ``eig_hermitian`` decomposition (read-only too), computed on first access
-    and shared by ``min_eigenvalue``, ``si_measure`` and ``synthesize_witness``.
+    and shared by ``min_eigenvalue``, ``si_measure``, ``synthesize_witness``, ``check_bound``.
     """
 
     def __init__(self, mat, dims: tuple[int, int]):
@@ -89,8 +89,8 @@ def _check_pdm(m, stacked: bool = False) -> np.ndarray:
 
 
 def _spectra(mats) -> np.ndarray:
-    """Ascending spectra ``(..., n)`` of a checked PDM stack ``(..., n, n)``: the one route for
-    readers that need no eigenvectors."""
+    """Ascending spectra ``(..., n)`` of a checked PDM stack ``(..., n, n)``: the route for stacks
+    (the sweep, ``lg_vs_si``, ``verify``); a single pair reads its ``Pdm.eig``."""
     return np.linalg.eigvalsh(_check_pdm(mats, stacked=True))
 
 
@@ -102,12 +102,13 @@ def _closed_form(rho, kraus) -> np.ndarray:
     return 0.5 * (a @ m + m @ a)
 
 
-def _pair_closed_form(rho, ch: KrausChannel) -> np.ndarray:
-    """The read-only closed-form matrix of one (state, channel) pair, after checking the state.
+def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
+    """PDM of a state evolving through a channel: (1/2){rho (x) I, M_channel}.
 
-    The channel keeps the last matrix it gave, keyed by the shape and bytes of
-    the state cast to complex, so ``check_bound`` after ``pdm_closed_form`` on
-    the same pair neither checks the state again nor rebuilds the matrix.  A
+    Valid for the projective measurement scheme that projects each observable
+    onto its +/-lambda eigenspaces at both times.  The channel keeps the last
+    ``Pdm`` it gave, keyed by the shape and bytes of the state cast to complex:
+    a repeat call on the same pair returns that ``Pdm``, checked once.  A
     state changed in place has a new key; a failed check stores nothing.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -119,19 +120,9 @@ def _pair_closed_form(rho, ch: KrausChannel) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
         )
-    r = _closed_form(rho, ch.kraus)
-    r.flags.writeable = False
+    r = Pdm(_closed_form(rho, ch.kraus), (ch.in_dim, ch.out_dim))
     ch._closed_form_memo = (key, r)
     return r
-
-
-def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
-    """PDM of a state evolving through a channel: (1/2){rho (x) I, M_channel}.
-
-    Valid for the projective measurement scheme that projects each observable
-    onto its +/-lambda eigenspaces at both times.
-    """
-    return Pdm(_pair_closed_form(rho, ch), (ch.in_dim, ch.out_dim))
 
 
 def _check_int(x, name: str, low: int | None = None, error=ValueError) -> int:
@@ -371,18 +362,13 @@ def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
 
 
 def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
-    """Analytic table entry(a, b) = Tr[R (A (x) B)] over the full basis grid."""
+    """Analytic table entry(a, b) = Re Tr[R (A (x) B)] over the full basis grid: the correlators of
+    R's Hermitian part (R + R^dag)/2, the matrix that ``r.eig`` diagonalises."""
     b1, b2 = _resolve_bases(basis, r.dims)
     if b1.dim != r.dims[0] or b2.dim != r.dims[1]:
         raise DimensionMismatch("basis dimensions do not match the PDM factors")
-    values = _overlaps(r.mat, b1.matrices, b2.matrices)
-    bad = np.argwhere(np.abs(values.imag) > 1e-10)
-    if len(bad):
-        k, l = bad[0]
-        raise ValueError(
-            f"correlator ({b1.labels[k]},{b2.labels[l]}) has imaginary part {values[k, l].imag:.3e}"
-        )
-    return CorrelatorTable._from_arrays(b1, b2, np.ascontiguousarray(values.real))
+    values = _overlaps(r.mat, b1.matrices, b2.matrices).real
+    return CorrelatorTable._from_arrays(b1, b2, np.ascontiguousarray(values))
 
 
 def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
@@ -500,9 +486,9 @@ class Witness:
     bipartite quantum state.
 
     ``coefficients`` is the ``(n1, n2)`` array of the ``a_kl`` of
-    ``mat = sum a_kl A_k (x) B_l`` in basis-label order (read-only), computed
-    from ``mat``, and ``coeffs`` its ``{(label1, label2): a_kl}`` view, built
-    on first access and the same dict on every later one.
+    ``mat = sum a_kl A_k (x) B_l`` in basis-label order (read-only), and
+    ``coeffs`` its ``{(label1, label2): a_kl}`` view; each is computed from
+    ``mat`` on first access and is the same object on every later one.
     """
 
     def __init__(self, mat, basis1: ObservableBasis, basis2: ObservableBasis):
@@ -510,26 +496,24 @@ class Witness:
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -NEGATIVITY_ATOL:
             raise ValueError(f"witness must be positive semidefinite, min eigenvalue {lo:.3e}")
-        self._init(mat, basis1, basis2)
-
-    def _init(self, mat, basis1, basis2):
         if mat.shape[0] != basis1.dim * basis2.dim:
             raise DimensionMismatch(f"witness of dim {mat.shape[0]} does not match bases of dims "
                                     f"{basis1.dim}x{basis2.dim}")
-        coefficients = np.ascontiguousarray(_pair_coefficients(mat, basis1, basis2))
-        coefficients.flags.writeable = False
-        self.mat = mat
-        self.coefficients = coefficients
-        self.basis1 = basis1
-        self.basis2 = basis2
+        self.mat, self.basis1, self.basis2 = mat, basis1, basis2
 
     @classmethod
     def _projector(cls, mat, basis1: ObservableBasis, basis2: ObservableBasis) -> "Witness":
-        """The witness of a projector built from orthonormal eigenvectors, positive semidefinite by
-        construction, so with no ``eigvalsh`` check."""
+        """The witness of a projector onto a checked ``Pdm``'s eigenvectors, over bases of its dims:
+        Hermitian, positive semidefinite and of the bases' size by construction, so stored unchecked."""
         w = cls.__new__(cls)
-        w._init(check_hermitian(mat, atol=WITNESS_ATOL), basis1, basis2)
+        w.mat, w.basis1, w.basis2 = mat, basis1, basis2
         return w
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        coefficients = np.ascontiguousarray(_pair_coefficients(self.mat, self.basis1, self.basis2))
+        coefficients.flags.writeable = False
+        return coefficients
 
     @cached_property
     def coeffs(self) -> dict:
@@ -629,11 +613,9 @@ def _bound_check(t1, d: int) -> BoundCheck:
 
 
 def check_bound(rho, ch: KrausChannel) -> BoundCheck:
-    """Check T_1(R(rho, ch)) against the bound of ``_bound_check``.
-
-    No ``Pdm`` or eigenvector is built: T_1 is the closed form of ``_t_p`` at
-    p = 1 over the spectrum of ``_spectra``, which checks R as a ``Pdm`` would.
-    """
+    """Check T_1(R(rho, ch)) against the bound of ``_bound_check``, from the spectrum of the pair's
+    ``Pdm`` (the channel's memo entry): after ``pdm_closed_form`` and ``si_measure`` on the same
+    pair, nothing is checked or diagonalised again."""
     if ch.in_dim != ch.out_dim:
         raise DimensionMismatch("the SI bound is stated for equal input and output dimensions")
-    return _bound_check(float(_t1_closed_form(_spectra(_pair_closed_form(rho, ch)))), ch.in_dim)
+    return _bound_check(float(_t1_closed_form(pdm_closed_form(rho, ch).eig.eigenvalues)), ch.in_dim)

@@ -35,7 +35,7 @@ import numpy as np
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
 from .observables import LightTouchObservable
-from .pdm import CorrelatorTable, _check_int, _overlaps, _pair_closed_form, _resolve_bases
+from .pdm import CorrelatorTable, _check_int, _overlaps, _resolve_bases, pdm_closed_form
 
 GENERATOR_ID = "numpy-pcg64-binomial"
 DEAD_BRANCH_PROB = 1e-14
@@ -82,12 +82,12 @@ def _agree_probabilities(rho, ch: KrausChannel, mats1, mats2, lam12) -> np.ndarr
     """``(n1, n2)`` P_agree of every (A_i at t1, B_j at t2) pair of two observable stacks
     ``(n, d, d)``, with ``lam12`` the ``(n1, n2)`` products of their ``lam``s.
 
-    ``P_agree = 1/2 + Tr[R (A_i (x) B_j)] / (2 lam1 lam2)`` from the checked
-    pair's closed form R, clipped to [0, 1] (numpy's binomial raises on a
+    ``P_agree = 1/2 + Tr[R (A_i (x) B_j)] / (2 lam1 lam2)`` from the pair's
+    ``pdm_closed_form`` R, clipped to [0, 1] (numpy's binomial raises on a
     value 1 ulp outside); a value within DEAD_BRANCH_PROB of 0 or 1 is
     exactly 0 or 1.
     """
-    r = _pair_closed_form(rho, ch)
+    r = pdm_closed_form(rho, ch).mat
     if mats1.shape[-1] != ch.in_dim or mats2.shape[-1] != ch.out_dim:
         raise DimensionMismatch("observable dimensions do not match the channel")
     p_agree = np.clip(0.5 + 0.5 * (_overlaps(r, mats1, mats2).real / lam12), 0.0, 1.0)

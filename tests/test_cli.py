@@ -11,9 +11,10 @@ import pytest
 import pdmsi.cli
 import pdmsi.pdm
 from pdmsi import random as prandom
-from pdmsi.channels import _kraus_stack
+from pdmsi.channels import _kraus_stack, identity_channel
 from pdmsi.cli import MAX_DIM, MAX_GRID, MAX_SHOTS, MAX_TRIALS_SCALE, SWEEPS, main, parse_state, run_sweep
-from pdmsi.pdm import check_bound, pdm_closed_form, si_measure
+from pdmsi.pdm import check_bound, pdm_closed_form, si_measure, synthesize_witness
+from pdmsi.states import ket, projector
 
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
@@ -49,6 +50,20 @@ class TestRun:
         out = json.loads((tmp_path / "out" / "pdm.json").read_text())
         assert abs(out["si"]["value"] - np.sqrt(0.375)) < 1e-9
         assert out["bound"]["bound_ok"] is True
+
+    def test_witness_of_a_state_just_off_hermitian(self, tmp_path):
+        """|++><++| with 9e-11j on every upper off-diagonal entry passes the state check, so its
+        witness runs: R's correlators carry imaginary parts of 1.8e-10, and the table keeps their
+        real parts, the correlators of R's Hermitian part."""
+        exact = np.full((4, 4), 0.25, dtype=complex)
+        outs = []
+        for name, state in (("exact", exact), ("skewed", exact + 9e-11j * np.triu(np.ones((4, 4)), 1))):
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "version": 1, "kind": "witness", "state": _pairs(state), "channel": "identity(4)"})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outs.append(json.loads((tmp_path / name / "witness.json").read_text()))
+        assert abs(outs[1]["expectation"] - outs[0]["expectation"]) < 1e-9
+        assert abs(outs[0]["expectation"] + 1.5) < 1e-9
 
     def test_missing_channel_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {"version": 1, "kind": "pdm", "state": KET0})
@@ -476,9 +491,10 @@ class TestEachQuantityComputedOnce:
         assert counts == Counter({"_spectra": 1})
 
     def test_pdm_builds_and_diagonalises_one_pdm(self, tmp_path, monkeypatch):
-        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "linalg.eig_hermitian")
+        """The bound check's ``pdm_closed_form`` call is a memo hit on the kind's own."""
+        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm._closed_form", "linalg.eig_hermitian")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "pdm_p1.json"), "--out", str(tmp_path)]) == 0
-        assert counts == Counter({"pdm_closed_form": 1, "eig_hermitian": 1})
+        assert counts == Counter({"pdm_closed_form": 2, "_closed_form": 1, "eig_hermitian": 1})
 
     def test_witness_diagonalises_its_pdm_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
@@ -486,10 +502,26 @@ class TestEachQuantityComputedOnce:
         assert counts == Counter({"eig_hermitian": 1})
 
     def test_bound_check_builds_no_pdm_and_no_eigenvectors(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "linalg.eig_hermitian")
+        """After ``pdm_closed_form`` and ``si_measure`` on a pair, ``check_bound`` reads the
+        channel's ``Pdm``: no state or PDM check, no closed form and no eigensolve."""
         ch = prandom.channel(3, 3, env_dim=2, rng=np.random.default_rng(5))
-        assert check_bound(prandom.density_matrix(3, np.random.default_rng(6)), ch).bound_ok
+        rho = prandom.density_matrix(3, np.random.default_rng(6))
+        t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
+        counts = _count_calls(monkeypatch, "states.check_density_matrix", "pdm._check_pdm", "pdm._closed_form",
+                              "pdm._spectra", "linalg.eig_hermitian")
+        res = check_bound(rho, ch)
+        assert res.bound_ok and res.t1 == t1
         assert counts == Counter()
+
+    def test_witness_expectation_makes_no_gram_solve(self, monkeypatch):
+        """A witness's coefficients are computed on first read, which ``expectation`` never does."""
+        counts = _count_calls(monkeypatch, "pdm._pair_coefficients")
+        r = pdm_closed_form(projector(ket(0, 3)), identity_channel(3))
+        w = synthesize_witness(r)
+        assert w.expectation(r) < -0.5
+        assert counts == Counter()
+        assert w.coefficients is w.coefficients and len(w.coeffs) == 81
+        assert counts == Counter({"_pair_coefficients": 1})
 
     def test_lg_diagonalises_only_the_witness_pdm(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "linalg.eig_hermitian")

@@ -1,5 +1,3 @@
-import re
-
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -598,9 +596,9 @@ class TestBound:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_spectrum_only_t1_matches_si_measure(self, d):
-        """The bound's T_1 (from eigvalsh) against si_measure's (from eig_hermitian) on one Pdm:
-        random mixed states through random channels, and pure states through Haar unitaries,
-        which saturate the bound."""
+        """The bound's T_1 (from the pair's ``Pdm.eig``) against si_measure's on that Pdm and against
+        the stacked spectrum route (``_si_values``, eigvalsh): random mixed states through random
+        channels, and pure states through Haar unitaries, which saturate the bound."""
         rng = np.random.default_rng(70 + d)
         pairs = [(prandom.density_matrix(d, rng), prandom.channel(d, d, env_dim=1 + k % 4, rng=rng))
                  for k in range(40)]
@@ -609,7 +607,7 @@ class TestBound:
         for k, (rho, ch) in enumerate(pairs):
             res = check_bound(rho, ch)
             t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-            assert abs(res.t1 - t1) <= 1e-12
+            assert res.t1 == t1 and abs(t1 - float(_si_values(_closed_form(rho, ch.kraus)))) <= 1e-12
             assert res.bound_ok == (t1 <= d - 1 + 1e-9) and res.bound_ok
             if k >= 40:
                 assert abs(res.t1 - (d - 1)) <= 1e-9
@@ -634,8 +632,8 @@ class TestBound:
 
 
 class TestClosedFormMemo:
-    """The one closed-form entry a channel keeps: ``check_bound`` after ``pdm_closed_form`` on the
-    same (state, channel) pair checks the state once, and any other state is checked afresh."""
+    """The one ``Pdm`` a channel keeps: ``check_bound`` after ``pdm_closed_form`` on the same
+    (state, channel) pair checks the state once, and any other state is checked afresh."""
 
     @staticmethod
     def count_checks(monkeypatch):
@@ -698,12 +696,12 @@ class TestClosedFormMemo:
     def test_memo_is_read_only(self):
         ch = dephasing_channel(2)
         r = pdm_closed_form(plus_state(), ch)
-        key, mat = ch._closed_form_memo
+        key, memo = ch._closed_form_memo
         assert key == ((2, 2), plus_state().tobytes())
-        assert np.array_equal(mat, R_PLUS_DEPHASE)
+        assert memo is r and pdm_closed_form(plus_state(), ch) is r
         with pytest.raises(ValueError, match="read-only"):
-            mat[0, 0] = 0.0
-        assert np.array_equal(r.mat, R_PLUS_DEPHASE)
+            r.mat[0, 0] = 0.0
+        assert np.array_equal(pdm_closed_form(plus_state(), ch).mat, R_PLUS_DEPHASE)
 
     def test_list_and_real_states_match_the_complex_array(self, monkeypatch):
         calls = self.count_checks(monkeypatch)
@@ -1018,15 +1016,18 @@ class TestBasisKernels:
         assert np.max(np.abs(loop_expand(by_label, b1, b2) - mat)) <= 1e-10
 
     @KERNEL_SETTINGS
-    @given(pair=st.sampled_from(PAULI_PAIRS), seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_imaginary_correlator_names_pair(self, pair, seed, data):
-        b1, b2, mat = bases_and_matrix(pair, seed)
-        a = data.draw(st.sampled_from(b1.labels))
-        b = data.draw(st.sampled_from(b2.labels))
-        r = Pdm(mat, (b1.dim, b2.dim))
-        r.mat = mat + 1e-6j * kron(b1.matrix(a), b2.matrix(b))
-        with pytest.raises(ValueError, match=re.escape(f"correlator ({a},{b})")):
-            exact_correlators(r, (b1, b2))
+    @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.01, 0.99))
+    def test_correlators_are_those_of_the_hermitian_part(self, pair, seed, frac):
+        """A matrix ``frac * PDM_ATOL`` from Hermitian passes ``Pdm``; its correlators are those of
+        its Hermitian part, the matrix that ``Pdm.eig`` diagonalises."""
+        b1, b2, h = bases_and_matrix(pair, seed)
+        rng = np.random.default_rng(seed + 1)
+        g = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        a = (g - g.conj().T) / 2.0
+        m = h + a * (frac * PDM_ATOL / np.max(np.abs(2.0 * a)))
+        got = exact_correlators(Pdm(m, (b1.dim, b2.dim)), (b1, b2)).values
+        want = exact_correlators(Pdm((m + m.conj().T) / 2.0, (b1.dim, b2.dim)), (b1, b2)).values
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 # The array-backed table and witness against the label-keyed dict code they
