@@ -40,8 +40,7 @@ from .observables import PAULI_1Q, ObservableBasis
 from .pdm import (
     WITNESS_POLICIES,
     _bound_check,
-    _closed_form,
-    _spectra,
+    _PdmStack,
     _t_p,
     check_bound,
     evaluate_witness,
@@ -53,7 +52,6 @@ from .pdm import (
 from .sampling import sample_table, table_metadata
 from .serialize import dump_json, write_atomic
 from .states import check_density_matrix
-from .verify import SUITES, run_suites
 
 CONFIG_VERSION = 1
 
@@ -414,9 +412,9 @@ def run_sweep(cfg: dict):
         if chs[0].in_dim != d:
             raise ScenarioError("channel", f"{name} acts on dimension {chs[0].in_dim}, "
                                            f"the state has dimension {d}")
-        lam = _spectra(_closed_form(state, _kraus_stack(chs)))
-        ok = _bound_check(_t_p(lam, 1.0)[0], d).bound_ok
-        fields += chain.from_iterable(zip(chunk, _t_p(lam, p)[0].tolist(), lam[:, 0].tolist(),
+        s = _PdmStack.closed_form(state, _kraus_stack(chs))
+        ok = _bound_check(s.t_p(1.0), d).bound_ok
+        fields += chain.from_iterable(zip(chunk, s.t_p(p).tolist(), s.spectra[:, 0].tolist(),
                                           map(("false", "true").__getitem__, ok)))
     # One template, filled by one % (as CorrelatorTable.to_csv); the parameter names in SWEEPS hold no %.
     row = f"{parameter},%.17g,%.17g,%.17g,%s\n"
@@ -425,6 +423,8 @@ def run_sweep(cfg: dict):
 
 
 def run_verify(cfg: dict):
+    from .verify import SUITES, run_suites  # imported here: no other command loads verify or random
+
     suite = _choice(cfg.get("suite", "all"), "suite", ["all", *SUITES])
     scale = _number(cfg.get("trials_scale", 1.0), "trials_scale", 0, strict=True, high=MAX_TRIALS_SCALE)
     seed = None if cfg.get("seed") is None else _int(cfg["seed"], "seed", 0)
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_verify = sub.add_parser("verify", help="run randomized property suites")
-    p_verify.add_argument("suite", nargs="?", default="all", choices=["all", *SUITES])
+    p_verify.add_argument("suite", nargs="?", default="all")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--trials-scale", type=float, default=1.0)
 

@@ -16,7 +16,7 @@ from .channels import KrausChannel, _apply, _compose
 from .exceptions import DimensionMismatch
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
-from .pdm import Pdm, Witness, _check_int, _closed_form, _si_values, synthesize_witness
+from .pdm import Witness, _check_int, _closed_form, _PdmStack, synthesize_witness
 from .sampling import sample_two_time
 from .states import check_density_matrix
 
@@ -177,11 +177,12 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
     max_k = max(res.k for res in results)
 
-    values = _si_values(pdms[0])
+    leg1 = _PdmStack(pdms[0], (ch.in_dim, ch.in_dim))
+    values = leg1.t_p(1.0)
     best = int(np.argmax(values))
     best_negativity = float(values[best])
     si_detected = best_negativity > SI_DETECT_ATOL
-    witness = synthesize_witness(Pdm(pdms[0][best], (ch.in_dim, ch.in_dim))) if si_detected else None
+    witness = synthesize_witness(leg1[best]) if si_detected else None
     return LgVsSi(
         lg_violated=bool(max_k > 1.0 + LG_SLACK),
         max_k=float(max_k),

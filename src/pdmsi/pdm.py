@@ -54,13 +54,7 @@ class Pdm:
     """
 
     def __init__(self, mat, dims: tuple[int, int]):
-        mat = np.array(_check_pdm(mat))
-        d1, d2 = (_check_int(d, "dims", 1) for d in dims)
-        if mat.shape[0] != d1 * d2:
-            raise DimensionMismatch(f"matrix of dim {mat.shape[0]} does not factor as {d1}x{d2}")
-        mat.flags.writeable = False
-        self.mat = mat
-        self.dims = (d1, d2)
+        self.mat, self.dims = _check_pdm(mat, dims)
 
     @cached_property
     def eig(self) -> EigenDecomposition:
@@ -70,6 +64,13 @@ class Pdm:
         eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
         return eig
 
+    @classmethod
+    def _member(cls, mat: np.ndarray, dims: tuple[int, int]) -> "Pdm":
+        """A member of a checked ``_PdmStack``, stored unchecked (as ``Witness._projector``)."""
+        r = cls.__new__(cls)
+        r.mat, r.dims = mat, dims
+        return r
+
     def min_eigenvalue(self) -> float:
         return float(self.eig.eigenvalues[0])
 
@@ -77,21 +78,20 @@ class Pdm:
         return f"Pdm(dims={self.dims}, min_eig={self.min_eigenvalue():.4g})"
 
 
-def _check_pdm(m, stacked: bool = False) -> np.ndarray:
-    """``m`` as a complex matrix, or ``(..., n, n)`` stack when ``stacked``, raising unless each is
-    a PDM: finite, Hermitian and of unit trace, each within PDM_ATOL."""
-    m = check_hermitian(m, atol=PDM_ATOL, stacked=stacked)
+def _check_pdm(m, dims, stacked: bool = False) -> tuple[np.ndarray, tuple[int, int]]:
+    """A read-only complex copy of ``m``, one matrix or an ``(..., n, n)`` stack when ``stacked``, and
+    ``dims`` as ints, raising unless each matrix is a PDM over ``dims``: finite, Hermitian and of unit
+    trace, each within PDM_ATOL, and of dim d1 * d2."""
+    m = np.array(check_hermitian(m, atol=PDM_ATOL, stacked=stacked))
     tr = np.trace(m, axis1=-2, axis2=-1).real
     ok = np.abs(tr - 1.0) <= PDM_ATOL
     if not ok.all():
         raise ValueError(f"PDM must have unit trace, got {float(tr[~ok][0])!r}")
-    return m
-
-
-def _spectra(mats) -> np.ndarray:
-    """Ascending spectra ``(..., n)`` of a checked PDM stack ``(..., n, n)``: the route for stacks
-    (the sweep, ``lg_vs_si``, ``verify``); a single pair reads its ``Pdm.eig``."""
-    return np.linalg.eigvalsh(_check_pdm(mats, stacked=True))
+    d1, d2 = (_check_int(d, "dims", 1) for d in dims)
+    if m.shape[-1] != d1 * d2:
+        raise DimensionMismatch(f"matrix of dim {m.shape[-1]} does not factor as {d1}x{d2}")
+    m.flags.writeable = False
+    return m, (d1, d2)
 
 
 def _closed_form(rho, kraus) -> np.ndarray:
@@ -100,6 +100,37 @@ def _closed_form(rho, kraus) -> np.ndarray:
     m = _jamiolkowski(kraus)
     a = kron(rho, np.eye(np.shape(kraus)[-2]))
     return 0.5 * (a @ m + m @ a)
+
+
+class _PdmStack:
+    """Read-only ``(..., n, n)`` stack of PDMs over ``dims``, checked once when built: the route for
+    stacks (the sweep, ``lg_vs_si``, ``verify``), as ``Pdm`` is for one pair.
+
+    ``mats`` is a read-only copy of the stack given, ``spectra`` its ascending
+    ``eigvalsh`` spectra ``(..., n)``, computed on first access, and
+    ``stack[k]`` member ``k`` as a ``Pdm`` over a view of ``mats``, not checked again.
+    """
+
+    def __init__(self, mats, dims: tuple[int, int]):
+        self.mats, self.dims = _check_pdm(mats, dims, stacked=True)
+
+    @classmethod
+    def closed_form(cls, rho, kraus) -> "_PdmStack":
+        """The stack of ``_closed_form(rho, kraus)``, over the dims its shapes give."""
+        return cls(_closed_form(rho, kraus), (np.shape(rho)[-1], np.shape(kraus)[-2]))
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        lam = np.linalg.eigvalsh(self.mats)
+        lam.flags.writeable = False
+        return lam
+
+    def t_p(self, p: float) -> np.ndarray:
+        """T_p of every member, from its spectrum alone."""
+        return _t_p(self.spectra, p)[0]
+
+    def __getitem__(self, k) -> Pdm:
+        return Pdm._member(self.mats[k], self.dims)
 
 
 def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
@@ -349,16 +380,23 @@ def _factored_gram_solve(overlaps: np.ndarray, basis1: ObservableBasis,
     return basis1.gram_inv @ overlaps @ basis2.gram_inv.T
 
 
+def _resolve_basis(basis) -> ObservableBasis:
+    if isinstance(basis, str):
+        return ObservableBasis.from_descriptor(basis)
+    if isinstance(basis, ObservableBasis):
+        return basis
+    raise TypeError(f"basis must be a descriptor, an ObservableBasis or a pair of them, got {basis!r}")
+
+
 def _resolve_bases(basis, dims) -> tuple[ObservableBasis, ObservableBasis]:
+    """The bases of both factors: each factor's default for None, a pair read member by member, and
+    one descriptor or ``ObservableBasis`` for both; TypeError naming ``basis`` otherwise."""
     if basis is None:
         return (ObservableBasis.default_for_dim(dims[0]), ObservableBasis.default_for_dim(dims[1]))
-    if isinstance(basis, str):
-        b = ObservableBasis.from_descriptor(basis)
-        return (b, b)
-    if isinstance(basis, ObservableBasis):
-        return (basis, basis)
-    b1, b2 = basis
-    return (b1, b2)
+    if isinstance(basis, (tuple, list)) and len(basis) == 2:
+        return (_resolve_basis(basis[0]), _resolve_basis(basis[1]))
+    b = _resolve_basis(basis)
+    return (b, b)
 
 
 def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
@@ -419,11 +457,6 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
         top = np.max(gap, axis=-1)
         value = top * np.linalg.norm(gap / np.where(top > 0, top, 1.0)[..., None], ord=p, axis=-1)
     return np.where((lam < -NEGATIVITY_ATOL).any(axis=-1), np.maximum(value, 0.0), 0.0), q
-
-
-def _si_values(mats, p: float = 1.0) -> np.ndarray:
-    """T_p of every PDM in a stack ``(..., n, n)``, from its spectrum alone."""
-    return _t_p(_spectra(mats), p)[0]
 
 
 def _t1_simplex_lps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .channels import identity_channel, unitary_channel
 from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, _lg_pdms, lg_operator
 from .linalg import kron
 from .observables import PAULI_1Q, ObservableBasis
-from .pdm import NEGATIVITY_ATOL, _bound_check, _closed_form, _si_values, _spectra, _t_p
+from .pdm import NEGATIVITY_ATOL, _bound_check, _closed_form, _PdmStack
 from .sampling import sample_two_time
 from .states import ket, projector
 
@@ -39,10 +39,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _closed_forms(pairs) -> np.ndarray:
-    """PDMs of equally shaped (state, channel) pairs, as one stacked call."""
+def _closed_forms(pairs) -> _PdmStack:
+    """The stack of PDMs of equally shaped (state, channel) pairs, as one stacked call."""
     states, chs = zip(*pairs)
-    return _closed_form(np.array(states), _kraus_stack(chs))
+    return _PdmStack.closed_form(np.array(states), _kraus_stack(chs))
 
 
 def _by_dim(dims, quantity) -> np.ndarray:
@@ -54,7 +54,7 @@ def _by_dim(dims, quantity) -> np.ndarray:
 
 
 def _pair_quantity(pairs, quantity) -> np.ndarray:
-    """``quantity`` of the stacked PDMs of (state, channel) pairs, one stack per dimension."""
+    """``quantity`` of the ``_PdmStack`` of (state, channel) pairs, one stack per dimension."""
     return _by_dim([len(rho) for rho, _ in pairs],
                    lambda at: quantity(_closed_forms([pairs[k] for k in at])))
 
@@ -67,19 +67,20 @@ def _pdm_draw(rng):
     return prandom.unit_trace_hermitian(4, rng)
 
 
-def _pdms(draws) -> np.ndarray:
-    """``(N, 4, 4)`` matrices of ``_pdm_draw`` draws."""
+def _pdms(draws) -> _PdmStack:
+    """The ``(N, 4, 4)`` stack of ``_pdm_draw`` draws."""
     out = np.array([np.zeros((4, 4)) if isinstance(x, tuple) else x for x in draws], dtype=complex)
     pairs = [k for k, x in enumerate(draws) if isinstance(x, tuple)]
-    if pairs:
-        out[pairs] = _closed_forms([draws[k] for k in pairs])
-    return out
+    if pairs:  # raw closed forms: the whole stack is checked once, below
+        states, chs = zip(*(draws[k] for k in pairs))
+        out[pairs] = _closed_form(np.array(states), _kraus_stack(chs))
+    return _PdmStack(out, (2, 2))
 
 
 def _positivity(rng, trials):
-    lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
-    t1 = _t_p(lam, 1.0)[0]
-    on_psd = t1[lam[:, 0] >= -NEGATIVITY_ATOL]
+    s = _pdms([_pdm_draw(rng) for _ in range(trials)])
+    t1 = s.t_p(1.0)
+    on_psd = t1[s.spectra[:, 0] >= -NEGATIVITY_ATOL]
     ok = np.all(t1 >= 0.0) and np.all(on_psd == 0.0)
     return ok, f"max on PSD {np.max(on_psd, initial=0.0):.2e}"
 
@@ -87,9 +88,8 @@ def _positivity(rng, trials):
 def _convexity(rng, trials):
     first, second, w = zip(*[(_pdm_draw(rng), _pdm_draw(rng), rng.random()) for _ in range(trials)])
     r1, r2, w = _pdms(first), _pdms(second), np.array(w)
-    mixed = w[:, None, None] * r1 + (1 - w)[:, None, None] * r2
-    t_mixed, t1, t2 = _si_values(np.stack([mixed, r1, r2]))
-    worst = float(np.max(t_mixed - (w * t1 + (1 - w) * t2)))
+    mixed = _PdmStack(w[:, None, None] * r1.mats + (1 - w)[:, None, None] * r2.mats, (2, 2))
+    worst = float(np.max(mixed.t_p(1.0) - (w * r1.t_p(1.0) + (1 - w) * r2.t_p(1.0))))
     return worst <= 1e-9, f"max gap {worst:.2e}"
 
 
@@ -97,8 +97,8 @@ def _unitary_invariance(rng, trials):
     draws, us, ps = zip(*[(_pdm_draw(rng), prandom.haar_unitary(4, rng), rng.choice([1.0, 2.0]))
                           for _ in range(trials)])
     r, u = _pdms(draws), np.array(us)
-    lam = _spectra(np.stack([r, u @ r @ u.conj().swapaxes(-1, -2)]))
-    drift = [np.abs(t_rotated - t) for t, t_rotated in (_t_p(lam, 1.0)[0], _t_p(lam, 2.0)[0])]
+    rotated = _PdmStack(u @ r.mats @ u.conj().swapaxes(-1, -2), (2, 2))
+    drift = [np.abs(rotated.t_p(p) - r.t_p(p)) for p in (1.0, 2.0)]
     worst = float(np.max(np.where(np.array(ps) == 1.0, *drift)))
     return worst <= 1e-9, f"max drift {worst:.2e}"
 
@@ -106,24 +106,24 @@ def _unitary_invariance(rng, trials):
 def _cptp_monotone(rng, trials):
     draws, maps = zip(*[(_pdm_draw(rng), prandom.channel(4, 4, env_dim=2, rng=rng)) for _ in range(trials)])
     r, k = _pdms(draws), _kraus_stack(maps)
-    t_mapped, t = _si_values(np.stack([_apply(k, r), r]))
-    worst = float(np.max(t_mapped - t))
+    worst = float(np.max(_PdmStack(_apply(k, r.mats), (2, 2)).t_p(1.0) - r.t_p(1.0)))
     return worst <= 1e-9, f"max gain {worst:.2e}"
 
 
 def _closed_vs_lp(rng, trials):
-    lam = _spectra(_pdms([_pdm_draw(rng) for _ in range(trials)]))
+    s = _pdms([_pdm_draw(rng) for _ in range(trials)])
+    lam = s.spectra
     # The LP is the independent route: one block LP over every spectrum with a negative eigenvalue.
     negative = lam[:, 0] < -NEGATIVITY_ATOL
     numeric = np.zeros(len(lam))
     if negative.any():
         numeric[negative] = np.maximum(pdm._t1_simplex_lps(lam[negative])[0], 0.0)
-    worst = float(np.max(np.abs(_t_p(lam, 1.0)[0] - numeric)))
+    worst = float(np.max(np.abs(s.t_p(1.0) - numeric)))
     return worst <= 1e-7, f"max gap {worst:.2e}"
 
 
 def _round_trip(rng, trials):
-    r = _pdms([_pdm_draw(rng) for _ in range(trials)])
+    r = _pdms([_pdm_draw(rng) for _ in range(trials)]).mats
     b = ObservableBasis.default_for_dim(2)
     back = pdm._expand(pdm._factored_gram_solve(pdm._overlaps(r, b.matrices, b.matrices).real, b, b), b, b)
     back = (back + back.conj().swapaxes(-1, -2)) / 2.0
@@ -139,7 +139,7 @@ def _qubit_bound(rng, trials):
             pairs.append((rho, unitary_channel(prandom.haar_unitary(2, rng))))
         else:
             pairs.append((prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=4, rng=rng)))
-    t1 = _si_values(_closed_forms(pairs))
+    t1 = _closed_forms(pairs).t_p(1.0)
     worst, saturated = float(np.max(t1)), bool(np.any(t1 > 0.999))
     return _bound_check(worst, 2).bound_ok and saturated, f"max T_1 {worst:.12f}, saturated: {saturated}"
 
@@ -147,7 +147,7 @@ def _qubit_bound(rng, trials):
 def _witness_soundness(rng, trials):
     witnesses = [pdm.synthesize_witness(pdm.pdm_closed_form(projector(ket(0)), identity_channel(2)))]
     while len(witnesses) < 10:
-        r = pdm.Pdm(_pdms([_pdm_draw(rng)])[0], (2, 2))
+        r = _pdms([_pdm_draw(rng)])[0]
         if r.min_eigenvalue() < -1e-6:
             policy = str(rng.choice(["negative_eigenspace", "most_negative"]))
             witnesses.append(pdm.synthesize_witness(r, policy=policy))
@@ -175,7 +175,7 @@ def _block_vs_spectrum(rng, trials):
     def disagree(at):
         probs, chs = np.array([pairs[k][0] for k in at]), [pairs[k][1] for k in at]
         support, schur = coherence._block_failures(probs, _kraus_stack(chs))
-        lowest = _spectra(_closed_forms([(np.diag(p.astype(complex)), ch) for p, ch in zip(probs, chs)]))[:, 0]
+        lowest = _closed_forms([(np.diag(p.astype(complex)), ch) for p, ch in zip(probs, chs)]).spectra[:, 0]
         return ~(support | schur).any(axis=(-2, -1)) != (lowest >= -coherence.CLASS_ATOL)
 
     disagreements = int(np.sum(_by_dim([len(probs) for probs, _ in pairs], disagree)))
@@ -208,7 +208,7 @@ def _oi_compatible(rng, trials):
         d = int(rng.choice([2, 3]))
         ch = prandom.oi_channel(d, rng)
         pairs.append((prandom.incoherent_state(d, rng), ch))
-    worst = float(np.max(_pair_quantity(pairs, _si_values)))
+    worst = float(np.max(_pair_quantity(pairs, lambda s: s.t_p(1.0))))
     return worst <= SI_DETECT_ATOL, f"max negativity {worst:.2e}"
 
 
@@ -223,7 +223,7 @@ def _coherent_input(rng, trials):
             continue
         adv = coherence.adversarial_coherent_state(a, int(i), int(j), int(k), float(rng.uniform(0.05, 0.95)))
         pairs.append((adv.state, coherence.build_ce_oi_channel(a)))
-    floor = float(np.min(_pair_quantity(pairs, _si_values), initial=np.inf))
+    floor = float(np.min(_pair_quantity(pairs, lambda s: s.t_p(1.0)), initial=np.inf))
     return floor > SI_DETECT_ATOL, f"min negativity {floor:.2e}"
 
 
@@ -267,7 +267,7 @@ def _sampled_correlators(rng, trials):
         pairs.append((rho, ch))
         # Each seeded sample is itself a draw.
         samples.append(sample_two_time(rho, ch, a[t], b[t], 100_000, int(rng.integers(2**32))))
-    exact = np.einsum("nij,nji->n", _closed_forms(pairs), kron(a, b)).real
+    exact = np.einsum("nij,nji->n", _closed_forms(pairs).mats, kron(a, b)).real
     sigma = np.maximum([s.stderr for s in samples], 1e-12)
     pull = np.abs(np.array([s.mean for s in samples]) - exact) / sigma
     return np.all(pull <= 5.0), f"max pull {float(np.max(pull)):.2f}"

@@ -13,6 +13,8 @@ import pdmsi.pdm
 from pdmsi import random as prandom
 from pdmsi.channels import _kraus_stack, identity_channel
 from pdmsi.cli import MAX_DIM, MAX_GRID, MAX_SHOTS, MAX_TRIALS_SCALE, SWEEPS, main, parse_state, run_sweep
+from pdmsi.leggett_garg import lg_vs_si
+from pdmsi.observables import PAULI_1Q
 from pdmsi.pdm import check_bound, pdm_closed_form, si_measure, synthesize_witness
 from pdmsi.states import ket, projector
 
@@ -418,6 +420,31 @@ def test_cli_import_does_not_load_numpy_random():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_verify():
+    # Only `pdmsi verify` and the verify kind load the suites and the random draws they make.
+    src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
+    code = "import sys, pdmsi.cli; print(sorted({'pdmsi.verify', 'pdmsi.random'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_every_traced_module():
+    # The benchmark tracer rebinds names in each of these after `import pdmsi.cli`, and reads them from sys.modules.
+    src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
+    modules = ["linalg", "states", "observables", "channels", "pdm", "sampling", "coherence", "leggett_garg",
+               "serialize"]
+    code = "import sys, pdmsi.cli; print([m for m in sys.argv[1:] if 'pdmsi.' + m not in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_unknown_verify_suite_names_suite(capsys):
+    assert main(["verify", "nope"]) == 2
+    assert "field 'suite': expected one of all, pdm, coherence, lg, got 'nope'" in capsys.readouterr().err
+
+
 def _pairs(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
@@ -469,9 +496,9 @@ class TestStackedSweep:
             "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 10}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
         monkeypatch.setattr(pdmsi.cli, "_sweep_chunk", lambda d: 3)
-        counts = _count_calls(monkeypatch, "pdm._spectra", "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "pdm._check_pdm", "linalg.eig_hermitian")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "chunked")]) == 0
-        assert counts["_spectra"] == 4 and counts["eig_hermitian"] == 0
+        assert counts["_check_pdm"] == 4 and counts["eig_hermitian"] == 0
         one, chunked = ((tmp_path / out / "sweep.csv").read_bytes() for out in ("one", "chunked"))
         assert chunked == one
 
@@ -486,9 +513,9 @@ class TestEachQuantityComputedOnce:
             "version": 1, "kind": "sweep", "state": PLUS, "channel": "amplitude_damping",
             "parameter": "gamma", "grid": {"start": 0.0, "stop": 1.0, "num": 200}})
         counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm.si_measure", "pdm.check_bound",
-                              "pdm._spectra", "linalg.eig_hermitian")
+                              "pdm._check_pdm", "linalg.eig_hermitian")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert counts == Counter({"_spectra": 1})
+        assert counts == Counter({"_check_pdm": 1})
 
     def test_pdm_builds_and_diagonalises_one_pdm(self, tmp_path, monkeypatch):
         """The bound check's ``pdm_closed_form`` call is a memo hit on the kind's own."""
@@ -508,7 +535,7 @@ class TestEachQuantityComputedOnce:
         rho = prandom.density_matrix(3, np.random.default_rng(6))
         t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
         counts = _count_calls(monkeypatch, "states.check_density_matrix", "pdm._check_pdm", "pdm._closed_form",
-                              "pdm._spectra", "linalg.eig_hermitian")
+                              "linalg.eig_hermitian")
         res = check_bound(rho, ch)
         assert res.bound_ok and res.t1 == t1
         assert counts == Counter()
@@ -522,6 +549,14 @@ class TestEachQuantityComputedOnce:
         assert counts == Counter()
         assert w.coefficients is w.coefficients and len(w.coeffs) == 81
         assert counts == Counter({"_pair_coefficients": 1})
+
+    def test_lg_vs_si_checks_its_leg1_stack_once(self, monkeypatch):
+        """The witness PDM is a member of the checked leg-1 stack: no second check."""
+        counts = _count_calls(monkeypatch, "pdm._check_pdm", "linalg.eig_hermitian")
+        summary = lg_vs_si(identity_channel(2), [projector(ket(0)), projector(ket(1)), np.diag([0.3, 0.7])],
+                           q_list=[PAULI_1Q["Z"]])
+        assert summary.si_detected and summary.witness is not None
+        assert counts == Counter({"_check_pdm": 1, "eig_hermitian": 1})
 
     def test_lg_diagonalises_only_the_witness_pdm(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "linalg.eig_hermitian")

@@ -5,6 +5,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdmsi.pdm as pdm_module
 import pdmsi.random as prandom
 from pdmsi.channels import KrausChannel, _kraus_stack, dephasing_channel, identity_channel, unitary_channel
 from pdmsi.exceptions import (
@@ -32,13 +33,11 @@ from pdmsi.pdm import (
     WITNESS_COEFF_ATOL,
     CorrelatorTable,
     Pdm,
-    _closed_form,
     _expand,
     _factored_gram_solve,
     _overlaps,
     _pair_coefficients,
-    _si_values,
-    _spectra,
+    _PdmStack,
     _t1_simplex_lps,
     _t_p,
     Witness,
@@ -279,7 +278,7 @@ class TestCorrelators:
             with pytest.raises(ValueError, match="non-finite"):
                 Pdm(m, (2, 2))
             with pytest.raises(ValueError, match="non-finite"):
-                _spectra(np.diag([bad, 0.0]))
+                _PdmStack(np.diag([bad, 0.0]), (2, 1))
 
 
 class TestSiMeasure:
@@ -597,7 +596,7 @@ class TestBound:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_spectrum_only_t1_matches_si_measure(self, d):
         """The bound's T_1 (from the pair's ``Pdm.eig``) against si_measure's on that Pdm and against
-        the stacked spectrum route (``_si_values``, eigvalsh): random mixed states through random
+        the stacked spectrum route (``_PdmStack.t_p``, eigvalsh): random mixed states through random
         channels, and pure states through Haar unitaries, which saturate the bound."""
         rng = np.random.default_rng(70 + d)
         pairs = [(prandom.density_matrix(d, rng), prandom.channel(d, d, env_dim=1 + k % 4, rng=rng))
@@ -607,7 +606,7 @@ class TestBound:
         for k, (rho, ch) in enumerate(pairs):
             res = check_bound(rho, ch)
             t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-            assert res.t1 == t1 and abs(t1 - float(_si_values(_closed_form(rho, ch.kraus)))) <= 1e-12
+            assert res.t1 == t1 and abs(t1 - float(_PdmStack.closed_form(rho, ch.kraus).t_p(1.0))) <= 1e-12
             assert res.bound_ok == (t1 <= d - 1 + 1e-9) and res.bound_ok
             if k >= 40:
                 assert abs(res.t1 - (d - 1)) <= 1e-9
@@ -730,7 +729,7 @@ class TestStackedKernels:
             (prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=1 + k % 4, rng=rng))
             for k in range(10_000)
         ])
-        stacked = _si_values(_closed_form(np.array(states), _kraus_stack(chs)))
+        stacked = _PdmStack.closed_form(np.array(states), _kraus_stack(chs)).t_p(1.0)
         per_pair = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho, ch in zip(states, chs)]
         assert np.max(np.abs(stacked - per_pair)) <= 1e-12
 
@@ -738,12 +737,12 @@ class TestStackedKernels:
     def test_t_p_stack_matches_items(self, p):
         rng = np.random.default_rng(61)
         mats = np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(50)])
-        stacked = _si_values(mats, p)
+        stacked = _PdmStack(mats, (2, 3)).t_p(p)
         assert np.max(np.abs(stacked - [si_measure(Pdm(m, (2, 3)), p).value for m in mats])) <= 1e-12
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_spectrum_only_t_p_matches_eig_hermitian(self, p):
-        """_si_values (eigvalsh) against _t_p of eig_hermitian's spectrum: random unit-trace
+        """_PdmStack.t_p (eigvalsh) against _t_p of eig_hermitian's spectrum: random unit-trace
         matrices, degenerate spectra, the extremal PDM, and 2->3 closed forms."""
         rng = np.random.default_rng(73)
         degenerate = [np.diag(lam).astype(complex) for lam in
@@ -751,16 +750,17 @@ class TestStackedKernels:
         rotations = [prandom.haar_unitary(4, rng) for _ in degenerate]
         degenerate += [u @ m @ u.conj().T for m, u in zip(degenerate, rotations)]
         stacks = [
-            np.array([prandom.unit_trace_hermitian(4, rng) for _ in range(50)]),
-            np.array(degenerate),
-            _closed_form(np.array([projector(ket(0, 3)), maximally_mixed(3)]), identity_channel(3).kraus),
-            _closed_form(np.array([prandom.density_matrix(2, rng) for _ in range(30)]),
-                         _kraus_stack([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng) for k in range(30)])),
+            _PdmStack(np.array([prandom.unit_trace_hermitian(4, rng) for _ in range(50)]), (2, 2)),
+            _PdmStack(np.array(degenerate), (2, 2)),
+            _PdmStack.closed_form(np.array([projector(ket(0, 3)), maximally_mixed(3)]), identity_channel(3).kraus),
+            _PdmStack.closed_form(np.array([prandom.density_matrix(2, rng) for _ in range(30)]),
+                                  _kraus_stack([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng)
+                                                for k in range(30)])),
         ]
-        for mats in stacks:
-            want = _t_p(eig_hermitian(mats, atol=PDM_ATOL).eigenvalues, p)[0]
-            assert np.max(np.abs(_si_values(mats, p) - want)) <= 1e-12
-        assert stacks[-1].shape == (30, 6, 6)
+        for s in stacks:
+            want = _t_p(eig_hermitian(s.mats, atol=PDM_ATOL).eigenvalues, p)[0]
+            assert np.max(np.abs(s.t_p(p) - want)) <= 1e-12
+        assert stacks[-1].mats.shape == (30, 6, 6) and stacks[-1].dims == (2, 3)
 
     def test_basis_kernels_on_stacks(self):
         rng = np.random.default_rng(67)
@@ -881,6 +881,62 @@ class TestTpHypothesis:
         mixed = Pdm(w * r1.mat + (1 - w) * r2.mat, dims)
         rhs = w * si_measure(r1, p).value + (1 - w) * si_measure(r2, p).value
         assert si_measure(mixed, p).value <= rhs + 1e-9
+
+
+class TestPdmStack:
+    """A stack is checked once when built; a member is read from it with no second check."""
+
+    def test_member_is_a_read_only_view_read_unchecked(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        stack = _PdmStack(np.array([random_pdm(rng, (2, 3)).mat for _ in range(5)]), (2, 3))
+
+        def checked(*args, **kwargs):
+            raise AssertionError("a stack member was checked again")
+
+        monkeypatch.setattr(pdm_module, "_check_pdm", checked)
+        members = [stack[k] for k in range(5)]
+        eigs = [r.eig for r in members]
+        monkeypatch.undo()
+        for k, (r, eig) in enumerate(zip(members, eigs)):
+            assert type(r) is Pdm and r.dims == (2, 3)
+            assert np.shares_memory(r.mat, stack.mats) and not r.mat.flags.writeable
+            want = Pdm(stack.mats[k], (2, 3)).eig
+            assert np.array_equal(eig.eigenvalues, want.eigenvalues)
+            assert np.array_equal(eig.eigenvectors, want.eigenvectors)
+
+    def test_stack_owns_a_read_only_copy_and_caches_its_spectra(self):
+        mats = np.array([np.eye(4) / 4.0, np.diag([1.0, 0.5, -0.5, 0.0])], dtype=complex)
+        stack = _PdmStack(mats, (np.int64(2), 2))
+        mats[0, 0, 0] = 9.0
+        assert stack.mats[0, 0, 0] == 0.25 and not stack.mats.flags.writeable
+        assert stack.dims == (2, 2) and all(type(d) is int for d in stack.dims)
+        assert stack.spectra is stack.spectra and not stack.spectra.flags.writeable
+        assert stack.t_p(1.0).tolist() == [0.0, 1.0]
+
+    def test_dims_must_factor_the_matrices(self):
+        with pytest.raises(DimensionMismatch, match="of dim 4 does not factor as 2x3"):
+            _PdmStack(np.eye(4)[None] / 4, (2, 3))
+        assert _PdmStack.closed_form(maximally_mixed(2), prandom.channel(2, 3, env_dim=2,
+                                     rng=np.random.default_rng(3)).kraus).dims == (2, 3)
+
+    @PROPERTY_SETTINGS
+    @given(dims=st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1),
+           levels=st.lists(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3))
+    def test_t_p_matches_si_measure_of_each_member(self, dims, seed, levels):
+        """Spectra drawn from at most three levels, so most are degenerate, shifted to unit trace;
+        every other member is rotated by a Haar unitary, the rest stay diagonal."""
+        n, rng = dims[0] * dims[1], np.random.default_rng(seed)
+        mats = []
+        for k in range(4):
+            lam = rng.choice(levels, n)
+            m = np.diag(lam - (lam.sum() - 1.0) / n).astype(complex)
+            u = prandom.haar_unitary(n, rng) if k % 2 else np.eye(n)
+            mats.append(u @ m @ u.conj().T)
+        stack = _PdmStack(np.array(mats), dims)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            values = stack.t_p(p)
+            for k in range(4):
+                assert abs(values[k] - si_measure(stack[k], p).value) <= 1e-12
 
 
 # Loop references for the stacked basis kernels: one kron per label pair.

@@ -190,6 +190,26 @@ class TestSampleTable:
         assert abs(table.value("I", "Z") - z_mean) < 0.2
         assert table.shot_counts[("I", "Z")] == 500
 
+    @pytest.mark.parametrize("descriptors", [("pauli:1", "pauli:1"), ("pauli:1", "light_touch:3"),
+                                             ["light_touch:2", "pauli:1"]])
+    def test_descriptor_pair_reads_as_the_pair_of_bases(self, descriptors):
+        bases = tuple(ObservableBasis.from_descriptor(x) for x in descriptors)
+        mixed = (descriptors[0], bases[1])
+        rng = np.random.default_rng(29)
+        rho = prandom.density_matrix(bases[0].dim, rng)
+        ch = prandom.channel(bases[0].dim, bases[1].dim, env_dim=2, rng=rng)
+        want = sample_table(rho, ch, bases, 10, 1)
+        for basis in (descriptors, mixed):
+            assert sample_table(rho, ch, basis, 10, 1).to_csv() == want.to_csv()
+            got = exact_correlators(pdm_closed_form(rho, ch), basis)
+            assert np.array_equal(got.values, exact_correlators(pdm_closed_form(rho, ch), bases).values)
+            assert (got.basis1.descriptor, got.basis2.descriptor) == tuple(descriptors)
+
+    @pytest.mark.parametrize("basis", [3, ("pauli:1", 2), (None, "pauli:1"), ("pauli:1",) * 3])
+    def test_basis_that_is_neither_a_basis_nor_a_pair_names_basis(self, basis):
+        with pytest.raises(TypeError, match="^basis must be"):
+            sample_table(maximally_mixed(2), identity_channel(2), basis, 10, 1)
+
     def test_zero_variance_pair(self):
         table = sample_table(projector(ket(0)), dephasing_channel(2),
                              ObservableBasis.pauli(1), 100, seed=5)

@@ -39,7 +39,7 @@ from pdmsi.pdm import (
     Pdm,
     Witness,
     _bound_check,
-    _si_values,
+    _PdmStack,
     evaluate_witness,
     pdm_closed_form,
     si_measure,
@@ -58,8 +58,8 @@ def accepted(build, error=ValueError) -> bool:
 
 
 def spectrum_route_accepts(defect):
-    """Whether ``_si_values`` takes a stack of two PDMs, the second of which is ``I / 4 + defect``."""
-    return accepted(lambda: _si_values(np.stack([np.eye(4) / 4.0, np.eye(4) / 4.0 + defect])))
+    """Whether ``_PdmStack`` takes a stack of two PDMs, the second of which is ``I / 4 + defect``."""
+    return accepted(lambda: _PdmStack(np.stack([np.eye(4) / 4.0, np.eye(4) / 4.0 + defect]), (2, 2)))
 
 
 def negative_eigenvalue_ignored(e):
