@@ -161,6 +161,12 @@ class ObservableBasis:
             raise ValueError(f"observable basis {descriptor!r} is empty")
         self.descriptor = descriptor
         self.labels = [o.label for o in self.observables]
+        for label in self.labels:  # each must survive a table CSV row and a witness's "label1|label2" key
+            if not isinstance(label, str):
+                raise TypeError(f"observable label {label!r} is not a string")
+            if label != label.strip() or not label.isprintable() or "," in label or "|" in label:
+                raise ValueError(f"observable label {label!r} cannot be written to a table: use printable "
+                                 "text without ',', '|' or surrounding whitespace")
         self.index = {label: k for k, label in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValueError("observable labels must be unique")

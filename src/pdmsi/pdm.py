@@ -43,6 +43,8 @@ MIN_EIGENVALUE_TIE_RTOL = 1e-12
 WITNESS_POLICIES = ("negative_eigenspace", "most_negative")
 
 _CSV_HEADER = "label1,label2,value,shots"
+# The largest shot count a table stores, the int64 maximum 2**63 - 1.
+_SHOTS_MAX = int(np.iinfo(np.int64).max)
 
 
 class Pdm:
@@ -170,61 +172,47 @@ class CorrelatorTable:
     """Two-time expectation values over the label grid of two observable bases.
 
     ``values`` is an ``(n1, n2)`` float array in basis-label order, NaN where
-    a pair was not recorded; ``shots`` is an integer array of the same shape
-    (-1 where a pair has no count) or None.  Both are read-only.  ``entries``
-    and ``shot_counts`` are ``{(label1, label2): ...}`` views of the recorded
-    pairs, built on first access and the same dict on every later one.
+    a pair was not recorded; ``shots`` is an int64 array of the same shape
+    (-1 where a pair has no count) or None.  Both are read-only copies of the
+    arrays given.  ``entries`` is the one label view: ``{(label1, label2): value}``
+    of the recorded pairs in label-grid order, built on first access and the
+    same dict on every later one.
     """
 
-    def __init__(self, basis1: ObservableBasis, basis2: ObservableBasis,
-                 entries: dict, shot_counts: dict | None = None):
-        """Raises TypeError, naming the pair, for a value that is a bool or not a real number and
-        for a shot count that is a bool or not an integer, then as ``_on_grid``."""
-        keys = list(entries)
-        for (a, b), v in entries.items():
-            if isinstance(v, bool) or not isinstance(v, Real):
-                raise TypeError(f"entry ({a},{b}): value {v!r} is not a real number")
-        values, _ = _on_grid(basis1, basis2, [k[0] for k in keys], [k[1] for k in keys],
-                             [float(v) for v in entries.values()], None,
-                             lambda k: f"entry ({keys[k][0]},{keys[k][1]})")
-        shots = None
-        if shot_counts is not None:
-            counted = list(shot_counts)
-            _, shots = _on_grid(basis1, basis2, [k[0] for k in counted], [k[1] for k in counted], None,
-                                [_check_int(n, f"shot count of ({a},{b})") for (a, b), n in shot_counts.items()],
-                                lambda k: f"shot count of ({counted[k][0]},{counted[k][1]})")
-        self._init(basis1, basis2, values, shots)
-
-    def _init(self, basis1, basis2, values, shots):
+    def __init__(self, basis1: ObservableBasis, basis2: ObservableBasis, values, shots=None):
+        """Raises DimensionMismatch unless each array has shape ``(len(basis1), len(basis2))``,
+        TypeError for values that are not real numbers (bool, complex or object dtype) and for shot
+        counts that are not of an integer dtype (bool included), and ValueError, naming the first such
+        pair, for an infinite value and for a count below -1 or above 2**63 - 1."""
+        self.basis1, self.basis2 = basis1, basis2
+        shape = (len(basis1), len(basis2))
+        values = np.array(_grid(values, shape, "values", "iuf"), dtype=float)
+        inf = np.isinf(values)
+        if inf.any():
+            a, b = _label_pairs(basis1, basis2, inf)[0]
+            raise ValueError(f"entry ({a},{b}): value {float(values[inf][0])!r} is not finite")
         values.flags.writeable = False
+        self.values = values
+        self.shots = None
         if shots is not None:
-            shots.flags.writeable = False
-        self.basis1, self.basis2, self.values, self.shots = basis1, basis2, values, shots
-
-    @classmethod
-    def _from_arrays(cls, basis1: ObservableBasis, basis2: ObservableBasis,
-                     values: np.ndarray, shots: np.ndarray | None = None) -> "CorrelatorTable":
-        """A table that takes ownership of checked ``(n1, n2)`` arrays, with no per-pair work."""
-        table = cls.__new__(cls)
-        table._init(basis1, basis2, values, shots)
-        return table
+            shots = _grid(shots, shape, "shots", "iu")
+            # Compared as uint64 when unsigned: numpy 1.x compares uint64 with int64 through float64.
+            unsigned = shots.dtype.kind == "u"
+            bad = shots > np.uint64(_SHOTS_MAX) if unsigned else shots < -1
+            if bad.any():
+                a, b = _label_pairs(basis1, basis2, bad)[0]
+                problem = f"is above {_SHOTS_MAX}" if unsigned else "is below -1"
+                raise ValueError(f"shot count of ({a},{b}): shot count {shots[bad][0]} {problem}")
+            self.shots = np.array(shots, dtype=np.int64)
+            self.shots.flags.writeable = False
 
     @cached_property
     def entries(self) -> dict:
-        return _label_view(self.values, self.basis1, self.basis2, ~np.isnan(self.values))
-
-    @cached_property
-    def shot_counts(self) -> dict | None:
-        if self.shots is None:
-            return None
-        return _label_view(self.shots, self.basis1, self.basis2, self.shots >= 0)
-
-    def value(self, label1: str, label2: str) -> float:
-        return self.entries[(label1, label2)]
+        keep = ~np.isnan(self.values)
+        return dict(zip(_label_pairs(self.basis1, self.basis2, keep), self.values[keep].tolist()))
 
     def missing_pairs(self) -> list[tuple[str, str]]:
-        return [(self.basis1.labels[k], self.basis2.labels[l])
-                for k, l in np.argwhere(np.isnan(self.values)).tolist()]
+        return _label_pairs(self.basis1, self.basis2, np.isnan(self.values))
 
     def to_csv(self) -> str:
         """``label1,label2,value,shots`` and one row per recorded pair in label-grid order: the
@@ -253,10 +241,12 @@ class CorrelatorTable:
         """Parse ``to_csv`` output; blank lines are skipped and cells stripped.
 
         The text is parsed by column: one split into cells, then one ``map``
-        per column.  Raises KeyError for a label outside the bases, and
-        ValueError for a row without four cells, a value or count that does
-        not parse, and, naming the row, a non-finite value, a negative count,
-        a count above 2**63 - 1 or a repeated pair.
+        per column, and the columns are put on the label grid in one ``np.put``
+        each.  A pair not listed is NaN in ``values`` and -1 in ``shots``, and
+        so is a blank count.  Raises KeyError for a label outside the bases,
+        and ValueError for a row without four cells, a value or count that
+        does not parse, and, naming the row, a non-finite value, a negative
+        count, a count above 2**63 - 1 or a repeated pair.
         """
         basis2 = basis1 if basis2 is None else basis2
         rows = list(filter(str.strip, text.strip().splitlines()))
@@ -272,15 +262,39 @@ class CorrelatorTable:
         labels1, labels2 = list(map(str.strip, cells[0::5])), list(map(str.strip, cells[1::5]))
         values = list(map(float, cells[2::5]))  # float() strips the same whitespace str.strip() does
         counts = list(map(str.strip, cells[3::5]))
-        if not any(counts):
-            counts = None
-        elif all(counts):
-            counts = list(map(int, counts))
-        else:
-            counts = [int(n) if n else None for n in counts]
-        values, shots = _on_grid(basis1, basis2, labels1, labels2, values, counts,
-                                 lambda k: f"CSV row {k + 1} ({labels1[k]},{labels2[k]})")
-        return cls._from_arrays(basis1, basis2, values, shots)
+        i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, n)
+        j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, n)
+        unknown = np.flatnonzero((i < 0) | (j < 0))
+        if unknown.size:
+            k = unknown[0]
+            raise KeyError(f"entry ({labels1[k]},{labels2[k]}) not in the declared bases")
+
+        def where(k):
+            return f"CSV row {k + 1} ({labels1[k]},{labels2[k]})"
+
+        shape = (len(basis1), len(basis2))
+        flat = i * shape[1] + j
+        grid = np.full(shape, np.nan)
+        np.put(grid, flat, values)
+        if np.count_nonzero(np.isfinite(grid)) < n:  # a non-finite value or a repeated pair
+            seen = set()
+            for k, (v, cell) in enumerate(zip(values, flat.tolist())):
+                if not math.isfinite(v):
+                    raise ValueError(f"{where(k)}: value {v!r} is not finite")
+                if cell in seen:
+                    raise ValueError(f"{where(k)}: pair listed twice")
+                seen.add(cell)
+        shots = None
+        if any(counts):
+            counts = list(map(int, counts)) if all(counts) else [int(c) if c else None for c in counts]
+            given = list(filter(None, counts))  # filter drops blanks (and zeros)
+            if min(given, default=0) < 0 or max(given, default=0) > _SHOTS_MAX:
+                k = next(k for k, c in enumerate(counts) if c is not None and not 0 <= c <= _SHOTS_MAX)
+                problem = "is negative" if counts[k] < 0 else f"is above {_SHOTS_MAX}"
+                raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
+            shots = np.full(shape, -1)
+            np.put(shots, flat, [-1 if c is None else c for c in counts] if None in counts else counts)
+        return cls(basis1, basis2, grid, shots)
 
     def __repr__(self):
         return (
@@ -289,54 +303,21 @@ class CorrelatorTable:
         )
 
 
-def _label_view(array: np.ndarray, basis1: ObservableBasis, basis2: ObservableBasis, keep=None) -> dict:
-    """``{(label1, label2): value}`` of an ``(n1, n2)`` array in row-major label order, over the
-    cells where ``keep`` holds (all if None)."""
-    pairs = [(a, b) for a in basis1.labels for b in basis2.labels]
-    values = array.ravel().tolist()
-    if keep is None:
-        return dict(zip(pairs, values))
-    return {pair: v for pair, v, k in zip(pairs, values, keep.ravel().tolist()) if k}
+def _grid(array, shape: tuple[int, int], name: str, kinds: str) -> np.ndarray:
+    """``array`` as an ndarray (not copied), raising TypeError unless its dtype kind is one of
+    ``kinds`` and DimensionMismatch unless its shape is ``shape``."""
+    array = np.asarray(array)
+    if array.dtype.kind not in kinds:
+        raise TypeError(f"{name} must be {'real numbers' if 'f' in kinds else 'integers'}, "
+                        f"got dtype {array.dtype}")
+    if array.shape != shape:
+        raise DimensionMismatch(f"{name} of shape {array.shape} do not match the bases' grid {shape}")
+    return array
 
 
-def _on_grid(basis1: ObservableBasis, basis2: ObservableBasis, labels1: list, labels2: list,
-             values: list | None, counts: list | None, where) -> tuple:
-    """``(values, shots)`` ``(n1, n2)`` arrays from per-pair lists, None for a list not given.
-
-    Unlisted pairs are NaN in ``values`` and -1 in ``shots``, and so is a
-    None count.  Raises KeyError for a label outside the bases, and
-    ValueError, naming item ``k`` by ``where(k)``, for a non-finite value, a
-    pair listed twice in ``values`` or a count that is negative or above
-    the int64 maximum, 2**63 - 1.
-    """
-    i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, len(labels1))
-    j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, len(labels2))
-    unknown = np.flatnonzero((i < 0) | (j < 0))
-    if unknown.size:
-        k = unknown[0]
-        raise KeyError(f"entry ({labels1[k]},{labels2[k]}) not in the declared bases")
-    shape, grid, shots = (len(basis1), len(basis2)), None, None
-    flat = i * shape[1] + j
-    if values is not None:
-        grid = np.full(shape, np.nan)
-        np.put(grid, flat, values)
-        if np.count_nonzero(np.isfinite(grid)) < len(values):  # a non-finite value or a repeated pair
-            seen = set()
-            for k, (v, n) in enumerate(zip(values, flat.tolist())):
-                if not math.isfinite(v):
-                    raise ValueError(f"{where(k)}: value {v!r} is not finite")
-                if n in seen:
-                    raise ValueError(f"{where(k)}: pair listed twice")
-                seen.add(n)
-    if counts is not None:
-        given, top = list(filter(None, counts)), np.iinfo(np.int64).max  # filter drops blanks (and zeros)
-        if min(given, default=0) < 0 or max(given, default=0) > top:
-            k = next(k for k, n in enumerate(counts) if n is not None and not 0 <= n <= top)
-            problem = "is negative" if counts[k] < 0 else f"is above {top}"
-            raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
-        shots = np.full(shape, -1)
-        np.put(shots, flat, [-1 if n is None else n for n in counts] if None in counts else counts)
-    return grid, shots
+def _label_pairs(basis1: ObservableBasis, basis2: ObservableBasis, mask: np.ndarray) -> list[tuple[str, str]]:
+    """The ``(label1, label2)`` pairs of the cells where an ``(n1, n2)`` mask holds, in label-grid order."""
+    return [(basis1.labels[k], basis2.labels[l]) for k, l in np.argwhere(mask).tolist()]
 
 
 def _overlaps(m, mats1: np.ndarray, mats2: np.ndarray) -> np.ndarray:
@@ -405,8 +386,7 @@ def exact_correlators(r: Pdm, basis=None) -> CorrelatorTable:
     b1, b2 = _resolve_bases(basis, r.dims)
     if b1.dim != r.dims[0] or b2.dim != r.dims[1]:
         raise DimensionMismatch("basis dimensions do not match the PDM factors")
-    values = _overlaps(r.mat, b1.matrices, b2.matrices).real
-    return CorrelatorTable._from_arrays(b1, b2, np.ascontiguousarray(values))
+    return CorrelatorTable(b1, b2, _overlaps(r.mat, b1.matrices, b2.matrices).real)
 
 
 def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
@@ -519,9 +499,8 @@ class Witness:
     bipartite quantum state.
 
     ``coefficients`` is the ``(n1, n2)`` array of the ``a_kl`` of
-    ``mat = sum a_kl A_k (x) B_l`` in basis-label order (read-only), and
-    ``coeffs`` its ``{(label1, label2): a_kl}`` view; each is computed from
-    ``mat`` on first access and is the same object on every later one.
+    ``mat = sum a_kl A_k (x) B_l`` in basis-label order (read-only), computed
+    from ``mat`` on first access and the same array on every later one.
     """
 
     def __init__(self, mat, basis1: ObservableBasis, basis2: ObservableBasis):
@@ -548,10 +527,6 @@ class Witness:
         coefficients.flags.writeable = False
         return coefficients
 
-    @cached_property
-    def coeffs(self) -> dict:
-        return _label_view(self.coefficients, self.basis1, self.basis2)
-
     def expectation(self, r: Pdm) -> float:
         if r.dims != (self.basis1.dim, self.basis2.dim):
             raise DimensionMismatch(f"PDM of dims {r.dims} does not match bases of dims "
@@ -559,14 +534,17 @@ class Witness:
         return float(np.trace(self.mat @ r.mat).real)
 
     def to_dict(self) -> dict:
+        """The matrix, the ``"label1|label2"``-keyed coefficients sorted by label pair, and the bases."""
+        c = self.coefficients
+        pairs = _label_pairs(self.basis1, self.basis2, np.ones(c.shape, bool))
         return {
             "matrix": self.mat,
-            "coefficients": {f"{a}|{b}": c for (a, b), c in sorted(self.coeffs.items())},
+            "coefficients": {f"{a}|{b}": v for (a, b), v in sorted(zip(pairs, c.ravel().tolist()))},
             "basis": [self.basis1.descriptor, self.basis2.descriptor],
         }
 
     def __repr__(self):
-        return f"Witness(dim={self.mat.shape[0]}, {self.coefficients.size} coefficients)"
+        return f"Witness(dim={self.mat.shape[0]}, {len(self.basis1) * len(self.basis2)} coefficients)"
 
 
 def _pair_coefficients(mat, b1: ObservableBasis, b2: ObservableBasis) -> np.ndarray:
@@ -617,8 +595,7 @@ def evaluate_witness(w: Witness, table: CorrelatorTable) -> float:
     needed = np.abs(c) > WITNESS_COEFF_ATOL
     missing = needed & np.isnan(values)
     if missing.any():
-        raise IncompleteTable([(w.basis1.labels[k], w.basis2.labels[l])
-                               for k, l in np.argwhere(missing).tolist()])
+        raise IncompleteTable(_label_pairs(w.basis1, w.basis2, missing))
     # Summed left to right over Python floats in row-major order, as a label-keyed sum would be.
     return float(sum((c[needed] * values[needed]).tolist()))
 

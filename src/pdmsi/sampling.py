@@ -142,7 +142,7 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
     p_agree = _agree_probabilities(rho, ch, b1.matrices, b2.matrices, lam12)
     agree = np.random.default_rng(seed).binomial(shots, p_agree)
     values = lam12 * ((2 * agree - shots) / shots)
-    return CorrelatorTable._from_arrays(b1, b2, values, np.full(values.shape, shots))
+    return CorrelatorTable(b1, b2, values, np.full(values.shape, shots))
 
 
 def table_metadata(seed: int, shots_per_pair: int, basis_descriptors) -> dict:

@@ -83,6 +83,33 @@ def dict_table_from_csv(text: str, basis1, basis2) -> tuple[dict, dict | None]:
     return entries, shots or None
 
 
+def label_grid(basis1, basis2, cells: dict | None, fill):
+    """The ``(n1, n2)`` array of a label-keyed dict, ``fill`` at each pair it leaves out; None for None."""
+    if cells is None:
+        return None
+    grid = np.full((len(basis1), len(basis2)), fill)
+    for (a, b), v in cells.items():
+        grid[basis1.index[a], basis2.index[b]] = v
+    return grid
+
+
+def dict_table(basis1, basis2, entries: dict, shot_counts: dict | None = None) -> CorrelatorTable:
+    """The table of label-keyed entries and counts, built through the array constructor."""
+    return CorrelatorTable(basis1, basis2, label_grid(basis1, basis2, entries, np.nan),
+                           label_grid(basis1, basis2, shot_counts, -1))
+
+
+def dict_shots_match(table, shot_counts: dict | None) -> bool:
+    """Whether ``table.shots`` holds exactly the label-keyed counts, -1 elsewhere, or both are None."""
+    want = label_grid(table.basis1, table.basis2, shot_counts, -1)
+    return table.shots is None if want is None else table.shots is not None and np.array_equal(table.shots, want)
+
+
+def by_label(array, basis1, basis2) -> dict:
+    """``{(label1, label2): value}`` of every cell of an ``(n1, n2)`` array, in label-grid order."""
+    return dict(zip([(a, b) for a in basis1.labels for b in basis2.labels], array.ravel().tolist()))
+
+
 def dict_missing_pairs(basis1, basis2, entries: dict) -> list:
     return [(a, b) for a in basis1.labels for b in basis2.labels if (a, b) not in entries]
 
@@ -351,12 +378,13 @@ def loop_binomial_table(p_agree, basis1, basis2, shots, seed) -> CorrelatorTable
     """The binomial contract pair by pair: one ``default_rng(seed)``, one scalar binomial per pair in
     row-major order with probability ``p_agree[i, j]``, each value ``lam1*lam2 * ((2k - n) / n)``."""
     rng = np.random.default_rng(seed)
-    entries = {}
-    for i, a in enumerate(basis1.observables):
-        for j, b in enumerate(basis2.observables):
+    values = np.full((len(basis1), len(basis2)), np.nan)
+    for a in basis1.observables:
+        for b in basis2.observables:
+            i, j = basis1.index[a.label], basis2.index[b.label]
             k = int(rng.binomial(shots, p_agree[i, j]))
-            entries[(a.label, b.label)] = a.lam * b.lam * ((2 * k - shots) / shots)
-    return CorrelatorTable(basis1, basis2, entries, {key: shots for key in entries})
+            values[i, j] = a.lam * b.lam * ((2 * k - shots) / shots)
+    return CorrelatorTable(basis1, basis2, values, np.full(values.shape, shots))
 
 
 def products_with_agreements(k: int, shots: int, lam12: float) -> np.ndarray:

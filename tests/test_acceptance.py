@@ -208,9 +208,9 @@ def test_criterion_8_statistical_consistency():
         table = sample_table(rho, ch, basis, 100_000, seed=9000 + scenario)
         for i, a in enumerate(basis.labels):
             for j, b in enumerate(basis.labels):
-                sigma = np.sqrt(max(1.0 - exact.value(a, b) ** 2, 0.0) / 100_000)
+                sigma = np.sqrt(max(1.0 - exact.entries[(a, b)] ** 2, 0.0) / 100_000)
                 tol = 5.0 * sigma + 1e-9
-                assert abs(table.value(a, b) - exact.value(a, b)) <= tol, (a, b)
+                assert abs(table.entries[(a, b)] - exact.entries[(a, b)]) <= tol, (a, b)
 
     r = pdm_closed_form(projector(ket(0)), identity_channel(2))
     big = sample_table(projector(ket(0)), identity_channel(2), basis, 1_000_000, seed=8100)

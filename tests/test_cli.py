@@ -547,7 +547,7 @@ class TestEachQuantityComputedOnce:
         w = synthesize_witness(r)
         assert w.expectation(r) < -0.5
         assert counts == Counter()
-        assert w.coefficients is w.coefficients and len(w.coeffs) == 81
+        assert w.coefficients is w.coefficients and len(w.to_dict()["coefficients"]) == 81
         assert counts == Counter({"_pair_coefficients": 1})
 
     def test_lg_vs_si_checks_its_leg1_stack_once(self, monkeypatch):

@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from pdmsi.cli import main
+from pdmsi.observables import ObservableBasis
+from pdmsi.pdm import CorrelatorTable, pdm_from_correlators
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = GOLDEN / "configs"
@@ -108,6 +110,19 @@ def test_golden_case(name, tmp_path):
             assert got[fname] == text, f"{where} differs"
         else:
             _compare_text(got[fname], text, where)
+
+
+@pytest.mark.parametrize("name, dims", [("simulate", (2, 2)), ("simulate_d2d3", (2, 3)), ("simulate_lt3", (3, 3))])
+def test_golden_simulate_table_reads_back(name, dims):
+    """Each committed ``simulate.csv`` read over the bases its ``simulate.json`` names: writing it
+    back gives the same bytes, every pair holds ``shots_per_pair``, and the PDM is over ``dims``."""
+    meta = json.loads((EXPECTED / name / "simulate.json").read_text())
+    data = (EXPECTED / name / "simulate.csv").read_bytes()
+    b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in meta["basis"])
+    table = CorrelatorTable.from_csv(data.decode(), b1, b2)
+    assert table.to_csv().encode() == data
+    assert (table.shots == meta["shots_per_pair"]).all()
+    assert pdm_from_correlators(table).dims == dims
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,19 @@ class TestObservableBasis:
     def test_completeness_is_scale_free(self, scale):
         basis = ObservableBasis([LightTouchObservable(scale * PAULI_1Q[c], c) for c in "IXYZ"], "scaled")
         assert np.allclose(2 * scale**2 * basis.gram_inv, np.eye(4))
+
+    @pytest.mark.parametrize("label", ["X,1", " Y", "Y ", "A|B", "a\nb", "a\rb", "a\x0bb", "a\u2028b"])
+    def test_rejects_label_a_table_or_witness_cannot_carry(self, label):
+        """A ',' or line break splits a CSV row, surrounding whitespace is stripped on reading, and a
+        '|' lets two label pairs share a ``"label1|label2"`` key (("A|B", "C") and ("A", "B|C"))."""
+        observables = [LightTouchObservable(PAULI_1Q[c], c) for c in "IXZ"]
+        with pytest.raises(ValueError, match=re.escape(f"observable label {label!r} cannot be written")):
+            ObservableBasis(observables + [LightTouchObservable(PAULI_1Q["Y"], label)], "bad")
+
+    def test_rejects_label_that_is_not_a_string(self):
+        observables = [LightTouchObservable(PAULI_1Q[c], c) for c in "IXY"]
+        with pytest.raises(TypeError, match="observable label 3 is not a string"):
+            ObservableBasis(observables + [LightTouchObservable(PAULI_1Q["Z"], 3)], "bad")
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):

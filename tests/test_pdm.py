@@ -16,8 +16,11 @@ from pdmsi.exceptions import (
     NotSpatiallyIncompatible,
 )
 from oracles import (
+    by_label,
     dict_evaluate_witness,
     dict_missing_pairs,
+    dict_shots_match,
+    dict_table,
     dict_table_from_csv,
     dict_table_to_csv,
     dict_witness_coefficients,
@@ -134,14 +137,14 @@ class TestCorrelators:
     def test_plus_dephase_xx_vanishes(self):
         r = pdm_closed_form(plus_state(), dephasing_channel(2))
         table = exact_correlators(r)
-        assert abs(table.value("X", "X")) < 1e-12
-        assert abs(table.value("X", "I") - 1.0) < 1e-12
+        assert abs(table.entries[("X", "X")]) < 1e-12
+        assert abs(table.entries[("X", "I")] - 1.0) < 1e-12
 
     def test_reconstruction_from_sparse_table(self):
         basis = ObservableBasis.pauli(1)
         entries = {(a, b): 0.0 for a in basis.labels for b in basis.labels}
         entries[("I", "I")] = 1.0
-        r = pdm_from_correlators(CorrelatorTable(basis, basis, entries))
+        r = pdm_from_correlators(dict_table(basis, basis, entries))
         assert np.allclose(r.mat, np.eye(4) / 4, atol=1e-12)
 
     def test_reconstruction_of_identity_example(self):
@@ -149,7 +152,7 @@ class TestCorrelators:
         entries = {(a, b): 0.0 for a in basis.labels for b in basis.labels}
         for key in [("I", "I"), ("X", "X"), ("Y", "Y"), ("Z", "Z"), ("I", "Z"), ("Z", "I")]:
             entries[key] = 1.0
-        r = pdm_from_correlators(CorrelatorTable(basis, basis, entries))
+        r = pdm_from_correlators(dict_table(basis, basis, entries))
         assert np.allclose(r.mat, R_BASIS_IDENTITY, atol=1e-12)
 
     def test_round_trip_pauli(self):
@@ -170,7 +173,7 @@ class TestCorrelators:
         basis = ObservableBasis.pauli(1)
         entries = {("I", "I"): 1.0}
         with pytest.raises(IncompleteTable) as err:
-            pdm_from_correlators(CorrelatorTable(basis, basis, entries))
+            pdm_from_correlators(dict_table(basis, basis, entries))
         assert ("X", "X") in err.value.missing
 
     def test_csv_round_trip(self):
@@ -202,17 +205,19 @@ class TestCorrelators:
             CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,I,1,3\nI,X,0.5,{2**63}\n", basis)
         with pytest.raises(ValueError, match=rf"row 1 \(I,X\).*{2**70} is above"):
             CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,{2**70}\nI,I,1,\n", basis)
+        shots = np.zeros((4, 4), dtype=np.uint64)
+        shots[0, 1] = 2**63
         with pytest.raises(ValueError, match=rf"shot count of \(I,X\): shot count {2**63} is above"):
-            CorrelatorTable(basis, basis, {("I", "I"): 1.0, ("I", "X"): 0.5}, {("I", "I"): 2, ("I", "X"): 2**63})
+            CorrelatorTable(basis, basis, np.zeros((4, 4)), shots)
 
     def test_shot_count_at_int64_max_round_trips(self):
         basis, top = ObservableBasis.pauli(1), 2**63 - 1
-        table = CorrelatorTable(basis, basis, {("I", "I"): 1.0, ("I", "X"): 0.5}, {("I", "X"): top})
-        assert table.shot_counts == {("I", "X"): top}
+        table = dict_table(basis, basis, {("I", "I"): 1.0, ("I", "X"): 0.5}, {("I", "X"): top})
+        assert dict_shots_match(table, {("I", "X"): top})
         text = table.to_csv()
         assert text == f"label1,label2,value,shots\nI,I,1,\nI,X,0.5,{top}\n"
         back = CorrelatorTable.from_csv(text, basis)
-        assert back.shot_counts == {("I", "X"): top} and back.to_csv() == text
+        assert dict_shots_match(back, {("I", "X"): top}) and back.to_csv() == text
 
     def test_csv_names_first_row_of_wrong_width(self):
         # 4 + 3 + 5 data cells: a multiple of 4, so only a per-row count finds the short row.
@@ -224,7 +229,7 @@ class TestCorrelators:
         table = exact_correlators(random_pdm(np.random.default_rng(17)))
         shots = np.arange(table.values.size).reshape(table.values.shape)
         shots[0, 1] = -1
-        table = CorrelatorTable._from_arrays(table.basis1, table.basis2, table.values, shots)
+        table = CorrelatorTable(table.basis1, table.basis2, table.values, shots)
         text = table.to_csv()
         lf = CorrelatorTable.from_csv(text, table.basis1)
         crlf = CorrelatorTable.from_csv(text.replace("\n", "\r\n"), table.basis1)
@@ -246,30 +251,77 @@ class TestCorrelators:
         rng = np.random.default_rng(19)
         entries = {(a, b): float(rng.normal()) for a in labels for b in labels if rng.random() < 0.7}
         shots = {key: int(rng.integers(0, 1000)) for key in entries if rng.random() < 0.7}
-        table = CorrelatorTable(basis, basis, entries, shots)
+        table = dict_table(basis, basis, entries, shots)
         text = table.to_csv()
         assert text == dict_table_to_csv(basis, basis, entries, shots)
         back = CorrelatorTable.from_csv(text, basis)
-        assert back.entries == entries and back.shot_counts == shots
+        assert back.entries == entries and dict_shots_match(back, shots)
 
-    @pytest.mark.parametrize("entries, shots, message", [
-        ({("I", "X"): "0.5"}, None, r"entry \(I,X\): value '0.5' is not a real number"),
-        ({("I", "X"): True}, None, r"entry \(I,X\): value True is not a real number"),
-        ({("I", "X"): 0.5j}, None, r"entry \(I,X\): value 0.5j is not a real number"),
-        ({("I", "X"): 0.5}, {("I", "X"): 2.7}, r"shot count of \(I,X\) must be an integer, got 2.7"),
-        ({("I", "X"): 0.5}, {("I", "X"): True}, r"shot count of \(I,X\) must be an integer, got True"),
-        ({("I", "X"): 0.5}, {("I", "X"): "3"}, r"shot count of \(I,X\) must be an integer, got '3'"),
-    ])
-    def test_dict_constructor_rejects_bad_types(self, entries, shots, message):
+    @pytest.mark.parametrize("values, message", [
+        (np.full((4, 4), True), "dtype bool"),
+        (np.full((4, 4), 0.5 + 0j), "dtype complex128"),
+        (np.full((4, 4), 0.5, dtype=object), "dtype object"),
+        (np.full((4, 4), "0.5"), "dtype <U3"),
+    ], ids=["bool", "complex", "object", "str"])
+    def test_constructor_rejects_non_real_values(self, values, message):
+        # Complex is refused before any cast, so no ComplexWarning drops the imaginary part.
         basis = ObservableBasis.pauli(1)
-        with pytest.raises(TypeError, match=message):
-            CorrelatorTable(basis, basis, {("I", "I"): 1.0, **entries}, None if shots is None else {("I", "I"): 2, **shots})
+        with pytest.raises(TypeError, match=f"values must be real numbers, got {message}"):
+            CorrelatorTable(basis, basis, values)
 
-    def test_dict_constructor_takes_numpy_scalars(self):
+    @pytest.mark.parametrize("shots, message", [
+        (np.full((4, 4), 2.0), "dtype float64"),
+        (np.full((4, 4), True), "dtype bool"),
+        (np.full((4, 4), "3"), "dtype <U1"),
+        (np.full((4, 4), 3, dtype=object), "dtype object"),
+    ], ids=["float", "bool", "str", "object"])
+    def test_constructor_rejects_non_integer_shots(self, shots, message):
         basis = ObservableBasis.pauli(1)
-        table = CorrelatorTable(basis, basis, {("I", "I"): np.float32(0.5), ("I", "X"): np.int64(1)},
-                                {("I", "I"): np.int64(7), ("I", "X"): 3})
+        with pytest.raises(TypeError, match=f"shots must be integers, got {message}"):
+            CorrelatorTable(basis, basis, np.zeros((4, 4)), shots)
+
+    def test_constructor_rejects_infinite_value_naming_the_pair(self):
+        basis = ObservableBasis.pauli(1)
+        values = np.full((4, 4), np.nan)
+        values[2, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"^entry \(Y,Z\): value -inf is not finite$"):
+            CorrelatorTable(basis, basis, values)
+        values[2, 3] = 0.5
+        assert CorrelatorTable(basis, basis, values).entries == {("Y", "Z"): 0.5}
+
+    def test_constructor_rejects_count_below_minus_one_naming_the_pair(self):
+        basis = ObservableBasis.pauli(1)
+        shots = np.full((4, 4), -1)
+        assert CorrelatorTable(basis, basis, np.zeros((4, 4)), shots).to_csv().count(",\n") == 16
+        shots[3, 0] = -2
+        with pytest.raises(ValueError, match=r"^shot count of \(Z,I\): shot count -2 is below -1$"):
+            CorrelatorTable(basis, basis, np.zeros((4, 4)), shots)
+
+    @pytest.mark.parametrize("shape, shots_shape", [((4, 3), None), ((3, 4), None), ((16,), None),
+                                                    ((4, 4), (4, 3)), ((4, 4), (1, 4, 4))])
+    def test_constructor_rejects_arrays_off_the_grid(self, shape, shots_shape):
+        basis = ObservableBasis.pauli(1)
+        shots = None if shots_shape is None else np.zeros(shots_shape, dtype=int)
+        with pytest.raises(DimensionMismatch, match=r"of shape .* do not match the bases' grid \(4, 4\)"):
+            CorrelatorTable(basis, basis, np.zeros(shape), shots)
+
+    def test_constructor_copies_any_real_and_integer_dtype(self):
+        basis = ObservableBasis.pauli(1)
+        values = np.full((4, 4), np.nan, dtype=np.float32)
+        values[0, :2] = 0.5, 1
+        shots = np.full((4, 4), -1, dtype=np.int8)
+        shots[0, :2] = 7, 3
+        table = CorrelatorTable(basis, basis, values, shots)
         assert table.to_csv() == "label1,label2,value,shots\nI,I,0.5,7\nI,X,1,3\n"
+        assert table.values.dtype == np.float64 and table.shots.dtype == np.int64
+        assert not table.values.flags.writeable and not table.shots.flags.writeable
+        ints = np.zeros((4, 4), dtype=np.int64)
+        owned = CorrelatorTable(basis, basis, ints, np.zeros((4, 4), dtype=np.uint64))
+        ints[0, 0] = 9
+        assert owned.values[0, 0] == 0.0 and owned.values.dtype == np.float64
+        top = np.zeros((4, 4), dtype=np.uint64)
+        top[1, 1] = 2**63 - 1
+        assert CorrelatorTable(basis, basis, ints, top).shots[1, 1] == 2**63 - 1
 
     def test_non_finite_matrix_is_not_a_pdm(self):
         for bad in (np.nan, np.inf):
@@ -399,10 +451,16 @@ class TestWitness:
         assert np.allclose(w.mat, np.outer(singlet, singlet.conj()), atol=1e-10)
         assert abs(w.expectation(r) + 0.5) < 1e-10
         expected = {("I", "I"): 0.25, ("X", "X"): -0.25, ("Y", "Y"): -0.25, ("Z", "Z"): -0.25}
+        coeffs = by_label(w.coefficients, w.basis1, w.basis2)
         for key, value in expected.items():
-            assert abs(w.coeffs[key] - value) < 1e-10
-        other = sum(abs(v) for k, v in w.coeffs.items() if k not in expected)
+            assert abs(coeffs[key] - value) < 1e-10
+        other = sum(abs(v) for k, v in coeffs.items() if k not in expected)
         assert other < 1e-10
+
+    def test_repr_computes_no_coefficient(self):
+        w = synthesize_witness(pdm_closed_form(projector(ket(0, 4)), identity_channel(4)))
+        assert repr(w) == "Witness(dim=16, 256 coefficients)"
+        assert "coefficients" not in w.__dict__
 
     def test_expectation_checks_factor_dims(self):
         # Same total size, factors swapped: the (2, 3) witness has no meaning on a (3, 2) PDM.
@@ -424,7 +482,7 @@ class TestWitness:
             w = synthesize_witness(r)
             recon = sum(
                 c * kron(w.basis1.matrix(a), w.basis2.matrix(b))
-                for (a, b), c in w.coeffs.items()
+                for (a, b), c in by_label(w.coefficients, w.basis1, w.basis2).items()
             )
             assert np.max(np.abs(recon - w.mat)) < 1e-10
 
@@ -506,7 +564,7 @@ class TestWitness:
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
         w = synthesize_witness(r)
         basis = ObservableBasis.pauli(1)
-        partial = CorrelatorTable(basis, basis, {("I", "I"): 1.0})
+        partial = dict_table(basis, basis, {("I", "I"): 1.0})
         with pytest.raises(IncompleteTable):
             evaluate_witness(w, partial)
 
@@ -529,7 +587,7 @@ class TestWitness:
         w = synthesize_witness(r)
         table = sample_table(projector(ket(0)), identity_channel(2),
                              ObservableBasis.pauli(1), 100_000, seed=71)
-        contributing = [k for k, c in w.coeffs.items() if abs(c) > 1e-12]
+        contributing = [k for k, c in by_label(w.coefficients, w.basis1, w.basis2).items() if abs(c) > 1e-12]
         assert all(table.entries[k] == 1.0 for k in contributing)
         assert abs(evaluate_witness(w, table) + 0.5) < 1e-12
 
@@ -541,7 +599,7 @@ class TestWitness:
         table2 = sample_table(plus_state(), dephasing_channel(2),
                               ObservableBasis.pauli(1), shots, seed=73)
         estimate = evaluate_witness(w2, table2)
-        band = 3.0 * np.sqrt(sum(c**2 for c in w2.coeffs.values()) / shots)
+        band = 3.0 * np.sqrt(sum(c**2 for c in w2.coefficients.ravel().tolist()) / shots)
         assert abs(estimate - exact) <= band + 1e-12
 
     def test_witness_exists_for_qutrit_pdm(self):
@@ -552,7 +610,7 @@ class TestWitness:
         assert w.expectation(r) < -1e-6
         recon = sum(
             c * kron(w.basis1.matrix(a), w.basis2.matrix(b))
-            for (a, b), c in w.coeffs.items()
+            for (a, b), c in by_label(w.coefficients, w.basis1, w.basis2).items()
         )
         assert np.max(np.abs(recon - w.mat)) < 1e-10
         assert abs(evaluate_witness(w, exact_correlators(r)) - w.expectation(r)) < 1e-9
@@ -1068,8 +1126,7 @@ class TestBasisKernels:
         b1, b2, mat = bases_and_matrix(pair, seed)
         coeffs = _pair_coefficients(mat, b1, b2)
         assert coeffs.shape == (len(b1), len(b2))
-        by_label = {(a, b): c for a, row in zip(b1.labels, coeffs.tolist()) for b, c in zip(b2.labels, row)}
-        assert np.max(np.abs(loop_expand(by_label, b1, b2) - mat)) <= 1e-10
+        assert np.max(np.abs(loop_expand(by_label(coeffs, b1, b2), b1, b2) - mat)) <= 1e-10
 
     @KERNEL_SETTINGS
     @given(pair=BASIS_PAIRS, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.01, 0.99))
@@ -1099,7 +1156,7 @@ SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, -1e300, 1.0 / 3.0]
 
 
 def random_table(pair, seed, full, with_shots):
-    """A table from the dict constructor and the dicts it was built from, inserted in random order."""
+    """A table built from the label-keyed dicts, inserted in random order, and those dicts."""
     b1, b2 = (ObservableBasis.from_descriptor(desc) for desc in pair)
     rng = np.random.default_rng(seed)
     pairs = [(a, b) for a in b1.labels for b in b2.labels]
@@ -1109,7 +1166,7 @@ def random_table(pair, seed, full, with_shots):
         special = rng.random() < 0.2
         entries[kept[k]] = float(rng.choice(SPECIAL_VALUES)) if special else float(rng.normal())
     shots = {key: int(rng.integers(0, 10**6)) for key in pairs if rng.random() < 0.8} if with_shots else None
-    return CorrelatorTable(b1, b2, entries, shots), entries, shots
+    return dict_table(b1, b2, entries, shots), entries, shots
 
 
 def messy_csv(text, rng):
@@ -1139,7 +1196,7 @@ class TestArrayTableMatchesDictOracle:
         table, entries, shots = random_table(pair, seed, full, with_shots)
         assert table.to_csv() == dict_table_to_csv(table.basis1, table.basis2, entries, shots)
         assert table.missing_pairs() == dict_missing_pairs(table.basis1, table.basis2, entries)
-        assert table.entries == entries and table.shot_counts == shots
+        assert table.entries == entries and dict_shots_match(table, shots)
         assert table.entries is table.entries
 
     @ORACLE_SETTINGS
@@ -1159,7 +1216,7 @@ class TestArrayTableMatchesDictOracle:
         text = messy_csv(table.to_csv(), np.random.default_rng(seed))
         entries, shots = dict_table_from_csv(text, b1, b2)
         back = CorrelatorTable.from_csv(text, b1, b2)
-        assert back.entries == entries and back.shot_counts == shots
+        assert back.entries == entries and dict_shots_match(back, shots)
         assert back.to_csv() == dict_table_to_csv(b1, b2, entries, shots)
         assert back.missing_pairs() == dict_missing_pairs(b1, b2, entries)
         if back.missing_pairs():
@@ -1204,8 +1261,8 @@ class TestArrayTableMatchesDictOracle:
         mat = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
         coefficients = _pair_coefficients(mat, b1, b2)
         w = Witness(mat, b1, b2)
-        coeffs = dict(zip([(a, b) for a in b1.labels for b in b2.labels], coefficients.ravel().tolist()))
-        assert w.coeffs == coeffs and list(w.coeffs) == list(coeffs)
+        coeffs = by_label(coefficients, b1, b2)
+        assert np.array_equal(w.coefficients, coefficients)
         got_map = w.to_dict()["coefficients"]
         want_map = dict_witness_coefficients(coeffs)
         assert list(got_map.items()) == list(want_map.items())
@@ -1224,15 +1281,15 @@ class TestArrayTableMatchesDictOracle:
         gives the bits of the label-keyed sum, and one of them missing is reported."""
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
         w = synthesize_witness(r)
-        coeffs = dict(w.coeffs)
+        coeffs = by_label(w.coefficients, w.basis1, w.basis2)
         kept = [k for k, c in coeffs.items() if abs(c) > WITNESS_COEFF_ATOL]
         assert kept == [("I", "I"), ("X", "X"), ("Y", "Y"), ("Z", "Z")]
         exact = exact_correlators(r).entries
-        table = CorrelatorTable(w.basis1, w.basis2, {k: exact[k] for k in kept})
+        table = dict_table(w.basis1, w.basis2, {k: exact[k] for k in kept})
         want = dict_evaluate_witness(coeffs, table.entries, WITNESS_COEFF_ATOL)
         assert evaluate_witness(w, table).hex() == want.hex()
         assert abs(want + 0.5) < 1e-12
-        short = CorrelatorTable(w.basis1, w.basis2, {k: exact[k] for k in kept[1:]})
+        short = dict_table(w.basis1, w.basis2, {k: exact[k] for k in kept[1:]})
         with pytest.raises(IncompleteTable) as err:
             evaluate_witness(w, short)
         assert err.value.missing == [("I", "I")]

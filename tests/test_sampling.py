@@ -184,11 +184,11 @@ class TestSampleTable:
         rng = np.random.default_rng(13)
         rho = prandom.density_matrix(2, rng)
         table = sample_table(rho, identity_channel(2), ObservableBasis.pauli(1), 500, seed=3)
-        assert table.value("I", "I") == 1.0
+        assert table.entries[("I", "I")] == 1.0
         z_mean = float(np.trace(rho @ np.diag([1.0, -1.0])).real)
         # single-sided pair: second side scored by its own statistics only
-        assert abs(table.value("I", "Z") - z_mean) < 0.2
-        assert table.shot_counts[("I", "Z")] == 500
+        assert abs(table.entries[("I", "Z")] - z_mean) < 0.2
+        assert table.shots[0, 3] == 500  # (I, Z)
 
     @pytest.mark.parametrize("descriptors", [("pauli:1", "pauli:1"), ("pauli:1", "light_touch:3"),
                                              ["light_touch:2", "pauli:1"]])
@@ -213,7 +213,7 @@ class TestSampleTable:
     def test_zero_variance_pair(self):
         table = sample_table(projector(ket(0)), dephasing_channel(2),
                              ObservableBasis.pauli(1), 100, seed=5)
-        assert table.value("Z", "Z") == 1.0
+        assert table.entries[("Z", "Z")] == 1.0
 
     # The per-shot reference's seeding (tests/oracles.py): ``pair_seed`` and its bulk form.
     def test_pair_seeds_are_order_independent(self):
@@ -486,7 +486,7 @@ class TestAgreeIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert table.values.shape == (256, 256) and table.value("IIII", "IIII") == 1.0
+        assert table.values.shape == (256, 256) and table.entries[("IIII", "IIII")] == 1.0
 
 
 # Fixed in advance: each comparison of the binomial and per-shot agree-counts over SEEDS
@@ -537,11 +537,11 @@ class TestBinomialMatchesPerShot:
             table = sample_table(rho, ch, SCALED, shots, seed=5)
             for label, s in sign.items():
                 lam = SCALED.observable(label).lam
-                assert table.value(label, label) == s * lam * lam
+                assert table.entries[(label, label)] == s * lam * lam
                 out = sample_two_time(rho, ch, SCALED.observable(label), SCALED.observable(label), shots, 5)
                 assert (out.mean, out.stderr) == (s * lam * lam, 0.0)
         # The single-spectrum 2I agrees with a certain +lam of 3Z on |0><0| through the identity.
-        assert sample_table(rho, identity_channel(2), SCALED, shots, seed=6).value("2.0I", "3.0Z") == 6.0
+        assert sample_table(rho, identity_channel(2), SCALED, shots, seed=6).entries[("2.0I", "3.0Z")] == 6.0
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(case=scaled_cases(), seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([1, 2, 3, 64, 1001]),

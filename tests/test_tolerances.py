@@ -82,7 +82,9 @@ def missing_coefficient_ignored(e):
     b = ObservableBasis.pauli(1)
     w = Witness(np.eye(4) / 4.0 + e * np.kron(PAULI_1Q["X"], PAULI_1Q["X"]), b, b)
     assert w.coefficients[1, 1] == pytest.approx(e, rel=1e-6)
-    table = CorrelatorTable(b, b, {(a, c): 0.0 for a in b.labels for c in b.labels if (a, c) != ("X", "X")})
+    values = np.zeros((4, 4))
+    values[1, 1] = np.nan  # (X, X) not recorded
+    table = CorrelatorTable(b, b, values)
     return accepted(lambda: evaluate_witness(w, table), IncompleteTable)
 
 
