@@ -1,6 +1,8 @@
-"""CPTP maps as Kraus-operator lists, with Jamiolkowski and superoperator forms."""
+"""CPTP maps as Kraus-operator lists, entering every kernel as their cached Jamiolkowski matrices."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +19,10 @@ class KrausChannel:
     satisfying ``sum_l K_l^dag K_l = I`` on the input space, entrywise within
     TRACE_PRESERVING_ATOL.  ``kraus`` is a read-only ``(K, out_dim, in_dim)``
     copy of them, made once, and ``kraus_ops`` the tuple of its rows.
+    ``jamiolkowski()`` is the channel inside every kernel: its Jamiolkowski
+    matrix J, computed from the Kraus operators on the first call and kept
+    read-only, so every later call returns the same array.  Past that, only
+    ``__call__`` and ``compose`` compute with the Kraus operators.
     ``_closed_form_memo`` is the one ``(key, Pdm)`` entry that
     ``pdm.pdm_closed_form`` keeps for the last state it checked against this
     channel (None until then), read by every later call on that state.
@@ -41,6 +47,7 @@ class KrausChannel:
         kraus.flags.writeable = False
         self.kraus = kraus
         self.kraus_ops = tuple(kraus)
+        self._jamiolkowski = None
         self._closed_form_memo = None
 
     def __call__(self, m) -> np.ndarray:
@@ -53,39 +60,34 @@ class KrausChannel:
         return _apply(self.kraus, m)
 
     def jamiolkowski(self) -> np.ndarray:
-        """M = sum_ij |i><j| (x) channel(|j><i|); Hermitian with trace in_dim."""
-        return _jamiolkowski(self.kraus)
+        """M[i a, j b] = sum_l K_l[a, j] conj(K_l[b, i]), so block (i, j) is channel(|j><i|):
+        Hermitian with trace in_dim.  Computed on the first call as one product
+        ``vec(K)^T conj(vec(K))`` over the ``(a j)`` flattening of each operator, then a
+        transpose to ``(i, a, j, b)``; read-only, and the same array on every later call."""
+        if self._jamiolkowski is None:
+            n, d = self.out_dim, self.in_dim
+            v = self.kraus.reshape(-1, n * d)
+            m = (v.T @ v.conj()).reshape(n, d, n, d).transpose(3, 0, 1, 2).reshape(d * n, d * n)
+            m.flags.writeable = False
+            self._jamiolkowski = m
+        return self._jamiolkowski
 
     def superoperator(self) -> np.ndarray:
         """sum_l K_l (x) conj(K_l) on row-major vectorized operators: the realigned Jamiolkowski matrix."""
-        return _superoperator(self.kraus)
+        return _superoperator(self.jamiolkowski(), self.in_dim)
 
     def compose(self, inner: "KrausChannel") -> "KrausChannel":
-        """self after inner: (self . inner)(m) = self(inner(m))."""
+        """self after inner: (self . inner)(m) = self(inner(m)), with every product of one Kraus
+        operator from each, outer-major; the one place Kraus operators are multiplied together."""
         if inner.out_dim != self.in_dim:
             raise DimensionMismatch(
                 f"cannot compose: inner produces dim {inner.out_dim}, outer expects {self.in_dim}"
             )
-        return KrausChannel(_compose(self.kraus, inner.kraus))
+        k = self.kraus[:, None] @ inner.kraus[None]
+        return KrausChannel(k.reshape(-1, self.out_dim, inner.in_dim))
 
     def __repr__(self):
         return f"KrausChannel({len(self.kraus_ops)} ops, {self.in_dim}->{self.out_dim})"
-
-
-def _kraus_stack(chs) -> np.ndarray:
-    """``(N, K, out_dim, in_dim)`` Kraus operators of equally shaped channels, padded to
-    the largest count K with zero operators, which change neither channel nor trace."""
-    out = np.zeros((len(chs), max(len(ch.kraus) for ch in chs), *chs[0].kraus.shape[1:]), dtype=complex)
-    for row, ch in zip(out, chs):
-        row[:len(ch.kraus)] = ch.kraus
-    return out
-
-
-def _compose(outer, inner) -> np.ndarray:
-    """Kraus operators of ``outer`` after ``inner`` for stacks ``(..., K_o, d_out, d_mid)`` and
-    ``(..., K_i, d_mid, d_in)``: every product ``a @ b``, outer-major, as ``(..., K_o K_i, d_out, d_in)``."""
-    k = outer[..., :, None, :, :] @ inner[..., None, :, :, :]
-    return k.reshape(*k.shape[:-4], -1, *k.shape[-2:])
 
 
 def _apply(kraus, m) -> np.ndarray:
@@ -93,27 +95,21 @@ def _apply(kraus, m) -> np.ndarray:
     return np.sum(kraus @ np.expand_dims(m, -3) @ kraus.conj().swapaxes(-1, -2), axis=-3)
 
 
-def _jamiolkowski(kraus) -> np.ndarray:
-    """Jamiolkowski matrices of a Kraus stack ``(..., K, out_dim, in_dim)``.
-
-    ``M[i a, j b] = sum_k K_k[a, j] conj(K_k[b, i])``: one matrix product
-    ``vec(K)^T conj(vec(K))`` over the ``(a j)`` flattening of each operator,
-    then a transpose to ``(i, a, j, b)``.
-    """
-    k = np.asarray(kraus, dtype=complex)
-    lead, (n, d) = k.shape[:-3], k.shape[-2:]
-    v = k.reshape(*k.shape[:-2], n * d)
-    g = (v.swapaxes(-1, -2) @ v.conj()).reshape(*lead, n, d, n, d)  # axes (..., a, j, b, i)
-    x = len(lead)
-    return g.transpose(*range(x), x + 3, x, x + 1, x + 2).reshape(*lead, d * n, d * n)
+def _superoperator(m, d_in: int) -> np.ndarray:
+    """Superoperators of Jamiolkowski matrices ``(..., d_in d_out, d_in d_out)``, realigned:
+    ``S[a b, j i] = M[i a, j b]``, so ``vec(ch(rho)) = S vec(rho)`` on row-major vectors."""
+    lead, n = np.shape(m)[:-2], np.shape(m)[-1] // d_in
+    m = np.reshape(m, (*lead, d_in, n, d_in, n))  # axes (..., i, a, j, b)
+    return np.moveaxis(m, (-4, -3, -1), (-1, -4, -3)).reshape(*lead, n * n, d_in * d_in)
 
 
-def _superoperator(kraus) -> np.ndarray:
-    """Superoperators ``sum_l K_l (x) conj(K_l)`` of a Kraus stack ``(..., K, out_dim, in_dim)``:
-    the Jamiolkowski matrices realigned, ``S[a b, j i] = M[i a, j b]``."""
-    lead, (n, d) = np.shape(kraus)[:-3], np.shape(kraus)[-2:]
-    m = _jamiolkowski(kraus).reshape(*lead, d, n, d, n)  # axes (..., i, a, j, b)
-    return np.moveaxis(m, (-4, -3, -1), (-1, -4, -3)).reshape(*lead, n * n, d * d)
+def _from_superoperator(s, d_in: int) -> np.ndarray:
+    """Jamiolkowski matrices of superoperators ``(..., d_out^2, d_in^2)``: ``M[i a, j b] = S[a b, j i]``,
+    the inverse of ``_superoperator``.  The product of two superoperators is the composed channel's,
+    so a composition from Jamiolkowski matrices is one d^2 x d^2 product whatever the Kraus counts."""
+    lead, n = np.shape(s)[:-2], math.isqrt(np.shape(s)[-2])
+    s = np.reshape(s, (*lead, n, n, d_in, d_in))  # axes (..., a, b, j, i)
+    return np.moveaxis(s, (-1, -4, -2), (-4, -3, -2)).reshape(*lead, d_in * n, d_in * n)
 
 
 def identity_channel(d: int = 2) -> KrausChannel:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
-    _kraus_stack,
     amplitude_damping_channel,
     dephasing_channel,
     depolarizing_channel,
@@ -56,7 +55,9 @@ from .states import check_density_matrix
 CONFIG_VERSION = 1
 
 # Size caps, checked before any allocation: a PDM build touches d^4 entries, a sweep one channel per point,
-# and verify's trial counts grow with trials_scale.  A simulation draws one binomial per pair, so its time and
+# an lg run three PDMs per state, and verify's trial counts grow with trials_scale.
+# Every kernel takes a channel as its d_in d_out x d_in d_out Jamiolkowski matrix, so no cost grows with
+# the number of Kraus operators.  A simulation draws one binomial per pair, so its time and
 # memory do not grow with shots; MAX_SHOTS is a plausibility cap on the shots per pair an experiment records,
 # and a larger count is a config error naming `shots`.
 MAX_DIM = 32
@@ -313,9 +314,16 @@ def run_lg(cfg: dict):
     if "states" in cfg and "state" in cfg:
         raise ScenarioError("states", "give either 'state' or 'states', not both")
     if "states" in cfg:
-        if not isinstance(cfg["states"], list) or not cfg["states"]:
+        raw = cfg["states"]
+        if not isinstance(raw, list) or not raw:
             raise ScenarioError("states", "states must be a non-empty list of density matrices")
-        states = [parse_state(s, f"states[{i}]") for i, s in enumerate(cfg["states"])]
+        states = [parse_state(raw[0], "states[0]")]
+        # Each of the three legs stacks one d^4-entry PDM per state: no leg's stack exceeds one d = MAX_DIM PDM.
+        cap = _sweep_chunk(len(states[0]))
+        if len(raw) > cap:
+            raise ScenarioError("states", f"states has {len(raw)} states of dimension {len(states[0])}, "
+                                          f"at most {cap} allowed")
+        states += [parse_state(s, f"states[{i}]") for i, s in enumerate(raw[1:], 1)]
     elif "state" in cfg:
         states = [parse_state(cfg["state"])]
     else:
@@ -412,7 +420,7 @@ def run_sweep(cfg: dict):
         if chs[0].in_dim != d:
             raise ScenarioError("channel", f"{name} acts on dimension {chs[0].in_dim}, "
                                            f"the state has dimension {d}")
-        s = _PdmStack.closed_form(state, _kraus_stack(chs))
+        s = _PdmStack.closed_form(state, np.array([ch.jamiolkowski() for ch in chs]))
         ok = _bound_check(s.t_p(1.0), d).bound_ok
         fields += chain.from_iterable(zip(chunk, s.t_p(p).tolist(), s.spectra[:, 0].tolist(),
                                           map(("false", "true").__getitem__, ok)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _jamiolkowski
+from .channels import KrausChannel
 from .exceptions import DimensionMismatch, NoAsymmetricColumn
 from .linalg import pseudo_inverse
 from .states import ketbra
@@ -172,25 +172,27 @@ def check_probability_vector(probs, d: int) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def _blocks(probs, kraus) -> np.ndarray:
+def _blocks(probs, m) -> np.ndarray:
     """R_ij = ((p_i + p_j)/2) ch(|j><i|) at ``[..., i, j, :, :]``, over stacks of
-    probabilities ``(..., d)`` and Kraus operators ``(..., K, n, d)``."""
-    d, n = probs.shape[-1], np.shape(kraus)[-2]
-    units = _jamiolkowski(kraus).reshape(*np.shape(kraus)[:-3], d, n, d, n).swapaxes(-3, -2)
+    probabilities ``(..., d)`` and Jamiolkowski matrices ``(..., d n, d n)``, whose
+    ``(i, j)`` block is ch(|j><i|)."""
+    d = probs.shape[-1]
+    n = np.shape(m)[-1] // d
+    units = np.reshape(m, (*np.shape(m)[:-2], d, n, d, n)).swapaxes(-3, -2)
     return ((probs[..., :, None] + probs[..., None, :]) / 2.0)[..., None, None] * units
 
 
 def pdm_blocks(probs, ch: KrausChannel) -> BlockDecomposition:
     probs = check_probability_vector(probs, ch.in_dim)
-    blocks = _blocks(probs, ch.kraus)
+    blocks = _blocks(probs, ch.jamiolkowski())
     return BlockDecomposition(probs=probs, blocks={(i, j): blocks[i, j] for i in range(ch.in_dim)
                                                    for j in range(ch.in_dim)})
 
 
-def _block_failures(probs, kraus) -> tuple[np.ndarray, np.ndarray]:
+def _block_failures(probs, m) -> tuple[np.ndarray, np.ndarray]:
     """Which block pairs (i, j), i != j, fail the support and the Schur test within CLASS_ATOL,
-    as ``(..., d, d)``."""
-    r = _blocks(probs, kraus)
+    as ``(..., d, d)``, over the stacks ``_blocks`` takes."""
+    r = _blocks(probs, m)
     d = r.shape[-3]
     diag = r[..., np.arange(d), np.arange(d), :, :]
     a, c = diag[..., :, None, :, :], diag[..., None, :, :, :]
@@ -216,7 +218,7 @@ def block_positivity_test(probs, ch: KrausChannel) -> BlockPositivityResult:
     R_ij lies in the support of R_ii and R_jj - R_ji R_ii^+ R_ij >= 0.
     """
     probs = check_probability_vector(probs, ch.in_dim)
-    support, schur = _block_failures(probs, ch.kraus)
+    support, schur = _block_failures(probs, ch.jamiolkowski())
     failing = np.argwhere(support | schur)
     if not len(failing):
         return BlockPositivityResult(True, None, None)

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _apply, _compose
-from .exceptions import DimensionMismatch
+from .channels import KrausChannel, _from_superoperator, _superoperator
+from .exceptions import DimensionMismatch, ZeroShots
 from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
-from .pdm import Witness, _check_int, _closed_form, _PdmStack, synthesize_witness
-from .sampling import sample_two_time
+from .pdm import Pdm, Witness, _check_int, _closed_form, _PdmStack, synthesize_witness
+from .sampling import _observable, _sample_pair
 from .states import check_density_matrix
 
 LG_SLACK = 1e-9
@@ -63,15 +63,19 @@ class LgResult:
     k: float
 
 
-def _lg_pdms(rho, k12, k23) -> tuple:
-    """The closed-form PDMs behind (C12, C23, C13), over states ``(..., d, d)`` and Kraus stacks ``(..., K, d, d)``.
+def _lg_pdms(rho, m12, m23) -> tuple:
+    """The closed-form PDMs behind (C12, C23, C13), over states ``(..., d, d)`` and the legs'
+    Jamiolkowski matrices ``(..., d^2, d^2)``.
 
-    The state through leg 1, the unmeasured leg-1 output through leg 2, and
-    the state through both legs (whose Kraus operators are the products of one
-    operator from each leg).  None depends on the observable.
+    The state through leg 1, the unmeasured leg-1 output ``S12 vec(rho)`` through
+    leg 2, and the state through both legs, whose Jamiolkowski matrix is the
+    realigned superoperator product ``S23 S12``.  None depends on the observable.
     """
-    rho2 = _apply(k12, rho)
-    return _closed_form(rho, k12), _closed_form(rho2, k23), _closed_form(rho, _compose(k23, k12))
+    d = np.shape(rho)[-1]
+    s12 = _superoperator(m12, d)
+    rho2 = (s12 @ np.reshape(rho, (*np.shape(rho)[:-2], d * d, 1))).reshape(np.shape(rho))
+    m13 = _from_superoperator(_superoperator(m23, d) @ s12, d)
+    return _closed_form(rho, m12), _closed_form(rho2, m23), _closed_form(rho, m13)
 
 
 def _lg_correlators(pdms, q) -> np.ndarray:
@@ -85,20 +89,22 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
 
     Exact by default; with ``shots`` each correlator is Monte Carlo sampled
     through the same measure-evolve-measure procedure as the simulator, from
-    ``seed``, a Python or numpy integer >= 0.
+    ``seed``, a Python or numpy integer >= 0: one binomial draw from each of
+    the three closed forms, so no channel is composed.
     """
     rho, q = scenario.initial, scenario.q
-    if shots is None:
-        c12, c23, c13 = _lg_correlators(_lg_pdms(rho, scenario.ch12.kraus, scenario.ch23.kraus), q).tolist()
-    else:
+    if shots is not None:
         if seed is None:
             raise ValueError("Monte Carlo LG evaluation needs a seed")
         seed = _check_int(seed, "seed", 0)
-        rho2 = scenario.ch12(rho)
-        ch13 = scenario.ch23.compose(scenario.ch12)
-        c12 = sample_two_time(rho, scenario.ch12, q, q, shots, np.random.SeedSequence((seed, 12))).mean
-        c23 = sample_two_time(rho2, scenario.ch23, q, q, shots, np.random.SeedSequence((seed, 23))).mean
-        c13 = sample_two_time(rho, ch13, q, q, shots, np.random.SeedSequence((seed, 13))).mean
+        shots = _check_int(shots, "shots", 1, ZeroShots)
+    pdms = _lg_pdms(rho, scenario.ch12.jamiolkowski(), scenario.ch23.jamiolkowski())
+    if shots is None:
+        c12, c23, c13 = _lg_correlators(pdms, q).tolist()
+    else:
+        obs, dims = _observable(q), (len(q), len(q))
+        c12, c23, c13 = (_sample_pair(Pdm(r, dims), obs, obs, shots, np.random.SeedSequence((seed, leg))).mean
+                         for r, leg in zip(pdms, (12, 23, 13)))
     return LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13)
 
 
@@ -172,12 +178,13 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     for rho in rhos:
         _check_dims(rho.shape[0], ch, second, qs)
     rhos = np.array(rhos)
-    pdms = _lg_pdms(rhos, ch.kraus, second.kraus)
+    pdms = _lg_pdms(rhos, ch.jamiolkowski(), second.jamiolkowski())
     c = np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
     max_k = max(res.k for res in results)
 
     leg1 = _PdmStack(pdms[0], (ch.in_dim, ch.in_dim))
+    del pdms  # three d^4-entry PDMs per state, freed before the eigensolves
     values = leg1.t_p(1.0)
     best = int(np.argmax(values))
     best_negativity = float(values[best])

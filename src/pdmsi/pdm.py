@@ -18,7 +18,7 @@ from numbers import Real
 
 import numpy as np
 
-from .channels import KrausChannel, _jamiolkowski
+from .channels import KrausChannel
 from .exceptions import (
     DimensionMismatch,
     IncompleteTable,
@@ -96,11 +96,10 @@ def _check_pdm(m, dims, stacked: bool = False) -> tuple[np.ndarray, tuple[int, i
     return m, (d1, d2)
 
 
-def _closed_form(rho, kraus) -> np.ndarray:
-    """(1/2){rho (x) I, M} over broadcast stacks of states ``(..., d_in, d_in)``
-    and Kraus operators ``(..., K, d_out, d_in)``, padded with zero operators."""
-    m = _jamiolkowski(kraus)
-    a = kron(rho, np.eye(np.shape(kraus)[-2]))
+def _closed_form(rho, m) -> np.ndarray:
+    """(1/2){rho (x) I, M} over broadcast stacks of states ``(..., d_in, d_in)`` and Jamiolkowski
+    matrices ``(..., d_in d_out, d_in d_out)``, with d_out read from their shapes."""
+    a = kron(rho, np.eye(np.shape(m)[-1] // np.shape(rho)[-1]))
     return 0.5 * (a @ m + m @ a)
 
 
@@ -117,9 +116,10 @@ class _PdmStack:
         self.mats, self.dims = _check_pdm(mats, dims, stacked=True)
 
     @classmethod
-    def closed_form(cls, rho, kraus) -> "_PdmStack":
-        """The stack of ``_closed_form(rho, kraus)``, over the dims its shapes give."""
-        return cls(_closed_form(rho, kraus), (np.shape(rho)[-1], np.shape(kraus)[-2]))
+    def closed_form(cls, rho, m) -> "_PdmStack":
+        """The stack of ``_closed_form(rho, m)``, over the dims its shapes give."""
+        d_in = np.shape(rho)[-1]
+        return cls(_closed_form(rho, m), (d_in, np.shape(m)[-1] // d_in))
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -136,7 +136,8 @@ class _PdmStack:
 
 
 def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
-    """PDM of a state evolving through a channel: (1/2){rho (x) I, M_channel}.
+    """PDM of a state evolving through a channel: (1/2){rho (x) I, M}, with M the channel's cached
+    Jamiolkowski matrix.
 
     Valid for the projective measurement scheme that projects each observable
     onto its +/-lambda eigenspaces at both times.  The channel keeps the last
@@ -153,7 +154,7 @@ def pdm_closed_form(rho, ch: KrausChannel) -> Pdm:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} does not match channel input dim {ch.in_dim}"
         )
-    r = Pdm(_closed_form(rho, ch.kraus), (ch.in_dim, ch.out_dim))
+    r = Pdm(_closed_form(rho, ch.jamiolkowski()), (ch.in_dim, ch.out_dim))
     ch._closed_form_memo = (key, r)
     return r
 
@@ -246,7 +247,11 @@ class CorrelatorTable:
         so is a blank count.  Raises KeyError for a label outside the bases,
         and ValueError for a row without four cells, a value or count that
         does not parse, and, naming the row, a non-finite value, a negative
-        count, a count above 2**63 - 1 or a repeated pair.
+        count, a count above 2**63 - 1, a repeated pair, and a cell that
+        ``float`` or ``int`` reads but no writer produces: a value holding
+        anything but ASCII digits, ``.``, ``e`` and ``-`` besides an exponent's
+        ``e+`` (so ``1_0``, ``+1`` and non-ASCII digits), or a count holding
+        anything but ASCII digits.  Spaces and tabs may pad either.
         """
         basis2 = basis1 if basis2 is None else basis2
         rows = list(filter(str.strip, text.strip().splitlines()))
@@ -260,7 +265,8 @@ class CorrelatorTable:
             k = next(k for k, row in enumerate(rows) if row.count(",") != 3)
             raise ValueError(f"CSV row {k} has {rows[k].count(',') + 1} cells, expected 4: {rows[k]!r}")
         labels1, labels2 = list(map(str.strip, cells[0::5])), list(map(str.strip, cells[1::5]))
-        values = list(map(float, cells[2::5]))  # float() strips the same whitespace str.strip() does
+        value_cells = cells[2::5]
+        values = list(map(float, value_cells))  # float() strips the same whitespace str.strip() does
         counts = list(map(str.strip, cells[3::5]))
         i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, n)
         j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, n)
@@ -284,14 +290,21 @@ class CorrelatorTable:
                 if cell in seen:
                     raise ValueError(f"{where(k)}: pair listed twice")
                 seen.add(cell)
+        k = _first_not_plain(value_cells, _VALUE_CHARS)
+        if k is not None:
+            raise ValueError(f"{where(k)}: value {value_cells[k].strip()!r} is not a plain decimal number")
         shots = None
         if any(counts):
+            count_cells = counts
             counts = list(map(int, counts)) if all(counts) else [int(c) if c else None for c in counts]
             given = list(filter(None, counts))  # filter drops blanks (and zeros)
             if min(given, default=0) < 0 or max(given, default=0) > _SHOTS_MAX:
                 k = next(k for k, c in enumerate(counts) if c is not None and not 0 <= c <= _SHOTS_MAX)
                 problem = "is negative" if counts[k] < 0 else f"is above {_SHOTS_MAX}"
                 raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
+            k = _first_not_plain(count_cells, _COUNT_CHARS)
+            if k is not None:
+                raise ValueError(f"{where(k)}: shot count {count_cells[k]!r} is not plain decimal digits")
             shots = np.full(shape, -1)
             np.put(shots, flat, [-1 if c is None else c for c in counts] if None in counts else counts)
         return cls(basis1, basis2, grid, shots)
@@ -301,6 +314,23 @@ class CorrelatorTable:
             f"CorrelatorTable({self.basis1.descriptor}/{self.basis2.descriptor}, "
             f"{int(np.count_nonzero(~np.isnan(self.values)))} entries)"
         )
+
+
+# What a CSV value and a CSV count may hold besides an exponent's "e+": the characters of ``.17g``
+# and of ``str(int)``, and spaces and tabs as padding.
+_VALUE_CHARS, _COUNT_CHARS = b"0123456789.e- \t", b"0123456789 \t"
+
+
+def _first_not_plain(cells: list[str], chars: bytes) -> int | None:
+    """The index of the first cell holding a character outside ``chars`` or a ``+`` outside an ``e+``,
+    or None.  All cells are first scanned as one joined string, one ``bytes.translate`` pass."""
+
+    def off(text):
+        return not text.isascii() or bool(text.encode().replace(b"e+", b"e").translate(None, chars))
+
+    if not off(" ".join(cells)):
+        return None
+    return next(k for k, cell in enumerate(cells) if off(cell))
 
 
 def _grid(array, shape: tuple[int, int], name: str, kinds: str) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, ZeroShots
 from .observables import LightTouchObservable
-from .pdm import CorrelatorTable, _check_int, _overlaps, _resolve_bases, pdm_closed_form
+from .pdm import CorrelatorTable, Pdm, _check_int, _overlaps, _resolve_bases, pdm_closed_form
 
 GENERATOR_ID = "numpy-pcg64-binomial"
 DEAD_BRANCH_PROB = 1e-14
@@ -78,19 +78,17 @@ def projectors_for(obs) -> MeasurementProjectors:
     return MeasurementProjectors(plus=plus, minus=minus, lam=obs.lam)
 
 
-def _agree_probabilities(rho, ch: KrausChannel, mats1, mats2, lam12) -> np.ndarray:
+def _agree_probabilities(r: Pdm, mats1, mats2, lam12) -> np.ndarray:
     """``(n1, n2)`` P_agree of every (A_i at t1, B_j at t2) pair of two observable stacks
     ``(n, d, d)``, with ``lam12`` the ``(n1, n2)`` products of their ``lam``s.
 
-    ``P_agree = 1/2 + Tr[R (A_i (x) B_j)] / (2 lam1 lam2)`` from the pair's
-    ``pdm_closed_form`` R, clipped to [0, 1] (numpy's binomial raises on a
-    value 1 ulp outside); a value within DEAD_BRANCH_PROB of 0 or 1 is
-    exactly 0 or 1.
+    ``P_agree = 1/2 + Tr[R (A_i (x) B_j)] / (2 lam1 lam2)`` from the PDM R,
+    clipped to [0, 1] (numpy's binomial raises on a value 1 ulp outside); a
+    value within DEAD_BRANCH_PROB of 0 or 1 is exactly 0 or 1.
     """
-    r = pdm_closed_form(rho, ch).mat
-    if mats1.shape[-1] != ch.in_dim or mats2.shape[-1] != ch.out_dim:
+    if mats1.shape[-1] != r.dims[0] or mats2.shape[-1] != r.dims[1]:
         raise DimensionMismatch("observable dimensions do not match the channel")
-    p_agree = np.clip(0.5 + 0.5 * (_overlaps(r, mats1, mats2).real / lam12), 0.0, 1.0)
+    p_agree = np.clip(0.5 + 0.5 * (_overlaps(r.mat, mats1, mats2).real / lam12), 0.0, 1.0)
     p_agree[p_agree < DEAD_BRANCH_PROB] = 0.0
     p_agree[p_agree >= 1.0 - DEAD_BRANCH_PROB] = 1.0
     return p_agree
@@ -118,8 +116,14 @@ def sample_two_time(rho, ch: KrausChannel, obs1, obs2, shots: int, seed) -> TwoT
     if seed is None or isinstance(seed, (bool, np.bool_)):
         raise TypeError(f"seed must be an integer or a SeedSequence, got {seed!r}")
     obs1, obs2 = _observable(obs1), _observable(obs2)
+    return _sample_pair(pdm_closed_form(rho, ch), obs1, obs2, shots, seed)
+
+
+def _sample_pair(r: Pdm, obs1: LightTouchObservable, obs2: LightTouchObservable, shots: int,
+                 seed) -> TwoTimeSample:
+    """``sample_two_time`` from the pair's PDM, with its arguments already checked."""
     lam12 = obs1.lam * obs2.lam
-    p_agree = _agree_probabilities(rho, ch, obs1.matrix[None], obs2.matrix[None], lam12)
+    p_agree = _agree_probabilities(r, obs1.matrix[None], obs2.matrix[None], lam12)
     k = int(np.random.default_rng(seed).binomial(shots, p_agree)[0, 0])
     spread = math.sqrt(k * (shots - k) / (shots * (shots - 1))) if shots > 1 else 0.0
     return TwoTimeSample(mean=lam12 * ((2 * k - shots) / shots),
@@ -139,7 +143,7 @@ def sample_table(rho, ch: KrausChannel, basis, shots_per_pair: int, seed: int) -
     seed = _check_int(seed, "seed", 0)
     b1, b2 = _resolve_bases(basis, (ch.in_dim, ch.out_dim))
     lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
-    p_agree = _agree_probabilities(rho, ch, b1.matrices, b2.matrices, lam12)
+    p_agree = _agree_probabilities(pdm_closed_form(rho, ch), b1.matrices, b2.matrices, lam12)
     agree = np.random.default_rng(seed).binomial(shots, p_agree)
     values = lam12 * ((2 * agree - shots) / shots)
     return CorrelatorTable(b1, b2, values, np.full(values.shape, shots))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -17,7 +18,7 @@ import numpy as np
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     text = format(float(x), ".17g")
     # Keep a float-typed token for round numbers so types survive round-trips.
@@ -44,20 +45,59 @@ def dumps(obj, indent: int = 0) -> str:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return dumps({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "fc" and obj.size:
+            return _dump_floats(obj, indent)
         return dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+        return _block("[", ((inner, dumps(v, indent + 2)) for v in obj), pad + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj, key=str):
-            items.append(f"{inner}{json.dumps(str(key))}: {dumps(obj[key], indent + 2)}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _block("{", ((f"{inner}{json.dumps(str(key))}: ", dumps(obj[key], indent + 2))
+                            for key in sorted(obj, key=str)), pad + "}")
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _block(opening: str, lines, closing: str) -> str:
+    """``opening``, then each ``prefix + text`` of ``lines`` on its own line, comma-separated, then
+    ``closing`` on its own: one join, with a long text referenced rather than copied into its line."""
+    parts = [opening + "\n"]
+    for prefix, text in lines:
+        parts += (prefix + text, ",\n") if len(text) < 4096 else (prefix, text, ",\n")
+    parts[-1] = "\n" + closing
+    return "".join(parts)
+
+
+def _list_template(shape: tuple, indent: int) -> str:
+    """The text ``dumps`` writes for nested lists of ``shape`` at ``indent``, ``%s`` for each number."""
+    if not shape:
+        return "%s"
+    child = " " * (indent + 2) + _list_template(shape[1:], indent + 2)
+    return "[\n" + ",\n".join([child] * shape[0]) + "\n" + " " * indent + "]"
+
+
+def _dump_floats(a: np.ndarray, indent: int) -> str:
+    """``dumps(a.tolist(), indent)`` for a non-empty float or complex array, a complex entry as
+    ``[re, im]``, built one top-level entry at a time, so no Python object is made per number.
+
+    Each entry's numbers fill one ``%`` template, at ``%.17g`` (``format_float``'s digits) or, for
+    an integral value below 1e17, which ``.17g`` writes with no point, at ``%.1f``, which is
+    those digits and the ``.0`` that ``format_float`` appends.
+    """
+    x = np.stack((a.real, a.imag), axis=-1) if a.dtype.kind == "c" else np.asarray(a, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite float {float(x[~finite][0])!r}")
+    integral = (x == np.trunc(x)) & (np.abs(x) < 1e17)
+    template, pad = _list_template(x.shape[1:], indent + 2), " " * (indent + 2)
+    rows = (template % tuple(map(_SPECS.__getitem__, ints.ravel().tolist())) % tuple(row.ravel().tolist())
+            for row, ints in zip(x, integral))
+    return _block("[", ((pad, row) for row in rows), " " * indent + "]")
+
+
+_SPECS = ("%.17g", "%.1f")
 
 
 def dump_json(obj) -> str:

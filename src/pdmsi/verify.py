@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coherence, pdm
 from . import random as prandom
-from .channels import _apply, _kraus_stack, _superoperator
+from .channels import _superoperator
 from .channels import identity_channel, unitary_channel
 from .leggett_garg import LG_SLACK, SI_DETECT_ATOL, _lg_correlators, _lg_pdms, lg_operator
 from .linalg import kron
@@ -39,10 +39,15 @@ class CheckResult:
     detail: str = ""
 
 
+def _jamiolkowski_stack(chs) -> np.ndarray:
+    """The cached Jamiolkowski matrices of equally shaped channels, as one ``(N, n, n)`` stack."""
+    return np.array([ch.jamiolkowski() for ch in chs])
+
+
 def _closed_forms(pairs) -> _PdmStack:
     """The stack of PDMs of equally shaped (state, channel) pairs, as one stacked call."""
     states, chs = zip(*pairs)
-    return _PdmStack.closed_form(np.array(states), _kraus_stack(chs))
+    return _PdmStack.closed_form(np.array(states), _jamiolkowski_stack(chs))
 
 
 def _by_dim(dims, quantity) -> np.ndarray:
@@ -73,7 +78,7 @@ def _pdms(draws) -> _PdmStack:
     pairs = [k for k, x in enumerate(draws) if isinstance(x, tuple)]
     if pairs:  # raw closed forms: the whole stack is checked once, below
         states, chs = zip(*(draws[k] for k in pairs))
-        out[pairs] = _closed_form(np.array(states), _kraus_stack(chs))
+        out[pairs] = _closed_form(np.array(states), _jamiolkowski_stack(chs))
     return _PdmStack(out, (2, 2))
 
 
@@ -105,8 +110,9 @@ def _unitary_invariance(rng, trials):
 
 def _cptp_monotone(rng, trials):
     draws, maps = zip(*[(_pdm_draw(rng), prandom.channel(4, 4, env_dim=2, rng=rng)) for _ in range(trials)])
-    r, k = _pdms(draws), _kraus_stack(maps)
-    worst = float(np.max(_PdmStack(_apply(k, r.mats), (2, 2)).t_p(1.0) - r.t_p(1.0)))
+    r, s = _pdms(draws), _superoperator(_jamiolkowski_stack(maps), 4)
+    mapped = (s @ r.mats.reshape(-1, 16, 1)).reshape(r.mats.shape)
+    worst = float(np.max(_PdmStack(mapped, (2, 2)).t_p(1.0) - r.t_p(1.0)))
     return worst <= 1e-9, f"max gain {worst:.2e}"
 
 
@@ -174,7 +180,7 @@ def _block_vs_spectrum(rng, trials):
 
     def disagree(at):
         probs, chs = np.array([pairs[k][0] for k in at]), [pairs[k][1] for k in at]
-        support, schur = coherence._block_failures(probs, _kraus_stack(chs))
+        support, schur = coherence._block_failures(probs, _jamiolkowski_stack(chs))
         lowest = _closed_forms([(np.diag(p.astype(complex)), ch) for p, ch in zip(probs, chs)]).spectra[:, 0]
         return ~(support | schur).any(axis=(-2, -1)) != (lowest >= -coherence.CLASS_ATOL)
 
@@ -195,7 +201,8 @@ def _hierarchy(rng, trials):
 
     def implications_hold(at):
         group = [chs[k] for k in at]
-        r = coherence._class_residuals(_superoperator(_kraus_stack(group)), group[0].in_dim)
+        d = group[0].in_dim
+        r = coherence._class_residuals(_superoperator(_jamiolkowski_stack(group), d), d)
         oi, ce, ci, di = (r[c] <= coherence.CLASS_ATOL for c in ("oi", "ce", "ci", "di"))
         return (~oi | di) & (~ce | ci)
 
@@ -250,8 +257,8 @@ def _tripartite_range(rng, trials):
 
 def _oi_legs(rng, trials):
     chs, rhos = zip(*[(prandom.oi_channel(2, rng), prandom.incoherent_state(2, rng)) for _ in range(trials)])
-    k = _kraus_stack(chs)
-    c = _lg_correlators(_lg_pdms(np.array(rhos), k, k), PAULI_1Q["Z"])
+    m = _jamiolkowski_stack(chs)
+    c = _lg_correlators(_lg_pdms(np.array(rhos), m, m), PAULI_1Q["Z"])
     worst = float(np.max(c[:, 0] + c[:, 1] - c[:, 2]))
     return worst <= 1.0 + LG_SLACK, f"max K {worst:.9f}"
 

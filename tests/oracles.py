@@ -46,6 +46,36 @@ def channels_equal(a, b, atol: float = 1e-9) -> bool:
     return float(np.max(np.abs(a.jamiolkowski() - b.jamiolkowski()))) <= atol
 
 
+def loop_jamiolkowski(kraus_ops, d_in: int) -> np.ndarray:
+    """The block sum over Kraus operators and basis pairs, one outer product each:
+    block (i, j) of M is sum_k K_k |j><i| K_k^dag."""
+    d_out = len(kraus_ops[0])
+    m = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for k in kraus_ops:
+        k = np.asarray(k, dtype=complex)
+        for i in range(d_in):
+            for j in range(d_in):
+                m[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out] += np.outer(k[:, j], k[:, i].conj())
+    return m
+
+
+def loop_compose(outer_ops, inner_ops) -> list:
+    """Kraus operators of ``outer`` after ``inner``: every product of one operator from each."""
+    return [np.asarray(a) @ np.asarray(b) for a in outer_ops for b in inner_ops]
+
+
+def loop_superoperator(kraus_ops) -> np.ndarray:
+    """sum_k K_k (x) conj(K_k): the channel on row-major vectorized operators, from its Kraus operators."""
+    return sum(np.kron(k, np.conj(k)) for k in np.asarray(kraus_ops, dtype=complex))
+
+
+def loop_closed_form(rho, kraus_ops) -> np.ndarray:
+    """R = (1/2){rho (x) I, M} from the Kraus operators, M by ``loop_jamiolkowski``."""
+    rho = np.asarray(rho, dtype=complex)
+    m = loop_jamiolkowski(kraus_ops, len(rho))
+    return anticommutator(np.kron(rho, np.eye(len(m) // len(rho))), m) / 2.0
+
+
 def dephase(m) -> np.ndarray:
     """Delete all off-diagonal entries in the computational basis."""
     return np.diag(np.diag(np.asarray(m, dtype=complex)))

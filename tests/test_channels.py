@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmsi.random as prandom
-from oracles import channels_equal, dephase
+from oracles import channels_equal, dephase, loop_compose, loop_jamiolkowski
 from pdmsi.channels import (
     KrausChannel,
     _apply,
-    _jamiolkowski,
-    _kraus_stack,
+    _from_superoperator,
     _superoperator,
     amplitude_damping_channel,
     dephasing_channel,
@@ -128,12 +127,22 @@ class TestKrausStack:
         for ch in chs:
             per_call = np.array([np.array(k) for k in ch.kraus_ops])
             assert np.array_equal(ch(m), _apply(per_call, m))
-            assert np.array_equal(ch.jamiolkowski(), _jamiolkowski(per_call))
-            assert np.array_equal(ch.superoperator(), _superoperator(per_call))
-        padded = _kraus_stack(chs)
-        assert padded.shape == (3, 4, 3, 3) and padded.flags.writeable
-        for row, ch in zip(padded, chs):
-            assert np.array_equal(row[:len(ch.kraus)], ch.kraus) and not row[len(ch.kraus):].any()
+            assert np.array_equal(ch.jamiolkowski(), KrausChannel(list(per_call)).jamiolkowski())
+            assert np.array_equal(ch.superoperator(), _superoperator(ch.jamiolkowski(), 3))
+        # 1, 2 and 4 Kraus operators: one (N, d^2, d^2) stack of the kernels' input, with no padding.
+        stack = np.array([ch.jamiolkowski() for ch in chs])
+        assert stack.shape == (3, 9, 9) and stack.flags.writeable
+        for row, s, ch in zip(stack, _superoperator(stack, 3), chs):
+            assert np.array_equal(row, ch.jamiolkowski()) and np.array_equal(s, ch.superoperator())
+
+    def test_jamiolkowski_is_computed_once_and_read_only(self):
+        ch = prandom.channel(2, 3, env_dim=2, rng=np.random.default_rng(17))
+        m = ch.jamiolkowski()
+        assert ch.jamiolkowski() is m and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert np.array_equal(ch.superoperator(), _superoperator(m, 2)) and ch.superoperator().flags.writeable
+        assert np.array_equal(_from_superoperator(ch.superoperator(), 2), m)
 
 
 class TestJamiolkowski:
@@ -176,23 +185,12 @@ class TestJamiolkowski:
         assert np.allclose(ch.jamiolkowski(), np.eye(4) / 2, atol=1e-12)
 
 
-def loop_jamiolkowski(ch: KrausChannel) -> np.ndarray:
-    """Reference: the block sum over Kraus operators and basis pairs, one outer product each."""
-    d, n = ch.in_dim, ch.out_dim
-    m = np.zeros((d * n, d * n), dtype=complex)
-    for k in ch.kraus_ops:
-        for i in range(d):
-            for j in range(d):
-                m[i * n : (i + 1) * n, j * n : (j + 1) * n] += np.outer(k[:, j], k[:, i].conj())
-    return m
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(dims=st.sampled_from([(2, 3), (3, 2), (2, 4), (4, 3), (3, 5), (1, 2)]),
        env=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
 def test_jamiolkowski_matches_loop(dims, env, seed):
     ch = prandom.channel(dims[0], dims[1], env_dim=env, rng=np.random.default_rng(seed))
-    assert np.max(np.abs(ch.jamiolkowski() - loop_jamiolkowski(ch))) <= 1e-14
+    assert np.max(np.abs(ch.jamiolkowski() - loop_jamiolkowski(ch.kraus_ops, ch.in_dim))) <= 1e-14
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -239,6 +237,22 @@ class TestDephase:
 
 
 class TestCompose:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(dims=st.sampled_from([(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 2, 1), (1, 3, 2)]),
+           k_inner=st.integers(1, 6), k_outer=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_jamiolkowski_of_superoperator_product_matches_kraus_products(self, dims, k_inner, k_outer, seed):
+        """J of ``outer . inner`` from the d^2 x d^2 superoperator product, against the oracle's
+        Jamiolkowski loop over the composed Kraus operators (every product of one from each)."""
+        d_in, d_mid, d_out = dims
+        rng = np.random.default_rng(seed)
+        inner = prandom.channel(d_in, d_mid, env_dim=max(k_inner, -(-d_in // d_mid)), rng=rng)
+        outer = prandom.channel(d_mid, d_out, env_dim=max(k_outer, -(-d_mid // d_out)), rng=rng)
+        got = _from_superoperator(_superoperator(outer.jamiolkowski(), d_mid) @ inner.superoperator(), d_in)
+        assert got.shape == (d_in * d_out, d_in * d_out)
+        want = loop_jamiolkowski(loop_compose(outer.kraus_ops, inner.kraus_ops), d_in)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(outer.compose(inner).jamiolkowski() - want)) <= 1e-14
+
     def test_identity_neutral(self):
         rng = np.random.default_rng(19)
         ch = prandom.channel(2, 2, env_dim=3, rng=rng)

@@ -11,7 +11,7 @@ import pytest
 import pdmsi.cli
 import pdmsi.pdm
 from pdmsi import random as prandom
-from pdmsi.channels import _kraus_stack, identity_channel
+from pdmsi.channels import identity_channel
 from pdmsi.cli import MAX_DIM, MAX_GRID, MAX_SHOTS, MAX_TRIALS_SCALE, SWEEPS, main, parse_state, run_sweep
 from pdmsi.leggett_garg import lg_vs_si
 from pdmsi.observables import PAULI_1Q
@@ -202,6 +202,11 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**LG, "q": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}, "q", [], id="lg-q-dim-mismatch"),
     pytest.param({**LG, "states": [QUTRIT], "channel": "identity(3)"}, "q", [], id="lg-default-q-qutrit"),
     pytest.param({**LG, "channel2": "identity(3)"}, "channel2", [], id="lg-channel2-dim-mismatch"),
+    # Three PDMs of d^4 entries per state: at d = MAX_DIM one state; the rest is not even parsed.
+    pytest.param({**LG, "channel": "depolarizing(0.3)", "states": [(np.eye(MAX_DIM) / MAX_DIM).tolist(), "x"]},
+                 "states", [], id="lg-states-too-many-at-max-dim"),
+    pytest.param({**LG, "channel": "identity(16)", "states": [(np.eye(16) / 16).tolist()] * 17},
+                 "states", [], id="lg-states-too-many-at-16"),
     pytest.param({**SWEEP, "state": QUTRIT}, "channel", [], id="sweep-amplitude-damping-qutrit"),
     pytest.param({**SWEEP, "channel": ["x"]}, "channel", [], id="sweep-channel-list"),
     pytest.param({**VERIFY, "suite": ["pdm"]}, "suite", [], id="suite-list"),
@@ -272,6 +277,25 @@ def test_subcommand_prints_what_run_prints(tmp_path, capsys, argv, payload):
     assert wrote.startswith("wrote ")
     assert main([arg.format(cfg=cfg) for arg in argv]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_lg_at_max_dim_stays_inside_a_memory_limit(tmp_path):
+    """depolarizing(0.3) at d = MAX_DIM has 1,025 Kraus operators. Leg 1->3 built as every product of one
+    operator from each leg asked for 16 GiB and exited 1; from the legs' Jamiolkowski matrices it is one
+    d^2 x d^2 product.  The child runs under a 4 GiB address-space limit, one BLAS thread."""
+    resource = pytest.importorskip("resource")
+    d = MAX_DIM
+    cfg = write_config(tmp_path, "lg.json", {
+        "version": 1, "kind": "lg", "channel": "depolarizing(0.3)", "state": (np.eye(d) / d).tolist(),
+        "q": np.diag([1.0] * (d // 2) + [-1.0] * (d // 2)).tolist()})
+    limit = 4 * 2**30
+    src = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "pdmsi.cli", "run", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 0, out.stderr
+    assert "K=+0.910000" in out.stdout and "SI detected: yes" in out.stdout
 
 
 def test_lg_subcommand_needs_an_lg_config(tmp_path, capsys):
@@ -479,8 +503,9 @@ class TestStackedSweep:
                "p": p, "state": _pairs(prandom.density_matrix(d, np.random.default_rng(d)))}
         state = parse_state(cfg["state"])
         chs = [build(v, d) for v in values]
-        if channel == "depolarizing":  # p = 0 has 1 Kraus operator, p > 0 has 1 + d^2: one padded stack
-            assert _kraus_stack(chs).shape[1] == 1 + d * d and len(chs[0].kraus_ops) == 1
+        if channel == "depolarizing":  # p = 0 has 1 Kraus operator, p > 0 has 1 + d^2: one J stack
+            assert [len(ch.kraus_ops) for ch in chs] == [1] + [1 + d * d] * (len(values) - 1)
+            assert np.array([ch.jamiolkowski() for ch in chs]).shape == (len(values), d * d, d * d)
         rows = [line.split(",") for line in run_sweep(cfg)[0]["sweep.csv"].splitlines()[1:]]
         assert len(rows) == len(values)
         for row, v, ch in zip(rows, values, chs):

@@ -19,10 +19,10 @@ from oracles import (
     delta_class_residuals,
     dephasing_superoperator,
     loop_ncgd_residual,
+    loop_superoperator,
 )
 from pdmsi.channels import (
     KrausChannel,
-    _kraus_stack,
     _superoperator,
     amplitude_damping_channel,
     dephasing_channel,
@@ -165,16 +165,36 @@ class TestClassResiduals:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_stack_matches_delta_products(self, d):
-        # verify's hierarchy check classifies one padded Kraus stack per dimension.
+        # verify's hierarchy check classifies one Jamiolkowski stack per dimension.
         rng = np.random.default_rng(d)
         chs = [channel_of_kind(d, kind, rng) for kind in CHANNEL_KINDS * 3]
-        s = _superoperator(_kraus_stack(chs))
+        s = _superoperator(np.array([ch.jamiolkowski() for ch in chs]), d)
         got, want = _class_residuals(s, d), delta_class_residuals(s)
         for name in RESIDUALS:
             assert got[name].shape == (len(chs),)
             assert np.max(np.abs(got[name] - want[name])) <= 1e-15
             assert np.array_equal(got[name] <= CLASS_ATOL, want[name] <= CLASS_ATOL)
             assert np.array_equal(got[name], [classify_channel(ch).residuals[name] for ch in chs])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(d=st.integers(1, 4), env=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_cached_jamiolkowski_matches_the_kraus_route(self, d, env, seed):
+        """Class residuals from the realigned cached J against those of sum K (x) conj K, and each
+        block R_ij against ((p_i + p_j)/2) sum K |j><i| K^dag, with the block test's verdict."""
+        rng = np.random.default_rng(seed)
+        ch = prandom.channel(d, d, env_dim=env, rng=rng)
+        want = delta_class_residuals(loop_superoperator(ch.kraus_ops))
+        got = classify_channel(ch).residuals
+        for name in RESIDUALS:
+            assert abs(got[name] - want[name]) <= 1e-13
+        probs = rng.dirichlet(np.ones(d))
+        blocks = pdm_blocks(probs, ch).blocks
+        for (i, j), block in blocks.items():
+            unit = ketbra(j, i, d)
+            kraus = sum(k @ unit @ k.conj().T for k in ch.kraus_ops)
+            assert np.max(np.abs(block - (probs[i] + probs[j]) / 2 * kraus)) <= 1e-13
+        full = pdm_closed_form(np.diag(probs.astype(complex)), ch)
+        assert block_positivity_test(probs, ch).compatible == (full.min_eigenvalue() >= -CLASS_ATOL)
 
     def test_surrogate_refutes_a_coherence_round_trip(self):
         # A Hadamard turns |0><0| into |+><+| (coherence out) and reads it back, so
@@ -190,29 +210,31 @@ class TestClassResiduals:
 
     def test_superoperator_memory_is_bounded_by_its_output(self):
         # 145 Kraus operators of size 12: a K-fold kron(K, conj K) stack would hold 145 d^4
-        # complex entries (48 MB); the output has d^4 (0.3 MB).
-        kraus = depolarizing_channel(0.3, 12).kraus
+        # complex entries (48 MB); the output has d^4 (0.3 MB), and so has J, computed here.
+        ch = depolarizing_channel(0.3, 12)
         tracemalloc.start()
         try:
-            _superoperator(kraus)
+            ch.superoperator()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
     def test_classify_memory_is_near_the_superoperators(self):
-        # At d = 32 S holds 2^20 complex entries (16 MiB); copying its coherence rows and columns
-        # doubled the peak of building it, and one |S|^2 array keeps classify within a quarter of it.
+        # At d = 32 S holds 2^20 complex entries (16 MiB), realigned from the channel's cached J.
+        # Copying S's coherence rows and columns added another S; one |S|^2 array keeps what
+        # classify adds to building S within a quarter more than one S.
         ch = depolarizing_channel(0.3, 32)
+        size = ch.jamiolkowski().nbytes
         peaks = []
-        for build in (lambda: _superoperator(ch.kraus), lambda: classify_channel(ch)):
+        for build in (ch.superoperator, lambda: classify_channel(ch)):
             tracemalloc.start()
             try:
                 build()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.25 * peaks[0], peaks
+        assert peaks[1] - peaks[0] < 1.25 * size, peaks
 
 
 def random_generator(d: int, kind: str, seed: int) -> np.ndarray:
@@ -440,7 +462,7 @@ class TestBlockPositivity:
                 p = np.eye(3)[rng.integers(3)]
             probs.append(p)
             chs.append(prandom.channel(3, 3, env_dim=1 + t % 4, rng=rng))
-        support, schur = _block_failures(np.array(probs), _kraus_stack(chs))
+        support, schur = _block_failures(np.array(probs), np.array([ch.jamiolkowski() for ch in chs]))
         for k, (p, ch) in enumerate(zip(probs, chs)):
             res = block_positivity_test(p, ch)
             failing = np.argwhere(support[k] | schur[k])

@@ -3,17 +3,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmsi.random as prandom
+from oracles import loop_closed_form, loop_compose
 from pdmsi.channels import (
     KrausChannel,
     dephasing_channel,
+    depolarizing_channel,
     identity_channel,
     unitary_channel,
 )
 from pdmsi.exceptions import DimensionMismatch
 from pdmsi.leggett_garg import (
     LgScenario,
+    _lg_pdms,
     check_dichotomic,
     lg_evaluate,
     lg_operator,
@@ -136,7 +141,7 @@ class TestLgEvaluate:
         (-1, ValueError), (np.int64(-1), ValueError), (None, ValueError),
     ])
     def test_monte_carlo_rejects_bad_seed(self, bad, error, monkeypatch):
-        monkeypatch.setattr("pdmsi.leggett_garg.sample_two_time",
+        monkeypatch.setattr("pdmsi.leggett_garg._sample_pair",
                             lambda *a, **k: pytest.fail("drew before the seed check"))
         scenario = LgScenario(projector(ket(0)), identity_channel(2), identity_channel(2), Z)
         with pytest.raises(error, match="seed"):
@@ -145,6 +150,35 @@ class TestLgEvaluate:
     def test_monte_carlo_numpy_integer_is_the_same_seed(self):
         scenario = LgScenario(maximally_mixed(2), dephasing_channel(2), identity_channel(2), Z)
         assert lg_evaluate(scenario, shots=200, seed=np.int64(3)) == lg_evaluate(scenario, shots=200, seed=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(1, 4), k12=st.integers(1, 5), k23=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_lg_pdms_match_the_kraus_route(d, k12, k23, seed):
+    """Leg 1, leg 2 on the unmeasured leg-1 output and leg 1->3 from J13 = realigned S23 S12, against
+    the oracle's closed forms from the Kraus operators, leg 1->3 from every product K23 K12."""
+    rng = np.random.default_rng(seed)
+    ch12, ch23 = (prandom.channel(d, d, env_dim=k, rng=rng) for k in (k12, k23))
+    rhos = np.array([prandom.density_matrix(d, rng) for _ in range(2)])
+    got = _lg_pdms(rhos, ch12.jamiolkowski(), ch23.jamiolkowski())
+    for rho, r12, r23, r13 in zip(rhos, *got):
+        assert np.max(np.abs(r12 - loop_closed_form(rho, ch12.kraus_ops))) <= 1e-13
+        assert np.max(np.abs(r23 - loop_closed_form(ch12(rho), ch23.kraus_ops))) <= 1e-13
+        assert np.max(np.abs(r13 - loop_closed_form(rho, loop_compose(ch23.kraus_ops, ch12.kraus_ops)))) <= 1e-13
+
+
+def test_no_lg_route_composes_kraus_operators(monkeypatch):
+    """Exact and sampled LG, and lg_vs_si, read each leg's J: a depolarizing leg at d = 8 has 65
+    Kraus operators, which composition would multiply out to 4,225."""
+    monkeypatch.setattr(KrausChannel, "compose", lambda *a: pytest.fail("composed Kraus operators"))
+    ch = depolarizing_channel(0.3, 8)
+    q = np.diag([1.0] * 4 + [-1.0] * 4)
+    scenario = LgScenario(projector(ket(0, 8)), ch, ch, q)
+    exact = lg_evaluate(scenario)
+    sampled = lg_evaluate(scenario, shots=100_000, seed=1)
+    for a, b in [(exact.c12, sampled.c12), (exact.c23, sampled.c23), (exact.c13, sampled.c13)]:
+        assert abs(a - b) < 5 / np.sqrt(100_000)
+    assert lg_vs_si(ch, [projector(ket(0, 8))], q_list=[q]).results[0] == exact
 
 
 class TestSpatialBound:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pdmsi.pdm as pdm_module
 import pdmsi.random as prandom
-from pdmsi.channels import KrausChannel, _kraus_stack, dephasing_channel, identity_channel, unitary_channel
+from pdmsi.channels import KrausChannel, dephasing_channel, identity_channel, unitary_channel
 from pdmsi.exceptions import (
     DimensionMismatch,
     IncompleteTable,
@@ -25,6 +25,7 @@ from oracles import (
     dict_table_to_csv,
     dict_witness_coefficients,
     gram_solve,
+    loop_closed_form,
     partial_trace,
     schatten_norm,
 )
@@ -119,6 +120,23 @@ class TestClosedForm:
         assert r.dims == (2, 3) and all(type(d) is int for d in r.dims)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3)]),
+       env=st.integers(1, 5), stack=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_jamiolkowski_route_matches_kraus_loop(dims, env, stack, seed):
+    """``pdm_closed_form`` (the cached J) and ``_PdmStack.closed_form`` (a J stack) against the
+    closed form the oracle builds from the Kraus operators, one block outer product at a time."""
+    d_in, d_out = dims
+    rng = np.random.default_rng(seed)
+    chs = [prandom.channel(d_in, d_out, env_dim=max(env, -(-d_in // d_out)), rng=rng) for _ in range(stack)]
+    rhos = [prandom.density_matrix(d_in, rng) for _ in range(stack)]
+    want = np.array([loop_closed_form(rho, ch.kraus_ops) for rho, ch in zip(rhos, chs)])
+    got = _PdmStack.closed_form(np.array(rhos), np.array([ch.jamiolkowski() for ch in chs]))
+    assert got.dims == dims and np.max(np.abs(got.mats - want)) <= 1e-13
+    for rho, ch, r in zip(rhos, chs, want):
+        assert np.max(np.abs(pdm_closed_form(rho, ch).mat - r)) <= 1e-13
+
+
 class TestCorrelators:
     def test_maximally_mixed_pdm_table(self):
         r = Pdm(np.eye(4, dtype=complex) / 4, (2, 2))
@@ -193,6 +211,29 @@ class TestCorrelators:
         basis = ObservableBasis.pauli(1)
         with pytest.raises(ValueError, match=r"row 3 \(I,X\).*twice"):
             CorrelatorTable.from_csv("label1,label2,value,shots\nI,X,0.5,\nI,I,1,\nI,X,0.25,\n", basis)
+
+    @pytest.mark.parametrize("row, message", [
+        ("I,I,1_0,+1_000", r"row 2 \(I,I\): value '1_0' is not a plain decimal number"),
+        ("I,I,\u0661\u0660,\u0665", "row 2 \\(I,I\\): value '\u0661\u0660' is not a plain decimal number"),
+        ("I,I,+0.5,", r"row 2 \(I,I\): value '\+0.5' is not a plain decimal number"),
+        ("I,I,1E5,", r"row 2 \(I,I\): value '1E5' is not a plain decimal number"),
+        ("I,I,1,+1_000", r"row 2 \(I,I\): shot count '\+1_000' is not plain decimal digits"),
+        ("I,I,1,1_000", r"row 2 \(I,I\): shot count '1_000' is not plain decimal digits"),
+        ("I,I,1,\u0665", "row 2 \\(I,I\\): shot count '\u0665' is not plain decimal digits"),
+        ("I,I,1,-0", r"row 2 \(I,I\): shot count '-0' is not plain decimal digits"),
+    ])
+    def test_csv_rejects_numbers_no_writer_produces(self, row, message):
+        # float() and int() read each of these cells (1_0 as 10.0, an Arabic-Indic ten as 10.0).
+        basis = ObservableBasis.pauli(1)
+        with pytest.raises(ValueError, match=message):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,3\n{row}\n", basis)
+
+    def test_csv_reads_every_form_the_writer_produces(self):
+        basis = ObservableBasis.pauli(1)
+        text = "label1,label2,value,shots\nI,I,1e+25,0\nI,X, -1.5e-07\t,\t12 \nX,X,-0,\n"
+        table = CorrelatorTable.from_csv(text, basis)
+        assert table.entries == {("I", "I"): 1e25, ("I", "X"): -1.5e-07, ("X", "X"): 0.0}
+        assert table.shots[0, :2].tolist() == [0, 12]
 
     def test_csv_rejects_negative_shots(self):
         basis = ObservableBasis.pauli(1)
@@ -664,7 +705,7 @@ class TestBound:
         for k, (rho, ch) in enumerate(pairs):
             res = check_bound(rho, ch)
             t1 = si_measure(pdm_closed_form(rho, ch), 1.0).value
-            assert res.t1 == t1 and abs(t1 - float(_PdmStack.closed_form(rho, ch.kraus).t_p(1.0))) <= 1e-12
+            assert res.t1 == t1 and abs(t1 - float(_PdmStack.closed_form(rho, ch.jamiolkowski()).t_p(1.0))) <= 1e-12
             assert res.bound_ok == (t1 <= d - 1 + 1e-9) and res.bound_ok
             if k >= 40:
                 assert abs(res.t1 - (d - 1)) <= 1e-9
@@ -787,7 +828,7 @@ class TestStackedKernels:
             (prandom.density_matrix(2, rng), prandom.channel(2, 2, env_dim=1 + k % 4, rng=rng))
             for k in range(10_000)
         ])
-        stacked = _PdmStack.closed_form(np.array(states), _kraus_stack(chs)).t_p(1.0)
+        stacked = _PdmStack.closed_form(np.array(states), np.array([ch.jamiolkowski() for ch in chs])).t_p(1.0)
         per_pair = [si_measure(pdm_closed_form(rho, ch), 1.0).value for rho, ch in zip(states, chs)]
         assert np.max(np.abs(stacked - per_pair)) <= 1e-12
 
@@ -810,10 +851,11 @@ class TestStackedKernels:
         stacks = [
             _PdmStack(np.array([prandom.unit_trace_hermitian(4, rng) for _ in range(50)]), (2, 2)),
             _PdmStack(np.array(degenerate), (2, 2)),
-            _PdmStack.closed_form(np.array([projector(ket(0, 3)), maximally_mixed(3)]), identity_channel(3).kraus),
+            _PdmStack.closed_form(np.array([projector(ket(0, 3)), maximally_mixed(3)]),
+                                  identity_channel(3).jamiolkowski()),
             _PdmStack.closed_form(np.array([prandom.density_matrix(2, rng) for _ in range(30)]),
-                                  _kraus_stack([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng)
-                                                for k in range(30)])),
+                                  np.array([prandom.channel(2, 3, env_dim=1 + k % 3, rng=rng).jamiolkowski()
+                                            for k in range(30)])),
         ]
         for s in stacks:
             want = _t_p(eig_hermitian(s.mats, atol=PDM_ATOL).eigenvalues, p)[0]
@@ -975,7 +1017,7 @@ class TestPdmStack:
         with pytest.raises(DimensionMismatch, match="of dim 4 does not factor as 2x3"):
             _PdmStack(np.eye(4)[None] / 4, (2, 3))
         assert _PdmStack.closed_form(maximally_mixed(2), prandom.channel(2, 3, env_dim=2,
-                                     rng=np.random.default_rng(3)).kraus).dims == (2, 3)
+                                     rng=np.random.default_rng(3)).jamiolkowski()).dims == (2, 3)
 
     @PROPERTY_SETTINGS
     @given(dims=st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1),

@@ -45,7 +45,7 @@ def kernel(rho, ch, b1, b2):
 def agree_probabilities(rho, ch, b1, b2):
     """``sample_table``'s P_agree of every pair of two bases, from the closed form."""
     lam12 = np.outer([a.lam for a in b1.observables], [b.lam for b in b2.observables])
-    return _agree_probabilities(rho, ch, b1.matrices, b2.matrices, lam12)
+    return _agree_probabilities(pdm_closed_form(rho, ch), b1.matrices, b2.matrices, lam12)
 
 
 class TestProjectors:

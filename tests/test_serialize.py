@@ -82,6 +82,33 @@ class TestDataclasses:
         assert [line.strip(" ,") for line in text.splitlines()].count("-0.0") == 4
 
 
+class TestArrays:
+    """A float or complex array is written through one template per top-level row; its text must be
+    that of its nested lists, number by number."""
+
+    # Integral values below 1e17 take format_float's ".0"; from 1e17 up, .17g writes an exponent.
+    EDGES = [0.0, -0.0, 1.0, -3.0, 1e16, 9.999999999999998e16, 1e17, 2.0**60, 0.5, 0.1, 1 / 3,
+             1e-300, 5e-324, 1e300, 123456789.0, 2.0**53 + 2]
+
+    @pytest.mark.parametrize("shape", [(16,), (3, 4), (2, 3, 4), (1,), (5, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("indent", [0, 6])
+    def test_float_and_complex_arrays_match_their_lists(self, shape, indent):
+        rng = np.random.default_rng(len(shape) + indent)
+        x = rng.choice(self.EDGES, size=shape) * rng.choice([1.0, -1.0, 0.3], size=shape)
+        single = (np.round(rng.standard_normal(shape) * 8) / 3).astype(np.float32)
+        for a in (x, x + 1j * rng.choice(self.EDGES, size=shape), single):
+            assert dumps(a, indent) == dumps(a.tolist(), indent)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_rejects_non_finite_as_the_list_does(self, bad):
+        for a in (np.array([[1.0, bad]]), np.array([1.0, complex(0.5, bad)])):
+            with pytest.raises(ValueError) as from_array:
+                dumps(a)
+            with pytest.raises(ValueError) as from_list:
+                dumps(a.tolist())
+            assert str(from_array.value) == str(from_list.value)
+
+
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "sub" / "out.json"
