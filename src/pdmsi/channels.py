@@ -10,6 +10,8 @@ from .exceptions import DimensionMismatch
 from .states import ket
 
 TRACE_PRESERVING_ATOL = 1e-10
+# Max entry of |u^dag u - I| that unitary_channel accepts.
+UNITARITY_ATOL = 1e-10
 
 
 class KrausChannel:
@@ -125,7 +127,7 @@ def unitary_channel(u) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch("unitary must be square")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) > 1e-10:
+    if float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) > UNITARITY_ATOL:
         raise ValueError("matrix is not unitary")
     return KrausChannel([u])
 
@@ -144,7 +146,6 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
         raise ValueError("p must lie in [0, 1]")
     ops = [np.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
     if p > 0.0:
-        for i in range(d):
-            for j in range(d):
-                ops.append(np.sqrt(p / d) * np.outer(ket(i, d), ket(j, d).conj()))
+        # The d^2 matrix units |i><j|, in row i d + j, as one scaled stack.
+        ops.extend(np.sqrt(p / d) * np.eye(d * d).reshape(d * d, d, d))
     return KrausChannel(ops)

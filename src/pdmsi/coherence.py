@@ -29,6 +29,9 @@ from .states import ketbra
 CLASS_ATOL = 1e-9
 # Absolute tolerance of a probability (or stochastic-matrix) entry's sign and of each sum's distance from 1.
 PROB_ATOL = 1e-12
+# adversarial_coherent_state: two stochastic-matrix entries within it are equal, and so are two columns
+# whose entries all are.
+ASYMMETRY_ATOL = 1e-12
 
 
 @dataclass
@@ -269,11 +272,11 @@ def adversarial_coherent_state(a, i: int, j: int, k: int, p: float) -> Adversari
         raise ValueError("need distinct valid indices i, j and a valid k")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if float(np.max(np.abs(a[:, i] - a[:, j]))) <= 1e-12:
+    if float(np.max(np.abs(a[:, i] - a[:, j]))) <= ASYMMETRY_ATOL:
         raise NoAsymmetricColumn(
             f"columns {i} and {j} coincide; the PDM stays positive semidefinite for every state"
         )
-    if abs(a[k, i] - a[k, j]) <= 1e-12:
+    if abs(a[k, i] - a[k, j]) <= ASYMMETRY_ATOL:
         raise ValueError(f"rows with a_ki != a_kj exist, but not k={k}; pick another k")
     psi = np.zeros(d, dtype=complex)
     psi[i] = np.sqrt(p)

@@ -57,7 +57,12 @@ def eig_hermitian(m, atol: float = HERMITICITY_ATOL) -> EigenDecomposition:
     minimizer, the projector witnesses, ``pseudo_inverse``) depends on the
     eigenspaces only, not on the basis chosen within them.
     """
-    m = check_hermitian(m, atol=atol, stacked=True)
+    return _eigh_hermitian_part(check_hermitian(m, atol=atol, stacked=True))
+
+
+def _eigh_hermitian_part(m: np.ndarray) -> EigenDecomposition:
+    """``np.linalg.eigh((m + m^dag) / 2)`` of a complex matrix or ``(..., d, d)`` stack, unchecked:
+    for ``eig_hermitian`` after its check, and for a ``pdm.Pdm``, whose matrix its own check covers."""
     w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     return EigenDecomposition(w, v)
 

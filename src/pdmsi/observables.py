@@ -26,6 +26,8 @@ for _pauli in PAULI_1Q.values():  # a one-letter PauliString hands out these arr
 PAULI_LETTERS = "IXYZ"
 # Absolute tolerance of a light-touch observable's Hermiticity and of each eigenvalue's distance from +/-lam.
 LIGHT_TOUCH_ATOL = 1e-10
+# A basis is complete when its Gram matrix's smallest eigenvalue exceeds this fraction of its largest.
+COMPLETENESS_RTOL = 1e-10
 
 
 class LightTouchObservable:
@@ -179,7 +181,7 @@ class ObservableBasis:
         self.gram = np.real(flat.conj() @ flat.T)
         # The squared singular values of ``flat``, rounded by ~1e-16 of the largest: read the smallest relative to it.
         w = np.linalg.eigvalsh(self.gram)
-        if len(self) != self.dim**2 or w[0] <= 1e-10 * w[-1]:
+        if len(self) != self.dim**2 or w[0] <= COMPLETENESS_RTOL * w[-1]:
             raise ValueError(f"observable basis {descriptor!r} is not tomographically complete: {len(self)} "
                              f"members for d = {self.dim}, Gram eigenvalues {w[0]:.3g} to {w[-1]:.3g}")
         self.gram_inv = np.linalg.inv(self.gram)

@@ -25,7 +25,7 @@ from .exceptions import (
     InvalidP,
     NotSpatiallyIncompatible,
 )
-from .linalg import EigenDecomposition, check_hermitian, eig_hermitian, kron, project_simplex
+from .linalg import EigenDecomposition, _eigh_hermitian_part, check_hermitian, kron, project_simplex
 from .observables import ObservableBasis
 from .states import check_density_matrix
 
@@ -50,8 +50,8 @@ _SHOTS_MAX = int(np.iinfo(np.int64).max)
 class Pdm:
     """Unit-trace Hermitian operator over two time-labelled factors.
 
-    ``mat`` is a read-only copy of the matrix given, and ``eig`` its
-    ``eig_hermitian`` decomposition (read-only too), computed on first access
+    ``mat`` is a read-only copy of the matrix given, and ``eig`` the
+    decomposition of its Hermitian part (read-only too), computed on first access
     and shared by ``min_eigenvalue``, ``si_measure``, ``synthesize_witness``, ``check_bound``.
     """
 
@@ -61,8 +61,9 @@ class Pdm:
     @cached_property
     def eig(self) -> EigenDecomposition:
         """Ascending eigenvalues and the eigenvectors ``eigh`` returns; within a degenerate
-        eigenspace the basis is ``eigh``'s choice, and no reader depends on it."""
-        eig = eig_hermitian(self.mat, atol=PDM_ATOL)
+        eigenspace the basis is ``eigh``'s choice, and no reader depends on it.  The bits of
+        ``eig_hermitian(mat, atol=PDM_ATOL)``, without its check: ``mat`` was checked when built."""
+        eig = _eigh_hermitian_part(self.mat)
         eig.eigenvalues.flags.writeable = eig.eigenvectors.flags.writeable = False
         return eig
 
@@ -84,9 +85,9 @@ def _check_pdm(m, dims, stacked: bool = False) -> tuple[np.ndarray, tuple[int, i
     """A read-only complex copy of ``m``, one matrix or an ``(..., n, n)`` stack when ``stacked``, and
     ``dims`` as ints, raising unless each matrix is a PDM over ``dims``: finite, Hermitian and of unit
     trace, each within PDM_ATOL, and of dim d1 * d2."""
-    m = np.array(check_hermitian(m, atol=PDM_ATOL, stacked=stacked))
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    ok = np.abs(tr - 1.0) <= PDM_ATOL
+    m = check_hermitian(m, atol=PDM_ATOL, stacked=stacked).copy("K")
+    tr = m.trace(axis1=-2, axis2=-1).real
+    ok = abs(tr - 1.0) <= PDM_ATOL
     if not ok.all():
         raise ValueError(f"PDM must have unit trace, got {float(tr[~ok][0])!r}")
     d1, d2 = (_check_int(d, "dims", 1) for d in dims)
@@ -99,7 +100,7 @@ def _check_pdm(m, dims, stacked: bool = False) -> tuple[np.ndarray, tuple[int, i
 def _closed_form(rho, m) -> np.ndarray:
     """(1/2){rho (x) I, M} over broadcast stacks of states ``(..., d_in, d_in)`` and Jamiolkowski
     matrices ``(..., d_in d_out, d_in d_out)``, with d_out read from their shapes."""
-    a = kron(rho, np.eye(np.shape(m)[-1] // np.shape(rho)[-1]))
+    a = kron(rho, np.eye(m.shape[-1] // rho.shape[-1]))
     return 0.5 * (a @ m + m @ a)
 
 
@@ -446,7 +447,7 @@ class SiReport:
 
 def _t1_closed_form(lam: np.ndarray) -> np.ndarray:
     """2 sum|negative eigs| for spectra ``(..., n)``."""
-    return 2.0 * np.sum(np.where(lam < -NEGATIVITY_ATOL, np.abs(lam), 0.0), axis=-1)
+    return 2.0 * np.where(lam < -NEGATIVITY_ATOL, -lam, 0.0).sum(axis=-1)
 
 
 def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -456,17 +457,17 @@ def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     part of lam; for p > 1 the Euclidean simplex projection of lam is the
     exact minimizer.  The gap ``lam - q`` is divided by its largest entry before
     the norm is taken, so its p-th powers do not all underflow at large p.  A
-    spectrum with no eigenvalue below -NEGATIVITY_ATOL gives exactly 0.
+    spectrum whose first (least) eigenvalue is not below -NEGATIVITY_ATOL gives exactly 0.
     """
     if p == 1.0:
-        value, q = _t1_closed_form(lam), np.clip(lam, 0.0, None)
-        q = q / np.sum(q, axis=-1, keepdims=True)
+        q = np.maximum(lam, 0.0)
+        value, q = _t1_closed_form(lam), q / q.sum(axis=-1, keepdims=True)
     else:
         q = project_simplex(lam)
         gap = np.abs(lam - q)
         top = np.max(gap, axis=-1)
         value = top * np.linalg.norm(gap / np.where(top > 0, top, 1.0)[..., None], ord=p, axis=-1)
-    return np.where((lam < -NEGATIVITY_ATOL).any(axis=-1), np.maximum(value, 0.0), 0.0), q
+    return np.where(lam[..., 0] < -NEGATIVITY_ATOL, value, 0.0), q
 
 
 def _t1_simplex_lps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +562,7 @@ class Witness:
         if r.dims != (self.basis1.dim, self.basis2.dim):
             raise DimensionMismatch(f"PDM of dims {r.dims} does not match bases of dims "
                                     f"{self.basis1.dim}x{self.basis2.dim}")
-        return float(np.trace(self.mat @ r.mat).real)
+        return float((self.mat @ r.mat).trace().real)
 
     def to_dict(self) -> dict:
         """The matrix, the ``"label1|label2"``-keyed coefficients sorted by label pair, and the bases."""
@@ -604,7 +605,8 @@ def synthesize_witness(r: Pdm, policy: str = "negative_eigenspace") -> Witness:
         sel = lam < -NEGATIVITY_ATOL
     else:
         sel = lam - lam[0] <= MIN_EIGENVALUE_TIE_RTOL * max(1.0, -lam[0], lam[-1])
-    w = v[:, sel] @ v[:, sel].conj().T
+    v = v[:, sel]
+    w = v @ v.conj().T
     b1 = ObservableBasis.default_for_dim(r.dims[0])
     b2 = ObservableBasis.default_for_dim(r.dims[1])
     return Witness._projector(w, b1, b2)
@@ -649,7 +651,8 @@ def _bound_check(t1, d: int) -> BoundCheck:
     = d - 1 (1 for qubits, the paper's bound).  ``bound_ok`` allows BOUND_SLACK.
     """
     reference = float(d - 1)
-    return BoundCheck(t1=t1, reference=reference, bound_ok=(np.asarray(t1) <= reference + BOUND_SLACK).tolist())
+    ok = t1 <= reference + BOUND_SLACK
+    return BoundCheck(t1=t1, reference=reference, bound_ok=ok if type(ok) is bool else ok.tolist())
 
 
 def check_bound(rho, ch: KrausChannel) -> BoundCheck:

@@ -46,7 +46,7 @@ def plus_state() -> np.ndarray:
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity within DENSITY_ATOL; returns the matrix as complex."""
     rho = check_hermitian(rho, atol=DENSITY_ATOL)
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if abs(tr - 1.0) > DENSITY_ATOL:
         raise ValueError(f"density matrix must have unit trace, got {tr!r}")
     lo = float(np.linalg.eigvalsh(rho)[0])

@@ -295,6 +295,19 @@ class TestBuiltins:
             expected = 0.5 * rho + 0.5 * np.eye(d) / d
             assert np.allclose(ch(rho), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_depolarizing_matches_the_matrix_unit_loop(self, p, d):
+        """Kraus stack and J bit for bit those of sqrt(1 - p) I and sqrt(p / d) |i><j|, one
+        ``np.outer`` per unit in row-major (i, j) order; p = 0 keeps the one operator."""
+        ops = [np.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
+        if p > 0.0:
+            ops += [np.sqrt(p / d) * np.outer(ket(i, d), ket(j, d).conj()) for i in range(d) for j in range(d)]
+        want, ch = KrausChannel(ops), depolarizing_channel(p, d)
+        assert len(ch.kraus_ops) == (1 if p == 0.0 else 1 + d * d)
+        assert ch.kraus.tobytes() == want.kraus.tobytes() and ch.kraus.shape == want.kraus.shape
+        assert ch.jamiolkowski().tobytes() == want.jamiolkowski().tobytes()
+
     def test_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))

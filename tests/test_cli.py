@@ -11,10 +11,10 @@ import pytest
 import pdmsi.cli
 import pdmsi.pdm
 from pdmsi import random as prandom
-from pdmsi.channels import identity_channel
+from pdmsi.channels import KrausChannel, identity_channel
 from pdmsi.cli import MAX_DIM, MAX_GRID, MAX_SHOTS, MAX_TRIALS_SCALE, SWEEPS, main, parse_state, run_sweep
 from pdmsi.leggett_garg import lg_vs_si
-from pdmsi.observables import PAULI_1Q
+from pdmsi.observables import PAULI_1Q, ObservableBasis
 from pdmsi.pdm import check_bound, pdm_closed_form, si_measure, synthesize_witness
 from pdmsi.states import ket, projector
 
@@ -544,14 +544,14 @@ class TestEachQuantityComputedOnce:
 
     def test_pdm_builds_and_diagonalises_one_pdm(self, tmp_path, monkeypatch):
         """The bound check's ``pdm_closed_form`` call is a memo hit on the kind's own."""
-        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm._closed_form", "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "pdm.pdm_closed_form", "pdm._closed_form", "linalg._eigh_hermitian_part")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "pdm_p1.json"), "--out", str(tmp_path)]) == 0
-        assert counts == Counter({"pdm_closed_form": 2, "_closed_form": 1, "eig_hermitian": 1})
+        assert counts == Counter({"pdm_closed_form": 2, "_closed_form": 1, "_eigh_hermitian_part": 1})
 
     def test_witness_diagonalises_its_pdm_once(self, tmp_path, monkeypatch):
-        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "linalg._eigh_hermitian_part")
         assert main(["run", "--config", "witness_identity.json", "--out", str(tmp_path)]) == 0
-        assert counts == Counter({"eig_hermitian": 1})
+        assert counts == Counter({"_eigh_hermitian_part": 1})
 
     def test_bound_check_builds_no_pdm_and_no_eigenvectors(self, monkeypatch):
         """After ``pdm_closed_form`` and ``si_measure`` on a pair, ``check_bound`` reads the
@@ -565,6 +565,20 @@ class TestEachQuantityComputedOnce:
         assert res.bound_ok and res.t1 == t1
         assert counts == Counter()
 
+    def test_one_pair_path_checks_each_hermitian_input_once(self, monkeypatch):
+        """Channel, closed form, T_1, bound and witness on a fresh pair: one Hermiticity check for
+        the state and one for R, which ``Pdm.eig`` diagonalises without a second."""
+        rng = np.random.default_rng(8)
+        rho, ops = projector(prandom.pure_state(3, rng)), prandom.channel(3, 3, env_dim=2, rng=rng).kraus
+        ObservableBasis.default_for_dim(3)  # the witness's basis, built (and its members checked) once per process
+        counts = _count_calls(monkeypatch, "linalg.check_hermitian")
+        ch = KrausChannel(ops)
+        r = pdm_closed_form(rho, ch)
+        t1 = si_measure(r, 1.0).value
+        assert t1 > 0.0 and check_bound(rho, ch).bound_ok
+        assert synthesize_witness(r).expectation(r) < 0.0
+        assert counts == Counter({"check_hermitian": 2})
+
     def test_witness_expectation_makes_no_gram_solve(self, monkeypatch):
         """A witness's coefficients are computed on first read, which ``expectation`` never does."""
         counts = _count_calls(monkeypatch, "pdm._pair_coefficients")
@@ -577,16 +591,16 @@ class TestEachQuantityComputedOnce:
 
     def test_lg_vs_si_checks_its_leg1_stack_once(self, monkeypatch):
         """The witness PDM is a member of the checked leg-1 stack: no second check."""
-        counts = _count_calls(monkeypatch, "pdm._check_pdm", "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "pdm._check_pdm", "linalg._eigh_hermitian_part")
         summary = lg_vs_si(identity_channel(2), [projector(ket(0)), projector(ket(1)), np.diag([0.3, 0.7])],
                            q_list=[PAULI_1Q["Z"]])
         assert summary.si_detected and summary.witness is not None
-        assert counts == Counter({"_check_pdm": 1, "eig_hermitian": 1})
+        assert counts == Counter({"_check_pdm": 1, "_eigh_hermitian_part": 1})
 
     def test_lg_diagonalises_only_the_witness_pdm(self, tmp_path, monkeypatch):
-        counts = _count_calls(monkeypatch, "linalg.eig_hermitian")
+        counts = _count_calls(monkeypatch, "linalg._eigh_hermitian_part")
         assert main(["run", "--config", str(GOLDEN_CONFIGS / "lg.json"), "--out", str(tmp_path)]) == 0
-        assert counts == Counter({"eig_hermitian": 1})
+        assert counts == Counter({"_eigh_hermitian_part": 1})
 
     def test_lg_evaluates_correlators_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, "leggett_garg._lg_correlators")

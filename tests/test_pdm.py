@@ -1070,11 +1070,12 @@ def bases_and_matrix(pair, seed):
 
 class TestSharedDecomposition:
     def test_one_eig_hermitian_per_pdm(self, monkeypatch):
+        """One eigensolve per ``Pdm``, counted at the solver ``Pdm.eig`` shares with ``eig_hermitian``."""
         import pdmsi.pdm as pdm_module
 
         calls = []
-        real = pdm_module.eig_hermitian
-        monkeypatch.setattr(pdm_module, "eig_hermitian", lambda *a, **k: calls.append(1) or real(*a, **k))
+        solve = pdm_module._eigh_hermitian_part
+        monkeypatch.setattr(pdm_module, "_eigh_hermitian_part", lambda *a, **k: calls.append(1) or solve(*a, **k))
         r = pdm_closed_form(plus_state(), dephasing_channel(2))
         for p in (1.0, 2.0):
             si_measure(r, p)
@@ -1082,7 +1083,36 @@ class TestSharedDecomposition:
             synthesize_witness(r, policy=policy)
         r.min_eigenvalue()
         assert len(calls) == 1
-        assert np.array_equal(r.eig.eigenvalues, real(r.mat, atol=1e-9).eigenvalues)
+        assert np.array_equal(r.eig.eigenvalues, eig_hermitian(r.mat, atol=1e-9).eigenvalues)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eig_is_eig_hermitian_without_a_second_check(self, seed, monkeypatch):
+        """``Pdm.eig`` holds the bits of ``eig_hermitian(mat, atol=PDM_ATOL)`` and checks nothing: random
+        PDMs, degenerate spectra, d1 != d2 and members of a ``_PdmStack``."""
+        import pdmsi.linalg as linalg_module
+
+        rng = np.random.default_rng(seed)
+        u = prandom.haar_unitary(6, rng)
+        degenerate = (u * np.array([0.5, 0.5, 0.25, 0.25, -0.25, -0.25])) @ u.conj().T
+        pdms = [
+            Pdm(prandom.unit_trace_hermitian(4, rng), (2, 2)),
+            Pdm(degenerate, (2, 3)),
+            Pdm(degenerate, (3, 2)),
+            pdm_closed_form(projector(ket(0, 3)), identity_channel(3)),  # {1, 1/2 x 2, -1/2 x 2, 0 x 4}
+            pdm_closed_form(prandom.density_matrix(2, rng), prandom.channel(2, 3, env_dim=2, rng=rng)),
+            pdm_closed_form(np.eye(2) / 2, identity_channel(2)),
+        ]
+        stack = _PdmStack(np.array([prandom.unit_trace_hermitian(6, rng) for _ in range(3)] + [degenerate]), (2, 3))
+        pdms += [stack[k] for k in range(4)]
+        checks = []
+        real = linalg_module.check_hermitian
+        monkeypatch.setattr(linalg_module, "check_hermitian", lambda *a, **k: checks.append(1) or real(*a, **k))
+        eigs = [r.eig for r in pdms]
+        assert checks == []
+        for r, eig in zip(pdms, eigs):
+            want = eig_hermitian(r.mat, atol=PDM_ATOL)
+            assert np.array_equal(eig.eigenvalues, want.eigenvalues)
+            assert np.array_equal(eig.eigenvectors, want.eigenvectors)
 
     def test_mat_and_eig_are_read_only_copies(self):
         m = R_BASIS_IDENTITY.copy()

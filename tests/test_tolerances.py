@@ -12,22 +12,25 @@ import scipy.linalg
 
 from pdmsi.channels import (
     TRACE_PRESERVING_ATOL,
+    UNITARITY_ATOL,
     KrausChannel,
     depolarizing_channel,
     identity_channel,
     unitary_channel,
 )
 from pdmsi.coherence import (
+    ASYMMETRY_ATOL,
     CLASS_ATOL,
     PROB_ATOL,
+    adversarial_coherent_state,
     block_positivity_test,
     check_probability_vector,
     check_stochastic_matrix,
     classify_channel,
 )
-from pdmsi.exceptions import IncompleteTable, NotSpatiallyIncompatible
+from pdmsi.exceptions import IncompleteTable, NoAsymmetricColumn, NotSpatiallyIncompatible
 from pdmsi.leggett_garg import DICHOTOMIC_ATOL, LG_SLACK, SI_DETECT_ATOL, check_dichotomic, lg_vs_si
-from pdmsi.observables import LIGHT_TOUCH_ATOL, PAULI_1Q, LightTouchObservable
+from pdmsi.observables import COMPLETENESS_RTOL, LIGHT_TOUCH_ATOL, PAULI_1Q, LightTouchObservable
 from pdmsi.observables import ObservableBasis
 from pdmsi.pdm import (
     BOUND_SLACK,
@@ -55,6 +58,27 @@ def accepted(build, error=ValueError) -> bool:
     except error:
         return False
     return True
+
+
+def unitary_accepted(e):
+    """diag(sqrt(1 + e), 1), whose max|u^dag u - I| is e, judged by the unitarity check; the
+    trace-preservation check after it reads the same defect, so its message is not accepted here."""
+    try:
+        unitary_channel(np.diag([np.sqrt(1.0 + e), 1.0]))
+    except ValueError as exc:
+        if str(exc) != "matrix is not unitary":
+            raise
+        return False
+    return True
+
+
+def near_singular_basis(e):
+    """I, X, Z and c Y + s X (c^2 + s^2 = 1): Gram eigenvalues 2(1 - s), 2, 2, 2(1 + s), so with
+    s = (1 - e) / (1 + e) the smallest is e times the largest."""
+    s = (1.0 - e) / (1.0 + e)
+    tilted = np.sqrt(1.0 - s * s) * PAULI_1Q["Y"] + s * PAULI_1Q["X"]
+    members = [LightTouchObservable(PAULI_1Q[k], k) for k in "IXZ"] + [LightTouchObservable(tilted, "T")]
+    return ObservableBasis(members, "near-singular")
 
 
 def spectrum_route_accepts(defect):
@@ -143,6 +167,7 @@ def si_undetected(e):
 THRESHOLDS = [
     ("TRACE_PRESERVING_ATOL", TRACE_PRESERVING_ATOL,
      lambda e: accepted(lambda: KrausChannel([np.sqrt(1.0 + e) * np.eye(2)]))),
+    ("UNITARITY_ATOL", UNITARITY_ATOL, unitary_accepted),
     ("DENSITY_ATOL", DENSITY_ATOL, lambda e: accepted(lambda: check_density_matrix(np.diag([1.0 + e, -e])))),
     ("PDM_ATOL", PDM_ATOL, lambda e: accepted(lambda: Pdm(np.eye(4) * (1.0 + e) / 4.0, (2, 2)))),
     ("PDM_ATOL spectrum Hermiticity", PDM_ATOL, lambda e: spectrum_route_accepts(e * np.eye(4, k=1))),
@@ -162,6 +187,13 @@ THRESHOLDS = [
      lambda e: accepted(lambda: check_dichotomic(np.diag([np.sqrt(1.0 + e), -1.0])))),
     ("LIGHT_TOUCH_ATOL", LIGHT_TOUCH_ATOL,
      lambda e: accepted(lambda: LightTouchObservable(np.diag([1.0, -1.0 - e]), "L"))),
+    # Within the ratio the basis is read as incomplete.
+    ("COMPLETENESS_RTOL", COMPLETENESS_RTOL, lambda e: not accepted(lambda: near_singular_basis(e))),
+    # Columns 0 and 1 that differ by e in each entry coincide; so do entries a_00 and a_01 that differ by e.
+    ("ASYMMETRY_ATOL columns", ASYMMETRY_ATOL, lambda e: not accepted(
+        lambda: adversarial_coherent_state([[0.5, 0.5 + e], [0.5, 0.5 - e]], 0, 1, 0, 0.5), NoAsymmetricColumn)),
+    ("ASYMMETRY_ATOL entries", ASYMMETRY_ATOL, lambda e: not accepted(
+        lambda: adversarial_coherent_state([[0.2, 0.2 + e, 0.2], [0.5, 0.3 - e, 0.5], [0.3, 0.5, 0.3]], 0, 1, 0, 0.5))),
     ("LG_SLACK", LG_SLACK, lg_holds),
     ("SI_DETECT_ATOL", SI_DETECT_ATOL, si_undetected),
 ]
