@@ -269,7 +269,7 @@ def run_pdm(cfg: dict):
         "dims": list(r.dims),
         "matrix": r.mat,
         "eigenvalues": lam,
-        "si": report,
+        "si": report.to_dict(),
     }
     if ch.in_dim == ch.out_dim:
         out["bound"] = check_bound(state, ch)
@@ -288,7 +288,7 @@ def run_witness(cfg: dict):
     out = {
         "kind": "witness",
         "expectation": expectation,
-        "negativity": float(_t_p(r.eig.eigenvalues, 1.0)[0]),
+        "negativity": float(_t_p(r.eig.eigenvalues, 1.0)),
         "policy": policy,
         "witness": w.to_dict(),
     }

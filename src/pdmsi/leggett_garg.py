@@ -18,7 +18,7 @@ from .linalg import check_hermitian, kron
 from .observables import PAULI_1Q
 from .pdm import Pdm, Witness, _check_int, _closed_form, _PdmStack, synthesize_witness
 from .sampling import _observable, _sample_pair
-from .states import check_density_matrix
+from .states import DENSITY_ATOL, check_density_matrix
 
 LG_SLACK = 1e-9
 SI_DETECT_ATOL = 1e-9
@@ -173,11 +173,17 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
         raise ValueError("lg_vs_si needs at least one observable in q_list")
     second = ch if ch23 is None else ch23
     # Every (state, observable) pair passes the checks LgScenario applies, each input checked once.
-    rhos = [check_density_matrix(rho) for rho in states]
+    try:  # one check of the stack; on any failure each state in turn, so an error is the first bad state's own
+        rhos = check_hermitian(states, DENSITY_ATOL, stacked=True)
+        ok = rhos.ndim == 3 and np.all(abs(rhos.trace(axis1=1, axis2=2).real - 1.0) <= DENSITY_ATOL) and np.all(
+            np.linalg.eigvalsh(rhos)[:, 0] >= -DENSITY_ATOL)
+    except (TypeError, ValueError):  # not one numeric stack (mixed dimensions, say), or NonHermitian
+        ok = False
+    rhos = rhos if ok else [check_density_matrix(rho) for rho in states]
     qs = [check_dichotomic(q) for q in q_list]
     for rho in rhos:
         _check_dims(rho.shape[0], ch, second, qs)
-    rhos = np.array(rhos)
+    rhos = np.asarray(rhos)
     pdms = _lg_pdms(rhos, ch.jamiolkowski(), second.jamiolkowski())
     c = np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3)
     results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]

@@ -130,7 +130,7 @@ class _PdmStack:
 
     def t_p(self, p: float) -> np.ndarray:
         """T_p of every member, from its spectrum alone."""
-        return _t_p(self.spectra, p)[0]
+        return _t_p(self.spectra, p)
 
     def __getitem__(self, k) -> Pdm:
         return Pdm._member(self.mats[k], self.dims)
@@ -435,14 +435,30 @@ def pdm_from_correlators(table: CorrelatorTable) -> Pdm:
     return Pdm(r, (b1.dim, b2.dim))
 
 
-@dataclass
 class SiReport:
-    """Result of minimizing ||R - rho||_p over density matrices."""
+    """Result of minimizing ||R - rho||_p over density matrices.  ``minimizer`` (read-only), the minimizing
+    q on R's eigenvectors (the normalized positive part of lam at p = 1), is computed from the measured
+    ``Pdm``'s ``eig`` on first access and is the same array on every later one."""
 
-    p: float
-    value: float
-    minimizer: np.ndarray
-    negative_eigenvalues: list
+    def __init__(self, r: Pdm, p: float, value: float, negative_eigenvalues: list):
+        self._pdm, self.p, self.value, self.negative_eigenvalues = r, p, value, negative_eigenvalues
+
+    @cached_property
+    def minimizer(self) -> np.ndarray:
+        lam, v = self._pdm.eig.eigenvalues, self._pdm.eig.eigenvectors
+        if self.p == 1.0:
+            q = np.maximum(lam, 0.0)
+            q = q / q.sum(axis=-1, keepdims=True)
+        else:
+            q = project_simplex(lam)
+        minimizer = (v * q) @ v.conj().T
+        minimizer = (minimizer + minimizer.conj().T) / 2.0
+        minimizer.flags.writeable = False
+        return minimizer
+
+    def to_dict(self) -> dict:
+        return {"p": self.p, "value": self.value, "minimizer": self.minimizer,
+                "negative_eigenvalues": self.negative_eigenvalues}
 
 
 def _t1_closed_form(lam: np.ndarray) -> np.ndarray:
@@ -450,24 +466,20 @@ def _t1_closed_form(lam: np.ndarray) -> np.ndarray:
     return 2.0 * np.where(lam < -NEGATIVITY_ATOL, -lam, 0.0).sum(axis=-1)
 
 
-def _t_p(lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """T_p and a minimizing q for ascending spectra ``(..., n)``: min ||lam - q||_p over the simplex.
+def _t_p(lam: np.ndarray, p: float) -> np.ndarray:
+    """T_p for ascending spectra ``(..., n)``: min ||lam - q||_p over the simplex, q not built at p = 1.
 
-    At p = 1 this is 2 sum|negative eigs|, attained by the normalized positive
-    part of lam; for p > 1 the Euclidean simplex projection of lam is the
-    exact minimizer.  The gap ``lam - q`` is divided by its largest entry before
-    the norm is taken, so its p-th powers do not all underflow at large p.  A
-    spectrum whose first (least) eigenvalue is not below -NEGATIVITY_ATOL gives exactly 0.
+    At p = 1 this is 2 sum|negative eigs|; for p > 1 the Euclidean simplex
+    projection of lam is the exact minimizer.  The gap ``lam - q`` is divided by
+    its largest entry before the norm is taken, so its p-th powers do not all
+    underflow at large p.  A spectrum whose least eigenvalue is not below -NEGATIVITY_ATOL gives exactly 0.
     """
     if p == 1.0:
-        q = np.maximum(lam, 0.0)
-        value, q = _t1_closed_form(lam), q / q.sum(axis=-1, keepdims=True)
-    else:
-        q = project_simplex(lam)
-        gap = np.abs(lam - q)
-        top = np.max(gap, axis=-1)
-        value = top * np.linalg.norm(gap / np.where(top > 0, top, 1.0)[..., None], ord=p, axis=-1)
-    return np.where(lam[..., 0] < -NEGATIVITY_ATOL, value, 0.0), q
+        return _t1_closed_form(lam)
+    gap = np.abs(lam - project_simplex(lam))
+    top = np.max(gap, axis=-1)
+    value = top * np.linalg.norm(gap / np.where(top > 0, top, 1.0)[..., None], ord=p, axis=-1)
+    return np.where(lam[..., 0] < -NEGATIVITY_ATOL, value, 0.0)
 
 
 def _t1_simplex_lps(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,12 +526,8 @@ def si_measure(r: Pdm, p: float = 1.0) -> SiReport:
     if isinstance(p, bool) or not isinstance(p, Real) or not (math.isfinite(p) and p >= 1.0):
         raise InvalidP(f"norm order must be a finite real >= 1, got {p!r}")
     p = float(p)
-    lam, v = r.eig.eigenvalues, r.eig.eigenvectors
-    value, q = _t_p(lam, p)
-    minimizer = (v * q) @ v.conj().T
-    minimizer = (minimizer + minimizer.conj().T) / 2.0
-    return SiReport(p=p, value=max(float(value), 0.0), minimizer=minimizer,
-                    negative_eigenvalues=lam[lam < -NEGATIVITY_ATOL].tolist())
+    lam = r.eig.eigenvalues
+    return SiReport(r, p, max(float(_t_p(lam, p)), 0.0), lam[lam < -NEGATIVITY_ATOL].tolist())
 
 
 class Witness:

@@ -397,7 +397,8 @@ class TestVerify:
         assert "[PASS]" in text and "[FAIL]" not in text
 
     def test_injected_sign_error_detected(self, capsys, monkeypatch):
-        broken = lambda lam: -2.0 * float(np.sum(np.abs(lam[lam < -1e-10])))
+        # The sign of T_1 flipped row by row, so the fault has the kernel's shape on a stack of spectra.
+        broken = lambda lam: -2.0 * np.where(lam < -1e-10, -lam, 0.0).sum(axis=-1)
         monkeypatch.setattr(pdmsi.pdm, "_t1_closed_form", broken)
         assert main(["verify", "pdm", "--trials-scale", "0.01"]) == 1
         text = capsys.readouterr().out
@@ -588,6 +589,14 @@ class TestEachQuantityComputedOnce:
         assert counts == Counter()
         assert w.coefficients is w.coefficients and len(w.to_dict()["coefficients"]) == 81
         assert counts == Counter({"_pair_coefficients": 1})
+
+    def test_lg_vs_si_checks_its_states_as_one_stack(self, monkeypatch):
+        """Three valid states take one Hermiticity check between them and no per-state check; the
+        other two checks are the observable's and the leg-1 PDM stack's."""
+        counts = _count_calls(monkeypatch, "linalg.check_hermitian", "states.check_density_matrix")
+        lg_vs_si(identity_channel(2), [projector(ket(0)), projector(ket(1)), np.diag([0.3, 0.7])],
+                 q_list=[PAULI_1Q["Z"]])
+        assert counts == Counter({"check_hermitian": 3})
 
     def test_lg_vs_si_checks_its_leg1_stack_once(self, monkeypatch):
         """The witness PDM is a member of the checked leg-1 stack: no second check."""

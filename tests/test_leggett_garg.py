@@ -27,7 +27,7 @@ from pdmsi.leggett_garg import (
 )
 from pdmsi.observables import PAULI_1Q
 from pdmsi.pdm import pdm_closed_form, si_measure
-from pdmsi.states import ket, maximally_mixed, projector
+from pdmsi.states import check_density_matrix, ket, maximally_mixed, projector
 
 Z = PAULI_1Q["Z"]
 
@@ -67,6 +67,27 @@ class TestScenarioValidation:
             LgScenario(state, identity_channel(2), ch23, q)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
             lg_vs_si(identity_channel(2), [maximally_mixed(2), state], [Z, q], ch23=ch23)
+
+    BAD_STATES = {
+        "non-finite": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        "non-Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+        "trace": np.diag([0.5, 0.6]),
+        "not PSD": np.diag([1.2, -0.2]),
+    }
+
+    @pytest.mark.parametrize("kind", list(BAD_STATES))
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_lg_vs_si_names_the_first_bad_state(self, kind, at):
+        """The states are checked as one stack; a failure is the first bad state's own error, as
+        check_density_matrix raises it, whatever bad states follow."""
+        with pytest.raises(ValueError) as want:
+            check_density_matrix(self.BAD_STATES[kind])
+        states = [projector(ket(0)), maximally_mixed(2), projector(ket(1))]
+        states[at] = self.BAD_STATES[kind]
+        states += [np.diag([2.0, -1.0]), np.ones((2, 2))]  # not PSD, then not of unit trace
+        with pytest.raises(type(want.value)) as got:
+            lg_vs_si(identity_channel(2), states, [Z])
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 class TestLgEvaluate:

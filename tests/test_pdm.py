@@ -29,7 +29,7 @@ from oracles import (
     partial_trace,
     schatten_norm,
 )
-from pdmsi.linalg import eig_hermitian, kron
+from pdmsi.linalg import eig_hermitian, kron, project_simplex
 from pdmsi.observables import PAULI_1Q, LightTouchObservable, ObservableBasis
 from pdmsi.pdm import (
     NEGATIVITY_ATOL,
@@ -484,6 +484,69 @@ class TestSiMeasure:
                 assert abs(si_measure(r, p).value - res.fun) < 1e-6
 
 
+def eager_minimizer(r, p):
+    """The minimizer as si_measure built it for every call before it was computed on read."""
+    lam, v = r.eig.eigenvalues, r.eig.eigenvectors
+    if p == 1.0:
+        q = np.maximum(lam, 0.0)
+        q = q / q.sum(axis=-1, keepdims=True)
+    else:
+        q = project_simplex(lam)
+    minimizer = (v * q) @ v.conj().T
+    return (minimizer + minimizer.conj().T) / 2.0
+
+
+class _EigenvaluesOnly:
+    """An ``eig`` whose eigenvectors raise when read."""
+
+    def __init__(self, eig):
+        self.eigenvalues = eig.eigenvalues
+
+    @property
+    def eigenvectors(self):
+        raise AssertionError("eigenvectors were read")
+
+
+class TestLazyMinimizer:
+    """``SiReport.minimizer`` is built from the measured Pdm on first read, bit for bit as before."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_bits_match_the_eager_formula(self, p):
+        rng = np.random.default_rng(89)
+        degenerate = [np.diag(lam).astype(complex) for lam in
+                      ([-0.25, -0.25, 0.75, 0.75], [0.25] * 4, [-0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0])]
+        u = prandom.haar_unitary(4, rng)
+        pdms = [random_pdm(rng, dims) for dims in [(2, 2), (2, 3), (3, 2), (3, 3)] for _ in range(5)]
+        pdms += [Pdm(m, (2, 2)) for m in degenerate + [u @ m @ u.conj().T for m in degenerate]]
+        stack = _PdmStack(np.array([random_pdm(rng, (2, 3)).mat for _ in range(5)]), (2, 3))
+        pdms += [stack[k] for k in range(5)]
+        pdms.append(pdm_closed_form(projector(ket(0)), identity_channel(2)))
+        for r in pdms:
+            rep = si_measure(r, p)
+            assert rep.minimizer is rep.minimizer and not rep.minimizer.flags.writeable
+            assert np.array_equal(rep.minimizer, eager_minimizer(r, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_value_reads_no_eigenvectors(self, p):
+        r = pdm_closed_form(projector(ket(0)), identity_channel(2))
+        want = si_measure(r, p)
+        r = Pdm(r.mat, r.dims)
+        r.eig = _EigenvaluesOnly(r.eig)
+        rep = si_measure(r, p)
+        assert (rep.p, rep.value, rep.negative_eigenvalues) == (want.p, want.value, want.negative_eigenvalues)
+        with pytest.raises(AssertionError, match="eigenvectors were read"):
+            rep.minimizer
+
+    def test_to_dict_holds_the_four_fields(self):
+        r = pdm_closed_form(plus_state(), dephasing_channel(2))
+        rep = si_measure(r, 2.0)
+        d = rep.to_dict()
+        assert sorted(d) == ["minimizer", "negative_eigenvalues", "p", "value"]
+        assert d["minimizer"] is rep.minimizer and (d["p"], d["value"]) == (2.0, rep.value)
+        lam = r.eig.eigenvalues
+        assert d["negative_eigenvalues"] == rep.negative_eigenvalues == lam[lam < -NEGATIVITY_ATOL].tolist()
+
+
 class TestWitness:
     def test_identity_example_witness(self):
         r = pdm_closed_form(projector(ket(0)), identity_channel(2))
@@ -858,7 +921,7 @@ class TestStackedKernels:
                                             for k in range(30)])),
         ]
         for s in stacks:
-            want = _t_p(eig_hermitian(s.mats, atol=PDM_ATOL).eigenvalues, p)[0]
+            want = _t_p(eig_hermitian(s.mats, atol=PDM_ATOL).eigenvalues, p)
             assert np.max(np.abs(s.t_p(p) - want)) <= 1e-12
         assert stacks[-1].mats.shape == (30, 6, 6) and stacks[-1].dims == (2, 3)
 
