@@ -37,6 +37,8 @@ class KrausChannel:
         shape = ops[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise DimensionMismatch("all Kraus operators must share one 2-D shape")
+        if 0 in shape:
+            raise DimensionMismatch(f"Kraus operators must not have a zero dimension, got shape {shape}")
         kraus = np.array(ops)
         if not np.isfinite(kraus).all():
             raise ValueError("Kraus operators have non-finite entries")

@@ -40,7 +40,6 @@ from .pdm import (
     WITNESS_POLICIES,
     _bound_check,
     _PdmStack,
-    _t_p,
     check_bound,
     evaluate_witness,
     exact_correlators,
@@ -64,16 +63,6 @@ MAX_DIM = 32
 MAX_GRID = 100_000
 MAX_SHOTS = 10**7
 MAX_TRIALS_SCALE = 10
-
-KIND_FIELDS = {
-    "pdm": ({"state", "channel"}, {"p"}),
-    "witness": ({"state", "channel"}, {"policy"}),
-    "classify": ({"channel"}, {"dim"}),
-    "lg": ({"channel"}, {"channel2", "q", "state", "states"}),
-    "simulate": ({"state", "channel", "shots"}, {"basis", "seed"}),
-    "sweep": ({"state", "channel", "parameter"}, {"grid", "values", "p"}),
-    "verify": (set(), {"suite", "seed", "trials_scale"}),
-}
 
 # Channel builtins that take a parameter, and so can be swept -> (the parameter, builder from (value, state dimension)).
 SWEEPS = {
@@ -243,9 +232,9 @@ def validate_config(cfg: dict) -> str:
     if "kind" not in cfg:
         raise ScenarioError("kind", "missing required field 'kind'")
     kind = cfg["kind"]
-    if kind not in KIND_FIELDS:
+    if kind not in KINDS:
         raise ScenarioError("kind", f"unknown scenario kind {kind!r}")
-    required, optional = KIND_FIELDS[kind]
+    _, required, optional = KINDS[kind]
     present = set(cfg) - {"version", "kind"}
     for name in sorted(required - present):
         raise ScenarioError(name, f"missing required field {name!r} for kind {kind!r}")
@@ -288,7 +277,7 @@ def run_witness(cfg: dict):
     out = {
         "kind": "witness",
         "expectation": expectation,
-        "negativity": float(_t_p(r.eig.eigenvalues, 1.0)),
+        "negativity": si_measure(r, 1.0).value,
         "policy": policy,
         "witness": w.to_dict(),
     }
@@ -452,14 +441,15 @@ def run_verify(cfg: dict):
     return {"verify.json": dump_json(out)}, lines, failures == 0
 
 
-HANDLERS = {
-    "pdm": run_pdm,
-    "witness": run_witness,
-    "classify": run_classify,
-    "lg": run_lg,
-    "simulate": run_simulate,
-    "sweep": run_sweep,
-    "verify": run_verify,
+# Every config kind -> (its handler, its required fields, its optional fields).
+KINDS = {
+    "pdm": (run_pdm, {"state", "channel"}, {"p"}),
+    "witness": (run_witness, {"state", "channel"}, {"policy"}),
+    "classify": (run_classify, {"channel"}, {"dim"}),
+    "lg": (run_lg, {"channel"}, {"channel2", "q", "state", "states"}),
+    "simulate": (run_simulate, {"state", "channel", "shots"}, {"basis", "seed"}),
+    "sweep": (run_sweep, {"state", "channel", "parameter"}, {"grid", "values", "p"}),
+    "verify": (run_verify, set(), {"suite", "seed", "trials_scale"}),
 }
 
 
@@ -503,14 +493,17 @@ def main(argv=None) -> int:
             raise ScenarioError("kind", f"'pdmsi lg' needs a config of kind 'lg', got {kind!r}")
         if args.command == "run" and args.seed is not None:
             cfg["seed"] = args.seed  # kinds without a seed ignore the override
-        files, lines, passed = HANDLERS[kind](cfg)
+        files, lines, passed = KINDS[kind][0](cfg)
         if out_dir is not None:
             try:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise ScenarioError("out", f"cannot create output directory {out_dir!r}: {exc}") from exc
             for name, content in files.items():
-                write_atomic(os.path.join(out_dir, name), content)
+                try:
+                    write_atomic(os.path.join(out_dir, name), content)
+                except OSError as exc:
+                    raise ScenarioError("out", f"cannot write {name!r} to {out_dir!r}: {exc}") from exc
         if args.command == "run":
             lines.append(f"wrote {', '.join(sorted(files))} to {out_dir}")
         for line in lines:

@@ -246,8 +246,8 @@ class CorrelatorTable:
         per column, and the columns are put on the label grid in one ``np.put``
         each.  A pair not listed is NaN in ``values`` and -1 in ``shots``, and
         so is a blank count.  Raises KeyError for a label outside the bases,
-        and ValueError for a row without four cells, a value or count that
-        does not parse, and, naming the row, a non-finite value, a negative
+        and ValueError for a row without four cells and, naming the row, a
+        value or count that does not parse, a non-finite value, a negative
         count, a count above 2**63 - 1, a repeated pair, and a cell that
         ``float`` or ``int`` reads but no writer produces: a value holding
         anything but ASCII digits, ``.``, ``e`` and ``-`` besides an exponent's
@@ -266,18 +266,29 @@ class CorrelatorTable:
             k = next(k for k, row in enumerate(rows) if row.count(",") != 3)
             raise ValueError(f"CSV row {k} has {rows[k].count(',') + 1} cells, expected 4: {rows[k]!r}")
         labels1, labels2 = list(map(str.strip, cells[0::5])), list(map(str.strip, cells[1::5]))
-        value_cells = cells[2::5]
-        values = list(map(float, value_cells))  # float() strips the same whitespace str.strip() does
-        counts = list(map(str.strip, cells[3::5]))
+        value_cells, count_cells = cells[2::5], list(map(str.strip, cells[3::5]))
+
+        def where(k):
+            return f"CSV row {k + 1} ({labels1[k]},{labels2[k]})"
+
+        def bad_value(k):
+            return ValueError(f"{where(k)}: value {value_cells[k].strip()!r} is not a plain decimal number")
+
+        def bad_count(k):
+            return ValueError(f"{where(k)}: shot count {count_cells[k]!r} is not plain decimal digits")
+
+        # list.extend keeps the cells read before one that raises, so their number indexes that cell.
+        values = []
+        try:
+            values.extend(map(float, value_cells))  # float() strips the same whitespace str.strip() does
+        except ValueError:
+            raise bad_value(len(values)) from None
         i = np.fromiter(map(basis1.index.get, labels1, repeat(-1)), np.intp, n)
         j = np.fromiter(map(basis2.index.get, labels2, repeat(-1)), np.intp, n)
         unknown = np.flatnonzero((i < 0) | (j < 0))
         if unknown.size:
             k = unknown[0]
             raise KeyError(f"entry ({labels1[k]},{labels2[k]}) not in the declared bases")
-
-        def where(k):
-            return f"CSV row {k + 1} ({labels1[k]},{labels2[k]})"
 
         shape = (len(basis1), len(basis2))
         flat = i * shape[1] + j
@@ -293,11 +304,15 @@ class CorrelatorTable:
                 seen.add(cell)
         k = _first_not_plain(value_cells, _VALUE_CHARS)
         if k is not None:
-            raise ValueError(f"{where(k)}: value {value_cells[k].strip()!r} is not a plain decimal number")
+            raise bad_value(k)
         shots = None
-        if any(counts):
-            count_cells = counts
-            counts = list(map(int, counts)) if all(counts) else [int(c) if c else None for c in counts]
+        if any(count_cells):
+            counts = []
+            try:
+                counts.extend(map(int, count_cells) if all(count_cells)
+                              else (int(c) if c else None for c in count_cells))
+            except ValueError:
+                raise bad_count(len(counts)) from None
             given = list(filter(None, counts))  # filter drops blanks (and zeros)
             if min(given, default=0) < 0 or max(given, default=0) > _SHOTS_MAX:
                 k = next(k for k, c in enumerate(counts) if c is not None and not 0 <= c <= _SHOTS_MAX)
@@ -305,7 +320,7 @@ class CorrelatorTable:
                 raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
             k = _first_not_plain(count_cells, _COUNT_CHARS)
             if k is not None:
-                raise ValueError(f"{where(k)}: shot count {count_cells[k]!r} is not plain decimal digits")
+                raise bad_count(k)
             shots = np.full(shape, -1)
             np.put(shots, flat, [-1 if c is None else c for c in counts] if None in counts else counts)
         return cls(basis1, basis2, grid, shots)

@@ -55,27 +55,16 @@ def _observable(obs) -> LightTouchObservable:
     return obs if isinstance(obs, LightTouchObservable) else LightTouchObservable(obs, label="")
 
 
-def _projector_stack(matrices, observables) -> np.ndarray:
-    """``(n, 2, d, d)`` stack of each observable's (P+, P-) = ((I + A/lam)/2, (I - A/lam)/2).
-
-    Single-spectrum observables (A = lam * I) always yield outcome +lam; their
-    projector pair is (I, 0).
-    """
-    lams = np.array([o.lam for o in observables])
-    single = np.array([o.kind == "single" for o in observables])
-    eye = np.eye(matrices.shape[-1], dtype=complex)
-    scaled = matrices / lams[:, None, None]
-    projs = np.stack([(eye + scaled) / 2.0, (eye - scaled) / 2.0], axis=1)
-    projs[single, 0] = eye
-    projs[single, 1] = 0.0
-    return projs
-
-
 def projectors_for(obs) -> MeasurementProjectors:
-    """Projector pair for a Pauli string, light-touch observable, or +/-lam Hermitian."""
+    """Projector pair for a Pauli string, light-touch observable, or +/-lam Hermitian:
+    (P+, P-) = ((I + A/lam)/2, (I - A/lam)/2), or (I, 0) for a single-spectrum observable
+    (A = lam * I), whose outcome is always +lam."""
     obs = _observable(obs)
-    (plus, minus), = _projector_stack(obs.matrix[None], [obs])
-    return MeasurementProjectors(plus=plus, minus=minus, lam=obs.lam)
+    eye = np.eye(obs.matrix.shape[-1], dtype=complex)
+    if obs.kind == "single":
+        return MeasurementProjectors(plus=eye, minus=np.zeros_like(eye), lam=obs.lam)
+    scaled = obs.matrix / obs.lam
+    return MeasurementProjectors(plus=(eye + scaled) / 2.0, minus=(eye - scaled) / 2.0, lam=obs.lam)
 
 
 def _agree_probabilities(r: Pdm, mats1, mats2, lam12) -> np.ndarray:

@@ -17,14 +17,16 @@ import tempfile
 import numpy as np
 
 
+# A float's text, by whether it is integral and below 1e17 in magnitude, where .17g writes no point:
+# %.1f writes those digits and a ".0", so a round number keeps a float-typed token across round trips.
+_SPECS = ("%.17g", "%.1f")
+
+
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    text = format(float(x), ".17g")
-    # Keep a float-typed token for round numbers so types survive round-trips.
-    if "e" not in text and "." not in text and "inf" not in text and "nan" not in text:
-        text += ".0"
-    return text
+    x = float(x)
+    return _SPECS[x.is_integer() and abs(x) < 1e17] % x
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -82,9 +84,7 @@ def _dump_floats(a: np.ndarray, indent: int) -> str:
     """``dumps(a.tolist(), indent)`` for a non-empty float or complex array, a complex entry as
     ``[re, im]``, built one top-level entry at a time, so no Python object is made per number.
 
-    Each entry's numbers fill one ``%`` template, at ``%.17g`` (``format_float``'s digits) or, for
-    an integral value below 1e17, which ``.17g`` writes with no point, at ``%.1f``, which is
-    those digits and the ``.0`` that ``format_float`` appends.
+    Each entry's numbers fill one ``%`` template, each at the ``_SPECS`` entry ``format_float`` picks.
     """
     x = np.stack((a.real, a.imag), axis=-1) if a.dtype.kind == "c" else np.asarray(a, dtype=float)
     finite = np.isfinite(x)
@@ -95,9 +95,6 @@ def _dump_floats(a: np.ndarray, indent: int) -> str:
     rows = (template % tuple(map(_SPECS.__getitem__, ints.ravel().tolist())) % tuple(row.ravel().tolist())
             for row, ints in zip(x, integral))
     return _block("[", ((pad, row) for row in rows), " " * indent + "]")
-
-
-_SPECS = ("%.17g", "%.1f")
 
 
 def dump_json(obj) -> str:

@@ -1,5 +1,7 @@
 """Reference routines that only the tests use, kept beside them as oracles."""
 
+import math
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -17,6 +19,17 @@ def anticommutator(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"anticommutator requires equal shapes, got {a.shape} and {b.shape}")
     return a @ b + b @ a
+
+
+def string_format_float(x: float) -> str:
+    """``serialize.format_float`` by a rule on its text: ``.17g``, then ``.0`` appended when that
+    text holds no exponent and no point."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    text = format(float(x), ".17g")
+    if "e" not in text and "." not in text and "inf" not in text and "nan" not in text:
+        text += ".0"
+    return text
 
 
 def trace_norm(m) -> float:
@@ -236,7 +249,8 @@ def outcome_probs(projs, states, live=True) -> np.ndarray:
 
 def branch_probabilities(rho, ch, projs1, projs2):
     """Outcome probabilities of every (A_i at t1, B_j at t2) pair of two projector stacks
-    (``sampling._projector_stack``), from the Lueders post-state of each first branch.
+    ``(n, 2, d, d)``, each pair as ``loop_projectors`` builds it, from the Lueders post-state of
+    each first branch.
 
     Returns ``p`` of shape (n1,), the probability of +lam at t1 for A_i, and
     ``q`` of shape (n1, 2, n2), the probability of +lam at t2 for B_j after

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ class TestKrausChannel:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             KrausChannel([])
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 2), (0, 0)])
+    def test_rejects_a_zero_size_operator_naming_its_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"zero dimension, got shape {shape}")):
+            KrausChannel([np.zeros(shape)])
 
     def test_identity_action(self):
         rng = np.random.default_rng(2)

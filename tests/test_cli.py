@@ -227,6 +227,8 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**PDM, "channel": {"kraus": [[[1.0] * 33]]}}, "channel", [], id="kraus-cols-too-large"),
     pytest.param({**PDM, "channel": {"kraus": [[[1, 0], [0]]]}}, "channel", [], id="kraus-ragged-rows"),
     pytest.param({**PDM, "channel": {"kraus": [[1, 0]]}}, "channel", [], id="kraus-not-a-matrix"),
+    pytest.param({**PDM, "channel": {"kraus": [[[]]]}}, "channel", [], id="kraus-zero-size"),
+    pytest.param({**PDM, "kind": "nope"}, "kind", [], id="kind-unknown"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json/sub"], id="out-below-a-file"),
 ])
@@ -296,6 +298,27 @@ def test_lg_at_max_dim_stays_inside_a_memory_limit(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert out.returncode == 0, out.stderr
     assert "K=+0.910000" in out.stdout and "SI detected: yes" in out.stdout
+
+
+def test_failed_output_write_exits_2_naming_out(tmp_path, capsys):
+    # A directory where the report file goes: the rename into place fails, and no temp file is left.
+    out = tmp_path / "out"
+    (out / "witness.json").mkdir(parents=True)
+    assert main(["run", "--config", "witness_identity.json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at field 'out': cannot write 'witness.json'")
+    assert sorted(p.name for p in out.iterdir()) == ["witness.json"]
+
+
+@pytest.mark.parametrize("config", ["witness", "witness_d3", "witness_d2d3"])
+def test_witness_negativity_is_the_si_measure_value(tmp_path, config):
+    path = GOLDEN_CONFIGS / f"{config}.json"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    payload = json.loads(path.read_text())
+    state = parse_state(payload["state"])
+    r = pdm_closed_form(state, pdmsi.cli._channel(payload["channel"], "channel", len(state)))
+    negativity = json.loads((tmp_path / "witness.json").read_text())["negativity"]
+    assert negativity == si_measure(r, 1.0).value > 0
 
 
 def test_lg_subcommand_needs_an_lg_config(tmp_path, capsys):

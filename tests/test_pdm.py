@@ -228,6 +228,20 @@ class TestCorrelators:
         with pytest.raises(ValueError, match=message):
             CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,3\n{row}\n", basis)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("I,X,0.5,3\nI,I,abc,3", r"^CSV row 2 \(I,I\): value 'abc' is not a plain decimal number$"),
+        ("I,X,0.5,3\nI,I, ,3", r"^CSV row 2 \(I,I\): value '' is not a plain decimal number$"),
+        ("I,X,0.5,\nI,I,1 2,", r"^CSV row 2 \(I,I\): value '1 2' is not a plain decimal number$"),
+        ("I,X,0.5,3\nI,I,1.0,x", r"^CSV row 2 \(I,I\): shot count 'x' is not plain decimal digits$"),
+        ("I,X,0.5,\nI,I,1.0,x", r"^CSV row 2 \(I,I\): shot count 'x' is not plain decimal digits$"),
+        ("I,X,0.5,1 2\nI,I,1.0,3", r"^CSV row 1 \(I,X\): shot count '1 2' is not plain decimal digits$"),
+        # A value is read before the labels are looked up, as before.
+        ("I,X,abc,\nQ9,I,1.0,", r"^CSV row 1 \(I,X\): value 'abc' is not a plain decimal number$"),
+    ])
+    def test_csv_names_the_row_of_a_cell_float_or_int_cannot_read(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\n{rows}\n", ObservableBasis.pauli(1))
+
     def test_csv_reads_every_form_the_writer_produces(self):
         basis = ObservableBasis.pauli(1)
         text = "label1,label2,value,shots\nI,I,1e+25,0\nI,X, -1.5e-07\t,\t12 \nX,X,-0,\n"

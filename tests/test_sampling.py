@@ -26,7 +26,6 @@ from pdmsi.observables import LightTouchObservable, ObservableBasis, pauli_basis
 from pdmsi.pdm import CorrelatorTable, exact_correlators, pdm_closed_form, pdm_from_correlators
 from pdmsi.sampling import (
     _agree_probabilities,
-    _projector_stack,
     projectors_for,
     sample_table,
     sample_two_time,
@@ -36,10 +35,14 @@ from pdmsi.states import ket, maximally_mixed, plus_state, projector
 PAULI = {p.label: p for p in pauli_basis(1)}
 
 
+def projector_stack(observables) -> np.ndarray:
+    """``(n, 2, d, d)`` stack of each observable's (P+, P-) from ``loop_projectors``."""
+    return np.array([loop_projectors(o)[:2] for o in observables])
+
+
 def kernel(rho, ch, b1, b2):
     """The Lueders branch kernel (tests/oracles.py) over two bases' projector stacks."""
-    return branch_probabilities(rho, ch, _projector_stack(b1.matrices, b1.observables),
-                                _projector_stack(b2.matrices, b2.observables))
+    return branch_probabilities(rho, ch, projector_stack(b1.observables), projector_stack(b2.observables))
 
 
 def agree_probabilities(rho, ch, b1, b2):
@@ -85,6 +88,22 @@ class TestProjectors:
         q = prandom.dichotomic_observable(3, rng)
         projs = projectors_for(q)
         assert np.allclose(projs.plus - projs.minus, q, atol=1e-10)
+
+    @pytest.mark.parametrize("observables", [
+        pytest.param(pauli_basis(1), id="pauli-1"),
+        pytest.param(pauli_basis(2), id="pauli-2"),
+        pytest.param(ObservableBasis.light_touch(3).observables, id="light-touch-3"),
+        pytest.param([LightTouchObservable(2.0 * np.eye(2), "2I")], id="single-spectrum-2I"),
+        pytest.param([3.0 * prandom.dichotomic_observable(3, np.random.default_rng(7)),
+                      np.diag([0.5, -0.5, 0.5, -0.5])], id="raw-matrices"),
+    ])
+    def test_pair_is_the_reference_formula_bit_for_bit(self, observables):
+        # ((I + A/lam)/2, (I - A/lam)/2), or (I, 0) for a single-spectrum observable.
+        for obs in observables:
+            projs = projectors_for(obs)
+            plus, minus, lam = loop_projectors(obs)
+            assert np.array_equal(projs.plus, plus) and np.array_equal(projs.minus, minus)
+            assert projs.lam == lam
 
     def test_rejects_generic_spectrum(self):
         with pytest.raises(ValueError):
@@ -370,7 +389,7 @@ class TestBranchKernel:
         # snaps to 1; a branch below it is dead, so its q is 0, not Z's 1.
         rho = projector(ket(0))
         ch = identity_channel(2)
-        second = _projector_stack(PAULI["Z"].matrix[None], [PAULI["Z"]])
+        second = projector_stack([PAULI["Z"]])
         tiny, dead, certain = (np.diag([x, 0.0]) for x in (1e-10, 1e-15, 1.0 - 1e-15))
         cases = [((tiny, np.diag([1.0, 0.0])), (0.0, 1.0, 1.0)),
                  ((certain, tiny), (1.0, 1.0, 1.0)),
@@ -385,7 +404,7 @@ class TestBranchKernel:
         # to 2 on |0><0|, the second to 0.5 on every output state.
         rho = projector(ket(0))
         ch = identity_channel(2)
-        good = _projector_stack(PAULI["Z"].matrix[None], [PAULI["Z"]])
+        good = projector_stack([PAULI["Z"]])
         double = np.array([[np.diag([1.0, 0.0])] * 2], dtype=complex)
         half = np.array([[np.eye(2) / 4.0] * 2], dtype=complex)
         for projs1, projs2, total in ((double, good, 2.0), (good, half, 0.5)):

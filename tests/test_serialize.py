@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import string_format_float
 
 from pdmsi.serialize import dump_json, dumps, format_float, write_atomic
 
@@ -35,9 +38,27 @@ class TestFormatting:
             assert float(format_float(x)) == x
 
     def test_rejects_non_finite(self):
-        for bad in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError):
+        for bad in (np.inf, -np.inf, np.nan, np.float64("nan")):
+            with pytest.raises(ValueError) as got:
                 format_float(bad)
+            with pytest.raises(ValueError) as want:
+                string_format_float(bad)
+            assert str(got.value) == str(want.value)
+
+    # Signed zeros, the integral floats around 2**53 and 1e17 (the last point-free .17g text is
+    # 1e17 - 16), the least subnormal and the largest float.
+    EDGES = [0.0, -0.0, 1.0, -1.0, 2.0**53, 2.0**53 + 2, 1e17 - 16, 1e17, -1e17, 1e17 + 16, 1e16 + 0.5,
+             5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+             0.1, 1 / 3, 123456789.0]
+
+    @pytest.mark.parametrize("x", EDGES + [np.float64(3.0), np.float64(0.25), 7])
+    def test_value_rule_matches_the_text_rule_at_the_edges(self, x):
+        assert format_float(x) == string_format_float(x)
+
+    @settings(derandomize=True, max_examples=1000)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**60), 2**60).map(float))
+    def test_value_rule_matches_the_text_rule(self, x):
+        assert format_float(x) == string_format_float(x)
 
     def test_sorted_keys_and_types(self):
         text = dumps({"b": 1, "a": [True, None, 2.5], "c": "x"})
