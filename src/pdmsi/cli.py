@@ -3,8 +3,8 @@
 Every subcommand turns its arguments into a config, and every config takes
 one path: ``validate_config``, then the kind's handler, which reads and checks
 all of its fields before it computes anything (a sweep builds and checks each
-chunk's channels just before that chunk), then the atomic writes, then the
-printed lines.
+chunk's channels just before that chunk), then one write of all its reports
+(all of them or none), then the printed lines.
 
 Exit codes: 0 success, 2 config/validation error (with a field diagnostic),
 1 numerical or verification failure.
@@ -499,11 +499,11 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise ScenarioError("out", f"cannot create output directory {out_dir!r}: {exc}") from exc
-            for name, content in files.items():
-                try:
-                    write_atomic(os.path.join(out_dir, name), content)
-                except OSError as exc:
-                    raise ScenarioError("out", f"cannot write {name!r} to {out_dir!r}: {exc}") from exc
+            try:
+                write_atomic(out_dir, files)  # all of them or none
+            except OSError as exc:
+                names = ", ".join(map(repr, files))
+                raise ScenarioError("out", f"cannot write {names} to {out_dir!r}: {exc}") from exc
         if args.command == "run":
             lines.append(f"wrote {', '.join(sorted(files))} to {out_dir}")
         for line in lines:

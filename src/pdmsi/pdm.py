@@ -248,11 +248,12 @@ class CorrelatorTable:
         so is a blank count.  Raises KeyError for a label outside the bases,
         and ValueError for a row without four cells and, naming the row, a
         value or count that does not parse, a non-finite value, a negative
-        count, a count above 2**63 - 1, a repeated pair, and a cell that
-        ``float`` or ``int`` reads but no writer produces: a value holding
-        anything but ASCII digits, ``.``, ``e`` and ``-`` besides an exponent's
-        ``e+`` (so ``1_0``, ``+1`` and non-ASCII digits), or a count holding
-        anything but ASCII digits.  Spaces and tabs may pad either.
+        count, a count above 2**63 - 1 (plain digits are read at any length),
+        a repeated pair, and a cell that ``float`` or ``int`` reads but no
+        writer produces: a value holding anything but ASCII digits, ``.``,
+        ``e`` and ``-`` besides an exponent's ``e+`` (so ``1_0``, ``+1`` and
+        non-ASCII digits), or a count holding anything but ASCII digits.
+        Spaces and tabs may pad either.
         """
         basis2 = basis1 if basis2 is None else basis2
         rows = list(filter(str.strip, text.strip().splitlines()))
@@ -309,15 +310,16 @@ class CorrelatorTable:
         if any(count_cells):
             counts = []
             try:
-                counts.extend(map(int, count_cells) if all(count_cells)
-                              else (int(c) if c else None for c in count_cells))
+                counts.extend(map(_read_count, count_cells) if all(count_cells)
+                              else (_read_count(c) if c else None for c in count_cells))
             except ValueError:
                 raise bad_count(len(counts)) from None
             given = list(filter(None, counts))  # filter drops blanks (and zeros)
             if min(given, default=0) < 0 or max(given, default=0) > _SHOTS_MAX:
                 k = next(k for k, c in enumerate(counts) if c is not None and not 0 <= c <= _SHOTS_MAX)
                 problem = "is negative" if counts[k] < 0 else f"is above {_SHOTS_MAX}"
-                raise ValueError(f"{where(k)}: shot count {counts[k]} {problem}")
+                shown = count_cells[k].lstrip("0") if _is_digits(count_cells[k]) else counts[k]
+                raise ValueError(f"{where(k)}: shot count {shown} {problem}")
             k = _first_not_plain(count_cells, _COUNT_CHARS)
             if k is not None:
                 raise bad_count(k)
@@ -335,6 +337,20 @@ class CorrelatorTable:
 # What a CSV value and a CSV count may hold besides an exponent's "e+": the characters of ``.17g``
 # and of ``str(int)``, and spaces and tabs as padding.
 _VALUE_CHARS, _COUNT_CHARS = b"0123456789.e- \t", b"0123456789 \t"
+
+
+def _is_digits(cell: str) -> bool:
+    return cell.isascii() and cell.isdigit()
+
+
+def _read_count(cell: str) -> int:
+    """``int(cell)``, but at any length for a cell of plain digits, where ``int`` refuses more than 4,300
+    digits, leading zeros included.  With its leading zeros dropped, such a cell of more than 19 digits
+    is above ``_SHOTS_MAX`` and reads as ``_SHOTS_MAX + 1``; the range message shows its digits."""
+    if len(cell) <= 19 or not _is_digits(cell):
+        return int(cell)
+    digits = cell.lstrip("0")
+    return int(digits or "0") if len(digits) <= 19 else _SHOTS_MAX + 1
 
 
 def _first_not_plain(cells: list[str], chars: bytes) -> int | None:

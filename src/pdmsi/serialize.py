@@ -9,10 +9,10 @@ instance as the object of its fields.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -101,16 +101,34 @@ def dump_json(obj) -> str:
     return dumps(obj) + "\n"
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
+def write_atomic(path: str, content: str | dict[str, str]) -> None:
+    """Write ``content`` to ``path`` via a temp file in the same directory, then rename it into place.
+
+    A dict ``content`` maps file names to texts, written in the directory ``path``: a name that is a
+    directory is refused before anything is written, and every temp file is written before the first
+    rename, so a failed write leaves none of the new files.  Each file is created with mode 0o666 less
+    the umask, as by ``open(path, "w")``.
+    """
+    if isinstance(content, str):
+        path, content = os.path.dirname(path), {os.path.basename(path): content}
+    directory = os.path.abspath(path)
+    targets = [os.path.join(directory, name) for name in content]
+    for target in targets:
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    staged = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
+        for text in content.values():
+            tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the kernel applies the umask
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for tmp, target in zip(staged, targets):
+            os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -301,13 +302,34 @@ def test_lg_at_max_dim_stays_inside_a_memory_limit(tmp_path):
 
 
 def test_failed_output_write_exits_2_naming_out(tmp_path, capsys):
-    # A directory where the report file goes: the rename into place fails, and no temp file is left.
+    # A directory where the report file goes: it is refused before anything is written, and no temp file is left.
     out = tmp_path / "out"
     (out / "witness.json").mkdir(parents=True)
     assert main(["run", "--config", "witness_identity.json", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error at field 'out': cannot write 'witness.json'")
     assert sorted(p.name for p in out.iterdir()) == ["witness.json"]
+
+
+def test_failed_run_writes_none_of_its_files(tmp_path, capsys):
+    # simulate writes simulate.csv and simulate.json; a directory where the json goes leaves no fresh csv either.
+    out = tmp_path / "out"
+    (out / "simulate.json").mkdir(parents=True)
+    assert main(["run", "--config", str(GOLDEN_CONFIGS / "simulate.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at field 'out': cannot write 'simulate.csv', 'simulate.json' to {str(out)!r}")
+    assert sorted(p.name for p in out.iterdir()) == ["simulate.json"]
+
+
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        assert main(["run", "--config", str(GOLDEN_CONFIGS / "simulate.json"), "--out", str(tmp_path)]) == 0
+        open(tmp_path / "plain.txt", "w").close()
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain.txt", "simulate.csv", "simulate.json"], modes["plain.txt"])
 
 
 @pytest.mark.parametrize("config", ["witness", "witness_d3", "witness_d2d3"])

@@ -274,6 +274,29 @@ class TestCorrelators:
         back = CorrelatorTable.from_csv(text, basis)
         assert dict_shots_match(back, {("I", "X"): top}) and back.to_csv() == text
 
+    def test_plain_digit_count_past_int_digit_limit_is_above_int64(self):
+        # int() refuses a string of more than 4,300 digits; such a count is plain digits all the same.
+        basis, nines = ObservableBasis.pauli(1), "9" * 4301
+        with pytest.raises(ValueError, match=rf"^CSV row 2 \(I,X\): shot count {nines} is above {2**63 - 1}$"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,I,1,3\nI,X,0.5,{nines}\n", basis)
+        # The range check still comes before the plain-digits check of another row, as for a short count.
+        with pytest.raises(ValueError, match=r"row 2 \(I,X\): shot count 9{4301} is above"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,I,1,1_0\nI,X,0.5,{nines}\n", basis)
+
+    @pytest.mark.parametrize("count, shots", [
+        pytest.param("0" * 4301 + "5", 5, id="zeros-then-5"),
+        pytest.param("0" * 4301, 0, id="zeros"),
+        pytest.param("0" * 30 + str(2**63 - 1), 2**63 - 1, id="zeros-then-int64-max"),
+    ])
+    def test_leading_zeros_do_not_count_toward_a_count_length(self, count, shots):
+        table = CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,{count}\n", ObservableBasis.pauli(1))
+        assert int(table.shots[0, 1]) == shots
+
+    def test_zero_padded_count_above_int64_shows_its_digits(self):
+        count = "0" * 4301 + str(2**63)
+        with pytest.raises(ValueError, match=rf"^CSV row 1 \(I,X\): shot count {2**63} is above {2**63 - 1}$"):
+            CorrelatorTable.from_csv(f"label1,label2,value,shots\nI,X,0.5,{count}\n", ObservableBasis.pauli(1))
+
     def test_csv_names_first_row_of_wrong_width(self):
         # 4 + 3 + 5 data cells: a multiple of 4, so only a per-row count finds the short row.
         basis = ObservableBasis.pauli(1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -138,3 +139,31 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [f for f in os.listdir(tmp_path / "sub") if f.endswith(".tmp")]
         assert leftovers == []
+
+    def test_writes_every_file_of_a_dict(self, tmp_path):
+        write_atomic(str(tmp_path / "out"), {"a.csv": "a\n", "b.json": "{}\n"})
+        assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {"a.csv": "a\n", "b.json": "{}\n"}
+
+    def test_directory_target_is_refused_before_any_write(self, tmp_path):
+        (tmp_path / "a.csv").write_text("old\n")
+        (tmp_path / "b.json").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            write_atomic(str(tmp_path), {"a.csv": "new\n", "b.json": "{}\n"})
+        assert err.value.filename == str(tmp_path / "b.json")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.json"]
+        assert (tmp_path / "a.csv").read_text() == "old\n"
+
+    def test_failed_staging_renames_nothing_and_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(str(tmp_path), {"a.csv": "a\n", "b.json": None})
+        assert os.listdir(tmp_path) == []
+
+    def test_mode_is_that_of_a_plain_open(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            write_atomic(str(tmp_path / "report.json"), "{}\n")
+            open(tmp_path / "plain.txt", "w").close()
+        finally:
+            os.umask(previous)
+        mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert mode["report.json"] == mode["plain.txt"]
