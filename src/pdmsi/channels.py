@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .states import ket
 
 TRACE_PRESERVING_ATOL = 1e-10
 # Max entry of |u^dag u - I| that unitary_channel accepts.
@@ -122,7 +121,8 @@ def identity_channel(d: int = 2) -> KrausChannel:
 
 def dephasing_channel(d: int = 2) -> KrausChannel:
     """The fully decohering map Delta, Kraus set {|i><i|}."""
-    return KrausChannel([np.outer(ket(i, d), ket(i, d).conj()) for i in range(d)])
+    eye = np.eye(d, dtype=complex)
+    return KrausChannel(eye[:, :, None] * eye[:, None, :])  # unit k: eye[k, i] eye[k, j] at (i, j)
 
 
 def unitary_channel(u) -> KrausChannel:

@@ -496,11 +496,7 @@ def main(argv=None) -> int:
         files, lines, passed = KINDS[kind][0](cfg)
         if out_dir is not None:
             try:
-                os.makedirs(out_dir, exist_ok=True)
-            except OSError as exc:
-                raise ScenarioError("out", f"cannot create output directory {out_dir!r}: {exc}") from exc
-            try:
-                write_atomic(out_dir, files)  # all of them or none
+                write_atomic(out_dir, files)  # creates out_dir; all of the files or none
             except OSError as exc:
                 names = ", ".join(map(repr, files))
                 raise ScenarioError("out", f"cannot write {names} to {out_dir!r}: {exc}") from exc

@@ -24,7 +24,6 @@ import numpy as np
 from .channels import KrausChannel
 from .exceptions import DimensionMismatch, NoAsymmetricColumn
 from .linalg import pseudo_inverse
-from .states import ketbra
 
 CLASS_ATOL = 1e-9
 # Absolute tolerance of a probability (or stochastic-matrix) entry's sign and of each sum's distance from 1.
@@ -249,7 +248,9 @@ def build_ce_oi_channel(a) -> KrausChannel:
     ignores off-diagonals, acting on populations by the stochastic matrix."""
     a = check_stochastic_matrix(a)
     d = a.shape[0]
-    ops = [np.sqrt(a[k, i]) * ketbra(k, i, d) for k in range(d) for i in range(d) if a[k, i] > 0]
+    k, i = np.nonzero(a > 0)  # row-major: the Kraus operators in (k, i) order
+    ops = np.zeros((len(k), d, d), dtype=complex)
+    ops[np.arange(len(k)), k, i] = np.sqrt(a[k, i])
     return KrausChannel(ops)
 
 

@@ -24,17 +24,12 @@ def as_complex_matrix(m, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m) -> float:
-    m = np.asarray(m, dtype=complex)
-    return float(abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
-
-
 def check_hermitian(m, atol: float = HERMITICITY_ATOL, stacked: bool = False) -> np.ndarray:
     """Return ``m`` as a complex array, raising NonHermitian beyond ``atol`` or for a non-finite entry."""
     m = as_complex_matrix(m, stacked)
     if not np.isfinite(m).all():
         raise NonHermitian("matrix has non-finite entries")
-    defect = hermiticity_defect(m)
+    defect = float(abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
     if defect > atol:
         raise NonHermitian(f"matrix is not Hermitian: max|m - m^dag| = {defect:.3e}")
     return m

@@ -96,8 +96,7 @@ def _sign_rows(d: int) -> np.ndarray:
             h = np.block([[h, h], [h, -h]])
         return h
     rows = np.ones((d, d))
-    for k in range(1, d):
-        rows[k, k] = -1.0
+    np.fill_diagonal(rows[1:, 1:], -1.0)
     return rows
 
 
@@ -114,25 +113,17 @@ def light_touch_basis(d: int) -> list[LightTouchObservable]:
     if d == 2:
         return pauli_basis(1)
 
-    obs = []
     signs = _sign_rows(d)
-    for k in range(d):
-        obs.append(LightTouchObservable(np.diag(signs[k].astype(complex)), f"D{k}"))
-    eye = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            rest = eye.copy()
-            rest[i, i] = 0.0
-            rest[j, j] = 0.0
-            x = rest.copy()
-            x[i, j] = 1.0
-            x[j, i] = 1.0
-            obs.append(LightTouchObservable(x, f"X{i}.{j}"))
-            y = rest.copy()
-            y[i, j] = -1j
-            y[j, i] = 1j
-            obs.append(LightTouchObservable(y, f"Y{i}.{j}"))
-    return obs
+    obs = [LightTouchObservable(np.diag(signs[k].astype(complex)), f"D{k}") for k in range(d)]
+    # Members 2p (X) and 2p + 1 (Y) of pair p = (i[p], j[p]): the identity less |i><i| + |j><j|, plus the pair.
+    i, j = np.triu_indices(d, 1)
+    p = np.arange(len(i))
+    pairs = np.broadcast_to(np.eye(d, dtype=complex), (len(p), 2, d, d)).copy()
+    pairs[p, :, i, i] = pairs[p, :, j, j] = 0.0
+    pairs[p, 0, i, j] = pairs[p, 0, j, i] = 1.0
+    pairs[p, 1, i, j], pairs[p, 1, j, i] = -1j, 1j
+    labels = [f"{axis}{a}.{b}" for a, b in zip(i.tolist(), j.tolist()) for axis in "XY"]
+    return obs + [LightTouchObservable(m, label) for m, label in zip(pairs.reshape(-1, d, d), labels)]
 
 
 _SHARED_BASES: dict[str, "ObservableBasis"] = {}

@@ -242,7 +242,7 @@ class CorrelatorTable:
                  basis2: ObservableBasis | None = None) -> "CorrelatorTable":
         """Parse ``to_csv`` output; blank lines are skipped and cells stripped.
 
-        The text is parsed by column: one split into cells, then one ``map``
+        The text is parsed by column: one split into cells, then one pass
         per column, and the columns are put on the label grid in one ``np.put``
         each.  A pair not listed is NaN in ``values`` and -1 in ``shots``, and
         so is a blank count.  Raises KeyError for a label outside the bases,
@@ -310,8 +310,7 @@ class CorrelatorTable:
         if any(count_cells):
             counts = []
             try:
-                counts.extend(map(_read_count, count_cells) if all(count_cells)
-                              else (_read_count(c) if c else None for c in count_cells))
+                counts.extend(_read_count(c) if c else None for c in count_cells)
             except ValueError:
                 raise bad_count(len(counts)) from None
             given = list(filter(None, counts))  # filter drops blanks (and zeros)
@@ -324,7 +323,7 @@ class CorrelatorTable:
             if k is not None:
                 raise bad_count(k)
             shots = np.full(shape, -1)
-            np.put(shots, flat, [-1 if c is None else c for c in counts] if None in counts else counts)
+            np.put(shots, flat, [-1 if c is None else c for c in counts])
         return cls(basis1, basis2, grid, shots)
 
     def __repr__(self):

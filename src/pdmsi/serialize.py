@@ -101,25 +101,22 @@ def dump_json(obj) -> str:
     return dumps(obj) + "\n"
 
 
-def write_atomic(path: str, content: str | dict[str, str]) -> None:
-    """Write ``content`` to ``path`` via a temp file in the same directory, then rename it into place.
+def write_atomic(directory: str, files: dict[str, str]) -> None:
+    """Write each text of ``files`` to its name in ``directory``, created if missing, via a renamed temp file.
 
-    A dict ``content`` maps file names to texts, written in the directory ``path``: a name that is a
-    directory is refused before anything is written, and every temp file is written before the first
-    rename, so a failed write leaves none of the new files.  Each file is created with mode 0o666 less
-    the umask, as by ``open(path, "w")``.
+    A name that is a directory is refused before anything is written, and every temp file is written
+    before the first rename, so a failed write leaves none of the new files.  Each file is created with
+    mode 0o666 less the umask, as by ``open(path, "w")``.
     """
-    if isinstance(content, str):
-        path, content = os.path.dirname(path), {os.path.basename(path): content}
-    directory = os.path.abspath(path)
-    targets = [os.path.join(directory, name) for name in content]
+    directory = os.path.abspath(directory)
+    targets = [os.path.join(directory, name) for name in files]
     for target in targets:
         if os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     os.makedirs(directory, exist_ok=True)
     staged = []
     try:
-        for text in content.values():
+        for text in files.values():
             tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the kernel applies the umask
             staged.append(tmp)

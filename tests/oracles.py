@@ -9,7 +9,7 @@ from pdmsi.exceptions import DimensionMismatch
 from pdmsi.observables import LightTouchObservable
 from pdmsi.pdm import CorrelatorTable, _check_int
 from pdmsi.sampling import DEAD_BRANCH_PROB
-from pdmsi.states import check_density_matrix
+from pdmsi.states import check_density_matrix, ket, ketbra
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -87,6 +87,47 @@ def loop_closed_form(rho, kraus_ops) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     m = loop_jamiolkowski(kraus_ops, len(rho))
     return anticommutator(np.kron(rho, np.eye(len(m) // len(rho))), m) / 2.0
+
+
+def loop_light_touch_basis(d: int) -> list:
+    """``observables.light_touch_basis`` for d >= 3, one matrix entry at a time: the d diagonal members from the
+    rows of a Sylvester-Hadamard matrix (d a power of two) or of all ones with -1 at (k, k) for k >= 1, then an
+    X and a Y member per pair i < j."""
+    if d & (d - 1) == 0:
+        signs = np.array([[1.0]])
+        while signs.shape[0] < d:
+            signs = np.block([[signs, signs], [signs, -signs]])
+    else:
+        signs = np.ones((d, d))
+        for k in range(1, d):
+            signs[k, k] = -1.0
+    obs = [LightTouchObservable(np.diag(signs[k].astype(complex)), f"D{k}") for k in range(d)]
+    eye = np.eye(d, dtype=complex)
+    for i in range(d):
+        for j in range(i + 1, d):
+            rest = eye.copy()
+            rest[i, i] = 0.0
+            rest[j, j] = 0.0
+            x = rest.copy()
+            x[i, j] = 1.0
+            x[j, i] = 1.0
+            obs.append(LightTouchObservable(x, f"X{i}.{j}"))
+            y = rest.copy()
+            y[i, j] = -1j
+            y[j, i] = 1j
+            obs.append(LightTouchObservable(y, f"Y{i}.{j}"))
+    return obs
+
+
+def loop_ce_oi_kraus(a) -> list:
+    """The CE+OI Kraus set {sqrt(a_ki) |k><i| : a_ki > 0}, k-major, one matrix unit at a time."""
+    d = len(a)
+    return [np.sqrt(a[k, i]) * ketbra(k, i, d) for k in range(d) for i in range(d) if a[k, i] > 0]
+
+
+def loop_dephasing_kraus(d: int) -> list:
+    """The dephasing Kraus set {|i><i|}, one outer product of kets each."""
+    return [np.outer(ket(i, d), ket(i, d).conj()) for i in range(d)]
 
 
 def dephase(m) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdmsi.random as prandom
-from oracles import channels_equal, dephase, loop_compose, loop_jamiolkowski
+from oracles import channels_equal, dephase, loop_compose, loop_dephasing_kraus, loop_jamiolkowski
 from pdmsi.channels import (
     KrausChannel,
     _apply,
@@ -240,6 +240,13 @@ class TestDephase:
         rng = np.random.default_rng(17)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(dephase(m), dephasing_channel(3)(m))
+
+    def test_kraus_stack_is_the_loop_build_byte_for_byte(self):
+        for d in range(1, 33):
+            built, loop = dephasing_channel(d), KrausChannel(loop_dephasing_kraus(d))
+            assert built.kraus.shape == loop.kraus.shape == (d, d, d)
+            assert built.kraus.tobytes() == loop.kraus.tobytes()
+            assert built.jamiolkowski().tobytes() == loop.jamiolkowski().tobytes()
 
 
 class TestCompose:

@@ -18,6 +18,7 @@ from oracles import (
     channels_equal,
     delta_class_residuals,
     dephasing_superoperator,
+    loop_ce_oi_kraus,
     loop_ncgd_residual,
     loop_superoperator,
 )
@@ -553,6 +554,23 @@ class TestBuildCeOi:
         for i in range(3):
             out = ch(projector(ket(i, 3)))
             assert np.allclose(np.diag(out).real, a[:, i], atol=1e-12)
+
+    def test_kraus_stack_and_jamiolkowski_are_the_loop_build_byte_for_byte(self):
+        rng = np.random.default_rng(29)
+        with_zeros = 0
+        for trial in range(200):
+            d = int(rng.integers(1, 7))
+            a = prandom.stochastic_matrix(d, rng)
+            if trial % 2:  # zero entries, at least one nonzero per column
+                a = a * (rng.random((d, d)) < 0.5)
+                a[0, a.sum(axis=0) == 0.0] = 1.0
+                a = a / a.sum(axis=0)
+            with_zeros += bool(np.count_nonzero(a == 0.0))
+            built, loop = build_ce_oi_channel(a), KrausChannel(loop_ce_oi_kraus(check_stochastic_matrix(a)))
+            assert built.kraus.shape == loop.kraus.shape
+            assert built.kraus.tobytes() == loop.kraus.tobytes()
+            assert built.jamiolkowski().tobytes() == loop.jamiolkowski().tobytes()
+        assert with_zeros > 50
 
     def test_stochastic_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import loop_light_touch_basis
 from pdmsi.exceptions import NonHermitian
 from pdmsi.observables import (
     PAULI_1Q,
@@ -106,6 +107,15 @@ class TestLightTouch:
                 assert np.all(np.abs(w - lam) < 1e-10)
             else:
                 assert np.all(np.minimum(np.abs(w - lam), np.abs(w + lam)) < 1e-10)
+
+    @pytest.mark.parametrize("d", range(3, 32))
+    def test_members_are_the_loop_build_byte_for_byte(self, d):
+        # tobytes, not array_equal: -1j has a -0.0 real part, and array_equal takes -0.0 for 0.0.
+        built, loop = light_touch_basis(d), loop_light_touch_basis(d)
+        assert [o.label for o in built] == [o.label for o in loop]
+        assert [o.kind for o in built] == [o.kind for o in loop]
+        assert np.array([o.lam for o in built]).tobytes() == np.array([o.lam for o in loop]).tobytes()
+        assert np.array([o.matrix for o in built]).tobytes() == np.array([o.matrix for o in loop]).tobytes()
 
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ValueError):

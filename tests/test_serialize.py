@@ -134,8 +134,8 @@ class TestArrays:
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         target = tmp_path / "sub" / "out.json"
-        write_atomic(str(target), "first\n")
-        write_atomic(str(target), "second\n")
+        write_atomic(str(target.parent), {"out.json": "first\n"})
+        write_atomic(str(target.parent), {"out.json": "second\n"})
         assert target.read_text() == "second\n"
         leftovers = [f for f in os.listdir(tmp_path / "sub") if f.endswith(".tmp")]
         assert leftovers == []
@@ -161,7 +161,7 @@ class TestAtomicWrite:
     def test_mode_is_that_of_a_plain_open(self, tmp_path):
         previous = os.umask(0o027)
         try:
-            write_atomic(str(tmp_path / "report.json"), "{}\n")
+            write_atomic(str(tmp_path), {"report.json": "{}\n"})
             open(tmp_path / "plain.txt", "w").close()
         finally:
             os.umask(previous)
