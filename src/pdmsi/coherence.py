@@ -154,14 +154,6 @@ def classify_channel(ch: KrausChannel, ncgd_probe=None) -> CoherenceClassReport:
     )
 
 
-@dataclass
-class BlockDecomposition:
-    """PDM blocks R_ij = ((p_i + p_j)/2) ch(|j><i|) for a diagonal input state."""
-
-    probs: np.ndarray
-    blocks: dict
-
-
 def check_probability_vector(probs, d: int) -> np.ndarray:
     """Validate a finite probability vector of length ``d`` (entries >= 0, sum 1, within PROB_ATOL)."""
     probs = np.asarray(probs, dtype=float)
@@ -182,13 +174,6 @@ def _blocks(probs, m) -> np.ndarray:
     n = np.shape(m)[-1] // d
     units = np.reshape(m, (*np.shape(m)[:-2], d, n, d, n)).swapaxes(-3, -2)
     return ((probs[..., :, None] + probs[..., None, :]) / 2.0)[..., None, None] * units
-
-
-def pdm_blocks(probs, ch: KrausChannel) -> BlockDecomposition:
-    probs = check_probability_vector(probs, ch.in_dim)
-    blocks = _blocks(probs, ch.jamiolkowski())
-    return BlockDecomposition(probs=probs, blocks={(i, j): blocks[i, j] for i in range(ch.in_dim)
-                                                   for j in range(ch.in_dim)})
 
 
 def _block_failures(probs, m) -> tuple[np.ndarray, np.ndarray]:

@@ -42,17 +42,29 @@ class LgScenario:
     q: np.ndarray
 
     def __post_init__(self):
-        self.initial = check_density_matrix(self.initial)
-        self.q = check_dichotomic(self.q)
-        _check_dims(self.initial.shape[0], self.ch12, self.ch23, [self.q])
+        rhos, (self.q,) = _checked_inputs([self.initial], [self.q], self.ch12, self.ch23)
+        self.initial = rhos[0]
 
 
-def _check_dims(d: int, ch12: KrausChannel, ch23: KrausChannel, qs) -> None:
-    """Raise unless both legs map dimension ``d`` to itself and every observable is ``d x d``."""
-    if (ch12.in_dim, ch12.out_dim) != (d, d) or (ch23.in_dim, ch23.out_dim) != (d, d):
-        raise DimensionMismatch("LG legs must map the system dimension to itself")
-    if any(q.shape != (d, d) for q in qs):
-        raise DimensionMismatch("observable dimension must match the state")
+def _checked_inputs(states, qs, ch12: KrausChannel, ch23: KrausChannel) -> tuple[np.ndarray, list]:
+    """The states as one ``(N, d, d)`` stack and the observables, each checked once: density matrices,
+    +/-1 observables, and both legs and every observable on each state's dimension.  The states take one
+    stacked check; on any failure each in turn, so an error is the first bad state's own."""
+    try:
+        rhos = check_hermitian(states, DENSITY_ATOL, stacked=True)
+        ok = rhos.ndim == 3 and np.all(abs(rhos.trace(axis1=1, axis2=2).real - 1.0) <= DENSITY_ATOL) and np.all(
+            np.linalg.eigvalsh(rhos)[:, 0] >= -DENSITY_ATOL)
+    except (TypeError, ValueError):  # not one numeric stack (mixed dimensions, say), or NonHermitian
+        ok = False
+    rhos = rhos if ok else [check_density_matrix(rho) for rho in states]
+    qs = [check_dichotomic(q) for q in qs]
+    for rho in rhos:
+        d = rho.shape[0]
+        if (ch12.in_dim, ch12.out_dim) != (d, d) or (ch23.in_dim, ch23.out_dim) != (d, d):
+            raise DimensionMismatch("LG legs must map the system dimension to itself")
+        if any(q.shape != (d, d) for q in qs):
+            raise DimensionMismatch("observable dimension must match the state")
+    return np.asarray(rhos), qs
 
 
 @dataclass
@@ -61,6 +73,11 @@ class LgResult:
     c23: float
     c13: float
     k: float
+
+
+def _lg_results(rows) -> list[LgResult]:
+    """One ``LgResult`` per (C12, C23, C13) row, with K = C12 + C23 - C13."""
+    return [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in rows]
 
 
 def _lg_pdms(rho, m12, m23) -> tuple:
@@ -100,12 +117,12 @@ def lg_evaluate(scenario: LgScenario, shots: int | None = None, seed: int | None
         shots = _check_int(shots, "shots", 1, ZeroShots)
     pdms = _lg_pdms(rho, scenario.ch12.jamiolkowski(), scenario.ch23.jamiolkowski())
     if shots is None:
-        c12, c23, c13 = _lg_correlators(pdms, q).tolist()
+        row = _lg_correlators(pdms, q).tolist()
     else:
         obs, dims = _observable(q), (len(q), len(q))
-        c12, c23, c13 = (_sample_pair(Pdm(r, dims), obs, obs, shots, np.random.SeedSequence((seed, leg))).mean
-                         for r, leg in zip(pdms, (12, 23, 13)))
-    return LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13)
+        row = [_sample_pair(Pdm(r, dims), obs, obs, shots, np.random.SeedSequence((seed, leg))).mean
+               for r, leg in zip(pdms, (12, 23, 13))]
+    return _lg_results([row])[0]
 
 
 @dataclass
@@ -161,8 +178,6 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     states (the regime where the two tests differ); q_list defaults to Pauli Z
     for qubits.
     """
-    if ch.in_dim != ch.out_dim:
-        raise DimensionMismatch("lg_vs_si needs equal input and output dimensions")
     if not len(states):
         raise ValueError("lg_vs_si needs at least one state")
     if q_list is None:
@@ -172,21 +187,9 @@ def lg_vs_si(ch: KrausChannel, states, q_list=None, ch23: KrausChannel | None = 
     if not len(q_list):
         raise ValueError("lg_vs_si needs at least one observable in q_list")
     second = ch if ch23 is None else ch23
-    # Every (state, observable) pair passes the checks LgScenario applies, each input checked once.
-    try:  # one check of the stack; on any failure each state in turn, so an error is the first bad state's own
-        rhos = check_hermitian(states, DENSITY_ATOL, stacked=True)
-        ok = rhos.ndim == 3 and np.all(abs(rhos.trace(axis1=1, axis2=2).real - 1.0) <= DENSITY_ATOL) and np.all(
-            np.linalg.eigvalsh(rhos)[:, 0] >= -DENSITY_ATOL)
-    except (TypeError, ValueError):  # not one numeric stack (mixed dimensions, say), or NonHermitian
-        ok = False
-    rhos = rhos if ok else [check_density_matrix(rho) for rho in states]
-    qs = [check_dichotomic(q) for q in q_list]
-    for rho in rhos:
-        _check_dims(rho.shape[0], ch, second, qs)
-    rhos = np.asarray(rhos)
+    rhos, qs = _checked_inputs(states, q_list, ch, second)
     pdms = _lg_pdms(rhos, ch.jamiolkowski(), second.jamiolkowski())
-    c = np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3)
-    results = [LgResult(c12=c12, c23=c23, c13=c13, k=c12 + c23 - c13) for c12, c23, c13 in c.tolist()]
+    results = _lg_results(np.array([_lg_correlators(pdms, q) for q in qs]).reshape(-1, 3).tolist())
     max_k = max(res.k for res in results)
 
     leg1 = _PdmStack(pdms[0], (ch.in_dim, ch.in_dim))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel
-from .states import ket
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -62,15 +61,13 @@ def channel(in_dim: int, out_dim: int | None = None, env_dim: int = 4, *, rng: n
 
 
 def oi_channel(d: int, rng: np.random.Generator) -> KrausChannel:
-    """Random off-diagonal-independent map: m -> sum_i m_ii sigma_i."""
-    ops = []
-    for i in range(d):
-        sigma = density_matrix(d, rng)
-        w, v = np.linalg.eigh(sigma)
-        for a in range(d):
-            if w[a] > 1e-12:
-                ops.append(np.sqrt(w[a]) * np.outer(v[:, a], ket(i, d).conj()))
-    return KrausChannel(ops)
+    """Random off-diagonal-independent map: m -> sum_i m_ii sigma_i, with Kraus set
+    {sqrt(w_ia) |v_ia><i| : w_ia > 1e-12} over the eigenpairs of the d random states sigma_i."""
+    w, v = np.linalg.eigh(np.array([density_matrix(d, rng) for _ in range(d)]))
+    i, a = np.nonzero(w > 1e-12)  # row-major: the Kraus operators in (i, a) order
+    # The conjugated complex unit row |i><i| gives outer(v, <i|) its signed zeros.
+    units = np.eye(d, dtype=complex)[i].conj()
+    return KrausChannel(np.sqrt(w[i, a])[:, None, None] * (v[i, :, a][:, :, None] * units[:, None, :]))
 
 
 def stochastic_matrix(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,22 +64,18 @@ def _pair_quantity(pairs, quantity) -> np.ndarray:
                    lambda at: quantity(_closed_forms([pairs[k] for k in at])))
 
 
-def _pdm_draw(rng):
-    """A random qubit-pair PDM: a (state, channel) pair or a unit-trace Hermitian matrix."""
+def _pdm_draw(rng) -> np.ndarray:
+    """A random 4 x 4 qubit-pair PDM: the raw closed form of a random (state, channel) pair, or a
+    unit-trace Hermitian matrix."""
     if rng.random() < 0.5:
         rho = prandom.density_matrix(2, rng)
-        return rho, prandom.channel(2, 2, env_dim=3, rng=rng)
+        return _closed_form(rho, prandom.channel(2, 2, env_dim=3, rng=rng).jamiolkowski())
     return prandom.unit_trace_hermitian(4, rng)
 
 
 def _pdms(draws) -> _PdmStack:
-    """The ``(N, 4, 4)`` stack of ``_pdm_draw`` draws."""
-    out = np.array([np.zeros((4, 4)) if isinstance(x, tuple) else x for x in draws], dtype=complex)
-    pairs = [k for k, x in enumerate(draws) if isinstance(x, tuple)]
-    if pairs:  # raw closed forms: the whole stack is checked once, below
-        states, chs = zip(*(draws[k] for k in pairs))
-        out[pairs] = _closed_form(np.array(states), _jamiolkowski_stack(chs))
-    return _PdmStack(out, (2, 2))
+    """The ``(N, 4, 4)`` stack of ``_pdm_draw`` draws, checked once as a whole."""
+    return _PdmStack(np.array(draws, dtype=complex), (2, 2))
 
 
 def _positivity(rng, trials):

@@ -8,6 +8,7 @@ from numpy.random.bit_generator import ISeedSequence
 from pdmsi.exceptions import DimensionMismatch
 from pdmsi.observables import LightTouchObservable
 from pdmsi.pdm import CorrelatorTable, _check_int
+from pdmsi.random import density_matrix
 from pdmsi.sampling import DEAD_BRANCH_PROB
 from pdmsi.states import check_density_matrix, ket, ketbra
 
@@ -475,3 +476,15 @@ def loop_binomial_table(p_agree, basis1, basis2, shots, seed) -> CorrelatorTable
 def products_with_agreements(k: int, shots: int, lam12: float) -> np.ndarray:
     """``shots`` products +/-lam12, ``k`` of them +lam12 (outcomes that agree)."""
     return np.where(np.arange(shots) < k, lam12, -lam12)
+
+
+def loop_oi_kraus(d: int, rng) -> list:
+    """The random OI Kraus set {sqrt(w_a) |v_a><i|} of ``pdmsi.random.oi_channel``, drawn state by state
+    and built one outer product at a time."""
+    ops = []
+    for i in range(d):
+        w, v = np.linalg.eigh(density_matrix(d, rng))
+        for a in range(d):
+            if w[a] > 1e-12:
+                ops.append(np.sqrt(w[a]) * np.outer(v[:, a], ket(i, d).conj()))
+    return ops

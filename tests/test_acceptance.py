@@ -261,7 +261,10 @@ def test_criterion_9_tp_property_suite():
               f"closed-vs-optimizer gap <= {worst:.1e}; T2={p2:.9f}")
 
 
-def test_criterion_10_deterministic_cli_outputs(tmp_path):
+def test_criterion_10_deterministic_cli_outputs(tmp_path, capsys, monkeypatch):
+    # A wall clock whose every interval is longer than the last: what each run prints must not read it.
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)) ** 2)
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({
         "version": 1,
@@ -271,12 +274,15 @@ def test_criterion_10_deterministic_cli_outputs(tmp_path):
         "shots": 5000,
         "seed": 424242,
     }))
+    stdout = {}
     for sub in ("first", "second"):
         assert main(["run", "--config", str(config), "--out", str(tmp_path / sub)]) == 0
         assert main(["run", "--config", "witness_identity.json",
                      "--out", str(tmp_path / sub)]) == 0
+        stdout[sub] = capsys.readouterr().out.replace(str(tmp_path / sub), "OUT")
+    assert stdout["first"] == stdout["second"], "stdout differs between runs"
     for name in ("simulate.csv", "simulate.json", "witness.json"):
         first = (tmp_path / "first" / name).read_bytes()
         second = (tmp_path / "second" / name).read_bytes()
         assert first == second, f"{name} differs between runs"
-    report(10, "simulate.csv, simulate.json, witness.json byte-identical across invocations")
+    report(10, "simulate.csv, simulate.json, witness.json and stdout byte-identical across invocations")

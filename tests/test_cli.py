@@ -232,6 +232,24 @@ QUTRIT = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     pytest.param({**PDM, "kind": "nope"}, "kind", [], id="kind-unknown"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json"], id="out-is-a-file"),
     pytest.param(PDM, "out", ["--out", "{tmp}/cfg.json/sub"], id="out-below-a-file"),
+    pytest.param({**PDM, "channel": "identity(2"}, "channel", [], id="channel-literal-unparsable"),
+    pytest.param({**PDM, "channel": "swap"}, "channel", [], id="channel-builtin-unknown"),
+    pytest.param({**PDM, "channel": {"kraus": [np.eye(2).tolist()], "unitary": np.eye(2).tolist()}}, "channel", [],
+                 id="channel-kraus-and-unitary"),
+    pytest.param({**PDM, "channel": {"kraus": []}}, "channel", [], id="channel-kraus-empty"),
+    pytest.param({**PDM, "channel": 3}, "channel", [], id="channel-number"),
+    pytest.param({**LG, "q": "W"}, "q", [], id="lg-q-name-unknown"),
+    pytest.param([PDM], "config", [], id="config-top-level-list"),
+    pytest.param({k: v for k, v in PDM.items() if k != "version"}, "version", [], id="version-missing"),
+    pytest.param({k: v for k, v in PDM.items() if k != "kind"}, "kind", [], id="kind-missing"),
+    pytest.param({**LG, "state": KET0}, "states", [], id="lg-state-and-states"),
+    pytest.param({k: v for k, v in LG.items() if k != "states"}, "state", [], id="lg-no-state"),
+    pytest.param({k: v for k, v in SIMULATE.items() if k != "seed"}, "seed", [], id="simulate-seed-missing"),
+    pytest.param({**SWEEP, "grid": {"start": 0.0, "stop": 1.0, "num": 2}}, "grid", [], id="sweep-grid-and-values"),
+    pytest.param(SWEEP_GRID, "grid", [], id="sweep-no-grid-nor-values"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": 0.0, "stop": 1.0}}, "grid", [], id="grid-keys"),
+    pytest.param({**SWEEP_GRID, "grid": {"start": float("inf"), "stop": 1.0, "num": 2}}, "grid", [],
+                 id="grid-start-inf"),
 ])
 def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, extra):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -239,6 +257,17 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, capsys, payload, field, ex
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_lg_state_prints_what_a_one_state_list_prints(tmp_path, capsys):
+    one = {k: v for k, v in LG.items() if k != "states"}
+    printed = []
+    for name, payload in (("state", {**one, "state": KET0}), ("states", {**one, "states": [KET0]})):
+        assert main(["lg", "--config", write_config(tmp_path, f"{name}.json", payload),
+                     "--out", str(tmp_path / name)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].startswith("state 0: C12=")
+    assert (tmp_path / "state" / "lg.json").read_bytes() == (tmp_path / "states" / "lg.json").read_bytes()
 
 
 @pytest.mark.parametrize("literal, parameter", [("amplitude_damping", "gamma"), ("depolarizing", "p")])

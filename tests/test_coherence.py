@@ -20,6 +20,7 @@ from oracles import (
     dephasing_superoperator,
     loop_ce_oi_kraus,
     loop_ncgd_residual,
+    loop_oi_kraus,
     loop_superoperator,
 )
 from pdmsi.channels import (
@@ -33,6 +34,7 @@ from pdmsi.channels import (
 from pdmsi.coherence import (
     CLASS_ATOL,
     _block_failures,
+    _blocks,
     _class_residuals,
     _exact_ncgd_residual,
     _max_unit_deviation,
@@ -41,7 +43,6 @@ from pdmsi.coherence import (
     build_ce_oi_channel,
     check_stochastic_matrix,
     classify_channel,
-    pdm_blocks,
 )
 from pdmsi.exceptions import DimensionMismatch, NoAsymmetricColumn
 from pdmsi.linalg import superop_exp
@@ -189,11 +190,12 @@ class TestClassResiduals:
         for name in RESIDUALS:
             assert abs(got[name] - want[name]) <= 1e-13
         probs = rng.dirichlet(np.ones(d))
-        blocks = pdm_blocks(probs, ch).blocks
-        for (i, j), block in blocks.items():
+        blocks = _blocks(probs, ch.jamiolkowski())
+        assert blocks.shape == (d, d, d, d)
+        for i, j in np.ndindex(d, d):
             unit = ketbra(j, i, d)
             kraus = sum(k @ unit @ k.conj().T for k in ch.kraus_ops)
-            assert np.max(np.abs(block - (probs[i] + probs[j]) / 2 * kraus)) <= 1e-13
+            assert np.max(np.abs(blocks[i, j] - (probs[i] + probs[j]) / 2 * kraus)) <= 1e-13
         full = pdm_closed_form(np.diag(probs.astype(complex)), ch)
         assert block_positivity_test(probs, ch).compatible == (full.min_eigenvalue() >= -CLASS_ATOL)
 
@@ -428,14 +430,15 @@ class TestBlockPositivity:
             d = int(rng.choice([2, 3]))
             probs = rng.dirichlet(np.ones(d))
             ch = prandom.channel(d, d, env_dim=3, rng=rng)
-            dec = pdm_blocks(probs, ch)
+            blocks = _blocks(probs, ch.jamiolkowski())
+            assert blocks.shape == (d, d, ch.out_dim, ch.out_dim)
             full = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
-            for (i, j), block in dec.blocks.items():
-                full += np.kron(ketbra(i, j, d), block)
+            for i, j in np.ndindex(d, d):
+                full += np.kron(ketbra(i, j, d), blocks[i, j])
             r = pdm_closed_form(np.diag(probs.astype(complex)), ch)
             assert np.max(np.abs(full - r.mat)) < 1e-10
             herm_defect = max(
-                np.max(np.abs(dec.blocks[(i, j)] - dec.blocks[(j, i)].conj().T))
+                np.max(np.abs(blocks[i, j] - blocks[j, i].conj().T))
                 for i in range(d)
                 for j in range(d)
             )
@@ -572,6 +575,18 @@ class TestBuildCeOi:
             assert built.jamiolkowski().tobytes() == loop.jamiolkowski().tobytes()
         assert with_zeros > 50
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    def test_random_oi_channel_is_the_loop_build_byte_for_byte(self, d):
+        """``pdmsi.random.oi_channel`` draws its states as the loop does and forms its Kraus stack from
+        index arrays: the same operators, in the same order, down to the signed zeros."""
+        for seed in range(40):
+            built = prandom.oi_channel(d, np.random.default_rng(seed))
+            loop = KrausChannel(loop_oi_kraus(d, np.random.default_rng(seed)))
+            assert built.kraus.shape == loop.kraus.shape
+            assert built.kraus.tobytes() == loop.kraus.tobytes()
+            assert built.jamiolkowski().tobytes() == loop.jamiolkowski().tobytes()
+            assert classify_channel(built).is_oi
+
     def test_stochastic_validation(self):
         with pytest.raises(ValueError):
             check_stochastic_matrix(np.array([[0.5, 0.2], [0.2, 0.8]]))
@@ -583,11 +598,11 @@ NAN_COLUMN = [[np.nan, 0.0], [np.nan, 1.0]]
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: pdm_blocks([np.nan, np.nan], identity_channel(2)), "probability vector of finite entries"),
+    (lambda: block_positivity_test([np.nan, np.nan], identity_channel(2)), "probability vector of finite entries"),
     (lambda: block_positivity_test([np.inf, 0.0], identity_channel(2)), "probability vector of finite entries"),
     (lambda: build_ce_oi_channel(NAN_COLUMN), "stochastic matrix entries must be finite"),
     (lambda: adversarial_coherent_state(NAN_COLUMN, 0, 1, 0, 0.5), "stochastic matrix entries must be finite"),
-], ids=["pdm_blocks", "block_positivity_test", "build_ce_oi_channel", "adversarial_coherent_state"])
+], ids=["block_positivity_test-nan", "block_positivity_test", "build_ce_oi_channel", "adversarial_coherent_state"])
 def test_non_finite_probabilities_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -16,9 +16,8 @@ SRC = os.path.dirname(os.path.dirname(pdmsi.pdm.__file__))
 NAMES = {
     "channels": ["KrausChannel", "amplitude_damping_channel", "dephasing_channel", "depolarizing_channel",
                  "identity_channel", "unitary_channel"],
-    "coherence": ["AdversarialState", "BlockDecomposition", "BlockPositivityResult", "CoherenceClassReport",
-                  "adversarial_coherent_state", "block_positivity_test", "build_ce_oi_channel", "classify_channel",
-                  "pdm_blocks"],
+    "coherence": ["AdversarialState", "BlockPositivityResult", "CoherenceClassReport", "adversarial_coherent_state",
+                  "block_positivity_test", "build_ce_oi_channel", "classify_channel"],
     "exceptions": ["DimensionMismatch", "IncompleteTable", "InvalidP", "NoAsymmetricColumn", "NonHermitian",
                    "NotSpatiallyIncompatible", "PdmsiError", "ZeroShots"],
     "leggett_garg": ["LgResult", "LgScenario", "LgVsSi", "SpatialBound", "lg_evaluate", "lg_operator", "lg_vs_si",
